@@ -11,7 +11,6 @@ into direct sums.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -26,7 +25,6 @@ from .errors import (
     OrderMismatch,
     PathInconsistency,
     ScaleExceeded,
-    UnsupportedComponentType,
 )
 from .fields import CYCLOTOMIC, FieldSpec, is_prime
 
@@ -275,9 +273,7 @@ def verify(
         not b(i, i).is_symbolic and not b(i, i).is_one for i in range(s)
     )
     if diag_ok and mode == "finite":
-        has_g2 = any(
-            c.label == "G2" for c in classify_components(diagram, "finite")
-        )
+        has_g2 = _has_g2(diagram)
         for i in range(s):
             o = b(i, i).multiplicative_order()
             if o <= 2:
@@ -306,17 +302,6 @@ def _has_g2(diagram: LinkableDynkinDiagram) -> bool:
     return any(c.label == "G2" for c in classify_components(diagram, "finite"))
 
 
-def _require_recognized(diagram: LinkableDynkinDiagram, mode: str) -> None:
-    pool = "finite" if mode == "finite" else "any"
-    bad = [c for c in classify_components(diagram, pool) if c.label == "other"]
-    if bad:
-        verts = ", ".join(str(v + 1) for v in bad[0].vertices)
-        raise UnsupportedComponentType(
-            f"component with vertices {verts} is not of a recognized "
-            f"{'finite' if mode == 'finite' else 'finite or affine'} type"
-        )
-
-
 def admissible_orders(
     diagram: LinkableDynkinDiagram,
     mode: str = "finite",
@@ -326,31 +311,39 @@ def admissible_orders(
     """Root orders the construction may use, ascending.
 
     With a nonzero genus gcd G the candidates are divisors of G; with
-    G = 0 they are primes, reported up to the given bound.
+    G = 0 they are the primes among the field's root orders, in a
+    cyclotomic field the primes up to the given bound.
     """
     big_g = genus_gcd(diagram, mode)
-    g2 = _has_g2(diagram) if mode == "finite" else False
+    return _admissible_orders(diagram, mode, field, big_g, bound)
+
+
+def _admissible_orders(
+    diagram: LinkableDynkinDiagram,
+    mode: str,
+    field: FieldSpec,
+    big_g: int,
+    bound: int = 100,
+) -> tuple[int, ...]:
+    """admissible_orders for a diagram whose genus gcd big_g is known.
+
+    With big_g = 0 the candidates are the field's root orders; bound
+    only cuts off a cyclotomic field, where every prime qualifies, and
+    the default suits listing and choosing one.
+    """
+    g2 = mode == "finite" and _has_g2(diagram)
+    low = 3 if mode == "finite" else 5
+    candidates = field.root_orders()
+    if big_g or candidates is None:
+        candidates = range(low, (big_g or bound) + 1)
     out = []
-    if mode == "finite":
-        if big_g > 0:
-            candidates: Iterable[int] = (
-                d for d in range(3, big_g + 1) if big_g % d == 0
-            )
-        else:
-            candidates = (d for d in range(3, bound + 1) if is_prime(d))
-        for d in candidates:
-            if d % 2 == 0 or (g2 and d % 3 == 0):
-                continue
-            if field.has_primitive_root(d):
-                out.append(d)
-    else:
-        for p in range(5, (big_g if big_g > 0 else bound) + 1):
-            if not is_prime(p):
-                continue
-            if big_g > 0 and big_g % p != 0:
-                continue
-            if field.has_primitive_root(p):
-                out.append(p)
+    for d in candidates:
+        if d < low or big_g % d or d % 2 == 0 or (g2 and d % 3 == 0):
+            continue
+        if field.has_primitive_root(d) and (
+            (mode == "finite" and big_g > 0) or is_prime(d)
+        ):
+            out.append(d)
     return tuple(out)
 
 
@@ -359,10 +352,10 @@ def _validate_order(
     d: Optional[int],
     mode: str,
     field: FieldSpec,
+    big_g: int,
 ) -> int:
-    big_g = genus_gcd(diagram, mode)
     if d is None:
-        choices = admissible_orders(diagram, mode, field)
+        choices = _admissible_orders(diagram, mode, field, big_g)
         if mode == "finite" and big_g > 0:
             if not choices:
                 raise InadmissibleD(
@@ -405,28 +398,20 @@ def _diagonal_exponents(
     s = diagram.size
     exps: list[Optional[int]] = [None] * s
     exps[start] = 1
-    queue = [start]
-    while queue:
-        u = queue.pop(0)
-        neigh = diagram.plain_neighbors(u)
-        partner = diagram.partner(u)
-        if partner is not None:
-            neigh = sorted(neigh + [partner])
-        for v in neigh:
-            if exps[v] is not None:
-                continue
-            if diagram.a(u, v) != 0:
-                ratio_den = diagram.a(v, u) % d
-                if gcd(ratio_den, d) != 1:
-                    raise InadmissibleD(
-                        f"entry a({v + 1},{u + 1}) = {diagram.a(v, u)} is "
-                        f"not invertible modulo {d}"
-                    )
-                exps[v] = exps[u] * diagram.a(u, v) * pow(ratio_den, -1, d) % d
-            else:
-                exps[v] = -exps[u] % d
-            queue.append(v)
-    if any(e is None for e in exps):
+    order, parent = diagram.link_traversal(start)
+    for v in order[1:]:
+        u = parent[v]
+        if diagram.a(u, v) != 0:
+            ratio_den = diagram.a(v, u) % d
+            if gcd(ratio_den, d) != 1:
+                raise InadmissibleD(
+                    f"entry a({v + 1},{u + 1}) = {diagram.a(v, u)} is "
+                    f"not invertible modulo {d}"
+                )
+            exps[v] = exps[u] * diagram.a(u, v) * pow(ratio_den, -1, d) % d
+        else:
+            exps[v] = -exps[u] % d
+    if len(order) < s:
         raise NotLinkConnected("the diagram is not link-connected")
 
     # every edge must agree, not only the spanning tree used above
@@ -545,7 +530,6 @@ def construct(
         raise NotLinkConnected("construct needs a link-connected diagram")
     if not (0 <= start < diagram.size):
         raise ValueError(f"start vertex {start + 1} out of range")
-    _require_recognized(diagram, diagram.mode)
     from .existence import check  # deferred: existence imports this module
 
     report = check(diagram)
@@ -554,7 +538,7 @@ def construct(
             f"existence check says {report.decision}: "
             + "; ".join(report.reasons)
         )
-    d = _validate_order(diagram, d, diagram.mode, field)
+    d = _validate_order(diagram, d, diagram.mode, field, report.genus_gcd)
     exps = _diagonal_exponents(diagram, d, start)
     diag = [RootExpr.root(d, e) for e in exps]
     off = _offdiagonal_entries(diagram, diag)
@@ -620,7 +604,6 @@ def brute_force_exists(
     diagram: LinkableDynkinDiagram,
     n_max: int = 30,
     field: FieldSpec = CYCLOTOMIC,
-    workers: int = 1,
 ) -> OracleResult:
     """Exhaustively search for a verifying braiding matrix.
 
@@ -642,20 +625,7 @@ def brute_force_exists(
     s = diagram.size
 
     # fixed visit order: breadth-first from vertex 0 over the link graph
-    order = [0]
-    seen = {0}
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        neigh = diagram.plain_neighbors(u)
-        p = diagram.partner(u)
-        if p is not None:
-            neigh = sorted(neigh + [p])
-        for v in neigh:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
+    order, _ = diagram.link_traversal()
 
     candidates_n = [
         n
@@ -718,19 +688,10 @@ def brute_force_exists(
         return None
 
     for n in candidates_n:
-        if workers <= 1:
-            for e_root in range(1, n):
-                w = witness_for_root(n, e_root)
-                if w is not None:
-                    return OracleResult(True, n, w, n_max)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(
-                    lambda e: witness_for_root(n, e), range(1, n)
-                ))
-            for w in results:
-                if w is not None:
-                    return OracleResult(True, n, w, n_max)
+        for e_root in range(1, n):
+            w = witness_for_root(n, e_root)
+            if w is not None:
+                return OracleResult(True, n, w, n_max)
     return OracleResult(False, None, None, n_max)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
+from math import gcd
 
 from .braiding import (
     BraidingMatrix,
@@ -17,7 +18,7 @@ from .braiding import (
     direct_sum,
     verify,
 )
-from .cycles import cycle_invariants, enumerate_cycles, genus_gcd
+from .cycles import cycle_invariants, enumerate_cycles
 from .diagram import MODES, CartanMatrix, LinkableDynkinDiagram
 from .errors import (
     DiagramSyntaxError,
@@ -297,8 +298,10 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
     inv_mode = "finite" if df.diagram.mode == "finite" else "affine"
     found = enumerate_cycles(df.diagram)
     print(f"cycles: {len(found)}")
+    big_g = 0
     for t, cyc in enumerate(found, start=1):
         inv = cycle_invariants(df.diagram, cyc, inv_mode)
+        big_g = gcd(big_g, inv.genus)
         verts = "-".join(str(v + 1) for v in cyc.vertices)
         steps = "".join("p" if s == "plain" else "d" for s in cyc.steps)
         if inv_mode == "finite":
@@ -312,7 +315,7 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
                 f"weight2 {inv.weight2} weight3 {inv.weight3} "
                 f"length {inv.length} genus {inv.genus}"
             )
-    print(f"genus gcd: {genus_gcd(df.diagram, inv_mode)}")
+    print(f"genus gcd: {big_g}")
     return 0
 
 
@@ -380,9 +383,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     df = _load(args.file)
-    result = brute_force_exists(
-        df.diagram, n_max=args.nmax, field=df.field, workers=args.workers
-    )
+    result = brute_force_exists(df.diagram, n_max=args.nmax, field=df.field)
     if result.found:
         if not args.machine:
             print(f"found: root order {result.root_order}")
@@ -505,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_file("oracle", "exhaustive search for a braiding matrix")
     p.add_argument("--nmax", type=int, default=30, help="largest root order")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

@@ -129,16 +129,20 @@ class LinkableDynkinDiagram:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         n = self.cartan.size
-        seen: set[int] = set()
+        partner: dict[int, int] = {}
         for i, j in self.linkable:
             if not (0 <= i < j < n):
                 raise ValueError(f"bad dotted edge ({i + 1},{j + 1})")
-            if i in seen or j in seen:
+            if i in partner or j in partner:
                 raise ValueError(
                     f"dotted edges must be disjoint, vertex {max(i, j) + 1} reused"
                 )
-            seen.add(i)
-            seen.add(j)
+            partner[i] = j
+            partner[j] = i
+        # derived data lives outside the fields, so equality and hashing
+        # still see only the matrix, the dotted edges and the mode
+        object.__setattr__(self, "_partner", partner)
+        object.__setattr__(self, "_components", {})
         if not self.linked <= set(self.linkable):
             raise ValueError("linked pairs must be declared linkable")
         if self.mode != "selflink":
@@ -164,21 +168,15 @@ class LinkableDynkinDiagram:
 
     def partner(self, v: int) -> Optional[int]:
         """The other end of the dotted edge at v, or None."""
-        for i, j in self.linkable:
-            if i == v:
-                return j
-            if j == v:
-                return i
-        return None
+        return self._partner.get(v)
 
     def is_linkable_pair(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.linkable)
+        return self._partner.get(i) == j
 
     def lambda_of(self, i: int, j: int) -> int:
-        pair = (min(i, j), max(i, j))
-        if pair not in set(self.linkable):
+        if self._partner.get(i) != j:
             raise ValueError(f"({i + 1},{j + 1}) is not a dotted edge")
-        return 1 if pair in self.linked else 0
+        return 1 if (min(i, j), max(i, j)) in self.linked else 0
 
     def plain_components(self) -> list[tuple[int, ...]]:
         """Connected components of the plain-edge graph, each sorted."""
@@ -204,23 +202,30 @@ class LinkableDynkinDiagram:
                 parent[max(ri, rj)] = min(ri, rj)
         return {v: find(v) for v in range(self.cartan.size)}
 
+    def link_traversal(
+        self, root: int = 0
+    ) -> tuple[list[int], dict[int, Optional[int]]]:
+        """Breadth-first search from root over plain and dotted edges.
+
+        Neighbours are visited in ascending order.  Returns the visit
+        order and the parent of each reached vertex (None for root).
+        """
+        parent: dict[int, Optional[int]] = {root: None}
+        order = [root]
+        for u in order:  # grows while we walk it: a FIFO queue
+            neigh = self.plain_neighbors(u)
+            p = self.partner(u)
+            if p is not None:
+                neigh = sorted(neigh + [p])
+            for v in neigh:
+                if v not in parent:
+                    parent[v] = u
+                    order.append(v)
+        return order, parent
+
     def is_link_connected(self) -> bool:
         """True if plain and dotted edges together connect all vertices."""
-        if self.size == 0:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self.plain_neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-            p = self.partner(v)
-            if p is not None and p not in seen:
-                seen.add(p)
-                stack.append(p)
-        return len(seen) == self.size
+        return self.size == 0 or len(self.link_traversal()[0]) == self.size
 
 
 # --------------------------------------------------------------- templates
@@ -422,7 +427,12 @@ def classify_components(
 
     mode 'finite' tries finite templates only, 'affine' affine only,
     'any' both.  Components are returned sorted by smallest vertex.
+    The result is kept on the diagram, so each mode is classified once;
+    every call returns a fresh list.
     """
+    cached = diagram._components.get(mode)
+    if cached is not None:
+        return list(cached)
     result = []
     for vertices in diagram.plain_components():
         sub = diagram.cartan.submatrix(vertices)
@@ -437,6 +447,7 @@ def classify_components(
                 label = name
                 break
         result.append(ComponentType(label, vertices))
+    diagram._components[mode] = tuple(result)
     return result
 
 
@@ -461,19 +472,8 @@ def link_connected_components(
     for root in range(n):
         if root in seen:
             continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in diagram.plain_neighbors(v):
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-            p = diagram.partner(v)
-            if p is not None and p not in comp:
-                comp.add(p)
-                stack.append(p)
-        seen |= comp
+        comp, _ = diagram.link_traversal(root)
+        seen.update(comp)
         verts = tuple(sorted(comp))
         pos = {v: t for t, v in enumerate(verts)}
         rows = tuple(

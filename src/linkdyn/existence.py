@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .braiding import BraidingMatrix, RootExpr, admissible_orders
+from .braiding import BraidingMatrix, RootExpr, _admissible_orders
 from .cycles import genus_gcd
 from .diagram import (
     CartanMatrix,
@@ -41,7 +41,8 @@ class ExistenceReport(NamedTuple):
 
     decision is 'yes', 'no' or 'excluded'.  genus_gcd is None when the
     genera were not computed (earlier conditions already failed).
-    admissible lists usable root orders, capped for display.
+    admissible lists usable root orders; when a cyclotomic field offers
+    every prime, only the first few are listed.
     """
 
     decision: str
@@ -66,6 +67,10 @@ def _precheck(diagram: LinkableDynkinDiagram, mode: str) -> list:
                 f"{'finite' if mode == 'finite' else 'finite or affine'} type"
             )
     return comps
+
+
+def _listed(admissible: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
+    return admissible[:8] if field.kind == "cyclotomic" else admissible
 
 
 def _fully_linked(diagram: LinkableDynkinDiagram, vertices: tuple[int, ...]) -> bool:
@@ -110,8 +115,8 @@ def check_finite(
         return ExistenceReport("no", "finite", tuple(reasons), None, ())
 
     big_g = genus_gcd(diagram, "finite")
+    admissible = _admissible_orders(diagram, "finite", field, big_g)
     if big_g == 0:
-        admissible = admissible_orders(diagram, "finite", field, bound=100)
         if not admissible:
             return ExistenceReport(
                 "no",
@@ -120,8 +125,9 @@ def check_finite(
                 big_g,
                 (),
             )
-        return ExistenceReport("yes", "finite", (), big_g, admissible[:8])
-    admissible = admissible_orders(diagram, "finite", field)
+        return ExistenceReport(
+            "yes", "finite", (), big_g, _listed(admissible, field)
+        )
     if not admissible:
         return ExistenceReport(
             "no",
@@ -170,7 +176,7 @@ def check_affine(
         return ExistenceReport("no", "affine", tuple(reasons), None, ())
 
     big_g = genus_gcd(diagram, "affine")
-    admissible = admissible_orders(diagram, "affine", field, bound=100)
+    admissible = _admissible_orders(diagram, "affine", field, big_g)
     if not admissible:
         return ExistenceReport(
             "no",
@@ -182,7 +188,9 @@ def check_affine(
             big_g,
             (),
         )
-    return ExistenceReport("yes", "affine", (), big_g, admissible[:8])
+    return ExistenceReport(
+        "yes", "affine", (), big_g, _listed(admissible, field)
+    )
 
 
 def check(

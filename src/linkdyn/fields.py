@@ -9,6 +9,7 @@ dividing q - 1), and an explicit list of available orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 def is_prime(n: int) -> bool:
@@ -59,18 +60,23 @@ class FieldSpec:
             return (self.q - 1) % d == 0
         return any(m % d == 0 for m in self.orders)
 
+    def root_orders(self) -> Optional[list[int]]:
+        """Every d with a primitive d-th root here, ascending; None if all."""
+        if self.kind == "cyclotomic":
+            return None
+        found: set[int] = set()
+        for m in (self.q - 1,) if self.kind == "gf" else self.orders:
+            d = 1
+            while d * d <= m:
+                if m % d == 0:
+                    found.update((d, m // d))
+                d += 1
+        return sorted(found)
+
     def satisfies_baseline(self) -> bool:
         """True if some prime p > 3 has a primitive p-th root here."""
-        if self.kind == "cyclotomic":
-            return True
-        if self.kind == "gf":
-            bound = self.q - 1
-        else:
-            bound = max(self.orders)
-        return any(
-            is_prime(p) and self.has_primitive_root(p)
-            for p in range(5, bound + 1)
-        )
+        orders = self.root_orders()
+        return orders is None or any(p > 3 and is_prime(p) for p in orders)
 
 
 CYCLOTOMIC = FieldSpec("cyclotomic")

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import linkdyn
 from linkdyn import LinkableDynkinDiagram, validate_cartan
 
@@ -101,3 +103,32 @@ def run_cli(*argv, hash_seed=None):
         env=env,
         timeout=120,
     )
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count the calls of a linkdyn function made through any module.
+
+    ``count_calls(module, name)`` rebinds every name in the package that
+    refers to the function, so calls through ``from .x import f``
+    aliases are counted too, and returns the list that grows by one
+    entry per call.
+    """
+
+    def install(module, name):
+        original = getattr(module, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name != "linkdyn" and not mod_name.startswith("linkdyn."):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    return install

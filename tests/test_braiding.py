@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linkdyn.cycles
+import linkdyn.diagram
 from linkdyn import (
     BraidingMatrix,
     FieldSpec,
@@ -112,6 +114,20 @@ class TestConstruct:
             construct(component_diag(["G2", "A1"], [(1, 2)]), d=9)
         with pytest.raises(InadmissibleD):
             construct(d, d=7, field=FieldSpec("roots", orders=(5,)))
+
+    def test_default_order_from_the_whole_field(self):
+        # no cycles; GF(227) and GF(2027) hold no prime root order below 100
+        d = component_diag(["A2", "A2"], [(0, 2)])
+        for q, p in ((227, 113), (2027, 1013)):
+            m = construct(d, field=FieldSpec("gf", q=q))
+            assert m.order == p
+            assert verify(d, m).ok
+
+    def test_enumerates_cycles_once(self, count_calls):
+        calls = count_calls(linkdyn.cycles, "enumerate_cycles")
+        m = construct(circle("A3", 2))
+        assert m.order == 5
+        assert len(calls) == 1
 
     def test_genus_divisor_required(self):
         d = circle("B3", 2)  # single cycle of genus 3
@@ -234,6 +250,9 @@ class TestAdmissibleOrders:
         d = component_diag(["A2", "A2"], [(0, 2)])
         out = admissible_orders(d, field=FieldSpec("gf", q=11), bound=20)
         assert out == (5,)
+        # the bound only limits the listing of a cyclotomic field
+        out = admissible_orders(d, field=FieldSpec("gf", q=227), bound=20)
+        assert out == (113,)
 
     def test_ord_diagonal(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
@@ -262,6 +281,10 @@ class TestOracle:
         res = brute_force_exists(circle("A3", 3), n_max=12)
         assert not res.found
         assert res.matrix is None and res.n_max == 12
+        # a diagram with a genus 1 cycle
+        bad = component_diag(["A3", "B3"], [(0, 3), (2, 5)])
+        res = brute_force_exists(bad, n_max=12)
+        assert not res.found and res.matrix is None
 
     def test_embedded_low_orders_are_reached(self):
         # sole admissible order is 3; n = 5 has no witness, n = 6 embeds it
@@ -271,18 +294,16 @@ class TestOracle:
         assert all(ord_diagonal(res.matrix, v) == 3 for v in range(d.size))
         assert verify(d, res.matrix).ok
 
-    def test_workers_agree_with_sequential(self):
-        d = circle("B3", 2)
-        one = brute_force_exists(d, n_max=12, workers=1)
-        four = brute_force_exists(d, n_max=12, workers=4)
-        assert one.found and four.found
-        assert one.root_order == four.root_order
-        assert one.matrix.to_text() == four.matrix.to_text()
-        # a diagram with a genus 1 cycle: both scans come up empty
-        bad = component_diag(["A3", "B3"], [(0, 3), (2, 5)])
-        for w in (1, 4):
-            res = brute_force_exists(bad, n_max=12, workers=w)
-            assert not res.found and res.matrix is None
+    def test_classifies_once(self, count_calls):
+        # a "no" whose diagonals pass, so every candidate reaches verify:
+        # the dotted edges disagree on the entries between their ends
+        counts = []
+        for n_max in (12, 30):
+            d = component_diag(["A2", "A3"], [(0, 2), (1, 4)])
+            calls = count_calls(linkdyn.diagram, "_find_isomorphism")
+            assert not brute_force_exists(d, n_max=n_max).found
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_requires_link_connected(self):
         with pytest.raises(NotLinkConnected):

@@ -2,6 +2,7 @@
 
 import pytest
 
+import linkdyn.cycles
 from conftest import run_cli
 from linkdyn.cli import main, parse
 from linkdyn.errors import DiagramSyntaxError, SemanticError
@@ -168,6 +169,16 @@ class TestParse:
         assert parse(first).serialize() == first
 
 
+class TestCyclesCommand:
+    def test_lists_and_folds_one_enumeration(self, write, capsys, count_calls):
+        calls = count_calls(linkdyn.cycles, "enumerate_cycles")
+        code, out = run(capsys, "cycles", write(a3_circle(2)))
+        assert code == 0
+        assert out.splitlines()[0] == "cycles: 1"
+        assert out.endswith("genus gcd: 0\n")
+        assert len(calls) == 1
+
+
 class TestCheckCommand:
     def test_even_circle_yes(self, write, capsys):
         code, out = run(capsys, "check", write(a3_circle(4)))
@@ -255,11 +266,9 @@ class TestOracleCommand:
         assert code == 1
         assert out == "none: no braiding matrix up to root order 12\n"
 
-    def test_worker_count_does_not_change_output(self, write, capsys):
-        source = write(A2A2)
-        _, one = run(capsys, "oracle", source, "--workers", "1")
-        _, four = run(capsys, "oracle", source, "--workers", "4")
-        assert one == four
+    def test_workers_flag_is_gone(self, write, capsys):
+        code, _ = run(capsys, "oracle", write(A2A2), "--workers", "4")
+        assert code == 3
 
 
 class TestRealizeCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import linkdyn.cycles
 from conftest import block_rows, circle, component_diag, diag
 from linkdyn import (
     FieldSpec,
@@ -107,6 +108,20 @@ class TestCheckFinite:
         rep = check_finite(d, FieldSpec("gf", q=11))
         assert rep.decision == "yes"
         assert 5 in rep.admissible
+
+    def test_primes_beyond_the_listing_bound_count(self):
+        # no cycles; GF(227) and GF(2027) hold no prime root order below 100
+        for mode in ("finite", "affine"):
+            d = component_diag(["A2", "A2"], [(0, 2)], mode=mode)
+            for q, p in ((227, 113), (2027, 1013)):
+                rep = check(d, FieldSpec("gf", q=q))
+                assert rep.decision == "yes"
+                assert rep.admissible == (p,)
+
+    def test_enumerates_cycles_once(self, count_calls):
+        calls = count_calls(linkdyn.cycles, "enumerate_cycles")
+        assert check(circle("A3", 2)).decision == "yes"
+        assert len(calls) == 1
 
     def test_field_blocks_required_genus_divisor(self):
         # genus gcd 3 but GF(11) has no cube roots of unity
