@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cycles import genus_gcd
 from .diagram import LinkableDynkinDiagram, classify_components
@@ -25,6 +25,7 @@ from .errors import (
     OrderMismatch,
     PathInconsistency,
     ScaleExceeded,
+    UnsupportedMode,
 )
 from .fields import CYCLOTOMIC, FieldSpec, is_prime
 
@@ -199,9 +200,10 @@ class BraidingMatrix:
     @classmethod
     def from_text(cls, text: str) -> "BraidingMatrix":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("root_order "):
+        header = lines[0].split() if lines else []
+        if len(header) < 2 or header[0] != "root_order":
             raise ValueError("missing root_order header")
-        order = int(lines[0].split()[1])
+        order = int(header[1])
         rows = tuple(
             tuple(RootExpr.parse(tok, order) for tok in ln.split())
             for ln in lines[1:]
@@ -234,17 +236,25 @@ def verify(
     present; 'affine': all diagonal orders equal to one prime above 3;
     'selflink': no order conditions beyond b_ii != 1).
     """
-    failures: list[str] = []
+    failures = tuple(_failures(diagram, matrix, mode))
+    return VerificationReport(not failures, failures)
+
+
+def _failures(
+    diagram: LinkableDynkinDiagram, matrix: BraidingMatrix, mode: str
+) -> Iterator[str]:
+    """The failure messages of verify, lazily and in its order."""
     s = diagram.size
     if matrix.size != s:
-        return VerificationReport(False, (f"matrix size {matrix.size} != diagram size {s}",))
+        yield f"matrix size {matrix.size} != diagram size {s}"
+        return
     b = matrix.entry
 
     for i in range(s):
         if b(i, i).is_symbolic:
-            failures.append(f"diagonal b_{i + 1}{i + 1} = {b(i, i)} contains a free parameter")
+            yield f"diagonal b_{i + 1}{i + 1} = {b(i, i)} contains a free parameter"
         elif b(i, i).is_one:
-            failures.append(f"diagonal b_{i + 1}{i + 1} equals 1")
+            yield f"diagonal b_{i + 1}{i + 1} equals 1"
 
     for i in range(s):
         for j in range(s):
@@ -253,7 +263,7 @@ def verify(
             left = b(i, j) * b(j, i)
             right = b(i, i) ** diagram.a(i, j)
             if left != right:
-                failures.append(
+                yield (
                     f"product identity fails at ({i + 1},{j + 1}): "
                     f"b_ij*b_ji = {left}, b_ii^a_ij = {right}"
                 )
@@ -264,7 +274,7 @@ def verify(
             for k in range(s):
                 val = b(k, x) ** exponent * b(k, y)
                 if not val.is_one:
-                    failures.append(
+                    yield (
                         f"linking identity fails for pair ({x + 1},{y + 1}) "
                         f"at k={k + 1}: got {val}"
                     )
@@ -277,22 +287,18 @@ def verify(
         for i in range(s):
             o = b(i, i).multiplicative_order()
             if o <= 2:
-                failures.append(f"order of b_{i + 1}{i + 1} is {o}, must exceed 2")
+                yield f"order of b_{i + 1}{i + 1} is {o}, must exceed 2"
             elif has_g2 and o % 3 == 0:
-                failures.append(
+                yield (
                     f"order of b_{i + 1}{i + 1} is {o}, divisible by 3 "
                     f"with a G2 component present"
                 )
     elif diag_ok and mode == "affine":
         orders = sorted({b(i, i).multiplicative_order() for i in range(s)})
         if len(orders) > 1:
-            failures.append(f"diagonal orders differ: {orders}")
+            yield f"diagonal orders differ: {orders}"
         elif not (orders[0] > 3 and is_prime(orders[0])):
-            failures.append(
-                f"diagonal order {orders[0]} is not a prime above 3"
-            )
-
-    return VerificationReport(not failures, tuple(failures))
+            yield f"diagonal order {orders[0]} is not a prime above 3"
 
 
 # ---------------------------------------------------------- admissibility
@@ -391,14 +397,12 @@ def _validate_order(
 # ------------------------------------------------------------ construction
 
 
-def _diagonal_exponents(
-    diagram: LinkableDynkinDiagram, d: int, start: int
-) -> list[int]:
-    """Propagate the diagonal exponent from start over the link graph."""
+def _diagonal_exponents(diagram: LinkableDynkinDiagram, d: int) -> list[int]:
+    """Propagate the diagonal exponent from vertex 0 over the link graph."""
     s = diagram.size
     exps: list[Optional[int]] = [None] * s
-    exps[start] = 1
-    order, parent = diagram.link_traversal(start)
+    exps[0] = 1
+    order, parent = diagram.link_traversal()
     for v in order[1:]:
         u = parent[v]
         if diagram.a(u, v) != 0:
@@ -428,10 +432,7 @@ def _diagonal_exponents(
                     f"dotted edge ({u + 1},{v + 1}) needs opposite exponents, "
                     f"got {exps[u]} and {exps[v]} modulo {d}"
                 )
-    # all exponents are units and the constraints are homogeneous, so
-    # rescaling to exps[0] = 1 makes the diagonal independent of start
-    scale = pow(exps[0] % d, -1, d)
-    return [e * scale % d for e in exps]  # type: ignore[operator]
+    return exps  # type: ignore[return-value]
 
 
 def _offdiagonal_entries(
@@ -508,15 +509,30 @@ def _offdiagonal_entries(
     return out
 
 
+def _completed(
+    diagram: LinkableDynkinDiagram, d: int, exps: Sequence[int]
+) -> BraidingMatrix:
+    """The matrix with diagonal q^exps and the four-class completion."""
+    diag = [RootExpr.root(d, e) for e in exps]
+    off = _offdiagonal_entries(diagram, diag)
+    s = diagram.size
+    return BraidingMatrix(
+        d,
+        tuple(
+            tuple(diag[i] if i == j else off[(i, j)] for j in range(s))
+            for i in range(s)
+        ),
+    )
+
+
 def construct(
     diagram: LinkableDynkinDiagram,
     d: Optional[int] = None,
-    start: int = 0,
     field: FieldSpec = CYCLOTOMIC,
 ) -> BraidingMatrix:
     """Build a braiding matrix for a diagram that passed the existence check.
 
-    The diagonal is propagated from the start vertex: crossing a dotted
+    The diagonal is propagated from the first vertex: crossing a dotted
     edge inverts the entry, crossing a plain edge raises it to the
     power a_uv / a_vu.  Off-diagonal entries follow the four-class
     completion with one fresh parameter z_t per class instance.  The
@@ -525,11 +541,9 @@ def construct(
     or the smallest admissible prime when all genera vanish.
     """
     if diagram.mode == "selflink":
-        raise ValueError("construction requires standard linking mode")
+        raise UnsupportedMode("construction requires standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("construct needs a link-connected diagram")
-    if not (0 <= start < diagram.size):
-        raise ValueError(f"start vertex {start + 1} out of range")
     from .existence import check  # deferred: existence imports this module
 
     report = check(diagram)
@@ -539,16 +553,7 @@ def construct(
             + "; ".join(report.reasons)
         )
     d = _validate_order(diagram, d, diagram.mode, field, report.genus_gcd)
-    exps = _diagonal_exponents(diagram, d, start)
-    diag = [RootExpr.root(d, e) for e in exps]
-    off = _offdiagonal_entries(diagram, diag)
-    rows = tuple(
-        tuple(
-            diag[i] if i == j else off[(i, j)] for j in range(diagram.size)
-        )
-        for i in range(diagram.size)
-    )
-    return BraidingMatrix(d, rows)
+    return _completed(diagram, d, _diagonal_exponents(diagram, d))
 
 
 # ------------------------------------------------------------- brute force
@@ -611,14 +616,14 @@ def brute_force_exists(
     mode: primes above 3 up to n_max, both limited to orders the field
     provides).  For each order every diagonal assignment compatible
     with the edge constraints is completed through the four-class rules
-    and checked with verify; the first witness in scan order is
-    returned.  The search space is estimated up front and ScaleExceeded
-    is raised when it is too large; diagrams without branching edges
-    stay cheap at any size.
+    and checked against verify's identities, stopping at the first
+    failure; the first witness in scan order is returned.  The search
+    space is estimated up front and ScaleExceeded is raised when it is
+    too large; diagrams without branching edges stay cheap at any size.
     """
     mode = diagram.mode
     if mode == "selflink":
-        raise ValueError("the brute-force search requires standard linking mode")
+        raise UnsupportedMode("the brute-force search requires standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("the brute-force search needs a link-connected diagram")
     has_g2 = _has_g2(diagram) if mode == "finite" else False
@@ -640,16 +645,16 @@ def brute_force_exists(
             f"shrink the diagram or the order bound"
         )
 
-    def assignments(n: int, e_root: int) -> Iterable[list[int]]:
+    def assignments(n: int) -> Iterable[list[int]]:
         exps: list[Optional[int]] = [None] * s
-        exps[order[0]] = e_root
 
         def extend(idx: int) -> Iterable[list[int]]:
             if idx == len(order):
                 yield [e for e in exps]  # type: ignore[misc]
                 return
             v = order[idx]
-            constraints: list[list[int]] = []
+            # level 0 is the root exponent; later vertices follow earlier ones
+            constraints: list[Iterable[int]] = [range(n)] if idx == 0 else []
             for u in order[:idx]:
                 eu = exps[u]
                 if diagram.a(v, u) != 0:
@@ -670,28 +675,13 @@ def brute_force_exists(
                 yield from extend(idx + 1)
                 exps[v] = None
 
-        yield from extend(1)
-
-    def witness_for_root(n: int, e_root: int) -> Optional[BraidingMatrix]:
-        if not _order_ok(e_root, n, mode, has_g2):
-            return None
-        for exps in assignments(n, e_root):
-            diag = [RootExpr.root(n, e) for e in exps]
-            off = _offdiagonal_entries(diagram, diag)
-            rows = tuple(
-                tuple(diag[i] if i == j else off[(i, j)] for j in range(s))
-                for i in range(s)
-            )
-            matrix = BraidingMatrix(n, rows)
-            if verify(diagram, matrix, mode).ok:
-                return matrix
-        return None
+        yield from extend(0)
 
     for n in candidates_n:
-        for e_root in range(1, n):
-            w = witness_for_root(n, e_root)
-            if w is not None:
-                return OracleResult(True, n, w, n_max)
+        for exps in assignments(n):
+            matrix = _completed(diagram, n, exps)
+            if next(_failures(diagram, matrix, mode), None) is None:
+                return OracleResult(True, n, matrix, n_max)
     return OracleResult(False, None, None, n_max)
 
 

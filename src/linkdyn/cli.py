@@ -2,12 +2,14 @@
 
 Reads line-oriented diagram files, dispatches to the library, and
 prints deterministic reports.  Exit codes: 0 yes/success, 1 no or
-verification failure, 2 excluded case, 3 input error.
+verification failure, 2 excluded case, 3 input error, 4 internal error
+(a bug: the message names the command and the exception).
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass
 from math import gcd
 
@@ -33,13 +35,13 @@ from .errors import (
     NotSymmetrizable,
     OrderMismatch,
     OrderNotDividing,
-    PathInconsistency,
     ScaleExceeded,
     SemanticError,
     ShapeParameterMismatch,
     UnclassifiedPath,
     UnsupportedComponentType,
     UnsupportedEdgeInMode,
+    UnsupportedMode,
     VertexNotOnCycle,
 )
 from .existence import check, selflink_genus, selflink_order_constraint
@@ -54,7 +56,6 @@ from .realization import (
 )
 
 _FAILURE_ERRORS = (
-    PathInconsistency,
     LinkConstraintUnsatisfiable,
     OrderNotDividing,
     OrderMismatch,
@@ -64,6 +65,7 @@ _INPUT_ERRORS = (
     SemanticError,
     NotLinkConnected,
     UnsupportedComponentType,
+    UnsupportedMode,
     ShapeParameterMismatch,
     UnsupportedEdgeInMode,
     NotAPath,
@@ -74,7 +76,7 @@ _INPUT_ERRORS = (
     NotPrime,
     NotSymmetrizable,
     ScaleExceeded,
-    ValueError,
+    UnicodeDecodeError,
     OSError,
 )
 
@@ -339,9 +341,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     df = _load(args.file)
     try:
-        matrix = construct(
-            df.diagram, d=args.d, start=args.start - 1, field=df.field
-        )
+        matrix = construct(df.diagram, d=args.d, field=df.field)
     except InadmissibleD as exc:
         if args.d is not None:
             print(f"error: {exc}")
@@ -365,7 +365,12 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     df = _load(args.file)
     with open(args.matrix, "r", encoding="utf-8") as fh:
-        matrix = BraidingMatrix.from_text(fh.read())
+        text = fh.read()
+    try:
+        matrix = BraidingMatrix.from_text(text)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 3
     if matrix.size != df.diagram.size:
         print(
             f"error: matrix has {matrix.size} rows but the diagram has "
@@ -472,6 +477,13 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- dispatch
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkdyn",
@@ -496,7 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_file("construct", "build a braiding matrix")
     p.add_argument("--d", type=int, default=None, help="root order to use")
-    p.add_argument("--start", type=int, default=1, help="start vertex (1-based)")
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
@@ -510,7 +521,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = with_file("realize", "realize the constructed matrix over a group")
-    p.add_argument("--p", type=int, default=None, help="modulus for (Z/p)^s")
+    p.add_argument(
+        "--p", type=_positive_int, default=None, help="modulus for (Z/p)^s"
+    )
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_realize)
 
@@ -552,6 +565,15 @@ def main(argv: list[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}")
         return 3
+    except Exception as exc:
+        # anything else, PathInconsistency included, is a bug: keep the
+        # traceback on stderr and report the command that hit it (the
+        # import is deferred because it adds about 2 ms to every start)
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error in {args.command}: {type(exc).__name__}: {exc}")
+        return 4
 
 
 if __name__ == "__main__":

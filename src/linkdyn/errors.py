@@ -57,6 +57,10 @@ class UnsupportedComponentType(LinkdynError):
     """A connected component is not of a recognized finite or affine type."""
 
 
+class UnsupportedMode(LinkdynError, ValueError):
+    """The operation needs a diagram in standard (finite or affine) mode."""
+
+
 class ShapeParameterMismatch(LinkdynError):
     """Shape parameters for a special two-component matrix are invalid."""
 

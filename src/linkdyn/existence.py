@@ -10,7 +10,7 @@ reported as 'excluded' and handled by an explicit matrix family.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .braiding import BraidingMatrix, RootExpr, _admissible_orders
 from .cycles import genus_gcd
@@ -29,11 +29,27 @@ from .errors import (
     ShapeParameterMismatch,
     UnclassifiedPath,
     UnsupportedComponentType,
+    UnsupportedMode,
 )
 from .fields import CYCLOTOMIC, FieldSpec, is_prime
 
-_EXCLUDED_FINITE = ("G2", "G2")
-_EXCLUDED_AFFINE = (("A1(1)", "A1(1)"), ("A2(2)", "A2(2)"))
+# per mode: the component catalog, the rank-two labels whose crosswise
+# double is excluded and whose fully linked copies fail, and the reason
+# given when no root order is admissible
+_MODE_RULES = {
+    "finite": (
+        "finite",
+        ("G2",),
+        "no common divisor of the cycle genera above 2 is odd, prime to 3 "
+        "when required, and available in the field",
+    ),
+    "affine": (
+        "any",
+        ("A1(1)", "A2(2)"),
+        "no prime above 3 divides all cycle genera and has a primitive "
+        "root in the field",
+    ),
+}
 
 
 class ExistenceReport(NamedTuple):
@@ -52,13 +68,15 @@ class ExistenceReport(NamedTuple):
     admissible: tuple[int, ...]
 
 
-def _precheck(diagram: LinkableDynkinDiagram, mode: str) -> list:
+def _check(
+    diagram: LinkableDynkinDiagram, field: FieldSpec, mode: str
+) -> ExistenceReport:
     if diagram.mode == "selflink":
-        raise ValueError("existence checks require standard linking mode")
+        raise UnsupportedMode("existence checks require standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("the diagram is not link-connected")
-    pool = "finite" if mode == "finite" else "any"
-    comps = classify_components(diagram, pool)
+    catalog, rank_two, no_order = _MODE_RULES[mode]
+    comps = classify_components(diagram, catalog)
     for c in comps:
         if c.label == "other":
             verts = ", ".join(str(v + 1) for v in c.vertices)
@@ -66,15 +84,51 @@ def _precheck(diagram: LinkableDynkinDiagram, mode: str) -> list:
                 f"component with vertices {verts} is not of a recognized "
                 f"{'finite' if mode == 'finite' else 'finite or affine'} type"
             )
-    return comps
 
+    def fully_linked(vertices: Iterable[int]) -> bool:
+        return all(diagram.partner(v) is not None for v in vertices)
 
-def _listed(admissible: tuple[int, ...], field: FieldSpec) -> tuple[int, ...]:
-    return admissible[:8] if field.kind == "cyclotomic" else admissible
+    labels = sorted(c.label for c in comps)
+    # the skipped shapes are the crosswise ones; a single dotted edge
+    # between two such components falls under the ordinary conditions
+    if (
+        len(labels) == 2
+        and labels[0] == labels[1]
+        and labels[0] in rank_two
+        and fully_linked(range(diagram.size))
+    ):
+        return ExistenceReport(
+            "excluded",
+            mode,
+            (
+                f"the crosswise {labels[0]} x {labels[1]} shape is decided "
+                f"by the special matrix family",
+            ),
+            None,
+            (),
+        )
 
+    reasons = [
+        f"both vertices {c.vertices[0] + 1}, {c.vertices[1] + 1} of a "
+        f"{c.label} component lie on dotted edges"
+        for c in comps
+        if c.label in rank_two and fully_linked(c.vertices)
+    ]
+    reasons.extend(pairwise_linking_consistency(diagram))
+    if reasons:
+        return ExistenceReport("no", mode, tuple(reasons), None, ())
 
-def _fully_linked(diagram: LinkableDynkinDiagram, vertices: tuple[int, ...]) -> bool:
-    return all(diagram.partner(v) is not None for v in vertices)
+    big_g = genus_gcd(diagram, mode)
+    admissible = _admissible_orders(diagram, mode, field, big_g)
+    if not admissible:
+        if mode == "finite" and big_g == 0:
+            reason = "the field provides no admissible root order"
+        else:
+            reason = f"{no_order} (genus gcd {big_g})"
+        return ExistenceReport("no", mode, (reason,), big_g, ())
+    if field.kind == "cyclotomic" and (mode == "affine" or big_g == 0):
+        admissible = admissible[:8]
+    return ExistenceReport("yes", mode, (), big_g, admissible)
 
 
 def check_finite(
@@ -86,120 +140,23 @@ def check_finite(
     which the main criterion does not cover; its matrices come from
     excluded_case_matrix instead.
     """
-    comps = _precheck(diagram, "finite")
-    labels = tuple(sorted(c.label for c in comps))
-    # the skipped shape is the crosswise one; a single dotted edge between
-    # two G2 components falls under the ordinary conditions
-    if labels == _EXCLUDED_FINITE and all(
-        diagram.partner(v) is not None for v in range(diagram.size)
-    ):
-        return ExistenceReport(
-            "excluded",
-            "finite",
-            ("the crosswise G2 x G2 shape is decided by the special "
-             "matrix family",),
-            None,
-            (),
-        )
-
-    reasons: list[str] = []
-    for c in comps:
-        if c.label == "G2" and _fully_linked(diagram, c.vertices):
-            i, j = c.vertices
-            reasons.append(
-                f"both vertices {i + 1}, {j + 1} of a G2 component lie on "
-                f"dotted edges"
-            )
-    reasons.extend(pairwise_linking_consistency(diagram))
-    if reasons:
-        return ExistenceReport("no", "finite", tuple(reasons), None, ())
-
-    big_g = genus_gcd(diagram, "finite")
-    admissible = _admissible_orders(diagram, "finite", field, big_g)
-    if big_g == 0:
-        if not admissible:
-            return ExistenceReport(
-                "no",
-                "finite",
-                ("the field provides no admissible root order",),
-                big_g,
-                (),
-            )
-        return ExistenceReport(
-            "yes", "finite", (), big_g, _listed(admissible, field)
-        )
-    if not admissible:
-        return ExistenceReport(
-            "no",
-            "finite",
-            (
-                f"no common divisor of the cycle genera above 2 is odd, "
-                f"prime to 3 when required, and available in the field "
-                f"(genus gcd {big_g})",
-            ),
-            big_g,
-            (),
-        )
-    return ExistenceReport("yes", "finite", (), big_g, admissible)
+    return _check(diagram, field, "finite")
 
 
 def check_affine(
     diagram: LinkableDynkinDiagram, field: FieldSpec = CYCLOTOMIC
 ) -> ExistenceReport:
     """Decide existence of a homogeneous braiding matrix in affine mode."""
-    comps = _precheck(diagram, "affine")
-    labels = tuple(sorted(c.label for c in comps))
-    if labels in _EXCLUDED_AFFINE and all(
-        diagram.partner(v) is not None for v in range(diagram.size)
-    ):
-        return ExistenceReport(
-            "excluded",
-            "affine",
-            (
-                f"the crosswise {labels[0]} x {labels[1]} shape is decided "
-                f"by the special matrix family",
-            ),
-            None,
-            (),
-        )
-
-    reasons: list[str] = []
-    for c in comps:
-        if c.label in ("A1(1)", "A2(2)") and _fully_linked(diagram, c.vertices):
-            i, j = c.vertices
-            reasons.append(
-                f"both vertices {i + 1}, {j + 1} of a {c.label} component "
-                f"lie on dotted edges"
-            )
-    reasons.extend(pairwise_linking_consistency(diagram))
-    if reasons:
-        return ExistenceReport("no", "affine", tuple(reasons), None, ())
-
-    big_g = genus_gcd(diagram, "affine")
-    admissible = _admissible_orders(diagram, "affine", field, big_g)
-    if not admissible:
-        return ExistenceReport(
-            "no",
-            "affine",
-            (
-                f"no prime above 3 divides all cycle genera and has a "
-                f"primitive root in the field (genus gcd {big_g})",
-            ),
-            big_g,
-            (),
-        )
-    return ExistenceReport(
-        "yes", "affine", (), big_g, _listed(admissible, field)
-    )
+    return _check(diagram, field, "affine")
 
 
 def check(
     diagram: LinkableDynkinDiagram, field: FieldSpec = CYCLOTOMIC
 ) -> ExistenceReport:
     """Dispatch to the finite or affine check by diagram mode."""
-    if diagram.mode == "affine":
-        return check_affine(diagram, field)
-    return check_finite(diagram, field)
+    return _check(
+        diagram, field, "affine" if diagram.mode == "affine" else "finite"
+    )
 
 
 # ------------------------------------------------------------ excluded case

@@ -206,8 +206,11 @@ def realize_mod_p(
 
     Every substituted entry must have multiplicative order dividing the
     modulus (OrderNotDividing otherwise), which makes the characters
-    well defined on the finite group.
+    well defined on the finite group.  A modulus below 1 raises
+    ValueError.
     """
+    if modulus < 1:
+        raise ValueError(f"modulus {modulus} must be positive")
     inst = matrix.instantiate(z_values)
     s = inst.size
     for i in range(s):

@@ -14,6 +14,7 @@ from linkdyn import (
     NotLinkConnected,
     OrderMismatch,
     RootExpr,
+    UnsupportedMode,
     admissible_orders,
     brute_force_exists,
     construct,
@@ -84,7 +85,7 @@ class TestConstruct:
         assert m.entry(1, 0) == q
         assert m.entry(1, 1) == q.inv()
 
-    def test_construct_verifies_across_starts(self):
+    def test_construct_verifies(self):
         cases = [
             component_diag(["A2", "A2"], [(0, 2), (1, 3)]),
             component_diag(["A3", "B2"], [(0, 3)]),
@@ -93,14 +94,8 @@ class TestConstruct:
             circle("B3", 2),
         ]
         for d in cases:
-            diagonals = set()
-            for start in range(d.size):
-                m = construct(d, start=start)
-                rep = verify(d, m)
-                assert rep.ok, (start, rep.failures)
-                diagonals.add(tuple(str(x) for x in m.diagonal()))
-            # path independence: the diagonal never depends on the start
-            assert len(diagonals) == 1
+            rep = verify(d, construct(d))
+            assert rep.ok, rep.failures
 
     def test_refuses_when_check_says_no(self):
         with pytest.raises(Exception):
@@ -308,6 +303,67 @@ class TestOracle:
     def test_requires_link_connected(self):
         with pytest.raises(NotLinkConnected):
             brute_force_exists(component_diag(["A1", "A1"], []))
+
+    def test_selflink_mode_rejected(self):
+        # UnsupportedMode stays a ValueError for library callers
+        d = diag(block_rows(["A2"]), [(0, 1)], mode="selflink")
+        for call in (construct, brute_force_exists):
+            with pytest.raises(UnsupportedMode) as info:
+                call(d)
+            assert isinstance(info.value, ValueError)
+
+    # the first witness in scan order, byte for byte
+    GOLDEN_WITNESSES = [
+        (component_diag(["A1"], []), 30, "root_order 5\nq^1\n"),
+        (
+            component_diag(["A2", "A2"], [(0, 2), (1, 3)]),
+            10,
+            "root_order 5\n"
+            "q^1 q^4*z1^-1 q^4 q^1*z1^1\n"
+            "q^0*z1^1 q^1 q^0*z1^-1 q^4\n"
+            "q^1 q^0*z1^1 q^4 q^0*z1^-1\n"
+            "q^4*z1^-1 q^1 q^1*z1^1 q^4\n",
+        ),
+        (
+            circle("B3", 2),
+            30,
+            "root_order 6\n"
+            "q^2 q^4*z2^-1 q^0*z6^-1 q^0*z6^1 q^0*z3^-1 q^4\n"
+            "q^0*z2^1 q^2 q^0*z4^1 q^0*z4^-1 q^0*z1^-1 q^0*z2^-1\n"
+            "q^0*z6^1 q^2*z4^-1 q^4 q^2 q^0*z5^-1 q^0*z6^-1\n"
+            "q^0*z6^-1 q^0*z4^1 q^4 q^2 q^4*z5^1 q^0*z6^1\n"
+            "q^0*z3^1 q^0*z1^1 q^0*z5^1 q^0*z5^-1 q^2 q^0*z3^-1\n"
+            "q^2 q^0*z2^1 q^0*z6^1 q^0*z6^-1 q^2*z3^1 q^4\n",
+        ),
+        (
+            component_diag(["G2", "A1"], [(1, 2)]),
+            30,
+            "root_order 5\n"
+            "q^1 q^0*z1^1 q^0*z1^-1\n"
+            "q^2*z1^-1 q^3 q^2\n"
+            "q^0*z1^1 q^3 q^2\n",
+        ),
+        (
+            component_diag(["A1(1)", "A1(1)"], [(0, 2)], mode="affine"),
+            30,
+            "root_order 5\n"
+            "q^1 q^3*z2^-1 q^4 q^0*z3^-1\n"
+            "q^0*z2^1 q^1 q^0*z2^-1 q^0*z1^-1\n"
+            "q^1 q^0*z2^1 q^4 q^2*z3^1\n"
+            "q^0*z3^1 q^0*z1^1 q^0*z3^-1 q^4\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "d, n_max, text",
+        GOLDEN_WITNESSES,
+        ids=["A1", "A2-A2-crosswise", "B3-ring", "G2-A1", "affine-A1(1)-A1(1)"],
+    )
+    def test_golden_witness(self, d, n_max, text):
+        res = brute_force_exists(d, n_max=n_max)
+        assert res.found and res.root_order == res.matrix.order
+        assert res.matrix.to_text() == text
+        assert verify(d, res.matrix, d.mode).ok
 
 
 class TestDirectSum:

@@ -2,10 +2,11 @@
 
 import pytest
 
+import linkdyn.cli
 import linkdyn.cycles
 from conftest import run_cli
 from linkdyn.cli import main, parse
-from linkdyn.errors import DiagramSyntaxError, SemanticError
+from linkdyn.errors import DiagramSyntaxError, PathInconsistency, SemanticError
 
 A1A1 = "vertices 2\nlink 1 2\n"
 
@@ -224,6 +225,11 @@ class TestConstructCommand:
         assert code == 3
         assert out.startswith("error:")
 
+    def test_start_flag_is_gone(self, write, capsys):
+        code, out = run(capsys, "construct", write(A1A1), "--start", "2")
+        assert code == 3
+        assert out == ""
+
 
 class TestVerifyCommand:
     def test_round_trip(self, write, capsys, tmp_path):
@@ -252,6 +258,26 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", write(A1A1), "--matrix", str(matrix))
         assert code == 3
         assert "error:" in out
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("hello\n", "missing root_order header"),
+            ("root_order\nq^1 q^4\nq^1 q^4\n", "missing root_order header"),
+            ("root_order \nq^1 q^4\nq^1 q^4\n", "missing root_order header"),
+            ("root_order five\n", "invalid literal for int() with base 10: 'five'"),
+            ("root_order 5\nq^1 q^x\nq^1 q^4\n", "bad root expression 'q^x'"),
+            ("root_order 5\nq^1 q^4\nq^1\n", "matrix is not square"),
+        ],
+    )
+    def test_malformed_matrix_is_input_error(
+        self, write, capsys, tmp_path, text, message
+    ):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(text, encoding="utf-8")
+        code, out = run(capsys, "verify", write(A1A1), "--matrix", str(matrix))
+        assert code == 3
+        assert out == f"error: {message}\n"
 
 
 class TestOracleCommand:
@@ -288,6 +314,17 @@ class TestRealizeCommand:
         code, out = run(capsys, "realize", write(A1A1), "--p", "7")
         assert code == 1
         assert out.startswith("failure:")
+        code, out = run(capsys, "realize", write(A1A1), "--p", "1")
+        assert code == 1
+        assert out == (
+            "failure: entry (1,1) = q^1 has order 5, which does not divide 1\n"
+        )
+
+    @pytest.mark.parametrize("modulus", ["0", "-5", "five"])
+    def test_modulus_must_be_a_positive_integer(self, write, capsys, modulus):
+        code, out = run(capsys, "realize", write(A1A1), "--p", modulus)
+        assert code == 3
+        assert out == ""
 
 
 class TestA4Command:
@@ -396,6 +433,53 @@ class TestDispatchErrors:
         code, out = run(capsys, "check", write("vertices 2\nedge 1 2 -1 0\n"))
         assert code == 3
         assert "line 2" in out
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("check", "existence checks require standard linking mode"),
+            ("construct", "construction requires standard linking mode"),
+            ("oracle", "the brute-force search requires standard linking mode"),
+        ],
+    )
+    def test_selflink_mode_is_input_error(self, write, capsys, command, message):
+        code, out = run(capsys, command, write(SELFLINK_A4))
+        assert code == 3
+        assert out == f"error: {message}\n"
+
+    def test_undecodable_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.dg"
+        path.write_bytes(b"vertices 2\n# caf\xe9\n")
+        code, out = run(capsys, "check", str(path))
+        assert code == 3
+        assert out.startswith("error:")
+
+    def test_unexpected_exception_is_internal_error(
+        self, write, capsys, monkeypatch
+    ):
+        def boom(args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(linkdyn.cli, "_cmd_selflink", boom)
+        code = main(["selflink", write(SELFLINK_A4)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == "internal error in selflink: ValueError: boom\n"
+        assert captured.err.startswith("Traceback")
+
+    def test_path_inconsistency_is_internal_error(
+        self, write, capsys, monkeypatch
+    ):
+        def inconsistent(*args, **kwargs):
+            raise PathInconsistency("two paths disagree")
+
+        monkeypatch.setattr(linkdyn.cli, "construct", inconsistent)
+        code, out = run(capsys, "construct", write(A1A1))
+        assert code == 4
+        assert out == (
+            "internal error in construct: PathInconsistency: "
+            "two paths disagree\n"
+        )
 
     def test_usage_errors(self, capsys):
         assert main([]) == 3

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import linkdyn.cycles
 from conftest import block_rows, circle, component_diag, diag
 from linkdyn import (
+    ExistenceReport,
     FieldSpec,
     check,
     check_affine,
@@ -205,6 +206,183 @@ class TestCheckAffine:
         rep = check_affine(d)
         assert rep.decision == "yes"
         assert rep.genus_gcd == 0
+
+
+AFFINE_ORDER_REASON = (
+    "no prime above 3 divides all cycle genera and has a primitive root "
+    "in the field (genus gcd {})"
+)
+CONSISTENCY_REASON = "dotted (1,3) vs (2,4): a(1,2)=-1 != a(3,4)=-2"
+
+# every branch of the decision in both modes, pinned report for report
+GOLDEN_REPORTS = [
+    # yes with G = 0: a cyclotomic field lists its first 8 orders
+    pytest.param(
+        doubled("A2"),
+        None,
+        ExistenceReport("yes", "finite", (), 0, (3, 5, 7, 11, 13, 17, 19, 23)),
+        id="finite-yes-unconstrained",
+    ),
+    # yes with G > 0: finite mode lists every divisor of G = 4095
+    pytest.param(
+        circle("B3", 12),
+        None,
+        ExistenceReport(
+            "yes",
+            "finite",
+            (),
+            4095,
+            (3, 5, 7, 9, 13, 15, 21, 35, 39, 45, 63, 65, 91, 105, 117, 195,
+             273, 315, 455, 585, 819, 1365, 4095),
+        ),
+        id="finite-yes-genus",
+    ),
+    pytest.param(
+        component_diag(["A1", "A1"], [(0, 1)]),
+        FieldSpec("roots", orders=(4,)),
+        ExistenceReport(
+            "no",
+            "finite",
+            ("the field provides no admissible root order",),
+            0,
+            (),
+        ),
+        id="finite-no-field",
+    ),
+    pytest.param(
+        circle("A3", 3),
+        None,
+        ExistenceReport(
+            "no",
+            "finite",
+            (
+                "no common divisor of the cycle genera above 2 is odd, prime "
+                "to 3 when required, and available in the field (genus gcd 2)",
+            ),
+            2,
+            (),
+        ),
+        id="finite-no-genus",
+    ),
+    pytest.param(
+        component_diag(["G2", "A1", "A1"], [(0, 2), (1, 3)]),
+        None,
+        ExistenceReport(
+            "no",
+            "finite",
+            (
+                "both vertices 1, 2 of a G2 component lie on dotted edges",
+                "dotted (1,3) vs (2,4): a(1,2)=-3 != a(3,4)=0, "
+                "a(2,1)=-1 != a(4,3)=0",
+            ),
+            None,
+            (),
+        ),
+        id="finite-no-g2-linked",
+    ),
+    pytest.param(
+        component_diag(["A2", "B2"], [(0, 2), (1, 3)]),
+        None,
+        ExistenceReport("no", "finite", (CONSISTENCY_REASON,), None, ()),
+        id="finite-no-inconsistent",
+    ),
+    pytest.param(
+        doubled("G2"),
+        None,
+        ExistenceReport(
+            "excluded",
+            "finite",
+            ("the crosswise G2 x G2 shape is decided by the special matrix "
+             "family",),
+            None,
+            (),
+        ),
+        id="finite-excluded",
+    ),
+    pytest.param(
+        component_diag(["A1(1)", "A1(1)"], [(0, 2)], mode="affine"),
+        None,
+        ExistenceReport(
+            "yes", "affine", (), 0, (5, 7, 11, 13, 17, 19, 23, 29)
+        ),
+        id="affine-yes-unconstrained",
+    ),
+    pytest.param(
+        diag(block_rows(["B3", "B3", "A3"]), RING3, mode="affine"),
+        None,
+        ExistenceReport("yes", "affine", (), 5, (5,)),
+        id="affine-yes-genus-5",
+    ),
+    pytest.param(
+        circle("B3", 12, mode="affine"),
+        None,
+        ExistenceReport("yes", "affine", (), 4095, (5, 7, 13)),
+        id="affine-yes-genus-4095",
+    ),
+    pytest.param(
+        circle("B3", 2, mode="affine"),
+        None,
+        ExistenceReport(
+            "no", "affine", (AFFINE_ORDER_REASON.format(3),), 3, ()
+        ),
+        id="affine-no-genus",
+    ),
+    pytest.param(
+        component_diag(["A1", "A1"], [(0, 1)], mode="affine"),
+        FieldSpec("roots", orders=(4,)),
+        ExistenceReport(
+            "no", "affine", (AFFINE_ORDER_REASON.format(0),), 0, ()
+        ),
+        id="affine-no-field",
+    ),
+    pytest.param(
+        component_diag(["A1(1)", "A2(2)"], [(0, 2), (1, 3)], mode="affine"),
+        None,
+        ExistenceReport(
+            "no",
+            "affine",
+            (
+                "both vertices 1, 2 of a A1(1) component lie on dotted edges",
+                "both vertices 3, 4 of a A2(2) component lie on dotted edges",
+                "dotted (1,3) vs (2,4): a(1,2)=-2 != a(3,4)=-4, "
+                "a(2,1)=-2 != a(4,3)=-1",
+            ),
+            None,
+            (),
+        ),
+        id="affine-no-rank-two-linked",
+    ),
+    pytest.param(
+        component_diag(["A2", "B2"], [(0, 2), (1, 3)], mode="affine"),
+        None,
+        ExistenceReport("no", "affine", (CONSISTENCY_REASON,), None, ()),
+        id="affine-no-inconsistent",
+    ),
+] + [
+    pytest.param(
+        component_diag([label, label], [(0, 2), (1, 3)], mode="affine"),
+        None,
+        ExistenceReport(
+            "excluded",
+            "affine",
+            (f"the crosswise {label} x {label} shape is decided by the "
+             f"special matrix family",),
+            None,
+            (),
+        ),
+        id=f"affine-excluded-{label}",
+    )
+    for label in ("A1(1)", "A2(2)")
+]
+
+
+class TestGoldenReports:
+    @pytest.mark.parametrize("diagram, field, expected", GOLDEN_REPORTS)
+    def test_full_report(self, diagram, field, expected):
+        rep = check(diagram) if field is None else check(diagram, field)
+        assert rep == expected
+        by_mode = check_affine if diagram.mode == "affine" else check_finite
+        assert by_mode(diagram, field or FieldSpec("cyclotomic")) == expected
 
 
 class TestDispatch:

@@ -237,6 +237,12 @@ class TestRealizeModP:
         with pytest.raises(OrderNotDividing, match="does not divide"):
             realize_mod_p(self.matrix, self.dd, 7)
 
+    def test_modulus_below_one_rejected(self):
+        # 0 would be an infinite cyclic factor, not a finite group
+        for modulus in (0, -5):
+            with pytest.raises(ValueError, match="must be positive"):
+                realize_mod_p(self.matrix, self.dd, modulus)
+
     def test_multiple_of_order_accepted(self):
         datum = realize_mod_p(self.matrix, self.dd, 10)
         assert datum.factors == (10, 10, 10, 10)
