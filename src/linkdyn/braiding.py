@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cycles import genus_gcd
-from .diagram import LinkableDynkinDiagram, classify_components
+from .diagram import ComponentType, LinkableDynkinDiagram, classify_components
 from .errors import (
     InadmissibleD,
     IndexOutOfRange,
@@ -25,6 +26,7 @@ from .errors import (
     OrderMismatch,
     PathInconsistency,
     ScaleExceeded,
+    UnsupportedComponentType,
     UnsupportedMode,
 )
 from .fields import CYCLOTOMIC, FieldSpec, is_prime
@@ -306,6 +308,25 @@ def _failures(
 
 def _has_g2(diagram: LinkableDynkinDiagram) -> bool:
     return any(c.label == "G2" for c in classify_components(diagram, "finite"))
+
+
+def _recognized_components(
+    diagram: LinkableDynkinDiagram, mode: str
+) -> list[ComponentType]:
+    """The components for mode 'finite' or 'affine', all of a known type.
+
+    Finite mode uses the finite catalog, affine mode both catalogs;
+    UnsupportedComponentType names the first unrecognized component.
+    """
+    comps = classify_components(diagram, "finite" if mode == "finite" else "any")
+    for c in comps:
+        if c.label == "other":
+            verts = ", ".join(str(v + 1) for v in c.vertices)
+            raise UnsupportedComponentType(
+                f"component with vertices {verts} is not of a recognized "
+                f"{'finite' if mode == 'finite' else 'finite or affine'} type"
+            )
+    return comps
 
 
 def admissible_orders(
@@ -591,6 +612,57 @@ def _order_ok(e: int, n: int, mode: str, has_g2: bool) -> bool:
     return not (has_g2 and o % 3 == 0)
 
 
+def _identity_forms(
+    diagram: LinkableDynkinDiagram,
+) -> Optional[tuple[tuple[tuple[int, int], ...], ...]]:
+    """The product and linking identities as integer forms in the diagonal.
+
+    The four-class completion runs once on a symbolic diagonal whose
+    entry v is the marker parameter z_{-v-1} at root order 1, so every
+    identity _failures checks leaves a product of markers and fresh z_t.
+    With diagonal q^e at order n the identity holds iff no fresh z_t
+    remains and the marker powers c_v give sum c_v e_v == 0 (mod n);
+    each form lists its (v, c_v).  None when some identity keeps a
+    fresh z_t, which no diagonal can cancel.
+    """
+    s = diagram.size
+    diag = [RootExpr.z(1, -v - 1) for v in range(s)]
+    off = _offdiagonal_entries(diagram, diag)
+
+    def b(i: int, j: int) -> RootExpr:
+        return diag[i] if i == j else off[(i, j)]
+
+    residues = [
+        b(i, j) * b(j, i) / diag[i] ** diagram.a(i, j)
+        for i in range(s)
+        for j in range(s)
+        if i != j
+    ]
+    residues.extend(
+        b(k, x) ** (1 - diagram.a(x, y)) * b(k, y)
+        for i, j in diagram.linkable
+        for x, y in ((i, j), (j, i))
+        for k in range(s)
+    )
+    forms = set()
+    for r in residues:
+        if any(t > 0 for t, _ in r.zpow):
+            return None
+        if r.zpow:
+            forms.add(tuple((-t - 1, c) for t, c in r.zpow))
+    return tuple(sorted(forms))
+
+
+def _forms_hold(
+    forms: Sequence[Sequence[tuple[int, int]]], n: int, exps: Sequence[int]
+) -> bool:
+    """Whether diagonal q^exps at order n satisfies every identity form."""
+    for form in forms:
+        if sum(c * exps[v] for v, c in form) % n:
+            return False
+    return True
+
+
 def _search_space(diagram: LinkableDynkinDiagram, order: list[int], n: int) -> int:
     # candidates per vertex are bounded by its tightest earlier constraint
     est = n - 1
@@ -615,18 +687,25 @@ def brute_force_exists(
     Root orders are scanned ascending (finite mode: 5..n_max, affine
     mode: primes above 3 up to n_max, both limited to orders the field
     provides).  For each order every diagonal assignment compatible
-    with the edge constraints is completed through the four-class rules
-    and checked against verify's identities, stopping at the first
-    failure; the first witness in scan order is returned.  The search
-    space is estimated up front and ScaleExceeded is raised when it is
-    too large; diagrams without branching edges stay cheap at any size.
+    with the edge constraints is screened against verify's identities
+    under the four-class completion, compiled once into integer forms
+    in the diagonal exponents; only the first passing diagonal in scan
+    order is completed, and verify must accept it (RuntimeError
+    otherwise).  Components must be recognized as check requires
+    (UnsupportedComponentType) and n_max below 5 is a ValueError.  The
+    search space is estimated up front and ScaleExceeded is raised when
+    it is too large; diagrams without branching edges stay cheap at any
+    size.
     """
+    if n_max < 5:
+        raise ValueError(f"order bound {n_max} is below 5, the least order scanned")
     mode = diagram.mode
     if mode == "selflink":
         raise UnsupportedMode("the brute-force search requires standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("the brute-force search needs a link-connected diagram")
-    has_g2 = _has_g2(diagram) if mode == "finite" else False
+    _recognized_components(diagram, mode)
+    has_g2 = mode == "finite" and _has_g2(diagram)
     s = diagram.size
 
     # fixed visit order: breadth-first from vertex 0 over the link graph
@@ -677,12 +756,27 @@ def brute_force_exists(
 
         yield from extend(0)
 
-    for n in candidates_n:
-        for exps in assignments(n):
+    none = OracleResult(False, None, None, n_max)
+    candidates = ((n, exps) for n in candidates_n for exps in assignments(n))
+    first = next(candidates, None)
+    if first is None:
+        return none
+    # compiled at the first candidate, so PathInconsistency from the
+    # completion surfaces exactly where building its matrix would raise it
+    forms = _identity_forms(diagram)
+    if forms is None:
+        return none
+    for n, exps in chain((first,), candidates):
+        if _forms_hold(forms, n, exps):
             matrix = _completed(diagram, n, exps)
-            if next(_failures(diagram, matrix, mode), None) is None:
-                return OracleResult(True, n, matrix, n_max)
-    return OracleResult(False, None, None, n_max)
+            report = verify(diagram, matrix, mode)
+            if not report.ok:
+                raise RuntimeError(
+                    f"identity forms accepted a diagonal that verify rejects "
+                    f"at root order {n}: " + "; ".join(report.failures)
+                )
+            return OracleResult(True, n, matrix, n_max)
+    return none
 
 
 def ord_diagonal(matrix: BraidingMatrix, i: int) -> int:

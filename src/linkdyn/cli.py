@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import gcd
 
@@ -477,11 +478,17 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- dispatch
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type for an integer no smaller than low."""
+
+    # argparse names the function in its "invalid <name> value" message
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -516,13 +523,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = with_file("oracle", "exhaustive search for a braiding matrix")
-    p.add_argument("--nmax", type=int, default=30, help="largest root order")
+    p.add_argument(
+        "--nmax", type=_int_at_least(5), default=30, help="largest root order"
+    )
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
     p = with_file("realize", "realize the constructed matrix over a group")
     p.add_argument(
-        "--p", type=_positive_int, default=None, help="modulus for (Z/p)^s"
+        "--p", type=_int_at_least(1), default=None, help="modulus for (Z/p)^s"
     )
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=_cmd_realize)

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .braiding import BraidingMatrix, RootExpr, _admissible_orders
+from .braiding import (
+    BraidingMatrix,
+    RootExpr,
+    _admissible_orders,
+    _recognized_components,
+)
 from .cycles import genus_gcd
 from .diagram import (
     CartanMatrix,
     LinkableDynkinDiagram,
-    classify_components,
     edge_kind,
     pairwise_linking_consistency,
 )
@@ -28,23 +32,20 @@ from .errors import (
     NotNeighbouring,
     ShapeParameterMismatch,
     UnclassifiedPath,
-    UnsupportedComponentType,
     UnsupportedMode,
 )
 from .fields import CYCLOTOMIC, FieldSpec, is_prime
 
-# per mode: the component catalog, the rank-two labels whose crosswise
-# double is excluded and whose fully linked copies fail, and the reason
-# given when no root order is admissible
+# per mode: the rank-two labels whose crosswise double is excluded and
+# whose fully linked copies fail, and the reason given when no root
+# order is admissible
 _MODE_RULES = {
     "finite": (
-        "finite",
         ("G2",),
         "no common divisor of the cycle genera above 2 is odd, prime to 3 "
         "when required, and available in the field",
     ),
     "affine": (
-        "any",
         ("A1(1)", "A2(2)"),
         "no prime above 3 divides all cycle genera and has a primitive "
         "root in the field",
@@ -75,15 +76,8 @@ def _check(
         raise UnsupportedMode("existence checks require standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("the diagram is not link-connected")
-    catalog, rank_two, no_order = _MODE_RULES[mode]
-    comps = classify_components(diagram, catalog)
-    for c in comps:
-        if c.label == "other":
-            verts = ", ".join(str(v + 1) for v in c.vertices)
-            raise UnsupportedComponentType(
-                f"component with vertices {verts} is not of a recognized "
-                f"{'finite' if mode == 'finite' else 'finite or affine'} type"
-            )
+    rank_two, no_order = _MODE_RULES[mode]
+    comps = _recognized_components(diagram, mode)
 
     def fully_linked(vertices: Iterable[int]) -> bool:
         return all(diagram.partner(v) is not None for v in vertices)

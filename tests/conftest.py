@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,48 @@ def circle(label, n, mode="finite"):
         for k in range(n)
     ]
     return diag(rows, pairs, mode=mode)
+
+
+LABEL_SIZES = {
+    "A1": 1, "A2": 2, "A3": 3, "B2": 2, "B2r": 2, "G2": 2, "G2r": 2,
+}
+
+
+def small_family():
+    """Every (labels, pairs) of the small family.
+
+    Up to five vertices in components A1 through G2r, joined by one or
+    two disjoint dotted edges between distinct components (a single
+    component also without one).  component_diag(labels, pairs) builds
+    the diagram, which need not be link-connected.
+    """
+    names = sorted(LABEL_SIZES)
+    for count in (1, 2, 3, 4, 5):
+        for combo in combinations_with_replacement(names, count):
+            sizes = [LABEL_SIZES[n] for n in combo]
+            total = sum(sizes)
+            if total > 5:
+                continue
+            offsets = [sum(sizes[:t]) for t in range(count)]
+            comp_of = {}
+            for t, (off, sz) in enumerate(zip(offsets, sizes)):
+                for v in range(off, off + sz):
+                    comp_of[v] = t
+            cross = [
+                (i, j)
+                for i in range(total)
+                for j in range(i + 1, total)
+                if comp_of[i] != comp_of[j]
+            ]
+            pair_sets = []
+            if count == 1:
+                pair_sets.append(())
+            pair_sets.extend((p,) for p in cross)
+            for p, q in combinations(cross, 2):
+                if len({*p, *q}) == 4:
+                    pair_sets.append((p, q))
+            for pairs in pair_sets:
+                yield combo, pairs
 
 
 def run_cli(*argv, hash_seed=None):

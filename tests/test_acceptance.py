@@ -7,12 +7,18 @@ file therefore relies on pytest's in-file definition order.
 
 import time
 from contextlib import contextmanager
-from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 import pytest
 
-from conftest import COMPONENT_ROWS, circle, component_diag, diag, run_cli
+from conftest import (
+    COMPONENT_ROWS,
+    circle,
+    component_diag,
+    diag,
+    run_cli,
+    small_family,
+)
 from linkdyn import (
     CartanMatrix,
     QValue,
@@ -153,46 +159,11 @@ def test_criterion_05_excluded_matrices(capsys):
             MATRICES.append((f"excluded-{n}-{m}", dg, matrix))
 
 
-LABEL_SIZES = {
-    "A1": 1, "A2": 2, "A3": 3, "B2": 2, "B2r": 2, "G2": 2, "G2r": 2,
-}
-
-
-def _small_family():
-    names = sorted(LABEL_SIZES)
-    for count in (1, 2, 3, 4, 5):
-        for combo in combinations_with_replacement(names, count):
-            sizes = [LABEL_SIZES[n] for n in combo]
-            total = sum(sizes)
-            if total > 5:
-                continue
-            offsets = [sum(sizes[:t]) for t in range(count)]
-            comp_of = {}
-            for t, (off, sz) in enumerate(zip(offsets, sizes)):
-                for v in range(off, off + sz):
-                    comp_of[v] = t
-            cross = [
-                (i, j)
-                for i in range(total)
-                for j in range(i + 1, total)
-                if comp_of[i] != comp_of[j]
-            ]
-            pair_sets = []
-            if count == 1:
-                pair_sets.append(())
-            pair_sets.extend((p,) for p in cross)
-            for p, q in combinations(cross, 2):
-                if len({*p, *q}) == 4:
-                    pair_sets.append((p, q))
-            for pairs in pair_sets:
-                yield combo, pairs
-
-
 def test_criterion_06_oracle_equivalence(capsys):
     with criterion(capsys, 6, "decision procedure vs exhaustive search on "
-                   "the whole small family", limit=300.0):
+                   "the whole small family", limit=10.0):
         examined = 0
-        for combo, pairs in _small_family():
+        for combo, pairs in small_family():
             dd = component_diag(list(combo), list(pairs))
             if not dd.is_link_connected():
                 continue

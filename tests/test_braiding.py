@@ -1,9 +1,12 @@
 """RootExpr arithmetic, construction, verification, oracle, direct sums."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linkdyn.braiding as braiding
 import linkdyn.cycles
 import linkdyn.diagram
 from linkdyn import (
@@ -14,16 +17,22 @@ from linkdyn import (
     NotLinkConnected,
     OrderMismatch,
     RootExpr,
+    UnsupportedComponentType,
     UnsupportedMode,
     admissible_orders,
     brute_force_exists,
+    check,
     construct,
     direct_sum,
     ord_diagonal,
     verify,
 )
 
-from conftest import block_rows, circle, component_diag, diag
+from conftest import block_rows, circle, component_diag, diag, small_family
+
+# a G2-like rank-two component with a_12 = -5, which no catalog knows,
+# linked to an A2
+UNRECOGNIZED_ROWS = ((2, -5, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2))
 
 
 class TestRootExpr:
@@ -312,6 +321,40 @@ class TestOracle:
                 call(d)
             assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("mode", ["finite", "affine"])
+    def test_unrecognized_component_rejected_like_check(self, mode, count_calls):
+        d = diag(UNRECOGNIZED_ROWS, [(0, 2)], mode=mode)
+        with pytest.raises(UnsupportedComponentType) as expected:
+            check(d)
+        tried = count_calls(braiding, "_order_ok")
+        with pytest.raises(UnsupportedComponentType) as info:
+            brute_force_exists(d)
+        assert str(info.value) == str(expected.value)
+        kind = "finite" if mode == "finite" else "finite or affine"
+        assert str(info.value) == (
+            f"component with vertices 1, 2 is not of a recognized {kind} type"
+        )
+        assert tried == []
+
+    @pytest.mark.parametrize("n_max", [-3, 0, 4])
+    def test_order_bound_below_five_rejected(self, n_max):
+        d = component_diag(["A1"], [])
+        with pytest.raises(ValueError, match="below 5"):
+            brute_force_exists(d, n_max=n_max)
+        assert brute_force_exists(d, n_max=5).root_order == 5
+
+    def test_builds_only_the_witness(self, count_calls):
+        built = count_calls(braiding, "_completed")
+        verified = count_calls(braiding, "verify")
+        assert brute_force_exists(circle("B3", 2), n_max=30).found
+        assert (len(built), len(verified)) == (1, 1)
+        # a "no" whose diagonals reach the screen and all fail it
+        screened = count_calls(braiding, "_forms_hold")
+        del built[:], verified[:]
+        d = component_diag(["A2", "A3"], [(0, 2), (1, 4)])
+        assert not brute_force_exists(d, n_max=12).found
+        assert screened and (built, verified) == ([], [])
+
     # the first witness in scan order, byte for byte
     GOLDEN_WITNESSES = [
         (component_diag(["A1"], []), 30, "root_order 5\nq^1\n"),
@@ -364,6 +407,66 @@ class TestOracle:
         assert res.found and res.root_order == res.matrix.order
         assert res.matrix.to_text() == text
         assert verify(d, res.matrix, d.mode).ok
+
+
+class TestIdentityForms:
+    """The oracle's compiled integer screen against verify's identities."""
+
+    @staticmethod
+    def identities_hold(d, n, exps):
+        matrix = braiding._completed(d, n, exps)
+        return not any(
+            f.startswith(("product identity", "linking identity"))
+            for f in braiding._failures(d, matrix, d.mode)
+        )
+
+    def test_screen_agrees_with_verify(self, count_calls):
+        hold = braiding._forms_hold
+        screened = count_calls(braiding, "_forms_hold")
+        rng = random.Random(20200206)
+        verdicts = set()
+        for labels, pairs in small_family():
+            d = component_diag(list(labels), list(pairs))
+            if not d.is_link_connected():
+                continue
+            # every candidate the oracle examines
+            del screened[:]
+            brute_force_exists(d, n_max=12)
+            for forms, n, exps in screened:
+                verdict = hold(forms, n, exps)
+                assert verdict == self.identities_hold(d, n, exps), (d, n, exps)
+                verdicts.add(verdict)
+            # seeded random diagonals, including diagrams the oracle
+            # answers without screening
+            forms = braiding._identity_forms(d)
+            for _ in range(4):
+                n = rng.randrange(5, 31)
+                exps = [rng.randrange(n) for _ in range(d.size)]
+                verdict = forms is not None and hold(forms, n, exps)
+                assert verdict == self.identities_hold(d, n, exps), (d, n, exps)
+        assert verdicts == {True, False}
+
+    def test_leftover_parameter_rejects_every_diagonal(
+        self, monkeypatch, count_calls
+    ):
+        # the four-class completion cancels every z_t; a completion that
+        # leaves one behind must answer "none" without building a matrix
+        complete = braiding._offdiagonal_entries
+
+        def leaky(diagram, diag):
+            out = complete(diagram, diag)
+            out[(1, 0)] = out[(1, 0)] * RootExpr.z(diag[0].order, 99)
+            return out
+
+        monkeypatch.setattr(braiding, "_offdiagonal_entries", leaky)
+        d = component_diag(["A1", "A1"], [(0, 1)])
+        assert braiding._identity_forms(d) is None
+        built = count_calls(braiding, "_completed")
+        assert not brute_force_exists(d, n_max=12).found
+        assert built == []
+        for n in (5, 7, 12):
+            for e in range(1, n):
+                assert not self.identities_hold(d, n, [e, -e % n])
 
 
 class TestDirectSum:

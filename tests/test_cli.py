@@ -2,6 +2,7 @@
 
 import pytest
 
+import linkdyn.braiding
 import linkdyn.cli
 import linkdyn.cycles
 from conftest import run_cli
@@ -291,6 +292,37 @@ class TestOracleCommand:
         code, out = run(capsys, "oracle", write(a3_circle(3)), "--nmax", "12")
         assert code == 1
         assert out == "none: no braiding matrix up to root order 12\n"
+
+    @pytest.mark.parametrize("nmax", ["-3", "0", "4"])
+    def test_order_bound_below_five_is_input_error(self, write, capsys, nmax):
+        code, out = run(capsys, "oracle", write(A1A1), "--nmax", nmax)
+        assert code == 3
+        assert out == ""
+
+    def test_unrecognized_component_is_input_error(self, write, capsys):
+        # a_12 = -5 makes the first component no Dynkin type
+        path = write("vertices 4\nedge 1 2 -5 -1\nedge 3 4 -1 -1\nlink 1 3\n")
+        message = (
+            "error: component with vertices 1, 2 is not of a recognized "
+            "finite type\n"
+        )
+        for command in ("check", "construct", "oracle"):
+            assert run(capsys, command, path) == (3, message)
+
+    def test_witness_rejected_by_verify_is_internal_error(
+        self, write, capsys, monkeypatch
+    ):
+        # verify stays the final word: a screened witness it rejects
+        # is a bug to report, never a candidate to skip
+        monkeypatch.setattr(
+            linkdyn.braiding,
+            "verify",
+            lambda *args: linkdyn.braiding.VerificationReport(False, ("forced",)),
+        )
+        code, out = run(capsys, "oracle", write(A1A1))
+        assert code == 4
+        assert out.startswith("internal error in oracle: RuntimeError: ")
+        assert out.endswith("forced\n")
 
     def test_workers_flag_is_gone(self, write, capsys):
         code, _ = run(capsys, "oracle", write(A2A2), "--workers", "4")
