@@ -49,7 +49,6 @@ from .existence import check, selflink_genus, selflink_order_constraint
 from .fields import FieldSpec
 from .presentation import emit_presentation
 from .realization import (
-    a4_realizable_zp2,
     a4_solve_zp2,
     max_diagram_note_zp2,
     realize_free,
@@ -419,12 +418,13 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_a4(args: argparse.Namespace) -> int:
-    realizable, lines = a4_realizable_zp2(args.p)
+    solution = a4_solve_zp2(args.p)
+    realizable, lines = solution.report()
     print(f"p = {args.p}")
     print(f"realizable: {'yes' if realizable else 'no'}")
     for line in lines:
         print(line)
-    for n, m, k, l in a4_solve_zp2(args.p).tuples:
+    for n, m, k, l in solution.tuples:
         print(f"tuple {n} {m} {k} {l}")
     print(max_diagram_note_zp2(args.p))
     return 0 if realizable else 1

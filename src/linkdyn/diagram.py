@@ -143,6 +143,7 @@ class LinkableDynkinDiagram:
         # still see only the matrix, the dotted edges and the mode
         object.__setattr__(self, "_partner", partner)
         object.__setattr__(self, "_components", {})
+        object.__setattr__(self, "_traversals", {})
         if not self.linked <= set(self.linkable):
             raise ValueError("linked pairs must be declared linkable")
         if self.mode != "selflink":
@@ -209,23 +210,34 @@ class LinkableDynkinDiagram:
 
         Neighbours are visited in ascending order.  Returns the visit
         order and the parent of each reached vertex (None for root).
+        The search is kept on the diagram, so each root is walked once;
+        every call returns fresh copies.
         """
-        parent: dict[int, Optional[int]] = {root: None}
-        order = [root]
-        for u in order:  # grows while we walk it: a FIFO queue
-            neigh = self.plain_neighbors(u)
-            p = self.partner(u)
-            if p is not None:
-                neigh = sorted(neigh + [p])
-            for v in neigh:
-                if v not in parent:
-                    parent[v] = u
-                    order.append(v)
-        return order, parent
+        if root not in self._traversals:
+            self._traversals[root] = _breadth_first(self, root)
+        order, parent = self._traversals[root]
+        return list(order), dict(parent)
 
     def is_link_connected(self) -> bool:
         """True if plain and dotted edges together connect all vertices."""
         return self.size == 0 or len(self.link_traversal()[0]) == self.size
+
+
+def _breadth_first(
+    diagram: LinkableDynkinDiagram, root: int
+) -> tuple[list[int], dict[int, Optional[int]]]:
+    parent: dict[int, Optional[int]] = {root: None}
+    order = [root]
+    for u in order:  # grows while we walk it: a FIFO queue
+        neigh = diagram.plain_neighbors(u)
+        p = diagram.partner(u)
+        if p is not None:
+            neigh = sorted(neigh + [p])
+        for v in neigh:
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    return order, parent
 
 
 # --------------------------------------------------------------- templates

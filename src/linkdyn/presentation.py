@@ -3,9 +3,12 @@
 The coefficient ring is Z[q^(+-1), symbols]: sparse Laurent polynomials
 with integer coefficients in q and optional named symbols.  A value may
 instead pin q to a primitive d-th root of unity, in which case elements
-live in Z[zeta_d] (tensored with the symbols) and are kept in the
-canonical reduced form modulo the d-th cyclotomic polynomial, so that
-structural equality is exact equality.
+live in Z[zeta_d] (tensored with the symbols): exponents are kept modulo
+d, and a value is zero when every symbol group's polynomial p in q is
+divisible by the d-th cyclotomic polynomial Phi_d.  Since
+x^d - 1 = Phi_d * Psi_d is squarefree, that holds exactly when
+p * Psi_d vanishes modulo x^d - 1, and the cofactor Psi_d is sparse, so
+the test never reduces a dense vector.
 """
 
 from __future__ import annotations
@@ -44,10 +47,16 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
 
 
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
+_PSI_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
-    """Coefficients of the d-th cyclotomic polynomial, ascending."""
+    """Coefficients of the d-th cyclotomic polynomial, ascending.
+
+    d must be at least 1; a smaller d raises ValueError.
+    """
+    if d < 1:
+        raise ValueError(f"cyclotomic polynomials are indexed from 1, got {d}")
     if d in _PHI_CACHE:
         return _PHI_CACHE[d]
     poly = [-1] + [0] * (d - 1) + [1]
@@ -58,20 +67,24 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     return out
 
 
-def _reduce_root_vector(vec: dict[int, int], d: int) -> dict[int, int]:
-    phi = cyclotomic_polynomial(d)
-    deg = len(phi) - 1
-    coeffs = [0] * d
-    for e, c in vec.items():
-        coeffs[e % d] += c
-    for top in range(d - 1, deg - 1, -1):
-        c = coeffs[top]
-        if c == 0:
-            continue
-        shift = top - deg
-        for t, pc in enumerate(phi):
-            coeffs[shift + t] -= c * pc
-    return {e: c for e, c in enumerate(coeffs[:deg]) if c}
+def _cofactor(d: int) -> tuple[tuple[int, int], ...]:
+    """Nonzero terms (exponent, coefficient) of Psi_d = (x^d - 1) / Phi_d."""
+    if d not in _PSI_CACHE:
+        x_d_minus_1 = [-1] + [0] * (d - 1) + [1]
+        quotient = _poly_div_exact(x_d_minus_1, cyclotomic_polynomial(d))
+        _PSI_CACHE[d] = tuple((e, c) for e, c in enumerate(quotient) if c)
+    return _PSI_CACHE[d]
+
+
+def _vanishes_at_root(group: list[tuple[int, int]], d: int) -> bool:
+    # p = sum c q^e is 0 mod Phi_d iff p * Psi_d is 0 mod x^d - 1
+    psi = _cofactor(d)
+    prod: dict[int, int] = {}
+    for e, c in group:
+        for f, k in psi:
+            key = (e + f) % d
+            prod[key] = prod.get(key, 0) + c * k
+    return not any(prod.values())
 
 
 def _merge_sym(a: Sym, b: Sym) -> Sym:
@@ -87,9 +100,11 @@ class QValue:
 
     root_order 0 keeps q as a free indeterminate; a positive root_order
     d treats q as a primitive d-th root of unity.  Exponents are then
-    kept modulo d, and zero tests (hence equality) reduce modulo the
-    d-th cyclotomic polynomial, so monomials stay readable while
-    comparisons remain exact.
+    kept modulo d and terms are never reduced, so monomials stay
+    readable.  Zero tests (hence equality) stay exact: each symbol
+    group's polynomial p in q is zero when p times the cofactor
+    Psi_d = (x^d - 1) / Phi_d vanishes modulo x^d - 1, and a group with
+    a single term, a unit times q^e, never is.
     """
 
     root_order: int
@@ -142,13 +157,12 @@ class QValue:
             return True
         if not self.root_order:
             return False
-        by_sym: dict[Sym, dict[int, int]] = {}
+        by_sym: dict[Sym, list[tuple[int, int]]] = {}
         for (e, sym), c in self.terms:
-            vec = by_sym.setdefault(sym, {})
-            vec[e] = vec.get(e, 0) + c
+            by_sym.setdefault(sym, []).append((e, c))
         return all(
-            not _reduce_root_vector(vec, self.root_order)
-            for vec in by_sym.values()
+            len(group) > 1 and _vanishes_at_root(group, self.root_order)
+            for group in by_sym.values()
         )
 
     @property
@@ -333,14 +347,23 @@ def serre_coefficients(a_ij: int, q_i: QValue, b_ij: QValue) -> list[QValue]:
     c_k = (-1)^k [1-a_ij choose k]_{q_i} q_i^(k(k-1)/2) b_ij^k for
     k = 0 .. 1-a_ij, so the list always has 2 - a_ij entries.
     """
+    return _crossed(_serre_brackets(a_ij, q_i), b_ij)
+
+
+def _serre_brackets(a_ij: int, q_i: QValue) -> list[QValue]:
+    # the factors (-1)^k [1-a_ij choose k]_{q_i} q_i^(k(k-1)/2) of c_k
     if a_ij > 0:
         raise ValueError("off-diagonal Cartan entries are nonpositive")
     top = 1 - a_ij
     out = []
     for k in range(top + 1):
-        c = qbinomial(top, k, q_i) * q_i ** (k * (k - 1) // 2) * b_ij**k
+        c = qbinomial(top, k, q_i) * q_i ** (k * (k - 1) // 2)
         out.append(-c if k % 2 else c)
     return out
+
+
+def _crossed(brackets: list[QValue], b_ij: QValue) -> list[QValue]:
+    return [c * b_ij**k for k, c in enumerate(brackets)]
 
 
 # ------------------------------------------------------------ presentation
@@ -484,13 +507,19 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
                 )
             )
 
+    # the q_i-only factors of the Serre coefficients, per (a_ij, b_ii)
+    brackets: dict[tuple[int, RootExpr], list[QValue]] = {}
     for i in range(s):
+        b_ii = datum.braiding_entry(i, i)
+        q_i = QValue.from_root_expr(b_ii)
         for j in range(i + 1, s):
             a = diagram.a(i, j)
             top = 1 - a
-            q_i = QValue.from_root_expr(datum.braiding_entry(i, i))
+            key = (a, b_ii)
+            if key not in brackets:
+                brackets[key] = _serre_brackets(a, q_i)
             b_ij = QValue.from_root_expr(datum.braiding_entry(i, j))
-            coeffs = serre_coefficients(a, q_i, b_ij)
+            coeffs = _crossed(brackets[key], b_ij)
             words_text = [_serre_word(i, j, top, k, " ") for k in range(top + 1)]
             words_mach = [_serre_word(i, j, top, k, "*") for k in range(top + 1)]
             lam = 1 if (i, j) in datum.linked else 0

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .braiding import BraidingMatrix, RootExpr
 from .diagram import CartanMatrix, LinkableDynkinDiagram
@@ -54,14 +55,24 @@ class LinkingDatum:
 
     def character_value(self, j: int, vector: tuple[int, ...]) -> RootExpr:
         """Evaluate chi_j on the group element with the given exponents."""
+        return self._evaluate(j, [(t, e) for t, e in enumerate(vector) if e])
+
+    def _evaluate(self, j: int, support: Iterable[tuple[int, int]]) -> RootExpr:
         acc = RootExpr.one(self.order)
-        for t, e in enumerate(vector):
-            if e:
-                acc = acc * self.characters[j][t] ** e
+        for t, e in support:
+            acc = acc * self.characters[j][t] ** e
         return acc
 
+    @cached_property
+    def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        # the nonzero (generator, exponent) pairs of each g_i
+        return tuple(
+            tuple((t, e) for t, e in enumerate(vec) if e) for vec in self.elements
+        )
+
     def braiding_entry(self, i: int, j: int) -> RootExpr:
-        return self.character_value(j, self.elements[i])
+        """chi_j(g_i), evaluated on the nonzero exponents of g_i only."""
+        return self._evaluate(j, self._supports[i])
 
     def braiding_matrix(self) -> BraidingMatrix:
         s = len(self.elements)
@@ -480,6 +491,35 @@ class A4Solution(NamedTuple):
     closed_form: tuple[tuple[int, int, int, int], ...]
     routes_agree: bool
 
+    def report(self) -> tuple[bool, tuple[str, ...]]:
+        """Realizability and the report lines of a4_realizable_zp2."""
+        p = self.p
+        realizable = bool(self.tuples)
+        lines = [
+            f"solutions over (Z/{p})^2: {len(self.tuples)}",
+            f"closed-form route: {len(self.closed_form)} tuples "
+            f"({'agrees with the scan' if self.routes_agree else 'DISAGREES with the scan'})",
+        ]
+        if p == 5:
+            lines.append("5 is 0 modulo 5, trivially a square")
+        else:
+            square = pow(5, (p - 1) // 2, p) == 1
+            lines.append(
+                f"5 is a {'square' if square else 'non-square'} modulo {p} "
+                f"(Euler criterion)"
+            )
+        shortcut = p == 5 or p % 10 in (1, 3)
+        lines.append(
+            f"residue shortcut (p = 5 or p mod 10 in {{1, 3}}) predicts "
+            f"{'realizable' if shortcut else 'not realizable'}"
+        )
+        if shortcut != realizable:
+            lines.append(
+                f"shortcut and scan disagree for p = {p}; values above are "
+                f"from the scan"
+            )
+        return realizable, tuple(lines)
+
 
 def a4_solve_zp2(p: int) -> A4Solution:
     scan = a4_scan(p)
@@ -494,32 +534,7 @@ def a4_realizable_zp2(p: int) -> tuple[bool, tuple[str, ...]]:
     square-root criterion and with the residue-class shortcut, flagging
     primes where the shortcut and the scan differ.
     """
-    report = a4_solve_zp2(p)
-    realizable = bool(report.tuples)
-    lines = [
-        f"solutions over (Z/{p})^2: {len(report.tuples)}",
-        f"closed-form route: {len(report.closed_form)} tuples "
-        f"({'agrees with the scan' if report.routes_agree else 'DISAGREES with the scan'})",
-    ]
-    if p == 5:
-        lines.append("5 is 0 modulo 5, trivially a square")
-    else:
-        square = pow(5, (p - 1) // 2, p) == 1
-        lines.append(
-            f"5 is a {'square' if square else 'non-square'} modulo {p} "
-            f"(Euler criterion)"
-        )
-    shortcut = p == 5 or p % 10 in (1, 3)
-    lines.append(
-        f"residue shortcut (p = 5 or p mod 10 in {{1, 3}}) predicts "
-        f"{'realizable' if shortcut else 'not realizable'}"
-    )
-    if shortcut != realizable:
-        lines.append(
-            f"shortcut and scan disagree for p = {p}; values above are "
-            f"from the scan"
-        )
-    return realizable, tuple(lines)
+    return a4_solve_zp2(p).report()
 
 
 def max_diagram_note_zp2(p: int) -> str:

@@ -133,6 +133,14 @@ class TestConstruct:
         assert m.order == 5
         assert len(calls) == 1
 
+    def test_walks_the_link_graph_once(self, count_calls):
+        # construct's own connectivity test, check's and the diagonal
+        # propagation share one breadth-first search
+        walks = count_calls(linkdyn.diagram, "_breadth_first")
+        m = construct(circle("A3", 4))
+        assert m.order == 5
+        assert len(walks) == 1
+
     def test_genus_divisor_required(self):
         d = circle("B3", 2)  # single cycle of genus 3
         m = construct(d, d=3)
@@ -308,6 +316,11 @@ class TestOracle:
             assert not brute_force_exists(d, n_max=n_max).found
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_walks_the_link_graph_once(self, count_calls):
+        walks = count_calls(linkdyn.diagram, "_breadth_first")
+        assert brute_force_exists(circle("A3", 2), n_max=12).found
+        assert len(walks) == 1
 
     def test_requires_link_connected(self):
         with pytest.raises(NotLinkConnected):

@@ -1,12 +1,16 @@
 """Command line behavior: file parsing, exit codes, stable output."""
 
+import hashlib
+
 import pytest
 
 import linkdyn.braiding
 import linkdyn.cli
 import linkdyn.cycles
-from conftest import run_cli
-from linkdyn.cli import main, parse
+import linkdyn.realization
+from conftest import circle, run_cli
+from linkdyn import FieldSpec
+from linkdyn.cli import DiagramFile, main, parse
 from linkdyn.errors import DiagramSyntaxError, PathInconsistency, SemanticError
 
 A1A1 = "vertices 2\nlink 1 2\n"
@@ -378,6 +382,16 @@ class TestA4Command:
         assert code == 1
         assert "disagree" in out
 
+    def test_divergent_prime_solves_once(self, capsys, count_calls):
+        # the report lines and the tuple listing share one solution
+        scans = count_calls(linkdyn.realization, "a4_scan")
+        closed = count_calls(linkdyn.realization, "a4_closed_form")
+        code, out = run(capsys, "a4", "--p", "13")
+        assert code == 1
+        assert "disagree" in out
+        assert len(scans) == 1
+        assert len(closed) == 1
+
     def test_composite_rejected(self, capsys):
         code, out = run(capsys, "a4", "--p", "6")
         assert code == 3
@@ -400,6 +414,42 @@ class TestPresentCommand:
         code, out = run(capsys, "present", write(a3_circle(3)))
         assert code == 1
         assert out.startswith("failure:")
+
+
+# sha256 of `present` and `present --machine` stdout on rings whose root
+# orders are 5 (A3 ring of 16) and 255, 513, 1023 (B3 rings of 8, 9, 10),
+# recorded from the dense cyclotomic reduction that the cofactor zero
+# test replaced
+PRESENT_SHA256 = {
+    ("A3", 16): (
+        "36c2475a5d9419441ccc3ff0c0152b07936981c1af545dc0429b01a12148c355",
+        "8d76cc0cf46ed49d7b71309afe979659ddc75d7d06a0f8a98a6662bf78eb3226",
+    ),
+    ("B3", 8): (
+        "181fe105b470bfd30c40212c72c88311da426ba4fecc57ad29be2447f6db66b4",
+        "d240e3a34579d1955fa93ac4d7800a251d224050e378bd875327be36b2713256",
+    ),
+    ("B3", 9): (
+        "fed458cfa8103005596d16dd2d0ba9a4e4f1362e3ee26d9dbb036c8cf02c70c6",
+        "ec3bbf0793a8e1673b4933df0a5e2a1ac2cfb04bfe5e430b8c4b7564af940962",
+    ),
+    ("B3", 10): (
+        "e171951cdd8b2bbfbc48296d586a87c6652145ea5b22b38debae9525a79b6e7b",
+        "34be6ce69f065f51282a09279fd47940e9a425947ed56a177b01a31b8b33f002",
+    ),
+}
+
+
+class TestPresentGolden:
+    @pytest.mark.parametrize("label, n", sorted(PRESENT_SHA256))
+    def test_stdout_digests(self, write, capsys, label, n):
+        path = write(DiagramFile(circle(label, n), FieldSpec()).serialize())
+        digests = []
+        for extra in ((), ("--machine",)):
+            code, out = run(capsys, "present", path, *extra)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        assert tuple(digests) == PRESENT_SHA256[(label, n)]
 
 
 class TestSelflinkCommand:

@@ -134,6 +134,15 @@ class TestDiagramInvariants:
         bare = component_diag(["A2", "A1"], [])
         assert not bare.is_link_connected()
 
+    def test_link_traversal_returns_fresh_copies(self):
+        d = component_diag(["A2", "A1"], [(1, 2)])
+        order, parent = d.link_traversal()
+        assert order == [0, 1, 2]
+        assert parent == {0: None, 1: 0, 2: 1}
+        order.append(7)
+        parent[7] = 2
+        assert d.link_traversal() == ([0, 1, 2], {0: None, 1: 0, 2: 1})
+
 
 class TestClassification:
     FINITE = {

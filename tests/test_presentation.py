@@ -1,13 +1,15 @@
 """Exact q-arithmetic and the emitted algebra presentation."""
 
 import math
+import random
 from dataclasses import replace
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import component_diag
+import linkdyn.presentation
+from conftest import circle, component_diag
 from linkdyn import (
     CartanMatrix,
     QValue,
@@ -91,6 +93,100 @@ class TestCyclotomic:
         for d in range(1, 105):
             assert all(abs(c) <= 1 for c in cyclotomic_polynomial(d))
         assert cyclotomic_polynomial(105)[7] == -2
+
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_index_below_one_rejected(self, d):
+        with pytest.raises(ValueError):
+            cyclotomic_polynomial(d)
+
+
+def dense_remainder(vec, d):
+    """Remainder of sum c q^e modulo Phi_d, by dense long division.
+
+    The reference for QValue.is_zero: fold the exponents modulo d, then
+    cancel the top coefficient against Phi_d until the degree drops
+    below phi(d).
+    """
+    phi = cyclotomic_polynomial(d)
+    deg = len(phi) - 1
+    coeffs = [0] * d
+    for e, c in vec.items():
+        coeffs[e % d] += c
+    for top in range(d - 1, deg - 1, -1):
+        c = coeffs[top]
+        if c == 0:
+            continue
+        shift = top - deg
+        for t, pc in enumerate(phi):
+            coeffs[shift + t] -= c * pc
+    return {e: c for e, c in enumerate(coeffs[:deg]) if c}
+
+
+def folded_product(poly, terms, d):
+    """Dense poly times the sparse terms, with exponents folded mod d."""
+    out = {}
+    for e, c in enumerate(poly):
+        if c:
+            for f, k in terms:
+                out[(e + f) % d] = out.get((e + f) % d, 0) + c * k
+    return out
+
+
+def sparse_terms(rng, d, count):
+    return [
+        (rng.randrange(-d, 2 * d), rng.choice([-3, -2, -1, 1, 2, 3]))
+        for _ in range(count)
+    ]
+
+
+def as_vector(terms):
+    vec = {}
+    for e, c in terms:
+        vec[e] = vec.get(e, 0) + c
+    return vec
+
+
+def at_root(d, groups):
+    """QValue at root order d from {symbol power: {exponent: coeff}}."""
+    data = {}
+    for k, vec in groups.items():
+        sym = (("z1", k),) if k else ()
+        for e, c in vec.items():
+            data[(e, sym)] = data.get((e, sym), 0) + c
+    return QValue._make(d, data)
+
+
+class TestCofactorZeroTest:
+    ORDERS = list(range(1, 131)) + [255, 513, 1023]
+
+    @pytest.mark.parametrize("d", ORDERS)
+    def test_agrees_with_dense_reduction(self, d):
+        rng = random.Random(7919 + d)
+        phi = cyclotomic_polynomial(d)
+        proper = [e for e in range(1, d) if d % e == 0]
+        sparse = [as_vector(sparse_terms(rng, d, n)) for n in (1, 2, 3, 6)]
+        multiples = [
+            folded_product(phi, sparse_terms(rng, d, n), d) for n in (1, 3)
+        ]
+        vectors = sparse + multiples
+        # a multiple of Phi_d plus one more term
+        vec = folded_product(phi, sparse_terms(rng, d, 2), d)
+        e, c = sparse_terms(rng, d, 1)[0]
+        vec[e % d] = vec.get(e % d, 0) + c
+        vectors.append(vec)
+        if proper:
+            # a multiple of a factor of the cofactor instead of Phi_d
+            other = cyclotomic_polynomial(rng.choice(proper))
+            vectors.append(folded_product(other, sparse_terms(rng, d, 2), d))
+        verdicts = set()
+        for vec in vectors:
+            expected = not dense_remainder(vec, d)
+            assert at_root(d, {0: vec}).is_zero == expected, (d, vec)
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+        # one symbol group per power of z1: zero only if every group is
+        assert at_root(d, {0: multiples[0], 2: multiples[1]}).is_zero
+        assert not at_root(d, {0: multiples[0], -1: sparse[0]}).is_zero
 
 
 MONOMIALS = st.lists(
@@ -379,6 +475,24 @@ class TestEmitPresentation:
         datum = realize_free(construct(dd), dd)
         machine = emit_presentation(datum).to_machine()
         assert machine.splitlines()[0] == "generators 4 4"
+
+    def test_brackets_built_once_per_key(self, count_calls):
+        dd = circle("A3", 16)
+        datum = realize_free(construct(dd), dd)
+        keys = {
+            (dd.a(i, j), datum.braiding_entry(i, i))
+            for i in range(dd.size)
+            for j in range(i + 1, dd.size)
+        }
+        calls = count_calls(linkdyn.presentation, "qbinomial")
+        emit_presentation(datum)
+        # [1 - a_ij choose k]_{q_i} for k = 0 .. 1 - a_ij, once per key
+        # a_ij in {0, -1} and b_ii in {q, q^-1}, against 1,128 pairs
+        assert len(keys) == 4
+        assert len(calls) == sum(2 - a for a, _ in keys)
+        assert {(n, str(q)) for n, _k, q in calls} == {
+            (1 - a, str(QValue.from_root_expr(b_ii))) for a, b_ii in keys
+        }
 
     def test_requires_diagram(self):
         base = double_datum(CartanMatrix(((2,),)))
