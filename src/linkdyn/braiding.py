@@ -2,10 +2,14 @@
 
 Entries are exact expressions q^e * z1^k1 * z2^k2 * ... where q is a
 primitive root of unity of a fixed order and the z_t are free nonzero
-scalars.  The module builds braiding matrices for linkable Dynkin
-diagrams, verifies the defining identities symbolically, searches for
-matrices by brute force and combines matrices of link-connected parts
-into direct sums.
+scalars.  A matrix keeps them as integers, a grid of exponents of q
+modulo the order plus the z-exponents of its symbolic entries, so the
+defining identities are congruences on exponents; RootExpr is the value
+type of single entries, used at the text boundary and by the entry
+accessors.  The module builds braiding matrices for linkable Dynkin
+diagrams, verifies the defining identities, searches for matrices by
+brute force and combines matrices of link-connected parts into direct
+sums.
 """
 
 from __future__ import annotations
@@ -35,6 +39,45 @@ _Z_LIMIT = 2_000_000  # brute-force assignments we are willing to enumerate
 
 
 # ---------------------------------------------------------------- RootExpr
+
+# the z-exponents of an entry: (t, k) pairs for z_t^k, sorted by t
+Terms = tuple[tuple[int, int], ...]
+
+
+def _entry_text(exp: int, terms: Terms) -> str:
+    return f"q^{exp}" + "".join(f"*z{t}^{k}" for t, k in terms)
+
+
+def _terms(*factors: tuple[Terms, int]) -> Terms:
+    """z-exponents of the product of the factors, each terms^power.
+
+    Sorted by parameter, each parameter once and zero powers dropped:
+    the normal form of a matrix entry.
+    """
+    acc: dict[int, int] = {}
+    for terms, power in factors:
+        for t, k in terms:
+            acc[t] = acc.get(t, 0) + k * power
+    return tuple(sorted((t, k) for t, k in acc.items() if k))
+
+
+def _product(a: Terms, b: Terms) -> Terms:
+    """_terms((a, 1), (b, 1)) for a and b in normal form."""
+    if not b:
+        return a
+    if not a:
+        return b
+    if len(a) == len(b) == 1 and a[0][0] == b[0][0]:
+        k = a[0][1] + b[0][1]
+        return ((a[0][0], k),) if k else ()
+    return _terms((a, 1), (b, 1))
+
+
+def _power(a: Terms, p: int) -> Terms:
+    """_terms((a, p)) for a in normal form."""
+    if p == 1 or not a:
+        return a
+    return tuple((t, k * p) for t, k in a) if p else ()
 
 
 @dataclass(frozen=True)
@@ -127,9 +170,7 @@ class RootExpr:
     # ------------------------------------------------------------- text
 
     def __str__(self) -> str:
-        parts = [f"q^{self.exp}"]
-        parts.extend(f"z{t}^{k}" for t, k in self.zpow)
-        return "*".join(parts)
+        return _entry_text(self.exp, self.zpow)
 
     _TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
     _ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
@@ -149,54 +190,118 @@ class RootExpr:
 # ----------------------------------------------------------- BraidingMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BraidingMatrix:
-    """Square matrix of RootExpr entries sharing one root order."""
+    """Square matrix of entries q^e * z1^k1 * ... sharing one root order.
+
+    The stored form is integer: exps[i][j] is the exponent of q in
+    entry (i, j), kept in 0..order-1, and zrows[i] maps the column j of
+    each symbolic entry in row i to its z-exponents ((t, k), ...),
+    sorted by t, each t once and every k nonzero; a pure entry has no
+    key.  The identities, the completion, instantiation and realization
+    work on these integers.  entry, entries and diagonal build RootExpr
+    values on demand, and BraidingMatrix(order, rows) converts rows of
+    RootExpr once.
+    """
 
     order: int
-    entries: tuple[tuple[RootExpr, ...], ...]
+    exps: tuple[tuple[int, ...], ...]
+    zrows: tuple[dict[int, Terms], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        for row in self.entries:
+    def __init__(self, order: int, entries: Sequence[Sequence[RootExpr]]) -> None:
+        n = len(entries)
+        zrows = []
+        for row in entries:
             if len(row) != n:
                 raise ValueError("matrix is not square")
-            for e in row:
-                if e.order != self.order:
+            zrow = {}
+            for j, e in enumerate(row):
+                if e.order != order:
                     raise ValueError("entry root order differs from matrix order")
+                if e.zpow and (terms := _terms((e.zpow, 1))):
+                    zrow[j] = terms
+            zrows.append(zrow)
+        exps = tuple(tuple(e.exp for e in row) for row in entries)
+        # the dataclass is frozen, so write the fields past __setattr__
+        self.__dict__.update(order=order, exps=exps, zrows=tuple(zrows))
+
+    @classmethod
+    def _from_grid(
+        cls,
+        order: int,
+        exps: tuple[tuple[int, ...], ...],
+        zrows: Optional[tuple[dict[int, Terms], ...]] = None,
+    ) -> "BraidingMatrix":
+        """A matrix from its stored form, which the caller keeps normal.
+
+        zrows defaults to a matrix without free parameters.
+        """
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(
+            order=order, exps=exps, zrows=zrows or tuple({} for _ in exps)
+        )
+        return matrix
+
+    def __hash__(self) -> int:
+        zrows = tuple(tuple(sorted(zrow.items())) for zrow in self.zrows)
+        return hash((self.order, self.exps, zrows))
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.exps)
 
     def entry(self, i: int, j: int) -> RootExpr:
-        return self.entries[i][j]
+        return RootExpr(self.order, self.exps[i][j], self.zrows[i].get(j, ()))
+
+    @property
+    def entries(self) -> tuple[tuple[RootExpr, ...], ...]:
+        n = self.size
+        return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
 
     def diagonal(self) -> tuple[RootExpr, ...]:
-        return tuple(self.entries[i][i] for i in range(self.size))
+        return tuple(self.entry(i, i) for i in range(self.size))
 
     def z_indices(self) -> tuple[int, ...]:
-        seen: set[int] = set()
-        for row in self.entries:
-            for e in row:
-                seen.update(t for t, _ in e.zpow)
-        return tuple(sorted(seen))
+        return tuple(
+            sorted(
+                {t for zrow in self.zrows for terms in zrow.values() for t, _ in terms}
+            )
+        )
 
     def instantiate(
         self, values: Optional[dict[int, RootExpr]] = None
     ) -> "BraidingMatrix":
         """Substitute values (default 1) for every free parameter."""
-        full = {t: RootExpr.one(self.order) for t in self.z_indices()}
-        full.update(values or {})
-        rows = tuple(
-            tuple(e.substitute(full) for e in row) for row in self.entries
-        )
-        return BraidingMatrix(self.order, rows)
+        values = values or {}
+        d = self.order
+        exps = [list(row) for row in self.exps]
+        zrows = []
+        for row, zrow in zip(exps, self.zrows):
+            left: dict[int, Terms] = {}
+            for j, terms in zrow.items():
+                factors = []
+                for t, k in terms:
+                    val = values.get(t)
+                    if val is None:
+                        continue
+                    if val.order != d:
+                        raise ValueError(
+                            "substitution value has a different root order"
+                        )
+                    row[j] += val.exp * k
+                    factors.append((val.zpow, k))
+                row[j] %= d
+                if rest := _terms(*factors):
+                    left[j] = rest
+            zrows.append(left)
+        return BraidingMatrix._from_grid(d, tuple(map(tuple, exps)), tuple(zrows))
 
     def to_text(self) -> str:
         lines = [f"root_order {self.order}"]
-        for row in self.entries:
-            lines.append(" ".join(str(e) for e in row))
+        for row, zrow in zip(self.exps, self.zrows):
+            lines.append(
+                " ".join(_entry_text(e, zrow.get(j, ())) for j, e in enumerate(row))
+            )
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -228,7 +333,7 @@ def verify(
     matrix: BraidingMatrix,
     mode: str = "finite",
 ) -> VerificationReport:
-    """Check the defining identities of a braiding matrix symbolically.
+    """Check the defining identities of a braiding matrix exactly.
 
     Checked are: no diagonal entry equals 1, the product identity
     b_ij b_ji = b_ii^a_ij for all pairs, the linking identity
@@ -236,7 +341,9 @@ def verify(
     all k, and the order conditions of the requested mode ('finite':
     diagonal orders above 2, not divisible by 3 when a G2 component is
     present; 'affine': all diagonal orders equal to one prime above 3;
-    'selflink': no order conditions beyond b_ii != 1).
+    'selflink': no order conditions beyond b_ii != 1).  Each identity
+    is a congruence on the exponents of q modulo the root order plus an
+    equation on the z-exponents of the symbolic entries.
     """
     failures = tuple(_failures(diagram, matrix, mode))
     return VerificationReport(not failures, failures)
@@ -250,44 +357,55 @@ def _failures(
     if matrix.size != s:
         yield f"matrix size {matrix.size} != diagram size {s}"
         return
-    b = matrix.entry
+    d, exps, zrows = matrix.order, matrix.exps, matrix.zrows
+    cartan = diagram.cartan.entries
 
     for i in range(s):
-        if b(i, i).is_symbolic:
-            yield f"diagonal b_{i + 1}{i + 1} = {b(i, i)} contains a free parameter"
-        elif b(i, i).is_one:
+        if i in zrows[i]:
+            yield (
+                f"diagonal b_{i + 1}{i + 1} = {matrix.entry(i, i)} "
+                f"contains a free parameter"
+            )
+        elif exps[i][i] == 0:
             yield f"diagonal b_{i + 1}{i + 1} equals 1"
 
     for i in range(s):
+        row, zrow, a_row = exps[i], zrows[i], cartan[i]
+        z_ii = zrow.get(i, ())
         for j in range(s):
             if i == j:
                 continue
-            left = b(i, j) * b(j, i)
-            right = b(i, i) ** diagram.a(i, j)
-            if left != right:
+            # b_ij b_ji = q^left z^zl against b_ii^a_ij = q^right z^zr
+            left, right = row[j] + exps[j][i], row[i] * a_row[j]
+            zl = _product(zrow.get(j, ()), zrows[j].get(i, ()))
+            zr = _power(z_ii, a_row[j])
+            if (left - right) % d or zl != zr:
                 yield (
                     f"product identity fails at ({i + 1},{j + 1}): "
-                    f"b_ij*b_ji = {left}, b_ii^a_ij = {right}"
+                    f"b_ij*b_ji = {RootExpr(d, left, zl)}, "
+                    f"b_ii^a_ij = {RootExpr(d, right, zr)}"
                 )
 
     for i, j in diagram.linkable:
         for x, y in ((i, j), (j, i)):
-            exponent = 1 - diagram.a(x, y)
+            exponent = 1 - cartan[x][y]
             for k in range(s):
-                val = b(k, x) ** exponent * b(k, y)
-                if not val.is_one:
+                # b_kx^exponent b_ky = q^e z^z must be 1
+                row, zrow = exps[k], zrows[k]
+                e = (row[x] * exponent + row[y]) % d
+                z = _product(_power(zrow.get(x, ()), exponent), zrow.get(y, ()))
+                if e or z:
                     yield (
                         f"linking identity fails for pair ({x + 1},{y + 1}) "
-                        f"at k={k + 1}: got {val}"
+                        f"at k={k + 1}: got {RootExpr(d, e, z)}"
                     )
 
-    diag_ok = all(
-        not b(i, i).is_symbolic and not b(i, i).is_one for i in range(s)
-    )
-    if diag_ok and mode == "finite":
+    if any(i in zrows[i] or exps[i][i] == 0 for i in range(s)):
+        return
+    diagonal_orders = [d // gcd(d, exps[i][i]) for i in range(s)]
+    if mode == "finite":
         has_g2 = _has_g2(diagram)
-        for i in range(s):
-            o = b(i, i).multiplicative_order()
+        for i, o in enumerate(diagonal_orders):
             if o <= 2:
                 yield f"order of b_{i + 1}{i + 1} is {o}, must exceed 2"
             elif has_g2 and o % 3 == 0:
@@ -295,8 +413,8 @@ def _failures(
                     f"order of b_{i + 1}{i + 1} is {o}, divisible by 3 "
                     f"with a G2 component present"
                 )
-    elif diag_ok and mode == "affine":
-        orders = sorted({b(i, i).multiplicative_order() for i in range(s)})
+    elif mode == "affine":
+        orders = sorted(set(diagonal_orders))
         if len(orders) > 1:
             yield f"diagonal orders differ: {orders}"
         elif not (orders[0] > 3 and is_prime(orders[0])):
@@ -456,29 +574,29 @@ def _diagonal_exponents(diagram: LinkableDynkinDiagram, d: int) -> list[int]:
     return exps  # type: ignore[return-value]
 
 
+# an off-diagonal entry of the completion as (v, c, t, k): the entry is
+# b_vv^c * z_t^k for every diagonal and root order; t = 0 means no z_t
+Slot = tuple[int, int, int, int]
+
+
 def _offdiagonal_entries(
-    diagram: LinkableDynkinDiagram, diag: Sequence[RootExpr]
-) -> dict[tuple[int, int], RootExpr]:
+    diagram: LinkableDynkinDiagram,
+) -> dict[tuple[int, int], Slot]:
     """Fill all off-diagonal entries from the diagonal.
 
     Ordered vertex pairs split into four classes by which ends lie on
     dotted edges; each class instance uses one fresh parameter z_t and
     every ordered pair is set exactly once.
     """
-    d = diag[0].order
+    a = diagram.cartan.entries
     partner = {v: diagram.partner(v) for v in range(diagram.size)}
-    out: dict[tuple[int, int], RootExpr] = {}
-    z_counter = 0
-
-    def fresh() -> RootExpr:
-        nonlocal z_counter
-        z_counter += 1
-        return RootExpr.z(d, z_counter)
+    out: dict[tuple[int, int], Slot] = {}
+    z = 0
 
     # linkable pairs themselves
     for i, j in diagram.linkable:
-        out[(i, j)] = diag[i].inv()
-        out[(j, i)] = diag[j].inv()
+        out[(i, j)] = (i, -1, 0, 0)
+        out[(j, i)] = (j, -1, 0, 0)
 
     free = [v for v in range(diagram.size) if partner[v] is None]
 
@@ -486,18 +604,18 @@ def _offdiagonal_entries(
     for i in free:
         for j in free:
             if i < j:
-                z = fresh()
-                out[(j, i)] = z
-                out[(i, j)] = diag[i] ** diagram.a(i, j) * z.inv()
+                z += 1
+                out[(j, i)] = (i, 0, z, 1)
+                out[(i, j)] = (i, a[i][j], z, -1)
 
     # one end on a dotted edge {i,k}, the other end j free
     for i, k in diagram.linkable:
         for j in free:
-            z = fresh()
-            out[(j, i)] = z
-            out[(i, j)] = diag[i] ** diagram.a(i, j) * z.inv()
-            out[(j, k)] = z.inv()
-            out[(k, j)] = diag[k] ** diagram.a(k, j) * z
+            z += 1
+            out[(j, i)] = (i, 0, z, 1)
+            out[(i, j)] = (i, a[i][j], z, -1)
+            out[(j, k)] = (k, 0, z, -1)
+            out[(k, j)] = (k, a[k][j], z, 1)
 
     # both ends on distinct dotted edges
     pairs = diagram.linkable
@@ -506,7 +624,7 @@ def _offdiagonal_entries(
             roles = None
             for i, k in (pairs[p], pairs[p][::-1]):
                 for j, l in (pairs[q], pairs[q][::-1]):
-                    if diagram.a(j, k) == 0 and diagram.a(i, l) == 0:
+                    if a[j][k] == 0 and a[i][l] == 0:
                         roles = (i, k, j, l)
                         break
                 if roles:
@@ -517,16 +635,16 @@ def _offdiagonal_entries(
                     f"orientation with vanishing cross entries"
                 )
             i, k, j, l = roles
-            z = fresh()
-            base = diag[i] ** diagram.a(i, j)
-            out[(j, i)] = z
-            out[(k, j)] = z
-            out[(i, j)] = base * z.inv()
-            out[(l, i)] = base * z.inv()
-            out[(j, k)] = z.inv()
-            out[(k, l)] = z.inv()
-            out[(i, l)] = base.inv() * z
-            out[(l, k)] = base.inv() * z
+            z += 1
+            c = a[i][j]  # the entries carry b_ii^c, its inverse or neither
+            out[(j, i)] = (i, 0, z, 1)
+            out[(k, j)] = (i, 0, z, 1)
+            out[(i, j)] = (i, c, z, -1)
+            out[(l, i)] = (i, c, z, -1)
+            out[(j, k)] = (i, 0, z, -1)
+            out[(k, l)] = (i, 0, z, -1)
+            out[(i, l)] = (i, -c, z, 1)
+            out[(l, k)] = (i, -c, z, 1)
     return out
 
 
@@ -534,16 +652,16 @@ def _completed(
     diagram: LinkableDynkinDiagram, d: int, exps: Sequence[int]
 ) -> BraidingMatrix:
     """The matrix with diagonal q^exps and the four-class completion."""
-    diag = [RootExpr.root(d, e) for e in exps]
-    off = _offdiagonal_entries(diagram, diag)
     s = diagram.size
-    return BraidingMatrix(
-        d,
-        tuple(
-            tuple(diag[i] if i == j else off[(i, j)] for j in range(s))
-            for i in range(s)
-        ),
-    )
+    grid = [[0] * s for _ in range(s)]
+    zrows: list[dict[int, Terms]] = [{} for _ in range(s)]
+    for i in range(s):
+        grid[i][i] = exps[i] % d
+    for (i, j), (v, c, t, k) in _offdiagonal_entries(diagram).items():
+        grid[i][j] = c * exps[v] % d
+        if t:
+            zrows[i][j] = ((t, k),)
+    return BraidingMatrix._from_grid(d, tuple(map(tuple, grid)), tuple(zrows))
 
 
 def construct(
@@ -617,39 +735,42 @@ def _identity_forms(
 ) -> Optional[tuple[tuple[tuple[int, int], ...], ...]]:
     """The product and linking identities as integer forms in the diagonal.
 
-    The four-class completion runs once on a symbolic diagonal whose
-    entry v is the marker parameter z_{-v-1} at root order 1, so every
-    identity _failures checks leaves a product of markers and fresh z_t.
-    With diagonal q^e at order n the identity holds iff no fresh z_t
-    remains and the marker powers c_v give sum c_v e_v == 0 (mod n);
-    each form lists its (v, c_v).  None when some identity keeps a
-    fresh z_t, which no diagonal can cancel.
+    Every entry of the four-class completion is b_vv^c z_t^k, so every
+    identity _failures checks is a product of diagonal entries and
+    fresh z_t.  With diagonal q^e at order n the identity holds iff no
+    z_t remains and the diagonal powers c_v give sum c_v e_v == 0
+    (mod n); each form lists its (v, c_v).  None when some identity
+    keeps a z_t, which no diagonal can cancel.
     """
     s = diagram.size
-    diag = [RootExpr.z(1, -v - 1) for v in range(s)]
-    off = _offdiagonal_entries(diagram, diag)
+    a = diagram.cartan.entries
+    off = _offdiagonal_entries(diagram)
 
-    def b(i: int, j: int) -> RootExpr:
-        return diag[i] if i == j else off[(i, j)]
+    def b(i: int, j: int) -> Slot:
+        return (i, 1, 0, 0) if i == j else off[(i, j)]
 
-    residues = [
-        b(i, j) * b(j, i) / diag[i] ** diagram.a(i, j)
-        for i in range(s)
-        for j in range(s)
-        if i != j
-    ]
-    residues.extend(
-        b(k, x) ** (1 - diagram.a(x, y)) * b(k, y)
-        for i, j in diagram.linkable
-        for x, y in ((i, j), (j, i))
-        for k in range(s)
+    # each identity as the factors (slot, power) of a product that must be 1
+    products = chain(
+        (
+            ((b(i, j), 1), (b(j, i), 1), (b(i, i), -a[i][j]))
+            for i in range(s)
+            for j in range(s)
+            if i != j
+        ),
+        (
+            ((b(k, x), 1 - a[x][y]), (b(k, y), 1))
+            for i, j in diagram.linkable
+            for x, y in ((i, j), (j, i))
+            for k in range(s)
+        ),
     )
     forms = set()
-    for r in residues:
-        if any(t > 0 for t, _ in r.zpow):
+    for factors in products:
+        if _terms(*((((t, k),), p) for (_, _, t, k), p in factors if t)):
             return None
-        if r.zpow:
-            forms.add(tuple((-t - 1, c) for t, c in r.zpow))
+        form = _terms(*((((v, c),), p) for (v, c, _, _), p in factors))
+        if form:
+            forms.add(form)
     return tuple(sorted(forms))
 
 
@@ -800,24 +921,15 @@ def _partner_pairs(matrix: BraidingMatrix) -> tuple[tuple[int, int], ...]:
     """
     found: list[tuple[int, int]] = []
     used: set[int] = set()
+    d, exps, zrows = matrix.order, matrix.exps, matrix.zrows
     for i in range(matrix.size):
-        if i in used:
-            continue
-        bii = matrix.entry(i, i)
-        if bii.is_symbolic or bii.is_one:
+        e_ii = exps[i][i]
+        if i in used or i in zrows[i] or e_ii == 0:
             continue
         for k in range(i + 1, matrix.size):
-            if k in used:
+            if k in used or k in zrows[i] or i in zrows[k] or k in zrows[k]:
                 continue
-            bik = matrix.entry(i, k)
-            bki = matrix.entry(k, i)
-            if bik.is_symbolic or bki.is_symbolic:
-                continue
-            if (
-                bik == bii.inv()
-                and bik == matrix.entry(k, k)
-                and bki == bii
-            ):
+            if exps[i][k] == -e_ii % d == exps[k][k] and exps[k][i] == e_ii:
                 found.append((i, k))
                 used.update((i, k))
                 break
@@ -842,10 +954,10 @@ def direct_sum(
     if homogeneous:
         orders: set[int] = set()
         for part in parts:
-            for e in part.diagonal():
-                if e.is_symbolic:
+            for i in range(part.size):
+                if i in part.zrows[i]:
                     raise ValueError("diagonal contains a free parameter")
-                orders.add(e.multiplicative_order())
+                orders.add(part.order // gcd(part.order, part.exps[i][i]))
         if len(orders) > 1:
             raise OrderMismatch(
                 f"diagonal orders {sorted(orders)} cannot be made equal"
@@ -853,51 +965,36 @@ def direct_sum(
     if len(parts) == 1:
         return parts[0]
     target = lcm(*(p.order for p in parts))
-
-    # rebase every part to the common order and renumber its parameters
-    rebased: list[list[list[RootExpr]]] = []
-    z_next = 0
-    for part in parts:
-        scale = target // part.order
-        remap = {t: z_next + pos + 1 for pos, t in enumerate(part.z_indices())}
-        z_next += len(remap)
-        rows = []
-        for row in part.entries:
-            new_row = []
-            for e in row:
-                new_row.append(
-                    RootExpr(
-                        target,
-                        e.exp * scale,
-                        tuple((remap[t], k) for t, k in e.zpow),
-                    )
-                )
-            rows.append(new_row)
-        rebased.append(rows)
-
     sizes = [p.size for p in parts]
     offsets = [sum(sizes[:i]) for i in range(len(parts))]
     total = sum(sizes)
-    one = RootExpr.one(target)
-    grid: list[list[RootExpr]] = [[one] * total for _ in range(total)]
-    for p, rows in enumerate(rebased):
-        for i in range(sizes[p]):
-            for j in range(sizes[p]):
-                grid[offsets[p] + i][offsets[p] + j] = rows[i][j]
+    grid = [[0] * total for _ in range(total)]
+    zrows: list[dict[int, Terms]] = [{} for _ in range(total)]
+
+    # rebase every part to the common order and renumber its parameters
+    z_next = 0
+    for part, base in zip(parts, offsets):
+        scale = target // part.order
+        remap = {t: z_next + pos + 1 for pos, t in enumerate(part.z_indices())}
+        z_next += len(remap)
+        for i, (row, zrow) in enumerate(zip(part.exps, part.zrows)):
+            grid[base + i][base : base + part.size] = [e * scale for e in row]
+            for j, terms in zrow.items():
+                zrows[base + i][base + j] = tuple((remap[t], k) for t, k in terms)
 
     partner: dict[int, int] = {}
-    for p, part in enumerate(parts):
+    for part, base in zip(parts, offsets):
         for i, k in _partner_pairs(part):
-            partner[offsets[p] + i] = offsets[p] + k
-            partner[offsets[p] + k] = offsets[p] + i
+            partner[base + i] = base + k
+            partner[base + k] = base + i
 
     # cross-block pairs: ascending order, one fresh parameter per class
     # instance; a dotted pair forces the opposite column to cancel it
     block = [max(p for p in range(len(parts)) if offsets[p] <= v) for v in range(total)]
     assigned: set[tuple[int, int]] = set()
 
-    def put(r: int, c: int, value: RootExpr) -> None:
-        grid[r][c] = value
+    def put(r: int, c: int, power: int) -> None:
+        zrows[r][c] = ((z_next, power),)
         assigned.add((r, c))
 
     for i in range(total):
@@ -905,18 +1002,17 @@ def direct_sum(
             if block[i] == block[j] or (i, j) in assigned:
                 continue
             z_next += 1
-            z = RootExpr.z(target, z_next)
-            put(j, i, z)
-            put(i, j, z.inv())
+            put(j, i, 1)
+            put(i, j, -1)
             k = partner.get(i)
             l = partner.get(j)
             if k is not None:
-                put(j, k, z.inv())
-                put(k, j, z)
+                put(j, k, -1)
+                put(k, j, 1)
             if l is not None:
-                put(i, l, z)
-                put(l, i, z.inv())
+                put(i, l, 1)
+                put(l, i, -1)
             if k is not None and l is not None:
-                put(k, l, z.inv())
-                put(l, k, z)
-    return BraidingMatrix(target, tuple(tuple(row) for row in grid))
+                put(k, l, -1)
+                put(l, k, 1)
+    return BraidingMatrix._from_grid(target, tuple(map(tuple, grid)), tuple(zrows))

@@ -24,54 +24,73 @@ Sym = tuple[tuple[str, int], ...]
 Key = tuple[int, Sym]
 
 
-def _divisors(n: int) -> list[int]:
-    return [e for e in range(1, n + 1) if n % e == 0]
+def _mobius(n: int) -> int:
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic with ascending coefficients; division must be exact
-    work = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(work) - dn)
-    for top in range(len(work) - 1, dn - 1, -1):
-        c = work[top]
-        if c == 0:
-            continue
-        shift = top - dn
-        out[shift] = c
-        for t, dc in enumerate(den):
-            work[shift + t] -= c * dc
-    if any(work):
-        raise ArithmeticError("polynomial division was not exact")
-    return out
+def _binomial_product(factors: list[tuple[int, int]]) -> list[int]:
+    """Ascending coefficients of prod (x^e - 1)^k over (e, k), k = +-1.
+
+    Multiplying by x^e - 1 and dividing by it exactly are each one
+    O(degree) pass; the divisions come last and must be exact.
+    """
+    poly = [1]
+    for e, k in sorted(factors, key=lambda f: -f[1]):
+        if k > 0:
+            # coefficient i of p * (x^e - 1) is p[i - e] - p[i]
+            poly = [0] * e + poly
+            for i in range(len(poly) - e):
+                poly[i] -= poly[i + e]
+        else:
+            # q with q * (x^e - 1) = p: q[i] = q[i - e] - p[i], bottom up
+            quot = [-c for c in poly[: len(poly) - e]]
+            for i in range(e, len(quot)):
+                quot[i] += quot[i - e]
+            # the top e coefficients of p are q[i - e] and must agree
+            top = [quot[i - e] if i >= e else 0 for i in range(len(quot), len(poly))]
+            if top != poly[len(quot) :]:
+                raise ArithmeticError("polynomial division was not exact")
+            poly = quot
+    return poly
 
 
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
 _PSI_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
 
 
+def _phi_powers(d: int) -> list[tuple[int, int]]:
+    # Phi_d = prod over e | d of (x^e - 1)^mu(d/e)
+    return [(e, m) for e in range(1, d + 1) if d % e == 0 and (m := _mobius(d // e))]
+
+
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
     """Coefficients of the d-th cyclotomic polynomial, ascending.
 
-    d must be at least 1; a smaller d raises ValueError.
+    Built from Phi_d = prod_{e | d} (x^e - 1)^mu(d/e).  d must be at
+    least 1; a smaller d raises ValueError.
     """
     if d < 1:
         raise ValueError(f"cyclotomic polynomials are indexed from 1, got {d}")
-    if d in _PHI_CACHE:
-        return _PHI_CACHE[d]
-    poly = [-1] + [0] * (d - 1) + [1]
-    for e in _divisors(d)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(e))
-    out = tuple(poly)
-    _PHI_CACHE[d] = out
-    return out
+    if d not in _PHI_CACHE:
+        _PHI_CACHE[d] = tuple(_binomial_product(_phi_powers(d)))
+    return _PHI_CACHE[d]
 
 
 def _cofactor(d: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero terms (exponent, coefficient) of Psi_d = (x^d - 1) / Phi_d."""
+    """Nonzero terms (exponent, coefficient) of Psi_d = (x^d - 1) / Phi_d.
+
+    Psi_d = prod_{e | d, e < d} (x^e - 1)^-mu(d/e).
+    """
     if d not in _PSI_CACHE:
-        x_d_minus_1 = [-1] + [0] * (d - 1) + [1]
-        quotient = _poly_div_exact(x_d_minus_1, cyclotomic_polynomial(d))
+        quotient = _binomial_product([(e, -m) for e, m in _phi_powers(d) if e < d])
         _PSI_CACHE[d] = tuple((e, c) for e, c in enumerate(quotient) if c)
     return _PSI_CACHE[d]
 
@@ -419,8 +438,8 @@ def _group_word(exps: tuple[int, ...], factors: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _coeff_str(value: RootExpr) -> str:
-    return "1" if value.is_one else str(value)
+def _coeff_str(exp: int) -> str:
+    return "1" if exp == 0 else f"q^{exp}"
 
 
 def _serre_word(i: int, j: int, top: int, k: int, sep: str) -> str:
@@ -493,7 +512,7 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
 
     for t in range(l):
         for j in range(s):
-            ctext = _coeff_str(datum.characters[j][t])
+            ctext = _coeff_str(datum.character_exps[j][t])
             rhs = (
                 f"a_{j + 1} h_{t + 1}"
                 if ctext == "1"
@@ -507,19 +526,22 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
                 )
             )
 
-    # the q_i-only factors of the Serre coefficients, per (a_ij, b_ii)
-    brackets: dict[tuple[int, RootExpr], list[QValue]] = {}
+    def root_power(e: int) -> QValue:
+        return QValue._make(datum.order, {(e, ()): 1})
+
+    # the q_i-only factors of the Serre coefficients, per (a_ij, b_ii),
+    # with b_ii and b_ij read as exponents of q
+    brackets: dict[tuple[int, int], list[QValue]] = {}
     for i in range(s):
-        b_ii = datum.braiding_entry(i, i)
-        q_i = QValue.from_root_expr(b_ii)
+        e_ii = datum.entry_exp(i, i)
+        q_i = root_power(e_ii)
         for j in range(i + 1, s):
             a = diagram.a(i, j)
             top = 1 - a
-            key = (a, b_ii)
+            key = (a, e_ii)
             if key not in brackets:
                 brackets[key] = _serre_brackets(a, q_i)
-            b_ij = QValue.from_root_expr(datum.braiding_entry(i, j))
-            coeffs = _crossed(brackets[key], b_ij)
+            coeffs = _crossed(brackets[key], root_power(datum.entry_exp(i, j)))
             words_text = [_serre_word(i, j, top, k, " ") for k in range(top + 1)]
             words_mach = [_serre_word(i, j, top, k, "*") for k in range(top + 1)]
             lam = 1 if (i, j) in datum.linked else 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .braiding import BraidingMatrix, RootExpr
 from .diagram import CartanMatrix, LinkableDynkinDiagram
@@ -40,28 +40,31 @@ class LinkingDatum:
 
     factors are the invariant factors of the group (0 meaning an
     infinite cyclic factor); elements holds each g_i as an exponent
-    vector over the generators; characters holds each chi_j by its
-    values on the generators.  All character values share one root
-    order.
+    vector over the generators; character_exps holds each chi_j by the
+    exponents, in 0..order-1, of its values q^e on the generators, q a
+    primitive root of unity of the given order.  characters gives the
+    same values as RootExpr.
     """
 
     order: int
     factors: tuple[int, ...]
     elements: tuple[tuple[int, ...], ...]
-    characters: tuple[tuple[RootExpr, ...], ...]
+    character_exps: tuple[tuple[int, ...], ...]
     linkable: tuple[Pair, ...]
     linked: frozenset[Pair]
     diagram: Optional[LinkableDynkinDiagram] = field(default=None, compare=False)
 
+    @property
+    def characters(self) -> tuple[tuple[RootExpr, ...], ...]:
+        """Each chi_j by its values on the generators."""
+        return tuple(
+            tuple(RootExpr(self.order, e) for e in chi) for chi in self.character_exps
+        )
+
     def character_value(self, j: int, vector: tuple[int, ...]) -> RootExpr:
         """Evaluate chi_j on the group element with the given exponents."""
-        return self._evaluate(j, [(t, e) for t, e in enumerate(vector) if e])
-
-    def _evaluate(self, j: int, support: Iterable[tuple[int, int]]) -> RootExpr:
-        acc = RootExpr.one(self.order)
-        for t, e in support:
-            acc = acc * self.characters[j][t] ** e
-        return acc
+        chi = self.character_exps[j]
+        return RootExpr(self.order, sum(chi[t] * e for t, e in enumerate(vector)))
 
     @cached_property
     def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -70,46 +73,53 @@ class LinkingDatum:
             tuple((t, e) for t, e in enumerate(vec) if e) for vec in self.elements
         )
 
+    def entry_exp(self, i: int, j: int) -> int:
+        """The exponent of q in chi_j(g_i), from the support of g_i only.
+
+        With the canonical basis as the g_i this is one lookup.
+        """
+        chi = self.character_exps[j]
+        return sum(chi[t] * e for t, e in self._supports[i]) % self.order
+
     def braiding_entry(self, i: int, j: int) -> RootExpr:
-        """chi_j(g_i), evaluated on the nonzero exponents of g_i only."""
-        return self._evaluate(j, self._supports[i])
+        """chi_j(g_i)."""
+        return RootExpr(self.order, self.entry_exp(i, j))
 
     def braiding_matrix(self) -> BraidingMatrix:
         s = len(self.elements)
-        rows = tuple(
-            tuple(self.braiding_entry(i, j) for j in range(s)) for i in range(s)
+        return BraidingMatrix._from_grid(
+            self.order,
+            tuple(tuple(self.entry_exp(i, j) for j in range(s)) for i in range(s)),
         )
-        return BraidingMatrix(self.order, rows)
 
     def verify_datum(
         self, source: Optional[BraidingMatrix] = None
     ) -> tuple[str, ...]:
         """Failure messages for the realization identities, empty if fine."""
         failures: list[str] = []
-        diagram = self.diagram
+        d, chis = self.order, self.character_exps
         if source is not None:
-            induced = self.braiding_matrix()
             for i in range(source.size):
+                row, zrow = source.exps[i], source.zrows[i]
                 for j in range(source.size):
-                    if induced.entry(i, j) != source.entry(i, j):
+                    e = self.entry_exp(i, j)
+                    if source.order != d or e != row[j] or j in zrow:
                         failures.append(
-                            f"chi_{j + 1}(g_{i + 1}) = {induced.entry(i, j)} "
+                            f"chi_{j + 1}(g_{i + 1}) = {RootExpr(d, e)} "
                             f"but the matrix holds {source.entry(i, j)}"
                         )
-        if diagram is not None:
+        if self.diagram is not None:
+            cartan = self.diagram.cartan.entries
             for i, j in self.linkable:
                 for x, y in ((i, j), (j, i)):
-                    exponent = 1 - diagram.a(x, y)
+                    exponent = 1 - cartan[x][y]
                     for t in range(len(self.factors)):
-                        val = (
-                            self.characters[x][t] ** exponent
-                            * self.characters[y][t]
-                        )
-                        if not val.is_one:
+                        e = (chis[x][t] * exponent + chis[y][t]) % d
+                        if e:
                             failures.append(
                                 f"character identity fails for pair "
                                 f"({x + 1},{y + 1}) at generator {t + 1}: "
-                                f"got {val}"
+                                f"got {RootExpr(d, e)}"
                             )
         return tuple(failures)
 
@@ -120,8 +130,8 @@ class LinkingDatum:
         lines.append("factors " + " ".join(str(f) for f in self.factors))
         for i, vec in enumerate(self.elements):
             lines.append(f"g {i + 1}: " + " ".join(str(e) for e in vec))
-        for j, chi in enumerate(self.characters):
-            lines.append(f"chi {j + 1}: " + " ".join(str(v) for v in chi))
+        for j, chi in enumerate(self.character_exps):
+            lines.append(f"chi {j + 1}: " + " ".join(f"q^{e}" for e in chi))
         for i, j in self.linkable:
             flag = 1 if (i, j) in self.linked else 0
             lines.append(f"lambda {i + 1} {j + 1}: {flag}")
@@ -132,7 +142,7 @@ class LinkingDatum:
         order = 0
         factors: tuple[int, ...] = ()
         elements: list[tuple[int, ...]] = []
-        characters: list[tuple[RootExpr, ...]] = []
+        characters: list[tuple[int, ...]] = []
         linkable: list[Pair] = []
         linked: set[Pair] = set()
         for raw in text.splitlines():
@@ -150,9 +160,10 @@ class LinkingDatum:
             elif line.startswith("chi "):
                 _, rest = line.split(" ", 1)
                 _, vals = rest.split(":")
-                characters.append(
-                    tuple(RootExpr.parse(tok, order) for tok in vals.split())
-                )
+                values = [RootExpr.parse(tok, order) for tok in vals.split()]
+                if any(v.is_symbolic for v in values):
+                    raise ValueError(f"free parameter in character line {line!r}")
+                characters.append(tuple(v.exp for v in values))
             elif line.startswith("lambda "):
                 head, flag = line.split(":")
                 _, i, j = head.split()
@@ -175,28 +186,28 @@ class LinkingDatum:
 # ------------------------------------------------------------ realizations
 
 
-def realize_free(
-    matrix: BraidingMatrix,
-    diagram: LinkableDynkinDiagram,
-    z_values: Optional[dict[int, RootExpr]] = None,
-) -> LinkingDatum:
-    """Realize a matrix over Z^s with the canonical basis as the g_i.
+def _require_pure(inst: BraidingMatrix) -> None:
+    for i, zrow in enumerate(inst.zrows):
+        if zrow:
+            raise ValueError(f"{inst.entry(i, min(zrow))} contains free parameters")
 
-    Free parameters are substituted first (default 1).  The character
-    linking identity is rechecked; failures raise
-    LinkConstraintUnsatisfiable.
+
+def _realize(
+    inst: BraidingMatrix, diagram: LinkableDynkinDiagram, factor: int
+) -> LinkingDatum:
+    """The canonical-basis datum of a parameter-free matrix.
+
+    The group is (Z/factor)^s, Z^s for factor 0.  chi_j(e_i) = b_ij, so
+    the character exponents are the columns of the exponent grid.
     """
-    inst = matrix.instantiate(z_values)
     s = inst.size
     datum = LinkingDatum(
         order=inst.order,
-        factors=(0,) * s,
+        factors=(factor,) * s,
         elements=tuple(
             tuple(1 if t == i else 0 for t in range(s)) for i in range(s)
         ),
-        characters=tuple(
-            tuple(inst.entry(i, j) for i in range(s)) for j in range(s)
-        ),
+        character_exps=tuple(zip(*inst.exps)),
         linkable=diagram.linkable,
         linked=diagram.linked,
         diagram=diagram,
@@ -205,6 +216,22 @@ def realize_free(
     if failures:
         raise LinkConstraintUnsatisfiable("; ".join(failures))
     return datum
+
+
+def realize_free(
+    matrix: BraidingMatrix,
+    diagram: LinkableDynkinDiagram,
+    z_values: Optional[dict[int, RootExpr]] = None,
+) -> LinkingDatum:
+    """Realize a matrix over Z^s with the canonical basis as the g_i.
+
+    Free parameters are substituted first (default 1); values that
+    leave a free parameter raise ValueError.  The character linking
+    identity is rechecked; failures raise LinkConstraintUnsatisfiable.
+    """
+    inst = matrix.instantiate(z_values)
+    _require_pure(inst)
+    return _realize(inst, diagram, 0)
 
 
 def realize_mod_p(
@@ -223,25 +250,17 @@ def realize_mod_p(
     if modulus < 1:
         raise ValueError(f"modulus {modulus} must be positive")
     inst = matrix.instantiate(z_values)
-    s = inst.size
-    for i in range(s):
-        for j in range(s):
-            o = inst.entry(i, j).multiplicative_order()
+    _require_pure(inst)
+    d = inst.order
+    for i, row in enumerate(inst.exps):
+        for j, e in enumerate(row):
+            o = d // gcd(d, e)
             if modulus % o:
                 raise OrderNotDividing(
                     f"entry ({i + 1},{j + 1}) = {inst.entry(i, j)} has order "
                     f"{o}, which does not divide {modulus}"
                 )
-    free = realize_free(inst, diagram)
-    return LinkingDatum(
-        order=free.order,
-        factors=(modulus,) * s,
-        elements=free.elements,
-        characters=free.characters,
-        linkable=free.linkable,
-        linked=free.linked,
-        diagram=diagram,
-    )
+    return _realize(inst, diagram, modulus)
 
 
 # --------------------------------------------------------------- symmetrizer
@@ -324,13 +343,11 @@ def double_datum(
         double_cartan, pairs, frozenset(pairs), mode="finite"
     )
 
-    def q(e: int) -> RootExpr:
-        return RootExpr.root(q_order, e)
-
     characters = tuple(
-        tuple(q(symmetrizer[t] * cartan.a(t, j % n)) for t in range(n))
-        if j < n
-        else tuple(q(-symmetrizer[t] * cartan.a(t, j % n)) for t in range(n))
+        tuple(
+            (1 if j < n else -1) * symmetrizer[t] * cartan.a(t, j % n) % q_order
+            for t in range(n)
+        )
         for j in range(2 * n)
     )
     elements = tuple(
@@ -340,7 +357,7 @@ def double_datum(
         order=q_order,
         factors=(0,) * n,
         elements=elements,
-        characters=characters,
+        character_exps=characters,
         linkable=pairs,
         linked=frozenset(pairs),
         diagram=diagram,
@@ -420,10 +437,16 @@ def _satisfies_system(t: tuple[int, int, int, int], p: int) -> bool:
 
 def a4_scan(p: int) -> tuple[tuple[int, int, int, int], ...]:
     """All (n, m, k, l) solving the three congruences, by full search."""
-    _require_rank4_prime(p)
+    return _a4_scan(p, magic_pairs(p))
+
+
+def _a4_scan(
+    p: int, magic: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int, int, int], ...]:
+    # a4_scan given magic_pairs(p)
     pure = _pure_pairs(p)
     out = []
-    for n, m in magic_pairs(p):
+    for n, m in magic:
         cm, cl = (m - 2 * n) % p, (n - 2 * m - 1) % p
         for k, l in pure:
             if (k * cm + l * cl + 1) % p == 0:
@@ -439,7 +462,13 @@ def a4_closed_form(p: int) -> tuple[tuple[int, int, int, int], ...]:
     filtered through the congruences, so an ambiguous sign coupling in
     a formula cannot add spurious tuples.
     """
-    _require_rank4_prime(p)
+    return _a4_closed_form(p, magic_pairs(p))
+
+
+def _a4_closed_form(
+    p: int, magic: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int, int, int], ...]:
+    # a4_closed_form given magic_pairs(p)
     inv2, inv3, inv4 = (pow(x, -1, p) for x in (2, 3, 4))
     roots_m2 = sqrt_mod(-2, p)
     roots_5 = sqrt_mod(5, p)
@@ -467,7 +496,7 @@ def a4_closed_form(p: int) -> tuple[tuple[int, int, int, int], ...]:
                         cands.add((n, m, k, l))
 
     # generic case, signs of sqrt(5) coupled oppositely between l and k
-    for n, m in magic_pairs(p):
+    for n, m in magic:
         dm = (m - 2 * n) % p
         dn = (n - 2 * m - 1) % p
         if dm == 0 or dn == 0:
@@ -522,8 +551,10 @@ class A4Solution(NamedTuple):
 
 
 def a4_solve_zp2(p: int) -> A4Solution:
-    scan = a4_scan(p)
-    closed = a4_closed_form(p)
+    """Both routes, sharing one computation of magic_pairs(p)."""
+    magic = magic_pairs(p)
+    scan = _a4_scan(p, magic)
+    closed = _a4_closed_form(p, magic)
     return A4Solution(p, scan, closed, scan == closed)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import linkdyn
-from linkdyn import LinkableDynkinDiagram, validate_cartan
+from linkdyn import BraidingMatrix, LinkableDynkinDiagram, RootExpr, validate_cartan
 
 # directory holding the imported linkdyn package, so a child interpreter
 # runs the same source as the test process whatever its working directory
@@ -123,6 +123,25 @@ def small_family():
                     pair_sets.append((p, q))
             for pairs in pair_sets:
                 yield combo, pairs
+
+
+def random_entry(order, rng, symbolic=0.3):
+    """q^e, and with the given chance a product of one or two z_t^k too."""
+    zpow = ()
+    if rng.random() < symbolic:
+        zpow = tuple(
+            (t, rng.choice((-2, -1, 1, 2)))
+            for t in rng.sample(range(1, 5), rng.choice((1, 2)))
+        )
+    return RootExpr(order, rng.randrange(order), zpow)
+
+
+def perturbed(matrix, rng):
+    """The matrix with one random entry replaced by a random entry."""
+    rows = [list(row) for row in matrix.entries]
+    i, j = rng.randrange(matrix.size), rng.randrange(matrix.size)
+    rows[i][j] = random_entry(matrix.order, rng, symbolic=0.5)
+    return BraidingMatrix(matrix.order, rows)
 
 
 def run_cli(*argv, hash_seed=None):

@@ -28,7 +28,17 @@ from linkdyn import (
     verify,
 )
 
-from conftest import block_rows, circle, component_diag, diag, small_family
+from conftest import (
+    block_rows,
+    circle,
+    component_diag,
+    diag,
+    perturbed,
+    random_entry,
+    small_family,
+)
+from linkdyn.diagram import classify_components
+from linkdyn.fields import is_prime
 
 # a G2-like rank-two component with a_12 = -5, which no catalog knows,
 # linked to an A2
@@ -466,9 +476,11 @@ class TestIdentityForms:
         # leaves one behind must answer "none" without building a matrix
         complete = braiding._offdiagonal_entries
 
-        def leaky(diagram, diag):
-            out = complete(diagram, diag)
-            out[(1, 0)] = out[(1, 0)] * RootExpr.z(diag[0].order, 99)
+        def leaky(diagram):
+            out = complete(diagram)
+            v, c, t, _ = out[(1, 0)]
+            assert t == 0  # b_21 of a dotted pair carries no parameter
+            out[(1, 0)] = (v, c, 99, 1)
             return out
 
         monkeypatch.setattr(braiding, "_offdiagonal_entries", leaky)
@@ -480,6 +492,128 @@ class TestIdentityForms:
         for n in (5, 7, 12):
             for e in range(1, n):
                 assert not self.identities_hold(d, n, [e, -e % n])
+
+
+def reference_failures(diagram, matrix, mode):
+    """verify's failure messages by RootExpr arithmetic on every entry.
+
+    The verifier that the exponent-grid congruences replaced, kept as
+    the reference; it reads the matrix only through entry().
+    """
+    s = diagram.size
+    if matrix.size != s:
+        yield f"matrix size {matrix.size} != diagram size {s}"
+        return
+    b = matrix.entry
+
+    for i in range(s):
+        if b(i, i).is_symbolic:
+            yield f"diagonal b_{i + 1}{i + 1} = {b(i, i)} contains a free parameter"
+        elif b(i, i).is_one:
+            yield f"diagonal b_{i + 1}{i + 1} equals 1"
+
+    for i in range(s):
+        for j in range(s):
+            if i == j:
+                continue
+            left = b(i, j) * b(j, i)
+            right = b(i, i) ** diagram.a(i, j)
+            if left != right:
+                yield (
+                    f"product identity fails at ({i + 1},{j + 1}): "
+                    f"b_ij*b_ji = {left}, b_ii^a_ij = {right}"
+                )
+
+    for i, j in diagram.linkable:
+        for x, y in ((i, j), (j, i)):
+            exponent = 1 - diagram.a(x, y)
+            for k in range(s):
+                val = b(k, x) ** exponent * b(k, y)
+                if not val.is_one:
+                    yield (
+                        f"linking identity fails for pair ({x + 1},{y + 1}) "
+                        f"at k={k + 1}: got {val}"
+                    )
+
+    diag_ok = all(
+        not b(i, i).is_symbolic and not b(i, i).is_one for i in range(s)
+    )
+    if diag_ok and mode == "finite":
+        has_g2 = any(
+            c.label == "G2" for c in classify_components(diagram, "finite")
+        )
+        for i in range(s):
+            o = b(i, i).multiplicative_order()
+            if o <= 2:
+                yield f"order of b_{i + 1}{i + 1} is {o}, must exceed 2"
+            elif has_g2 and o % 3 == 0:
+                yield (
+                    f"order of b_{i + 1}{i + 1} is {o}, divisible by 3 "
+                    f"with a G2 component present"
+                )
+    elif diag_ok and mode == "affine":
+        orders = sorted({b(i, i).multiplicative_order() for i in range(s)})
+        if len(orders) > 1:
+            yield f"diagonal orders differ: {orders}"
+        elif not (orders[0] > 3 and is_prime(orders[0])):
+            yield f"diagonal order {orders[0]} is not a prime above 3"
+
+
+class TestGridAgainstReference:
+    """The congruence verifier against the RootExpr one, message for message."""
+
+    ORDERS = (3, 5, 6, 7, 9, 10, 12, 13, 15, 25)
+    # a phrase of each failure message verify can give
+    KINDS = (
+        "contains a free parameter",
+        "equals 1",
+        "product identity",
+        "linking identity",
+        "must exceed 2",
+        "with a G2 component present",
+        "diagonal orders differ",
+        "is not a prime above 3",
+    )
+
+    def matrices(self, d, rng):
+        s = d.size
+        n = rng.choice(self.ORDERS)
+        # the completion at a random diagonal: symbolic, mostly failing
+        out = [braiding._completed(d, n, [rng.randrange(n) for _ in range(s)])]
+        if d.is_link_connected() and check(d).decision == "yes":
+            built = construct(d)
+            out += [built, perturbed(built, rng), perturbed(built, rng)]
+        # pure and symbolic entries at random
+        rows = [[random_entry(n, rng) for _ in range(s)] for _ in range(s)]
+        out.append(BraidingMatrix(n, rows))
+        # a diagonal of distinct orders: the affine and G2 conditions
+        pure = [[random_entry(n, rng, symbolic=0) for _ in range(s)] for _ in range(s)]
+        for i in range(s):
+            pure[i][i] = RootExpr(n, rng.randrange(1, n))
+        out.append(BraidingMatrix(n, pure))
+        return out
+
+    def test_failures_match_reference(self):
+        rng = random.Random(20200207)
+        verdicts, kinds = set(), set()
+        for labels, pairs in small_family():
+            d = component_diag(list(labels), list(pairs))
+            for matrix in self.matrices(d, rng):
+                mode = rng.choice(("finite", "affine", "selflink"))
+                got = tuple(braiding._failures(d, matrix, mode))
+                want = tuple(reference_failures(d, matrix, mode))
+                assert got == want, (labels, pairs, mode, matrix.to_text())
+                verdicts.add(not got)
+                kinds.update(k for k in self.KINDS for f in got if k in f)
+        assert verdicts == {True, False}
+        assert kinds == set(self.KINDS)
+
+    def test_size_mismatch_matches_reference(self):
+        d = component_diag(["A1", "A1"], [(0, 1)])
+        m = BraidingMatrix(5, ((RootExpr.root(5, 1),),))
+        assert tuple(braiding._failures(d, m, "finite")) == tuple(
+            reference_failures(d, m, "finite")
+        )
 
 
 class TestDirectSum:

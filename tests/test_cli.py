@@ -346,6 +346,19 @@ class TestRealizeCommand:
         assert "realized over (Z/5)^2" in out
         assert "factors 5 5" in out
 
+    def test_finite_realization_instantiates_once(self, write, capsys, monkeypatch):
+        calls = []
+        instantiate = linkdyn.braiding.BraidingMatrix.instantiate
+
+        def counted(matrix, *args, **kwargs):
+            calls.append(args)
+            return instantiate(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linkdyn.braiding.BraidingMatrix, "instantiate", counted)
+        code, _ = run(capsys, "realize", write(A2A2), "--p", "5")
+        assert code == 0
+        assert len(calls) == 1
+
     def test_incompatible_modulus(self, write, capsys):
         code, out = run(capsys, "realize", write(A1A1), "--p", "7")
         assert code == 1
@@ -383,14 +396,30 @@ class TestA4Command:
         assert "disagree" in out
 
     def test_divergent_prime_solves_once(self, capsys, count_calls):
-        # the report lines and the tuple listing share one solution
-        scans = count_calls(linkdyn.realization, "a4_scan")
-        closed = count_calls(linkdyn.realization, "a4_closed_form")
+        # the report lines and the tuple listing share one solution, and
+        # both routes share one computation of the magic pairs
+        scans = count_calls(linkdyn.realization, "_a4_scan")
+        closed = count_calls(linkdyn.realization, "_a4_closed_form")
+        magic = count_calls(linkdyn.realization, "magic_pairs")
         code, out = run(capsys, "a4", "--p", "13")
         assert code == 1
         assert "disagree" in out
         assert len(scans) == 1
         assert len(closed) == 1
+        assert len(magic) == 1
+
+    def test_stdout_for_primes_to_199(self, capsys):
+        # sha256 of exit code and stdout of `a4 --p p` for every prime
+        # 5..199 in turn, recorded with the routes computing the magic
+        # pairs twice
+        digest = hashlib.sha256()
+        for p in range(5, 200):
+            if all(p % q for q in range(2, p)):
+                code, out = run(capsys, "a4", "--p", str(p))
+                digest.update(f"{code}\n{out}".encode("utf-8"))
+        assert digest.hexdigest() == (
+            "2e269bddda8d0e9349444e8107c0fbdb681973057419d999d6444dbfc59ac7d0"
+        )
 
     def test_composite_rejected(self, capsys):
         code, out = run(capsys, "a4", "--p", "6")
@@ -450,6 +479,74 @@ class TestPresentGolden:
             assert code == 0
             digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
         assert tuple(digests) == PRESENT_SHA256[(label, n)]
+
+
+# sha256 of `construct --machine`, `realize` and `realize --p <root
+# order>` stdout, recorded from the RootExpr-based matrices that the
+# exponent grids replaced
+MATRIX_SHA256 = {
+    ("A3", 16, 5): (
+        "6b2a998f1d56aaf1b12e5758bd03a42c18b5bea63f0d97899671934e4e8757b2",
+        "89cc489d50defff8299750bd44198c5c1f1f43d67d388c9e388f5252f94cd8d5",
+        "b2d02c2b81708d4a18f8183bc22b94c0477602bafed2955ec083e7cbb94a4281",
+    ),
+    ("B3", 8, 255): (
+        "c9042179692b401bd4c822add227b3d0549352d4127e0dfd9995db51324962c8",
+        "dc9e89fb02d14311390aae6b58f460fe6a808023d223341c8fe4a8c1c7fc80cd",
+        "c1b4f73faa19ebb7564c1d3d193e5b6c1fc6683ab54726ce49138bf0dbed2542",
+    ),
+    ("B3", 9, 513): (
+        "2b901f9b60dc8045b1f62ca1cfa20b5b3bfc5a96fe030108a369ad0dcc68b118",
+        "e8e38adaa79baad59dd2c4157078d6f016f4ec6e698dd0ffe30a034183c92487",
+        "d4ce45c12f02dec9b537f731cd6883d74ce00b8d8f90bc5fb5bd1bc37fa7b7f6",
+    ),
+    ("B3", 10, 1023): (
+        "c74a62ba42615f4ce4c7ea349e26b19ab224dad682580ac8f887c19b2b38609b",
+        "30a8eb932fe1bff1d7a1c355bb3f1cecc0886b2903f137e6cea2f4b6f2d54840",
+        "93cc368b027d339de7eb00352e9323db837311871bc0f1ec54a1dd62748a14fc",
+    ),
+}
+
+
+class TestMatrixGolden:
+    @pytest.mark.parametrize("label, n, order", sorted(MATRIX_SHA256))
+    def test_stdout_digests(self, write, capsys, label, n, order):
+        path = write(DiagramFile(circle(label, n), FieldSpec()).serialize())
+        digests = []
+        for argv in (
+            ("construct", path, "--machine"),
+            ("realize", path),
+            ("realize", path, "--p", str(order)),
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+        assert tuple(digests) == MATRIX_SHA256[(label, n, order)]
+
+    def test_corrupted_entry_failures(self, write, capsys, tmp_path):
+        # b_31 of the B3 ring of 8 sits in two product identities and in
+        # the linking identities of the dotted pair (1,24) at k = 3
+        path = write(DiagramFile(circle("B3", 8), FieldSpec()).serialize())
+        _, text = run(capsys, "construct", path, "--machine")
+        lines = text.splitlines()
+        row = lines[3].split()
+        assert row[0] == "q^0*z93^1"
+        row[0] = "q^7*z93^2"
+        lines[3] = " ".join(row)
+        matrix = tmp_path / "bad.matrix"
+        matrix.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out = run(capsys, "verify", path, "--matrix", str(matrix))
+        assert code == 1
+        assert out == (
+            "failure: product identity fails at (1,3): "
+            "b_ij*b_ji = q^7*z93^1, b_ii^a_ij = q^0\n"
+            "failure: product identity fails at (3,1): "
+            "b_ij*b_ji = q^7*z93^1, b_ii^a_ij = q^0\n"
+            "failure: linking identity fails for pair (1,24) at k=3: "
+            "got q^7*z93^1\n"
+            "failure: linking identity fails for pair (24,1) at k=3: "
+            "got q^7*z93^1\n"
+        )
 
 
 class TestSelflinkCommand:

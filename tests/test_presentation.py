@@ -58,7 +58,48 @@ def inversion_factorial(n):
     return out
 
 
+_REFERENCE_PHI = {}
+
+
+def recursive_cyclotomic(d):
+    """Phi_d by long division of x^d - 1 by Phi_e for every proper divisor e.
+
+    The construction that the product over (x^e - 1)^mu(d/e) replaced,
+    kept as the reference; each Phi_e comes from the same recursion.
+    """
+    if d not in _REFERENCE_PHI:
+        work = [-1] + [0] * (d - 1) + [1]
+        for e in range(1, d):
+            if d % e:
+                continue
+            den = recursive_cyclotomic(e)
+            dn = len(den) - 1
+            out = [0] * (len(work) - dn)
+            for top in range(len(work) - 1, dn - 1, -1):
+                c = work[top]
+                if c:
+                    out[top - dn] = c
+                    for t, dc in enumerate(den):
+                        work[top - dn + t] -= c * dc
+            assert not any(work)
+            work = out
+        _REFERENCE_PHI[d] = tuple(work)
+    return _REFERENCE_PHI[d]
+
+
 class TestCyclotomic:
+    def test_agrees_with_recursive_division(self):
+        cofactor = linkdyn.presentation._cofactor
+        for d in range(1, 1101):
+            phi = cyclotomic_polynomial(d)
+            assert phi == recursive_cyclotomic(d), d
+            # Phi_d * Psi_d = x^d - 1
+            prod = [0] * (d + 1)
+            for e, c in cofactor(d):
+                for f, k in enumerate(phi):
+                    prod[e + f] += c * k
+            assert prod == [-1] + [0] * (d - 1) + [1], d
+
     @pytest.mark.parametrize(
         "d, expected",
         [

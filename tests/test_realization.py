@@ -3,10 +3,20 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import COMPONENT_ROWS, component_diag, diag
+import random
+
+from conftest import (
+    COMPONENT_ROWS,
+    component_diag,
+    diag,
+    perturbed,
+    random_entry,
+    small_family,
+)
 from linkdyn import (
     BraidingMatrix,
     CartanMatrix,
+    check,
     LinkingDatum,
     RootExpr,
     a4_realizable_zp2,
@@ -217,6 +227,93 @@ class TestRealizeFree:
         bad = BraidingMatrix.from_text("root_order 5\nq^1 q^1\nq^1 q^1")
         with pytest.raises(LinkConstraintUnsatisfiable):
             realize_free(bad, dd)
+
+
+def reference_verify_datum(datum, source=None):
+    """verify_datum by RootExpr arithmetic on the characters.
+
+    The check that exponent lookups replaced, kept as the reference:
+    chi_j(g_i) is the product of chi_j(h_t)^(g_i)_t over the generators.
+    """
+    chars = datum.characters
+    failures = []
+    if source is not None:
+        for i in range(source.size):
+            for j in range(source.size):
+                induced = RootExpr.one(datum.order)
+                for t, e in enumerate(datum.elements[i]):
+                    induced = induced * chars[j][t] ** e
+                if induced != source.entry(i, j):
+                    failures.append(
+                        f"chi_{j + 1}(g_{i + 1}) = {induced} "
+                        f"but the matrix holds {source.entry(i, j)}"
+                    )
+    if datum.diagram is not None:
+        for i, j in datum.linkable:
+            for x, y in ((i, j), (j, i)):
+                exponent = 1 - datum.diagram.a(x, y)
+                for t in range(len(datum.factors)):
+                    val = chars[x][t] ** exponent * chars[y][t]
+                    if not val.is_one:
+                        failures.append(
+                            f"character identity fails for pair "
+                            f"({x + 1},{y + 1}) at generator {t + 1}: "
+                            f"got {val}"
+                        )
+    return tuple(failures)
+
+
+class TestVerifyDatumAgainstReference:
+    def data(self, d, rng):
+        s, n = d.size, rng.choice((5, 7, 9, 12, 25))
+        rows = [[random_entry(n, rng, symbolic=0) for _ in range(s)] for _ in range(s)]
+        random_matrix = BraidingMatrix(n, rows)
+        # random generators and characters, any support
+        yield LinkingDatum(
+            order=n,
+            factors=(0,) * s,
+            elements=tuple(
+                tuple(rng.choice((0, 0, 1, -1, 2)) for _ in range(s)) for _ in range(s)
+            ),
+            character_exps=tuple(
+                tuple(rng.randrange(n) for _ in range(s)) for _ in range(s)
+            ),
+            linkable=d.linkable,
+            linked=d.linked,
+            diagram=d,
+        ), (None, random_matrix)
+        if d.is_link_connected() and check(d).decision == "yes":
+            matrix = construct(d).instantiate()
+            datum = realize_free(matrix, d)
+            yield datum, (None, matrix, perturbed(matrix, rng), random_matrix)
+            # a canonical datum whose characters break the identities
+            yield LinkingDatum(
+                n, (0,) * s, datum.elements, random_matrix.exps, d.linkable,
+                d.linked, d,
+            ), (random_matrix, perturbed(random_matrix, rng))
+
+    def test_failures_match_reference(self):
+        rng = random.Random(20200208)
+        verdicts, kinds = set(), set()
+        for labels, pairs in small_family():
+            d = component_diag(list(labels), list(pairs))
+            for datum, sources in self.data(d, rng):
+                for source in sources:
+                    got = datum.verify_datum(source)
+                    assert got == reference_verify_datum(datum, source), (
+                        labels, pairs, datum.to_text()
+                    )
+                    verdicts.add(not got)
+                    kinds.update(f.split("_")[0].split(" ")[0] for f in got)
+        assert verdicts == {True, False}
+        # entry comparisons (chi_j(g_i) ...) and character identities
+        assert kinds == {"chi", "character"}
+
+    @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+    def test_doubles_match_reference(self, label):
+        datum = double_datum(cartan(label), q_order=7)
+        for source in (None, datum.braiding_matrix()):
+            assert datum.verify_datum(source) == reference_verify_datum(datum, source)
 
 
 class TestRealizeModP:
