@@ -20,7 +20,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .cycles import genus_gcd
+from .cycles import _potentials, genus_gcd
 from .diagram import ComponentType, LinkableDynkinDiagram, classify_components
 from .errors import (
     InadmissibleD,
@@ -536,44 +536,6 @@ def _validate_order(
 # ------------------------------------------------------------ construction
 
 
-def _diagonal_exponents(diagram: LinkableDynkinDiagram, d: int) -> list[int]:
-    """Propagate the diagonal exponent from vertex 0 over the link graph."""
-    s = diagram.size
-    exps: list[Optional[int]] = [None] * s
-    exps[0] = 1
-    order, parent = diagram.link_traversal()
-    for v in order[1:]:
-        u = parent[v]
-        if diagram.a(u, v) != 0:
-            ratio_den = diagram.a(v, u) % d
-            if gcd(ratio_den, d) != 1:
-                raise InadmissibleD(
-                    f"entry a({v + 1},{u + 1}) = {diagram.a(v, u)} is "
-                    f"not invertible modulo {d}"
-                )
-            exps[v] = exps[u] * diagram.a(u, v) * pow(ratio_den, -1, d) % d
-        else:
-            exps[v] = -exps[u] % d
-    if len(order) < s:
-        raise NotLinkConnected("the diagram is not link-connected")
-
-    # every edge must agree, not only the spanning tree used above
-    for u in range(s):
-        for v in range(u + 1, s):
-            if diagram.a(u, v) != 0:
-                if (exps[u] * diagram.a(u, v) - exps[v] * diagram.a(v, u)) % d:
-                    raise PathInconsistency(
-                        f"plain edge ({u + 1},{v + 1}) relates exponents "
-                        f"{exps[u]} and {exps[v]} inconsistently modulo {d}"
-                    )
-            if diagram.is_linkable_pair(u, v) and (exps[u] + exps[v]) % d:
-                raise PathInconsistency(
-                    f"dotted edge ({u + 1},{v + 1}) needs opposite exponents, "
-                    f"got {exps[u]} and {exps[v]} modulo {d}"
-                )
-    return exps  # type: ignore[return-value]
-
-
 # an off-diagonal entry of the completion as (v, c, t, k): the entry is
 # b_vv^c * z_t^k for every diagonal and root order; t = 0 means no z_t
 Slot = tuple[int, int, int, int]
@@ -673,11 +635,16 @@ def construct(
 
     The diagonal is propagated from the first vertex: crossing a dotted
     edge inverts the entry, crossing a plain edge raises it to the
-    power a_uv / a_vu.  Off-diagonal entries follow the four-class
-    completion with one fresh parameter z_t per class instance.  The
-    root order d must be admissible (diagram.mode decides the rules);
-    by default the largest admissible divisor of the genus gcd is used,
-    or the smallest admissible prime when all genera vanish.
+    power a_uv / a_vu.  These exponents are the potentials of the genus
+    gcd G modulo d, whose denominators (entries of recognized
+    components) every admissible d leaves invertible; as d divides G,
+    every fundamental cycle closes modulo d, so no edge is checked
+    again, and verify still checks every identity.  Off-diagonal
+    entries follow the four-class completion with one fresh parameter
+    z_t per class instance.  The root order d must be admissible
+    (diagram.mode decides the rules); by default the largest admissible
+    divisor of the genus gcd is used, or the smallest admissible prime
+    when all genera vanish.
     """
     if diagram.mode == "selflink":
         raise UnsupportedMode("construction requires standard linking mode")
@@ -692,7 +659,8 @@ def construct(
             + "; ".join(report.reasons)
         )
     d = _validate_order(diagram, d, diagram.mode, field, report.genus_gcd)
-    return _completed(diagram, d, _diagonal_exponents(diagram, d))
+    exps = [p.numerator * pow(p.denominator, -1, d) % d for p in _potentials(diagram)]
+    return _completed(diagram, d, exps)
 
 
 # ------------------------------------------------------------- brute force

@@ -9,6 +9,7 @@ verification failure, 2 excluded case, 3 input error, 4 internal error
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -491,6 +492,7 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return integer
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linkdyn",
@@ -503,56 +505,41 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="diagram file")
         return p
 
-    with_file("validate", "parse a diagram file and echo its normal form").set_defaults(
-        func=_cmd_validate
-    )
-    with_file("cycles", "list cycles with weights and genera").set_defaults(
-        func=_cmd_cycles
-    )
-    with_file("check", "decide whether a braiding matrix exists").set_defaults(
-        func=_cmd_check
-    )
+    with_file("validate", "parse a diagram file and echo its normal form")
+    with_file("cycles", "list cycles with weights and genera")
+    with_file("check", "decide whether a braiding matrix exists")
 
     p = with_file("construct", "build a braiding matrix")
     p.add_argument("--d", type=int, default=None, help="root order to use")
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=_cmd_construct)
 
     p = with_file("verify", "verify a matrix file against the diagram")
     p.add_argument("--matrix", required=True, help="matrix file")
-    p.set_defaults(func=_cmd_verify)
 
     p = with_file("oracle", "exhaustive search for a braiding matrix")
     p.add_argument(
         "--nmax", type=_int_at_least(5), default=30, help="largest root order"
     )
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=_cmd_oracle)
 
     p = with_file("realize", "realize the constructed matrix over a group")
     p.add_argument(
         "--p", type=_int_at_least(1), default=None, help="modulus for (Z/p)^s"
     )
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("a4", help="rank-four realizability over (Z/p)^2")
     p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=_cmd_a4)
 
     p = with_file("present", "emit the Hopf algebra presentation")
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=_cmd_present)
 
-    with_file("selflink", "constraints from same-component pairs").set_defaults(
-        func=_cmd_selflink
-    )
+    with_file("selflink", "constraints from same-component pairs")
 
     p = sub.add_parser("sum", help="direct sum of constructed matrices")
     p.add_argument("files", nargs="+", help="diagram files")
     p.add_argument("--homogeneous", action="store_true")
     p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=_cmd_sum)
 
     return parser
 
@@ -564,7 +551,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
     try:
-        return args.func(args)
+        # looked up at each call, so a replaced _cmd_ function takes effect
+        return globals()[f"_cmd_{args.command}"](args)
     except _FAILURE_ERRORS as exc:
         print(f"failure: {exc}")
         return 1

@@ -3,14 +3,18 @@
 A cycle is a closed, non self-intersecting walk using plain and dotted
 edges.  Its invariants (signed double and triple arrow counts, number of
 dotted edges) drive the genus formulas that decide whether a braiding
-matrix can exist.
+matrix can exist.  The gcd of all genera comes from one walk of the
+link graph, whose non-tree edges close a fundamental-cycle basis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .diagram import LinkableDynkinDiagram, edge_kind
 from .errors import NotAPath, UnsupportedEdgeInMode, VertexNotOnCycle
@@ -171,12 +175,52 @@ def genus(
     return cycle_invariants(diagram, cycle, mode).genus
 
 
+def _potentials(diagram: LinkableDynkinDiagram) -> list[Fraction]:
+    """Each vertex's diagonal exponent over the root of its link component.
+
+    The root, the smallest vertex, gets 1; down link_traversal a plain
+    edge u -> v multiplies by a_uv / a_vu and a dotted edge negates.
+    """
+    pot: list[Optional[Fraction]] = [None] * diagram.size
+    for root in range(diagram.size):
+        if pot[root] is None:
+            order, parent = diagram.link_traversal(root)
+            pot[root] = Fraction(1)
+            for v in order[1:]:
+                u = parent[v]
+                a_uv = diagram.a(u, v)
+                pot[v] = pot[u] * a_uv / diagram.a(v, u) if a_uv else -pot[u]
+    return pot  # type: ignore[return-value]
+
+
 def genus_gcd(diagram: LinkableDynkinDiagram, mode: str = "finite") -> int:
-    """Greatest common divisor of all cycle genera, 0 when all are 0."""
-    g = 0
-    for cycle in enumerate_cycles(diagram):
-        g = gcd(g, genus(diagram, cycle, mode))
-    return g
+    """Greatest common divisor of all cycle genera, 0 when all are 0.
+
+    A cycle's genus is the numerator of |r - 1|, r = (-1)^L 2^w2 3^w3
+    the product of a_vu / a_uv over its plain steps u -> v and of -1
+    over its dotted ones.  r is multiplicative on the cycle space, and
+    m divides the genus iff r is a unit congruent to 1 mod m, so the
+    gcd over the fundamental cycles of the _potentials forest, one per
+    edge off it, is the gcd over all cycles; the potentials give each
+    such r or 1 / r.  The cycles are enumerated only when a plain edge
+    outside the mode's cycle kinds, or doubling a dotted edge, has both
+    ends of link degree >= 2, so UnsupportedEdgeInMode names the edge
+    of the first cycle that holds one and two-vertex trips stay out.
+    """
+    edges = list(diagram.cartan.plain_edges())
+    degree = Counter(chain.from_iterable(chain(edges, diagram.linkable)))
+    for u, v in edges:
+        kind = edge_kind(diagram.a(u, v), diagram.a(v, u)).kind
+        if min(degree[u], degree[v]) >= 2 and (
+            diagram.is_linkable_pair(u, v) or kind not in _CYCLE_KINDS[mode]
+        ):
+            return gcd(*(genus(diagram, c, mode) for c in enumerate_cycles(diagram)))
+    pot = _potentials(diagram)
+    ratios = chain(
+        (pot[u] * diagram.a(u, v) / (diagram.a(v, u) * pot[v]) for u, v in edges),
+        (-pot[u] / pot[v] for u, v in diagram.linkable),
+    )
+    return gcd(*((r - 1).numerator for r in ratios))
 
 
 # ----------------------------------------------------------------- heights

@@ -85,7 +85,7 @@ class InadmissibleD(LinkdynError):
 
 
 class PathInconsistency(LinkdynError):
-    """Two propagation paths assign different values to the same vertex.
+    """Two dotted edges admit no orientation for the off-diagonal completion.
 
     Unreachable when the existence preconditions hold; raising it means a
     precondition was violated or there is a bug upstream.

@@ -26,6 +26,10 @@ COMPONENT_ROWS = {
     "A1": ((2,),),
     "A2": ((2, -1), (-1, 2)),
     "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    "A5": tuple(
+        tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(5))
+        for i in range(5)
+    ),
     # arrow toward the second vertex
     "B2": ((2, -2), (-1, 2)),
     # arrow toward the first vertex
@@ -81,6 +85,24 @@ def circle(label, n, mode="finite"):
         for k in range(n)
     ]
     return diag(rows, pairs, mode=mode)
+
+
+def prism(k, mode="finite"):
+    """Two rings of k A5 components joined by k rungs (10k vertices).
+
+    In each ring position 5 of component t is linked to position 1 of
+    component t + 1, and position 3 of component t is linked to
+    position 3 of component t in the other ring.  Contracted to the
+    position-3 vertices this is the prism graph over a k-cycle, which
+    is bipartite exactly when k is even.
+    """
+
+    def at(ring, t, pos):
+        return (ring * k + t % k) * 5 + pos - 1
+
+    pairs = [(at(r, t, 5), at(r, t + 1, 1)) for r in (0, 1) for t in range(k)]
+    pairs += [(at(0, t, 3), at(1, t, 3)) for t in range(k)]
+    return diag(block_rows(["A5"] * (2 * k)), pairs, mode=mode)
 
 
 LABEL_SIZES = {

@@ -1,5 +1,6 @@
 """Command line behavior: file parsing, exit codes, stable output."""
 
+import argparse
 import hashlib
 
 import pytest
@@ -659,6 +660,26 @@ class TestDispatchErrors:
             "internal error in construct: PathInconsistency: "
             "two paths disagree\n"
         )
+
+    def test_parser_built_once_per_process(self, write, capsys, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(self.prog)
+
+        linkdyn.cli._build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        try:
+            source = write(A1A1)
+            for argv in (["validate", source], ["check", source], ["a4", "--p", "5"]):
+                main(argv)
+            capsys.readouterr()
+        finally:
+            linkdyn.cli._build_parser.cache_clear()
+        assert built.count("linkdyn") == 1
+        assert len(built) == 12  # the top level and its 11 subcommands
 
     def test_usage_errors(self, capsys):
         assert main([]) == 3

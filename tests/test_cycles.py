@@ -6,16 +6,23 @@ code.
 """
 
 import itertools
+import random
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linkdyn.cycles
 from linkdyn import (
+    InadmissibleD,
     NotAPath,
+    UnsupportedComponentType,
+    UnsupportedEdgeInMode,
     VertexNotOnCycle,
     absolute_height,
     affine_genus_value,
+    check,
+    construct,
     cycle_invariants,
     enumerate_cycles,
     finite_genus_value,
@@ -24,10 +31,19 @@ from linkdyn import (
     height_over,
     level0_vertices,
     natural_orientation,
+    verify,
 )
 from linkdyn.cycles import signed_weights
 
-from conftest import block_rows, circle, component_diag, diag
+from conftest import (
+    COMPONENT_ROWS,
+    block_rows,
+    circle,
+    component_diag,
+    diag,
+    prism,
+    small_family,
+)
 
 import pytest
 
@@ -296,3 +312,148 @@ class TestHeights:
         d = circle("A3", 2)
         c = enumerate_cycles(d)[0]
         assert level0_vertices(d, c) == tuple(sorted(c.vertices))
+
+
+# ------------------------------------------------- basis against enumeration
+
+
+def reference_genus_gcd(diagram, mode="finite"):
+    """The gcd of the genera of every enumerated cycle, in list order."""
+    g = 0
+    for cycle in enumerate_cycles(diagram):
+        g = gcd(g, genus(diagram, cycle, mode))
+    return g
+
+
+def gcd_or_message(fold, diagram, mode):
+    try:
+        return fold(diagram, mode)
+    except UnsupportedEdgeInMode as exc:
+        return str(exc)
+
+
+RANDOM_LABELS = ("A1", "A2", "A3", "B2", "B2r", "B3", "G2", "G2r", "A1(1)", "A2(2)")
+
+
+def random_diagram(rng):
+    """2 to 6 random components and up to 2k tries at a disjoint dotted edge.
+
+    Tries that hit a used vertex or join a component to itself are
+    dropped, so the diagram need not be link-connected.
+    """
+    labels = [rng.choice(RANDOM_LABELS) for _ in range(rng.randint(2, 6))]
+    comp_of = [t for t, name in enumerate(labels) for _ in COMPONENT_ROWS[name]]
+    pairs, used = [], set()
+    for _ in range(rng.randint(0, 2 * len(labels))):
+        i, j = rng.randrange(len(comp_of)), rng.randrange(len(comp_of))
+        if comp_of[i] != comp_of[j] and not {i, j} & used:
+            pairs.append((i, j))
+            used.update((i, j))
+    mode = rng.choice(("finite", "affine"))
+    return labels, component_diag(labels, pairs, mode=mode)
+
+
+def decide_without_enumeration(diagram, calls):
+    """check, and construct plus verify on a yes, enumerating no cycle."""
+    before = len(calls)
+    report = check(diagram)
+    if report.decision == "yes":
+        assert verify(diagram, construct(diagram), diagram.mode).ok
+    assert len(calls) == before
+    return report
+
+
+class TestBasisAgainstEnumeration:
+    def test_random_diagrams(self, count_calls):
+        calls = count_calls(linkdyn.cycles, "enumerate_cycles")
+        rng = random.Random(8)
+        seen, messages, yes = set(), 0, []
+        for _ in range(5000):
+            labels, d = random_diagram(rng)
+            for mode in ("finite", "affine"):
+                got = gcd_or_message(genus_gcd, d, mode)
+                assert got == gcd_or_message(reference_genus_gcd, d, mode)
+                if isinstance(got, str):
+                    messages += 1
+                else:
+                    seen.add(got)
+            if not d.is_link_connected():
+                continue
+            try:
+                report = decide_without_enumeration(d, calls)
+            except UnsupportedComponentType:
+                continue
+            if report.decision == "yes" and {"B2", "B2r", "G2", "G2r"} & {*labels}:
+                yes.append(d)
+        assert messages > 300
+        assert {0, 1, 2, 3, 4, 5, 7, 8, 9} <= seen
+        # every root order either is refused up front or verifies
+        assert len(yes) > 200
+        for d in yes[:40]:
+            before = len(calls)
+            for order in range(1, 46):
+                try:
+                    m = construct(d, d=order)
+                except InadmissibleD:
+                    continue
+                assert verify(d, m, d.mode).ok
+            assert len(calls) == before
+
+    def test_parallel_plain_and_dotted_edges(self):
+        # selflink mode: the two-vertex round trip is no cycle
+        for labels, pairs in (
+            (["A2"], [(0, 1)]),
+            (["B2"], [(0, 1)]),
+            (["B3"], [(1, 2)]),
+            (["B3"], [(0, 2)]),
+            (["B3", "A2"], [(1, 2), (0, 3)]),
+        ):
+            d = component_diag(labels, pairs, mode="selflink")
+            for mode in ("finite", "affine"):
+                assert genus_gcd(d, mode) == reference_genus_gcd(d, mode)
+
+    def test_small_family_and_rings(self, count_calls):
+        calls = count_calls(linkdyn.cycles, "enumerate_cycles")
+        diagrams = [
+            component_diag(labels, pairs, mode=mode)
+            for labels, pairs in small_family()
+            for mode in ("finite", "affine")
+        ]
+        diagrams += [
+            circle(label, n, mode)
+            for label in ("A3", "B3")
+            for n in range(2, 9)
+            for mode in ("finite", "affine")
+        ]
+        decided = 0
+        for d in diagrams:
+            got = gcd_or_message(genus_gcd, d, d.mode)
+            assert got == gcd_or_message(reference_genus_gcd, d, d.mode)
+            if d.is_link_connected():
+                try:
+                    decide_without_enumeration(d, calls)
+                    decided += 1
+                except UnsupportedComponentType:
+                    pass
+        assert decided > 600
+
+
+class TestPrism:
+    def test_small_prisms_enumerate_nothing(self, count_calls):
+        calls = count_calls(linkdyn.cycles, "enumerate_cycles")
+        for k in (4, 6):
+            assert genus_gcd(prism(k)) == reference_genus_gcd(prism(k))
+        report = decide_without_enumeration(prism(6), calls)
+        assert (report.decision, report.genus_gcd) == ("yes", 0)
+        assert not calls
+
+    def test_parity_decides(self):
+        for k, decision, g in ((15, "no", 2), (16, "yes", 0)):
+            report = check(prism(k))
+            assert (report.decision, report.genus_gcd) == (decision, g)
+
+    def test_construct_and_verify_at_320_vertices(self):
+        d = prism(32)
+        m = construct(d)
+        assert (m.size, m.order) == (320, 5)
+        assert verify(d, m).ok

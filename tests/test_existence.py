@@ -119,10 +119,10 @@ class TestCheckFinite:
                 assert rep.decision == "yes"
                 assert rep.admissible == (p,)
 
-    def test_enumerates_cycles_once(self, count_calls):
+    def test_enumerates_no_cycles(self, count_calls):
         calls = count_calls(linkdyn.cycles, "enumerate_cycles")
         assert check(circle("A3", 2)).decision == "yes"
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_field_blocks_required_genus_divisor(self):
         # genus gcd 3 but GF(11) has no cube roots of unity
