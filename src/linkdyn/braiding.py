@@ -659,7 +659,7 @@ def construct(
             + "; ".join(report.reasons)
         )
     d = _validate_order(diagram, d, diagram.mode, field, report.genus_gcd)
-    exps = [p.numerator * pow(p.denominator, -1, d) % d for p in _potentials(diagram)]
+    exps = [num * pow(den, -1, d) % d for num, den in _potentials(diagram)]
     return _completed(diagram, d, exps)
 
 

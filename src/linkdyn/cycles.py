@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -175,21 +174,30 @@ def genus(
     return cycle_invariants(diagram, cycle, mode).genus
 
 
-def _potentials(diagram: LinkableDynkinDiagram) -> list[Fraction]:
+def _potentials(diagram: LinkableDynkinDiagram) -> list[tuple[int, int]]:
     """Each vertex's diagonal exponent over the root of its link component.
 
     The root, the smallest vertex, gets 1; down link_traversal a plain
     edge u -> v multiplies by a_uv / a_vu and a dotted edge negates.
+    Each exponent is a (numerator, denominator) pair in lowest terms
+    with a positive denominator.
     """
-    pot: list[Optional[Fraction]] = [None] * diagram.size
+    pot: list[Optional[tuple[int, int]]] = [None] * diagram.size
     for root in range(diagram.size):
         if pot[root] is None:
             order, parent = diagram.link_traversal(root)
-            pot[root] = Fraction(1)
+            pot[root] = (1, 1)
             for v in order[1:]:
                 u = parent[v]
+                num, den = pot[u]  # type: ignore[misc]
                 a_uv = diagram.a(u, v)
-                pot[v] = pot[u] * a_uv / diagram.a(v, u) if a_uv else -pot[u]
+                if a_uv:
+                    # both entries are negative on a plain edge
+                    num, den = num * -a_uv, den * -diagram.a(v, u)
+                    g = gcd(num, den)
+                    pot[v] = (num // g, den // g)
+                else:
+                    pot[v] = (-num, den)
     return pot  # type: ignore[return-value]
 
 
@@ -216,11 +224,18 @@ def genus_gcd(diagram: LinkableDynkinDiagram, mode: str = "finite") -> int:
         ):
             return gcd(*(genus(diagram, c, mode) for c in enumerate_cycles(diagram)))
     pot = _potentials(diagram)
-    ratios = chain(
-        (pot[u] * diagram.a(u, v) / (diagram.a(v, u) * pot[v]) for u, v in edges),
-        (-pot[u] / pot[v] for u, v in diagram.linkable),
-    )
-    return gcd(*((r - 1).numerator for r in ratios))
+    numerators = []
+    # a dotted edge enters r as a_uv / a_vu = -1 / 1
+    for u, v, a_uv, a_vu in chain(
+        ((u, v, diagram.a(u, v), diagram.a(v, u)) for u, v in edges),
+        ((u, v, -1, 1) for u, v in diagram.linkable),
+    ):
+        # r = n / d, and |r - 1| in lowest terms has numerator
+        # |n - d| / gcd(n - d, d)
+        n = pot[u][0] * pot[v][1] * a_uv
+        d = pot[u][1] * pot[v][0] * a_vu
+        numerators.append(abs(n - d) // gcd(n - d, d))
+    return gcd(*numerators)
 
 
 # ----------------------------------------------------------------- heights

@@ -142,6 +142,14 @@ class LinkableDynkinDiagram:
         # derived data lives outside the fields, so equality and hashing
         # still see only the matrix, the dotted edges and the mode
         object.__setattr__(self, "_partner", partner)
+        object.__setattr__(
+            self,
+            "_neighbors",
+            tuple(
+                tuple(u for u, x in enumerate(row) if x and u != v)
+                for v, row in enumerate(self.cartan.entries)
+            ),
+        )
         object.__setattr__(self, "_components", {})
         object.__setattr__(self, "_traversals", {})
         if not self.linked <= set(self.linkable):
@@ -165,7 +173,8 @@ class LinkableDynkinDiagram:
         return self.cartan.a(i, j)
 
     def plain_neighbors(self, v: int) -> list[int]:
-        return [u for u in range(self.size) if u != v and self.a(v, u) != 0]
+        """Vertices joined to v by a plain edge, ascending (a fresh list)."""
+        return list(self._neighbors[v])
 
     def partner(self, v: int) -> Optional[int]:
         """The other end of the dotted edge at v, or None."""

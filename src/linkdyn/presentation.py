@@ -14,7 +14,7 @@ the test never reduces a dense vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .braiding import RootExpr
 from .errors import IndexOutOfRange
@@ -22,6 +22,8 @@ from .realization import LinkingDatum
 
 Sym = tuple[tuple[str, int], ...]
 Key = tuple[int, Sym]
+# one coefficient of a text relation: _split_sign of it, None when zero
+_Slot = Optional[tuple[int, str]]
 
 
 def _mobius(n: int) -> int:
@@ -314,6 +316,11 @@ def qbinomial(n: int, i: int, q: QValue) -> QValue:
     """q-binomial bracket by the Pascal recurrence, no division."""
     if n < 0 or i < 0 or i > n:
         raise IndexOutOfRange(f"q-binomial needs 0 <= i <= n, got ({n}, {i})")
+    return _qbinomial_row(n, q)[i]
+
+
+def _qbinomial_row(n: int, q: QValue) -> list[QValue]:
+    # [n choose k]_q for k = 0 .. n, one Pascal row
     row = [QValue.one(q.root_order)]
     for r in range(n):
         new = []
@@ -325,7 +332,7 @@ def qbinomial(n: int, i: int, q: QValue) -> QValue:
                 val = val + row[c - 1]
             new.append(val)
         row = new
-    return row[i]
+    return row
 
 
 def check_identity(which: int, n: int, i: int, q: QValue) -> bool:
@@ -373,10 +380,9 @@ def _serre_brackets(a_ij: int, q_i: QValue) -> list[QValue]:
     # the factors (-1)^k [1-a_ij choose k]_{q_i} q_i^(k(k-1)/2) of c_k
     if a_ij > 0:
         raise ValueError("off-diagonal Cartan entries are nonpositive")
-    top = 1 - a_ij
     out = []
-    for k in range(top + 1):
-        c = qbinomial(top, k, q_i) * q_i ** (k * (k - 1) // 2)
+    for k, c in enumerate(_qbinomial_row(1 - a_ij, q_i)):
+        c = c * q_i ** (k * (k - 1) // 2)
         out.append(-c if k % 2 else c)
     return out
 
@@ -463,12 +469,12 @@ def _split_sign(c: QValue) -> tuple[int, str]:
     return 1, f"({c.render()})"
 
 
-def _signed_sum(coeffs: list[QValue], words: list[str]) -> str:
+def _signed_sum(slots: list[_Slot], words: list[str]) -> str:
     parts: list[str] = []
-    for c, w in zip(coeffs, words):
-        if c.is_zero:
+    for slot, w in zip(slots, words):
+        if slot is None:
             continue
-        sign, body = _split_sign(c)
+        sign, body = slot
         piece = w if body == "1" else f"{body} {w}"
         if not parts:
             parts.append(piece if sign > 0 else f"-{piece}")
@@ -484,7 +490,9 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
     carry the exact character coefficients, and each vertex pair i < j
     contributes one crossed-power relation whose left side has 2 - a_ij
     coefficient slots (zero coefficients are dropped from the text form
-    but kept in the machine form).
+    but kept in the machine form).  The slots depend only on
+    (a_ij, b_ii, b_ij), so each distinct triple is built, zero-tested
+    and rendered once per call.
     """
     diagram = datum.diagram
     if diagram is None:
@@ -529,19 +537,27 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
     def root_power(e: int) -> QValue:
         return QValue._make(datum.order, {(e, ()): 1})
 
-    # the q_i-only factors of the Serre coefficients, per (a_ij, b_ii),
-    # with b_ii and b_ij read as exponents of q
+    # the Serre coefficients depend only on (a_ij, b_ii, b_ij), read as
+    # exponents of q: per key the machine field and the text slots, and
+    # per (a_ij, b_ii) their q_i-only brackets
     brackets: dict[tuple[int, int], list[QValue]] = {}
+    slots: dict[tuple[int, int, int], tuple[str, list[_Slot]]] = {}
     for i in range(s):
         e_ii = datum.entry_exp(i, i)
         q_i = root_power(e_ii)
         for j in range(i + 1, s):
             a = diagram.a(i, j)
             top = 1 - a
-            key = (a, e_ii)
-            if key not in brackets:
-                brackets[key] = _serre_brackets(a, q_i)
-            coeffs = _crossed(brackets[key], root_power(datum.entry_exp(i, j)))
+            key = (a, e_ii, datum.entry_exp(i, j))
+            if key not in slots:
+                if (a, e_ii) not in brackets:
+                    brackets[a, e_ii] = _serre_brackets(a, q_i)
+                coeffs = _crossed(brackets[a, e_ii], root_power(key[2]))
+                slots[key] = (
+                    " ; ".join(c.render() for c in coeffs),
+                    [None if c.is_zero else _split_sign(c) for c in coeffs],
+                )
+            field, split = slots[key]
             words_text = [_serre_word(i, j, top, k, " ") for k in range(top + 1)]
             words_mach = [_serre_word(i, j, top, k, "*") for k in range(top + 1)]
             lam = 1 if (i, j) in datum.linked else 0
@@ -556,15 +572,14 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
             else:
                 rhs = "0"
             machine = (
-                f"serre {i + 1} {j + 1} | coeffs: "
-                + " ; ".join(c.render() for c in coeffs)
+                f"serre {i + 1} {j + 1} | coeffs: {field}"
                 + " | words: "
                 + " , ".join(words_mach)
                 + f" | rhs: lambda={lam}"
                 + (f" g={gw}" if lam else "")
             )
             rels.append(
-                Relation("serre", f"{_signed_sum(coeffs, words_text)} = {rhs}", machine)
+                Relation("serre", f"{_signed_sum(split, words_text)} = {rhs}", machine)
             )
 
     copro = [f"delta(h_{t + 1}) = h_{t + 1} (x) h_{t + 1}" for t in range(l)]

@@ -7,6 +7,7 @@ code.
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
@@ -325,6 +326,20 @@ def reference_genus_gcd(diagram, mode="finite"):
     return g
 
 
+def reference_potentials(diagram):
+    """The potentials as Fractions, the walk genus_gcd first used."""
+    pot = [None] * diagram.size
+    for root in range(diagram.size):
+        if pot[root] is None:
+            order, parent = diagram.link_traversal(root)
+            pot[root] = Fraction(1)
+            for v in order[1:]:
+                u = parent[v]
+                a_uv = diagram.a(u, v)
+                pot[v] = pot[u] * a_uv / diagram.a(v, u) if a_uv else -pot[u]
+    return pot
+
+
 def gcd_or_message(fold, diagram, mode):
     try:
         return fold(diagram, mode)
@@ -398,6 +413,15 @@ class TestBasisAgainstEnumeration:
                     continue
                 assert verify(d, m, d.mode).ok
             assert len(calls) == before
+
+    def test_potentials_in_lowest_terms(self):
+        rng = random.Random(9)
+        diagrams = [random_diagram(rng)[1] for _ in range(2000)]
+        diagrams += [circle("B3", n) for n in range(2, 9)] + [prism(4)]
+        for d in diagrams:
+            assert linkdyn.cycles._potentials(d) == [
+                (p.numerator, p.denominator) for p in reference_potentials(d)
+            ]
 
     def test_parallel_plain_and_dotted_edges(self):
         # selflink mode: the two-vertex round trip is no cycle

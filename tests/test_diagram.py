@@ -19,7 +19,7 @@ from linkdyn import (
 )
 from linkdyn.diagram import _find_isomorphism, _affine_templates, _finite_templates
 
-from conftest import block_rows, component_diag, diag
+from conftest import block_rows, component_diag, diag, prism, small_family
 
 
 def cartan_ok(rows):
@@ -142,6 +142,21 @@ class TestDiagramInvariants:
         order.append(7)
         parent[7] = 2
         assert d.link_traversal() == ([0, 1, 2], {0: None, 1: 0, 2: 1})
+
+    def test_plain_neighbors_match_row_scan(self):
+        # the neighbour tuples kept on the diagram against the scan of
+        # its matrix row that each call used to make
+        diagrams = [component_diag(list(l), list(p)) for l, p in small_family()]
+        for d in diagrams + [prism(16)]:
+            for v in range(d.size):
+                scan = [u for u in range(d.size) if u != v and d.a(v, u) != 0]
+                got = d.plain_neighbors(v)
+                assert got == scan
+                got.append(v)
+                assert d.plain_neighbors(v) == scan
+        # equality and hashing still see only the fields
+        assert prism(16) == prism(16)
+        assert hash(prism(16)) == hash(prism(16))
 
 
 class TestClassification:

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import linkdyn.presentation
-from conftest import circle, component_diag
+from conftest import circle, component_diag, small_family
 from linkdyn import (
     CartanMatrix,
     QValue,
+    admissible_orders,
+    check,
     check_identity,
     construct,
     cyclotomic_polynomial,
@@ -448,6 +450,25 @@ class TestSerreCoefficients:
             serre_coefficients(1, QValue.q(), QValue.q())
 
 
+def reference_signed_sum(coeffs, words):
+    """A Serre left side built per pair from QValue coefficients.
+
+    Zero-tests and splits every coefficient of its own pair; the
+    reference for the slots emit_presentation shares between pairs.
+    """
+    parts = []
+    for c, w in zip(coeffs, words):
+        if c.is_zero:
+            continue
+        sign, body = linkdyn.presentation._split_sign(c)
+        piece = w if body == "1" else f"{body} {w}"
+        if not parts:
+            parts.append(piece if sign > 0 else f"-{piece}")
+        else:
+            parts.append(f" + {piece}" if sign > 0 else f" - {piece}")
+    return "".join(parts) if parts else "0"
+
+
 class TestEmitPresentation:
     def test_rank_one_double(self):
         pres = emit_presentation(double_datum(CartanMatrix(((2,),))))
@@ -525,15 +546,70 @@ class TestEmitPresentation:
             for i in range(dd.size)
             for j in range(i + 1, dd.size)
         }
-        calls = count_calls(linkdyn.presentation, "qbinomial")
+        calls = count_calls(linkdyn.presentation, "_qbinomial_row")
         emit_presentation(datum)
-        # [1 - a_ij choose k]_{q_i} for k = 0 .. 1 - a_ij, once per key
-        # a_ij in {0, -1} and b_ii in {q, q^-1}, against 1,128 pairs
+        # one Pascal row [1 - a_ij choose k]_{q_i}, k = 0 .. 1 - a_ij, per
+        # key a_ij in {0, -1} and b_ii in {q, q^-1}, against 1,128 pairs
         assert len(keys) == 4
-        assert len(calls) == sum(2 - a for a, _ in keys)
-        assert {(n, str(q)) for n, _k, q in calls} == {
+        assert sorted((n, str(q)) for n, q in calls) == sorted(
             (1 - a, str(QValue.from_root_expr(b_ii))) for a, b_ii in keys
+        )
+
+    def test_serre_slots_built_once_per_key(self, count_calls):
+        dd = circle("A3", 16)
+        datum = realize_free(construct(dd), dd)
+        pairs = [(i, j) for i in range(dd.size) for j in range(i + 1, dd.size)]
+        keys = {
+            (dd.a(i, j), datum.entry_exp(i, i), datum.entry_exp(i, j))
+            for i, j in pairs
         }
+        calls = count_calls(linkdyn.presentation, "_crossed")
+        emit_presentation(datum)
+        # the coefficients are crossed with b_ij once per distinct
+        # (a_ij, b_ii, b_ij), not once per vertex pair
+        assert (len(pairs), len(keys)) == (1128, 8)
+        assert len(calls) == len(keys)
+
+    @staticmethod
+    def differential_data():
+        for labels, pairs in small_family():
+            dd = component_diag(list(labels), list(pairs))
+            if dd.is_link_connected() and check(dd).decision == "yes":
+                orders = admissible_orders(dd)
+                for n in sorted({orders[0], orders[-1]}):
+                    yield realize_free(construct(dd, n), dd)
+        for label, n in (("A3", 2), ("A3", 4), ("A3", 16), ("B3", 3), ("B3", 8)):
+            dd = circle(label, n)
+            yield realize_free(construct(dd), dd)
+
+    def test_serre_relations_match_public_coefficients(self):
+        # every Serre relation against serre_coefficients evaluated for
+        # its own pair, rendered and summed the way it was per pair
+        rendered = set()
+        for datum in self.differential_data():
+            dd = datum.diagram
+            pairs = [(i, j) for i in range(dd.size) for j in range(i + 1, dd.size)]
+            serre = [r for r in emit_presentation(datum).relations if r.kind == "serre"]
+            assert len(serre) == len(pairs)
+            for rel, (i, j) in zip(serre, pairs):
+                a = dd.a(i, j)
+                coeffs = serre_coefficients(
+                    a,
+                    QValue.from_root_expr(datum.braiding_entry(i, i)),
+                    QValue.from_root_expr(datum.braiding_entry(i, j)),
+                )
+                field = rel.machine.split(" | coeffs: ")[1].split(" | ")[0]
+                assert field == " ; ".join(c.render() for c in coeffs)
+                words = [
+                    linkdyn.presentation._serre_word(i, j, 1 - a, k, " ")
+                    for k in range(2 - a)
+                ]
+                left = rel.text.split(" = ")[0]
+                assert left == reference_signed_sum(coeffs, words)
+                rendered.add(field)
+        # zero slots and slots holding a sum both occur
+        assert any(" ; 0 ; " in f for f in rendered)
+        assert any(" + " in f for f in rendered)
 
     def test_requires_diagram(self):
         base = double_datum(CartanMatrix(((2,),)))
