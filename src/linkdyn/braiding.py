@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain
-from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, product
+from math import gcd, lcm, prod
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .cycles import _potentials, genus_gcd
 from .diagram import ComponentType, LinkableDynkinDiagram, classify_components
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fields import CYCLOTOMIC, FieldSpec, is_prime
 
-_Z_LIMIT = 2_000_000  # brute-force assignments we are willing to enumerate
+_Z_LIMIT = 2_000_000  # diagonals per root order the oracle is willing to enumerate
 
 
 # ---------------------------------------------------------------- RootExpr
@@ -675,18 +675,6 @@ class OracleResult(NamedTuple):
     n_max: int
 
 
-def _solve_linear(a: int, b: int, n: int) -> list[int]:
-    # all x with a*x == b (mod n), ascending
-    a %= n
-    b %= n
-    g = gcd(a, n)
-    if b % g:
-        return []
-    step = n // g
-    x0 = (b // g) * pow((a // g) % step, -1, step) % step if step > 1 else 0
-    return [x0 + t * step for t in range(g)]
-
-
 def _order_ok(e: int, n: int, mode: str, has_g2: bool) -> bool:
     if e % n == 0:
         return False
@@ -708,7 +696,10 @@ def _identity_forms(
     fresh z_t.  With diagonal q^e at order n the identity holds iff no
     z_t remains and the diagonal powers c_v give sum c_v e_v == 0
     (mod n); each form lists its (v, c_v).  None when some identity
-    keeps a z_t, which no diagonal can cancel.
+    keeps a z_t, which no diagonal can cancel.  The two product
+    identities of an edge give its constraint, a_vu e_v == a_uv e_u
+    (plain) or e_v == -e_u (dotted).  The forms come from construct's
+    completion, so the oracle that reads them is not independent of it.
     """
     s = diagram.size
     a = diagram.cartan.entries
@@ -742,28 +733,44 @@ def _identity_forms(
     return tuple(sorted(forms))
 
 
-def _forms_hold(
-    forms: Sequence[Sequence[tuple[int, int]]], n: int, exps: Sequence[int]
-) -> bool:
-    """Whether diagonal q^exps at order n satisfies every identity form."""
-    for form in forms:
-        if sum(c * exps[v] for v, c in form) % n:
-            return False
-    return True
+def _diagonalize(
+    rows: Sequence[Sequence[tuple[int, int]]], s: int
+) -> tuple[list[int], list[list[int]]]:
+    """d_1..d_s (zero past the rank) and the columns of V, U F V = diag(d).
 
-
-def _search_space(diagram: LinkableDynkinDiagram, order: list[int], n: int) -> int:
-    # candidates per vertex are bounded by its tightest earlier constraint
-    est = n - 1
-    for idx, v in enumerate(order[1:], start=1):
-        tightest = n
-        for u in order[:idx]:
-            if diagram.a(v, u) != 0:
-                tightest = min(tightest, gcd(abs(diagram.a(v, u)), n))
-            elif diagram.is_linkable_pair(v, u):
-                tightest = 1
-        est *= tightest
-    return est
+    F has one row per form, given by its (v, c_v), in s unknowns; U and
+    V are unimodular, found by integer row and column operations (Cohen,
+    A Course in Computational Algebraic Number Theory, 2.4).  So F e == 0
+    (mod n) exactly for e = V y with every d_i y_i == 0 (mod n).
+    """
+    m = [[dict(form).get(v, 0) for v in range(s)] for form in rows]
+    cols = [[int(i == j) for i in range(s)] for j in range(s)]
+    diag = [0] * s
+    t = 0
+    # the rows left have zeros left of column t; the least entry moves to
+    # (t, t) and reduces its column and row until both are clear
+    while m := [row for row in m if any(row)]:
+        _, p, j = min(
+            (abs(x), p, j) for p, row in enumerate(m) for j, x in enumerate(row) if x
+        )
+        m[0], m[p] = m[p], m[0]
+        for row in m:
+            row[t], row[j] = row[j], row[t]
+        cols[t], cols[j] = cols[j], cols[t]
+        top, pivot = m[0], m[0][t]
+        for row in m[1:]:
+            if q := row[t] // pivot:
+                row[:] = [x - q * y for x, y in zip(row, top)]
+        for k in range(t + 1, s):
+            if q := top[k] // pivot:
+                for row in m:
+                    row[k] -= q * row[t]
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[t])]
+        if not any(top[t + 1 :]) and not any(row[t] for row in m[1:]):
+            diag[t] = pivot
+            m.pop(0)
+            t += 1
+    return diag, cols
 
 
 def brute_force_exists(
@@ -775,16 +782,15 @@ def brute_force_exists(
 
     Root orders are scanned ascending (finite mode: 5..n_max, affine
     mode: primes above 3 up to n_max, both limited to orders the field
-    provides).  For each order every diagonal assignment compatible
-    with the edge constraints is screened against verify's identities
-    under the four-class completion, compiled once into integer forms
-    in the diagonal exponents; only the first passing diagonal in scan
-    order is completed, and verify must accept it (RuntimeError
-    otherwise).  Components must be recognized as check requires
-    (UnsupportedComponentType) and n_max below 5 is a ValueError.  The
-    search space is estimated up front and ScaleExceeded is raised when
-    it is too large; diagrams without branching edges stay cheap at any
-    size.
+    provides).  verify's identities under the four-class completion,
+    as integer forms in the diagonal exponents, are diagonalized once;
+    each order's diagonals that satisfy them are read off that form.
+    The witness is the least of them, in link traversal order, whose
+    entries all have an admissible order; only it is completed, and
+    verify must accept it (RuntimeError otherwise).  Components must be
+    recognized as check requires (UnsupportedComponentType), n_max
+    below 5 is a ValueError, and ScaleExceeded is raised when some
+    order has more such diagonals than the search will enumerate.
     """
     if n_max < 5:
         raise ValueError(f"order bound {n_max} is below 5, the least order scanned")
@@ -796,75 +802,50 @@ def brute_force_exists(
     _recognized_components(diagram, mode)
     has_g2 = mode == "finite" and _has_g2(diagram)
     s = diagram.size
-
-    # fixed visit order: breadth-first from vertex 0 over the link graph
     order, _ = diagram.link_traversal()
-
     candidates_n = [
         n
         for n in range(5, n_max + 1)
         if field.has_primitive_root(n)
         and (mode == "finite" or is_prime(n))
     ]
-    worst = max((_search_space(diagram, order, n) for n in candidates_n), default=0)
-    if worst > _Z_LIMIT:
-        raise ScaleExceeded(
-            f"about {worst} diagonal assignments at {s} vertices; "
-            f"shrink the diagram or the order bound"
-        )
-
-    def assignments(n: int) -> Iterable[list[int]]:
-        exps: list[Optional[int]] = [None] * s
-
-        def extend(idx: int) -> Iterable[list[int]]:
-            if idx == len(order):
-                yield [e for e in exps]  # type: ignore[misc]
-                return
-            v = order[idx]
-            # level 0 is the root exponent; later vertices follow earlier ones
-            constraints: list[Iterable[int]] = [range(n)] if idx == 0 else []
-            for u in order[:idx]:
-                eu = exps[u]
-                if diagram.a(v, u) != 0:
-                    constraints.append(
-                        _solve_linear(diagram.a(v, u), eu * diagram.a(u, v), n)
-                    )
-                elif diagram.is_linkable_pair(v, u):
-                    constraints.append([-eu % n])
-            if not constraints:
-                raise NotLinkConnected("vertex order is not link-contiguous")
-            options = set(constraints[0])
-            for c in constraints[1:]:
-                options &= set(c)
-            for e in sorted(options):
-                if not _order_ok(e, n, mode, has_g2):
-                    continue
-                exps[v] = e
-                yield from extend(idx + 1)
-                exps[v] = None
-
-        yield from extend(0)
 
     none = OracleResult(False, None, None, n_max)
-    candidates = ((n, exps) for n in candidates_n for exps in assignments(n))
-    first = next(candidates, None)
-    if first is None:
-        return none
-    # compiled at the first candidate, so PathInconsistency from the
-    # completion surfaces exactly where building its matrix would raise it
     forms = _identity_forms(diagram)
     if forms is None:
         return none
-    for n, exps in chain((first,), candidates):
-        if _forms_hold(forms, n, exps):
-            matrix = _completed(diagram, n, exps)
-            report = verify(diagram, matrix, mode)
-            if not report.ok:
-                raise RuntimeError(
-                    f"identity forms accepted a diagonal that verify rejects "
-                    f"at root order {n}: " + "; ".join(report.failures)
-                )
-            return OracleResult(True, n, matrix, n_max)
+    diag, cols = _diagonalize(forms, s)
+    # at order n, y_i runs over the multiples of n / gcd(d_i, n)
+    worst = max((prod(gcd(x, n) for x in diag) for n in candidates_n), default=0)
+    if worst > _Z_LIMIT:
+        raise ScaleExceeded(
+            f"{worst} diagonal assignments at {s} vertices; "
+            f"shrink the diagram or the order bound"
+        )
+    for n in candidates_n:
+        ok = [_order_ok(e, n, mode, has_g2) for e in range(n)]
+        # each column of V scaled to n / m, read in traversal order and
+        # taken 0..m-1 times; a column with m = 1 only contributes 0
+        gens = [
+            (m, [col[v] * (n // m) for v in order])
+            for x, col in zip(diag, cols)
+            if (m := gcd(x, n)) > 1
+        ]
+        diagonals = (
+            tuple(sum(k * g[p] for k, (_, g) in zip(ks, gens)) % n for p in range(s))
+            for ks in product(*(range(m) for m, _ in gens))
+        )
+        least = min((e for e in diagonals if all(ok[x] for x in e)), default=None)
+        if least is None:
+            continue
+        matrix = _completed(diagram, n, [least[order.index(v)] for v in range(s)])
+        report = verify(diagram, matrix, mode)
+        if not report.ok:
+            raise RuntimeError(
+                f"identity forms accepted a diagonal that verify rejects "
+                f"at root order {n}: " + "; ".join(report.failures)
+            )
+        return OracleResult(True, n, matrix, n_max)
     return none
 
 

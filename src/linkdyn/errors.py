@@ -87,8 +87,10 @@ class InadmissibleD(LinkdynError):
 class PathInconsistency(LinkdynError):
     """Two dotted edges admit no orientation for the off-diagonal completion.
 
-    Unreachable when the existence preconditions hold; raising it means a
-    precondition was violated or there is a bug upstream.
+    Reachable only in selflink mode, which construct and the oracle
+    refuse: the four orientations of dotted edges {i,k} and {j,l} all
+    fail only when two ends of one dotted edge share a plain component.
+    Raising it means a precondition was violated or a bug upstream.
     """
 
 

@@ -459,14 +459,13 @@ def _serre_word(i: int, j: int, top: int, k: int, sep: str) -> str:
     return sep.join(parts)
 
 
-def _split_sign(c: QValue) -> tuple[int, str]:
-    # render with the leading sign pulled out; parenthesize genuine sums
+def _split_sign(c: QValue, text: str) -> tuple[int, str]:
+    # text is c.render(); pull the leading sign out, parenthesize genuine sums
     if len(c.terms) == 1:
-        body = c.render()
-        return (-1, body[1:]) if body.startswith("-") else (1, body)
+        return (-1, text[1:]) if text.startswith("-") else (1, text)
     if c.terms[0][1] < 0:
         return -1, f"({(-c).render()})"
-    return 1, f"({c.render()})"
+    return 1, f"({text})"
 
 
 def _signed_sum(slots: list[_Slot], words: list[str]) -> str:
@@ -553,9 +552,12 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
                 if (a, e_ii) not in brackets:
                     brackets[a, e_ii] = _serre_brackets(a, q_i)
                 coeffs = _crossed(brackets[a, e_ii], root_power(key[2]))
+                # render is "0" exactly for a zero coefficient
+                texts = [c.render() for c in coeffs]
+                pairs = zip(coeffs, texts)
                 slots[key] = (
-                    " ; ".join(c.render() for c in coeffs),
-                    [None if c.is_zero else _split_sign(c) for c in coeffs],
+                    " ; ".join(texts),
+                    [None if t == "0" else _split_sign(c, t) for c, t in pairs],
                 )
             field, split = slots[key]
             words_text = [_serre_word(i, j, top, k, " ") for k in range(top + 1)]

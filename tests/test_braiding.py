@@ -1,6 +1,8 @@
 """RootExpr arithmetic, construction, verification, oracle, direct sums."""
 
 import random
+from itertools import chain, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from linkdyn import (
     NotLinkConnected,
     OrderMismatch,
     RootExpr,
+    ScaleExceeded,
     UnsupportedComponentType,
     UnsupportedMode,
     admissible_orders,
@@ -38,7 +41,8 @@ from conftest import (
     small_family,
 )
 from linkdyn.diagram import classify_components
-from linkdyn.fields import is_prime
+from linkdyn.fields import CYCLOTOMIC, is_prime
+from test_cycles import random_diagram
 
 # a G2-like rank-two component with a_12 = -5, which no catalog knows,
 # linked to an A2
@@ -371,12 +375,23 @@ class TestOracle:
         verified = count_calls(braiding, "verify")
         assert brute_force_exists(circle("B3", 2), n_max=30).found
         assert (len(built), len(verified)) == (1, 1)
-        # a "no" whose diagonals reach the screen and all fail it
-        screened = count_calls(braiding, "_forms_hold")
+        # a "no" whose diagonals pass the edge constraints: the forms are
+        # compiled once and no matrix is built
+        compiled = count_calls(braiding, "_identity_forms")
         del built[:], verified[:]
         d = component_diag(["A2", "A3"], [(0, 2), (1, 4)])
         assert not brute_force_exists(d, n_max=12).found
-        assert screened and (built, verified) == ([], [])
+        assert (len(compiled), built, verified) == (1, [], [])
+
+    def test_scale_exceeded(self):
+        # the linked pair leaves one exponent free: n diagonals at order n
+        d = component_diag(["A1", "A1"], [(0, 1)])
+        with pytest.raises(ScaleExceeded) as info:
+            brute_force_exists(d, n_max=2_000_010)
+        assert str(info.value) == (
+            "2000010 diagonal assignments at 2 vertices; "
+            "shrink the diagram or the order bound"
+        )
 
     # the first witness in scan order, byte for byte
     GOLDEN_WITNESSES = [
@@ -432,8 +447,13 @@ class TestOracle:
         assert verify(d, res.matrix, d.mode).ok
 
 
+def forms_hold(forms, n, exps):
+    """Whether diagonal q^exps at order n satisfies every identity form."""
+    return all(sum(c * exps[v] for v, c in form) % n == 0 for form in forms)
+
+
 class TestIdentityForms:
-    """The oracle's compiled integer screen against verify's identities."""
+    """The oracle's integer forms against verify's identities."""
 
     @staticmethod
     def identities_hold(d, n, exps):
@@ -443,30 +463,43 @@ class TestIdentityForms:
             for f in braiding._failures(d, matrix, d.mode)
         )
 
-    def test_screen_agrees_with_verify(self, count_calls):
-        hold = braiding._forms_hold
-        screened = count_calls(braiding, "_forms_hold")
+    @staticmethod
+    def solutions(forms, s, n):
+        """The diagonals e = V y, d_i y_i == 0 (mod n), of the diagonal form."""
+        diag, cols = braiding._diagonalize(forms, s)
+        ys = product(*(range(0, n, n // gcd(x, n)) for x in diag))
+        return {
+            tuple(sum(y * col[v] for y, col in zip(y, cols)) % n for v in range(s))
+            for y in ys
+        }
+
+    def test_screen_agrees_with_verify(self):
         rng = random.Random(20200206)
         verdicts = set()
         for labels, pairs in small_family():
             d = component_diag(list(labels), list(pairs))
             if not d.is_link_connected():
                 continue
-            # every candidate the oracle examines
-            del screened[:]
-            brute_force_exists(d, n_max=12)
-            for forms, n, exps in screened:
-                verdict = hold(forms, n, exps)
-                assert verdict == self.identities_hold(d, n, exps), (d, n, exps)
-                verdicts.add(verdict)
-            # seeded random diagonals, including diagrams the oracle
-            # answers without screening
             forms = braiding._identity_forms(d)
+            # seeded random diagonals, and some that satisfy every form
             for _ in range(4):
                 n = rng.randrange(5, 31)
                 exps = [rng.randrange(n) for _ in range(d.size)]
-                verdict = forms is not None and hold(forms, n, exps)
-                assert verdict == self.identities_hold(d, n, exps), (d, n, exps)
+                solved = sorted(self.solutions(forms, d.size, n))
+                for e in (exps, rng.choice(solved)):
+                    verdict = forms_hold(forms, n, e)
+                    assert verdict == self.identities_hold(d, n, e), (d, n, e)
+                    verdicts.add(verdict)
+            # the diagonal form gives exactly the solutions mod n
+            if d.size > 4:
+                continue
+            for n in (5, 6, 8, 9, 12) if d.size <= 3 else (6, 8):
+                want = {
+                    e
+                    for e in product(range(n), repeat=d.size)
+                    if forms_hold(forms, n, e)
+                }
+                assert self.solutions(forms, d.size, n) == want, (d, n)
         assert verdicts == {True, False}
 
     def test_leftover_parameter_rejects_every_diagonal(
@@ -557,6 +590,164 @@ def reference_failures(diagram, matrix, mode):
             yield f"diagonal orders differ: {orders}"
         elif not (orders[0] > 3 and is_prime(orders[0])):
             yield f"diagonal order {orders[0]} is not a prime above 3"
+
+
+def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
+    """The oracle's result by backtracking over the diagonal.
+
+    The search that the diagonalized forms replaced, kept as the
+    reference: it walks the diagonal in link traversal order, each
+    vertex taking the values its edges to earlier vertices allow in
+    ascending order, estimates that search space up front, and screens
+    every full diagonal against the identity forms.
+    """
+
+    def solve_linear(a, b, n):
+        # all x with a*x == b (mod n), ascending
+        a %= n
+        b %= n
+        g = gcd(a, n)
+        if b % g:
+            return []
+        step = n // g
+        x0 = (b // g) * pow((a // g) % step, -1, step) % step if step > 1 else 0
+        return [x0 + t * step for t in range(g)]
+
+    def search_space(order, n):
+        # candidates per vertex are bounded by its tightest earlier constraint
+        est = n - 1
+        for idx, v in enumerate(order[1:], start=1):
+            tightest = n
+            for u in order[:idx]:
+                if diagram.a(v, u) != 0:
+                    tightest = min(tightest, gcd(abs(diagram.a(v, u)), n))
+                elif diagram.is_linkable_pair(v, u):
+                    tightest = 1
+            est *= tightest
+        return est
+
+    if n_max < 5:
+        raise ValueError(f"order bound {n_max} is below 5, the least order scanned")
+    mode = diagram.mode
+    if mode == "selflink":
+        raise UnsupportedMode("the brute-force search requires standard linking mode")
+    if not diagram.is_link_connected():
+        raise NotLinkConnected("the brute-force search needs a link-connected diagram")
+    braiding._recognized_components(diagram, mode)
+    has_g2 = mode == "finite" and braiding._has_g2(diagram)
+    s = diagram.size
+    order, _ = diagram.link_traversal()
+
+    candidates_n = [
+        n
+        for n in range(5, n_max + 1)
+        if field.has_primitive_root(n) and (mode == "finite" or is_prime(n))
+    ]
+    worst = max((search_space(order, n) for n in candidates_n), default=0)
+    if worst > braiding._Z_LIMIT:
+        raise ScaleExceeded(
+            f"about {worst} diagonal assignments at {s} vertices; "
+            f"shrink the diagram or the order bound"
+        )
+
+    def assignments(n):
+        exps = [None] * s
+
+        def extend(idx):
+            if idx == len(order):
+                yield list(exps)
+                return
+            v = order[idx]
+            # level 0 is the root exponent; later vertices follow earlier ones
+            constraints = [range(n)] if idx == 0 else []
+            for u in order[:idx]:
+                eu = exps[u]
+                if diagram.a(v, u) != 0:
+                    constraints.append(
+                        solve_linear(diagram.a(v, u), eu * diagram.a(u, v), n)
+                    )
+                elif diagram.is_linkable_pair(v, u):
+                    constraints.append([-eu % n])
+            if not constraints:
+                raise NotLinkConnected("vertex order is not link-contiguous")
+            options = set(constraints[0])
+            for c in constraints[1:]:
+                options &= set(c)
+            for e in sorted(options):
+                if not braiding._order_ok(e, n, mode, has_g2):
+                    continue
+                exps[v] = e
+                yield from extend(idx + 1)
+                exps[v] = None
+
+        yield from extend(0)
+
+    none = braiding.OracleResult(False, None, None, n_max)
+    candidates = ((n, exps) for n in candidates_n for exps in assignments(n))
+    first = next(candidates, None)
+    if first is None:
+        return none
+    forms = braiding._identity_forms(diagram)
+    if forms is None:
+        return none
+    for n, exps in chain((first,), candidates):
+        if forms_hold(forms, n, exps):
+            matrix = braiding._completed(diagram, n, exps)
+            report = verify(diagram, matrix, mode)
+            if not report.ok:
+                raise RuntimeError(
+                    f"identity forms accepted a diagonal that verify rejects "
+                    f"at root order {n}: " + "; ".join(report.failures)
+                )
+            return braiding.OracleResult(True, n, matrix, n_max)
+    return none
+
+
+def oracle_outcome(search, d, n_max, field=CYCLOTOMIC):
+    """found, root_order and witness text, or the exception type and text."""
+    try:
+        res = search(d, n_max=n_max, field=field)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return res.found, res.root_order, res.matrix and res.matrix.to_text()
+
+
+class TestOracleAgainstReference:
+    """The diagonalized oracle against the backtracking one, answer for answer."""
+
+    def agree(self, d, n_max, field=CYCLOTOMIC):
+        got = oracle_outcome(brute_force_exists, d, n_max, field)
+        want = oracle_outcome(reference_brute_force_exists, d, n_max, field)
+        assert got == want, (d, n_max, field)
+        return got
+
+    def test_small_family_both_modes(self):
+        found = set()
+        for labels, pairs in small_family():
+            for mode in ("finite", "affine"):
+                d = component_diag(list(labels), list(pairs), mode=mode)
+                for n_max in (12, 30):
+                    found.add(self.agree(d, n_max)[0])
+        assert found == {True, False, NotLinkConnected}
+
+    def test_rings(self):
+        for label in ("A3", "B3"):
+            for n in range(2, 9):
+                self.agree(circle(label, n), 30)
+
+    def test_random_diagrams(self):
+        fields = (
+            CYCLOTOMIC,
+            FieldSpec("gf", q=31),
+            FieldSpec("gf", q=11),
+            FieldSpec("roots", orders=(12, 7)),
+        )
+        rng = random.Random(20200208)
+        found = set()
+        for _ in range(2000):
+            _, d = random_diagram(rng)
+            found.add(self.agree(d, 24, rng.choice(fields))[0])
+        assert {True, False} <= found
 
 
 class TestGridAgainstReference:

@@ -298,6 +298,14 @@ class TestOracleCommand:
         assert code == 1
         assert out == "none: no braiding matrix up to root order 12\n"
 
+    def test_scale_exceeded_is_input_error(self, write, capsys):
+        code, out = run(capsys, "oracle", write(A1A1), "--nmax", "2000010")
+        assert code == 3
+        assert out == (
+            "error: 2000010 diagonal assignments at 2 vertices; "
+            "shrink the diagram or the order bound\n"
+        )
+
     @pytest.mark.parametrize("nmax", ["-3", "0", "4"])
     def test_order_bound_below_five_is_input_error(self, write, capsys, nmax):
         code, out = run(capsys, "oracle", write(A1A1), "--nmax", nmax)

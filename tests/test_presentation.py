@@ -460,7 +460,7 @@ def reference_signed_sum(coeffs, words):
     for c, w in zip(coeffs, words):
         if c.is_zero:
             continue
-        sign, body = linkdyn.presentation._split_sign(c)
+        sign, body = linkdyn.presentation._split_sign(c, c.render())
         piece = w if body == "1" else f"{body} {w}"
         if not parts:
             parts.append(piece if sign > 0 else f"-{piece}")
@@ -569,6 +569,29 @@ class TestEmitPresentation:
         # (a_ij, b_ii, b_ij), not once per vertex pair
         assert (len(pairs), len(keys)) == (1128, 8)
         assert len(calls) == len(keys)
+
+    def test_serre_coefficients_zero_tested_once(self, monkeypatch):
+        dd = circle("A3", 16)
+        datum = realize_free(construct(dd), dd)
+        made, tested = [], []
+        crossed = linkdyn.presentation._crossed
+        is_zero = QValue.is_zero.fget
+
+        def recorded(*args):
+            out = crossed(*args)
+            made.extend(out)
+            return out
+
+        def counted(c):
+            tested.append(c)
+            return is_zero(c)
+
+        monkeypatch.setattr(linkdyn.presentation, "_crossed", recorded)
+        monkeypatch.setattr(QValue, "is_zero", property(counted))
+        emit_presentation(datum)
+        # render zero-tests each coefficient; its text decides the slot
+        assert len(made) == 20
+        assert [sum(t is c for t in tested) for c in made] == [1] * len(made)
 
     @staticmethod
     def differential_data():
