@@ -4,12 +4,11 @@ Entries are exact expressions q^e * z1^k1 * z2^k2 * ... where q is a
 primitive root of unity of a fixed order and the z_t are free nonzero
 scalars.  A matrix keeps them as integers, a grid of exponents of q
 modulo the order plus the z-exponents of its symbolic entries, so the
-defining identities are congruences on exponents; RootExpr is the value
-type of single entries, used at the text boundary and by the entry
-accessors.  The module builds braiding matrices for linkable Dynkin
-diagrams, verifies the defining identities, searches for matrices by
-brute force and combines matrices of link-connected parts into direct
-sums.
+defining identities are congruences on exponents; RootExpr, the value
+of a single entry, shares the grid's normal form and z-algebra.  The
+module builds braiding matrices for linkable Dynkin diagrams, verifies
+the defining identities, searches for matrices by brute force and
+combines matrices of link-connected parts into direct sums.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, product
 from math import gcd, lcm, prod
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cycles import _potentials, genus_gcd
 from .diagram import ComponentType, LinkableDynkinDiagram, classify_components
@@ -80,13 +79,49 @@ def _power(a: Terms, p: int) -> Terms:
     return tuple((t, k * p) for t, k in a) if p else ()
 
 
+def _positive(order: int) -> None:
+    if order < 1:
+        raise ValueError("order must be positive")
+
+
+_TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
+_ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
+
+
+def _parse_entry(text: str, order: int) -> tuple[int, list[tuple[int, int]]]:
+    """q's exponent and the z-exponents, as written, of a well-formed token."""
+    m = _TOKEN.match(text)
+    if not m:
+        raise ValueError(f"bad root expression {text!r}")
+    _positive(order)
+    zpow = [(int(t), int(k)) for t, k in _ZPART.findall(m.group(2))]
+    return int(m.group(1)), zpow
+
+
+def _substitute(
+    order: int, exp: int, terms: Terms, values: dict[int, "RootExpr"]
+) -> tuple[int, Terms]:
+    """(exp, z-exponents) of q^exp z^terms with z_t = values[t], or 1."""
+    factors = []
+    for t, k in terms:
+        val = values.get(t)
+        if val is None:
+            continue
+        if val.order != order:
+            raise ValueError("substitution value has a different root order")
+        exp += val.exp * k
+        factors.append((val.zpow, k))
+    return exp, _terms(*factors)
+
+
 @dataclass(frozen=True)
 class RootExpr:
     """q^exp times a product of powers of free parameters z_t.
 
     order is the order of the root q; exp is kept in 0..order-1 and
-    zpow maps parameter indices to nonzero integer powers, stored
-    sorted.  The element is a unit, so inverses always exist.
+    zpow holds the (t, k) pairs for z_t^k in the normal form of _terms,
+    so repeated indices merge and zero powers drop.  The element is a
+    unit, so inverses always exist.
     """
 
     order: int
@@ -94,11 +129,9 @@ class RootExpr:
     zpow: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError("order must be positive")
+        _positive(self.order)
         object.__setattr__(self, "exp", self.exp % self.order)
-        cleaned = tuple(sorted((t, k) for t, k in self.zpow if k != 0))
-        object.__setattr__(self, "zpow", cleaned)
+        object.__setattr__(self, "zpow", _terms((self.zpow, 1)))
 
     # ------------------------------------------------------- constructors
 
@@ -119,13 +152,10 @@ class RootExpr:
     def _combine(self, other: "RootExpr", sign: int) -> "RootExpr":
         if self.order != other.order:
             raise ValueError("mixed root orders")
-        powers = dict(self.zpow)
-        for t, k in other.zpow:
-            powers[t] = powers.get(t, 0) + sign * k
         return RootExpr(
             self.order,
             self.exp + sign * other.exp,
-            tuple(powers.items()),
+            _product(self.zpow, _power(other.zpow, sign)),
         )
 
     def __mul__(self, other: "RootExpr") -> "RootExpr":
@@ -135,10 +165,10 @@ class RootExpr:
         return self._combine(other, -1)
 
     def inv(self) -> "RootExpr":
-        return RootExpr(self.order, -self.exp, tuple((t, -k) for t, k in self.zpow))
+        return self**-1
 
     def __pow__(self, n: int) -> "RootExpr":
-        return RootExpr(self.order, self.exp * n, tuple((t, k * n) for t, k in self.zpow))
+        return RootExpr(self.order, self.exp * n, _power(self.zpow, n))
 
     # ---------------------------------------------------------- queries
 
@@ -157,37 +187,36 @@ class RootExpr:
 
     def substitute(self, values: Optional[dict[int, "RootExpr"]] = None) -> "RootExpr":
         """Replace every free parameter, by default with 1."""
-        acc = RootExpr(self.order, self.exp)
-        for t, k in self.zpow:
-            val = (values or {}).get(t)
-            if val is None:
-                continue
-            if val.order != self.order:
-                raise ValueError("substitution value has a different root order")
-            acc = acc * val**k
-        return acc
+        exp, zpow = _substitute(self.order, self.exp, self.zpow, values or {})
+        return RootExpr(self.order, exp, zpow)
 
     # ------------------------------------------------------------- text
 
     def __str__(self) -> str:
         return _entry_text(self.exp, self.zpow)
 
-    _TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
-    _ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
-
     @classmethod
     def parse(cls, text: str, order: int) -> "RootExpr":
-        m = cls._TOKEN.match(text)
-        if not m:
-            raise ValueError(f"bad root expression {text!r}")
-        exp = int(m.group(1))
-        zpow = tuple(
-            (int(t), int(k)) for t, k in cls._ZPART.findall(m.group(2))
-        )
-        return cls(order, exp, zpow)
+        return cls(order, *_parse_entry(text, order))
 
 
 # ----------------------------------------------------------- BraidingMatrix
+
+
+def _grid(
+    order: int, rows: Sequence[Sequence[tuple[int, Iterable[tuple[int, int]]]]]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[dict[int, Terms], ...]]:
+    """exps and zrows of a square matrix from its (exp, z-exponents) cells."""
+    n = len(rows)
+    exps, zrows = [], []
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        exps.append(tuple(e % order for e, _ in row))
+        zrows.append(
+            {j: t for j, (_, z) in enumerate(row) if z and (t := _terms((z, 1)))}
+        )
+    return tuple(exps), tuple(zrows)
 
 
 @dataclass(frozen=True, init=False)
@@ -200,8 +229,8 @@ class BraidingMatrix:
     sorted by t, each t once and every k nonzero; a pure entry has no
     key.  The identities, the completion, instantiation and realization
     work on these integers.  entry, entries and diagonal build RootExpr
-    values on demand, and BraidingMatrix(order, rows) converts rows of
-    RootExpr once.
+    values on demand; BraidingMatrix(order, rows) converts rows of
+    RootExpr and from_text parses tokens, both through _grid.
     """
 
     order: int
@@ -210,20 +239,14 @@ class BraidingMatrix:
 
     def __init__(self, order: int, entries: Sequence[Sequence[RootExpr]]) -> None:
         n = len(entries)
-        zrows = []
         for row in entries:
             if len(row) != n:
-                raise ValueError("matrix is not square")
-            zrow = {}
-            for j, e in enumerate(row):
-                if e.order != order:
-                    raise ValueError("entry root order differs from matrix order")
-                if e.zpow and (terms := _terms((e.zpow, 1))):
-                    zrow[j] = terms
-            zrows.append(zrow)
-        exps = tuple(tuple(e.exp for e in row) for row in entries)
+                break  # _grid reports a short row before later orders
+            if any(e.order != order for e in row):
+                raise ValueError("entry root order differs from matrix order")
+        exps, zrows = _grid(order, [[(e.exp, e.zpow) for e in row] for row in entries])
         # the dataclass is frozen, so write the fields past __setattr__
-        self.__dict__.update(order=order, exps=exps, zrows=tuple(zrows))
+        self.__dict__.update(order=order, exps=exps, zrows=zrows)
 
     @classmethod
     def _from_grid(
@@ -272,29 +295,15 @@ class BraidingMatrix:
         self, values: Optional[dict[int, RootExpr]] = None
     ) -> "BraidingMatrix":
         """Substitute values (default 1) for every free parameter."""
-        values = values or {}
         d = self.order
-        exps = [list(row) for row in self.exps]
-        zrows = []
-        for row, zrow in zip(exps, self.zrows):
-            left: dict[int, Terms] = {}
-            for j, terms in zrow.items():
-                factors = []
-                for t, k in terms:
-                    val = values.get(t)
-                    if val is None:
-                        continue
-                    if val.order != d:
-                        raise ValueError(
-                            "substitution value has a different root order"
-                        )
-                    row[j] += val.exp * k
-                    factors.append((val.zpow, k))
-                row[j] %= d
-                if rest := _terms(*factors):
-                    left[j] = rest
-            zrows.append(left)
-        return BraidingMatrix._from_grid(d, tuple(map(tuple, exps)), tuple(zrows))
+        if not values:
+            # the exponents are reduced already and every z_t goes to 1
+            return BraidingMatrix._from_grid(d, self.exps)
+        rows = [
+            [_substitute(d, e, zrow.get(j, ()), values) for j, e in enumerate(row)]
+            for row, zrow in zip(self.exps, self.zrows)
+        ]
+        return BraidingMatrix._from_grid(d, *_grid(d, rows))
 
     def to_text(self) -> str:
         lines = [f"root_order {self.order}"]
@@ -311,11 +320,9 @@ class BraidingMatrix:
         if len(header) < 2 or header[0] != "root_order":
             raise ValueError("missing root_order header")
         order = int(header[1])
-        rows = tuple(
-            tuple(RootExpr.parse(tok, order) for tok in ln.split())
-            for ln in lines[1:]
-        )
-        return cls(order, rows)
+        rows = [[_parse_entry(tok, order) for tok in ln.split()] for ln in lines[1:]]
+        return cls._from_grid(order, *_grid(order, rows))
+
 
 
 # ------------------------------------------------------------ verification

@@ -63,16 +63,12 @@ def enumerate_cycles(diagram: LinkableDynkinDiagram) -> tuple[Cycle, ...]:
     are not cycles here.  Output is sorted by (size, vertices, steps).
     """
     n = diagram.size
-    adj: dict[int, list[tuple[int, str]]] = {v: [] for v in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i != j and diagram.a(i, j) != 0:
-                adj[i].append((j, "plain"))
-    for i, j in diagram.linkable:
-        adj[i].append((j, "dotted"))
-        adj[j].append((i, "dotted"))
-    for v in adj:
-        adj[v].sort()
+    adj: list[list[tuple[int, str]]] = []
+    for v in range(n):
+        nbrs = [(u, "plain") for u in diagram.plain_neighbors(v)]
+        if (p := diagram.partner(v)) is not None:
+            nbrs.append((p, "dotted"))
+        adj.append(sorted(nbrs))
 
     found: list[Cycle] = []
 

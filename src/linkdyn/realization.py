@@ -18,6 +18,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .braiding import BraidingMatrix, RootExpr
+from .cycles import _potentials
 from .diagram import CartanMatrix, LinkableDynkinDiagram
 from .errors import (
     InadmissibleD,
@@ -60,11 +61,6 @@ class LinkingDatum:
         return tuple(
             tuple(RootExpr(self.order, e) for e in chi) for chi in self.character_exps
         )
-
-    def character_value(self, j: int, vector: tuple[int, ...]) -> RootExpr:
-        """Evaluate chi_j on the group element with the given exponents."""
-        chi = self.character_exps[j]
-        return RootExpr(self.order, sum(chi[t] * e for t, e in enumerate(vector)))
 
     @cached_property
     def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -269,36 +265,31 @@ def realize_mod_p(
 def find_symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
     """Positive integers d with d_i a_ij = d_j a_ji, minimal per component.
 
-    Raises NotSymmetrizable when no such vector exists.
+    d_v / d_u = a_uv / a_vu along the breadth-first walk of the plain
+    edges, which gives the potentials of the diagram without dotted
+    edges.  Raises NotSymmetrizable naming the first pair that fails
+    when no such vector exists.  The walk cannot divide by a one-sided
+    zero a_ij = 0 != a_ji, so then d stays 0 and only those pairs fail.
     """
-    n = cartan.size
-    vals: list[Optional[Fraction]] = [None] * n
-    for root in range(n):
-        if vals[root] is not None:
-            continue
-        vals[root] = Fraction(1)
-        comp = [root]
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in range(n):
-                if v != u and cartan.a(u, v) != 0 and vals[v] is None:
-                    vals[v] = vals[u] * cartan.a(u, v) / cartan.a(v, u)
-                    comp.append(v)
-                    queue.append(v)
-        scale = lcm(*(vals[v].denominator for v in comp))
-        shrink = gcd(*(int(vals[v] * scale) for v in comp))
-        for v in comp:
-            vals[v] = Fraction(int(vals[v] * scale) // shrink)
-    out = tuple(int(v) for v in vals)  # type: ignore[arg-type]
+    n, a = cartan.size, cartan.entries
+    one_sided = [[(a[i][j] == 0) != (a[j][i] == 0) for j in range(n)] for i in range(n)]
+    out = [0] * n
+    if not any(map(any, one_sided)):
+        diagram = LinkableDynkinDiagram(cartan, (), frozenset())
+        pot = [Fraction(*p) for p in _potentials(diagram)]
+        for comp in diagram.plain_components():
+            scale = lcm(*(pot[v].denominator for v in comp))
+            shrink = gcd(*(int(pot[v] * scale) for v in comp))
+            for v in comp:
+                out[v] = int(pot[v] * scale) // shrink
     for i in range(n):
         for j in range(n):
-            if i != j and out[i] * cartan.a(i, j) != out[j] * cartan.a(j, i):
+            if out[i] * a[i][j] != out[j] * a[j][i] or one_sided[i][j]:
                 raise NotSymmetrizable(
                     f"no positive d with d_{i + 1} a({i + 1},{j + 1}) = "
                     f"d_{j + 1} a({j + 1},{i + 1})"
                 )
-    return out
+    return tuple(out)
 
 
 def double_datum(

@@ -1,6 +1,7 @@
 """RootExpr arithmetic, construction, verification, oracle, direct sums."""
 
 import random
+import re
 from itertools import chain, product
 from math import gcd
 
@@ -37,6 +38,7 @@ from conftest import (
     component_diag,
     diag,
     perturbed,
+    prism,
     random_entry,
     small_family,
 )
@@ -97,6 +99,35 @@ class TestRootExpr:
         q = RootExpr.root(11, 1)
         assert (q**a * q**b) == q ** (a + b)
 
+    def test_repeated_indices_merge(self):
+        twice = RootExpr.parse("q^1*z1^1*z1^1", 5)
+        squared = RootExpr.parse("q^1*z1^2", 5)
+        assert twice * RootExpr.one(5) == squared
+        assert twice == squared
+        assert str(twice) == "q^1*z1^2"
+        assert BraidingMatrix(5, ((twice,),)).entry(0, 0) == twice
+
+    def test_cancelling_powers_are_not_symbolic(self):
+        v = RootExpr.parse("q^0*z1^1*z1^-1", 5)
+        assert not v.is_symbolic
+        assert v.is_one
+
+    def test_zpow_is_the_grid_normal_form(self):
+        rng = random.Random(20020711)
+        for _ in range(500):
+            zpow = [
+                (rng.randrange(1, 5), rng.randrange(-3, 4))
+                for _ in range(rng.randrange(6))
+            ]
+            v = RootExpr(7, rng.randrange(-20, 20), zpow)
+            assert v.zpow == braiding._terms((zpow, 1))
+            w = random_entry(7, rng, symbolic=0.7)
+            k = rng.randrange(-3, 4)
+            assert (v * w).zpow == braiding._terms((zpow, 1), (w.zpow, 1))
+            assert (v / w).zpow == braiding._terms((zpow, 1), (w.zpow, -1))
+            assert (v**k).zpow == braiding._terms((zpow, k))
+            assert v.inv().zpow == braiding._terms((zpow, -1))
+
 
 class TestConstruct:
     def test_frozen_linked_pair_of_points(self):
@@ -140,6 +171,12 @@ class TestConstruct:
             m = construct(d, field=FieldSpec("gf", q=q))
             assert m.order == p
             assert verify(d, m).ok
+
+    def test_no_default_order_in_the_field(self):
+        # GF(7) holds roots of orders 1, 2, 3 and 6 only: no prime from 5 up
+        with pytest.raises(InadmissibleD) as err:
+            construct(component_diag(["A1"], []), field=FieldSpec("gf", q=7))
+        assert str(err.value) == "the field provides no admissible root order"
 
     def test_enumerates_no_cycles(self, count_calls):
         calls = count_calls(linkdyn.cycles, "enumerate_cycles")
@@ -255,6 +292,173 @@ class TestSerialization:
             for j in range(m.size)
         )
         assert again.to_text() == text
+
+
+REFERENCE_TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
+REFERENCE_ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
+
+
+def reference_from_text(text):
+    """BraidingMatrix.from_text as it was: one RootExpr per token."""
+
+    def parse(token, order):
+        m = REFERENCE_TOKEN.match(token)
+        if not m:
+            raise ValueError(f"bad root expression {token!r}")
+        zpow = tuple(
+            (int(t), int(k)) for t, k in REFERENCE_ZPART.findall(m.group(2))
+        )
+        return RootExpr(order, int(m.group(1)), zpow)
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    header = lines[0].split() if lines else []
+    if len(header) < 2 or header[0] != "root_order":
+        raise ValueError("missing root_order header")
+    order = int(header[1])
+    rows = tuple(tuple(parse(tok, order) for tok in ln.split()) for ln in lines[1:])
+    return BraidingMatrix(order, rows)
+
+
+def parse_outcome(parse, text):
+    """The stored form of the parsed matrix, or the error type and text."""
+    try:
+        m = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return m.order, m.exps, m.zrows
+
+
+def random_token(order, rng):
+    """An entry token with repeated indices, zero and negative powers."""
+    e = rng.randrange(-3 * order, 3 * order)
+    count = rng.choice((0, 0, 1, 2, 4))
+    zs = [(rng.randrange(1, 5), rng.randrange(-3, 4)) for _ in range(count)]
+    return f"q^{e}" + "".join(f"*z{t}^{k}" for t, k in zs)
+
+
+class TestMatrixTextAgainstReference:
+    """from_text parses tokens to integers; the RootExpr parse is the reference."""
+
+    @staticmethod
+    def golden_texts():
+        for label, n in (("A3", 2), ("A3", 16), ("B3", 3), ("B3", 8)):
+            yield construct(circle(label, n)).to_text()
+        for _, _, text in TestOracle.GOLDEN_WITNESSES:
+            yield text
+
+    def test_golden_matrices(self):
+        for text in self.golden_texts():
+            got = BraidingMatrix.from_text(text)
+            assert parse_outcome(BraidingMatrix.from_text, text) == parse_outcome(
+                reference_from_text, text
+            )
+            assert got.to_text() == text
+
+    def test_random_token_grids(self):
+        rng = random.Random(20020712)
+        merged = 0
+        for _ in range(300):
+            order = rng.choice((1, 3, 5, 7, 12))
+            s = rng.randrange(1, 5)
+            rows = [[random_token(order, rng) for _ in range(s)] for _ in range(s)]
+            text = f"root_order {order}\n" + "".join(" ".join(r) + "\n" for r in rows)
+            got = parse_outcome(BraidingMatrix.from_text, text)
+            assert got == parse_outcome(reference_from_text, text), text
+            m = BraidingMatrix.from_text(text)
+            for i, row in enumerate(rows):
+                for j, tok in enumerate(row):
+                    # an independent normal form: sum per index, drop zeros
+                    powers = {}
+                    for t, k in REFERENCE_ZPART.findall(tok):
+                        powers[int(t)] = powers.get(int(t), 0) + int(k)
+                    terms = tuple(sorted((t, k) for t, k in powers.items() if k))
+                    assert m.zrows[i].get(j, ()) == terms
+                    assert m.exps[i][j] == int(tok[2:].split("*")[0]) % order
+                    merged += tok.count("*z") > len(terms)
+        assert merged > 100
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "hello\n",
+            "root_order\nq^1 q^4\nq^1 q^4\n",
+            "root_order \nq^1 q^4\nq^1 q^4\n",
+            "root_order five\n",
+            "root_order 5\nq^1 q^x\nq^1 q^4\n",
+            "root_order 5\nq^1 q^4\nq^1\n",
+            "root_order 5\nq^1 q^4\nq^x\n",
+            "root_order 0\n",
+            "root_order 0\nq^1 q^4\nq^1 q^4\n",
+            "root_order 0\nq^1 q^x\nq^1 q^4\n",
+            "root_order 0\nq^x q^4\nq^1 q^4\n",
+            "root_order 0\nq^1\nq^1 q^4\n",
+            "root_order -5\nq^1*z1^2 q^4\nq^1 q^4\n",
+            "root_order -5\nz1^2 q^4\nq^1 q^4\n",
+            "root_order -5\nq^1 q^4 q^2\n",
+        ],
+    )
+    def test_malformed_text_same_message(self, text):
+        got = parse_outcome(BraidingMatrix.from_text, text)
+        assert got == parse_outcome(reference_from_text, text)
+
+    def test_builds_no_root_expr(self, monkeypatch):
+        text = construct(prism(4)).to_text()
+        created = []
+        post_init = RootExpr.__post_init__
+
+        def counted(obj):
+            created.append(obj)
+            post_init(obj)
+
+        monkeypatch.setattr(RootExpr, "__post_init__", counted)
+        matrix = BraidingMatrix.from_text(text)
+        assert created == []
+        assert matrix.to_text() == text
+
+
+class TestInstantiate:
+    @staticmethod
+    def matrices():
+        for labels, pairs in small_family():
+            d = component_diag(list(labels), list(pairs))
+            if d.is_link_connected() and check(d).decision == "yes":
+                yield construct(d)
+        for label, n in (("A3", 2), ("A3", 8), ("B3", 3), ("B3", 8)):
+            yield construct(circle(label, n))
+
+    def test_default_equals_the_general_path(self):
+        count = 0
+        for m in self.matrices():
+            fast = m.instantiate()
+            # no z_0 exists, so this takes the general path with every z_t = 1
+            general = m.instantiate({0: RootExpr.one(m.order)})
+            assert (fast.order, fast.exps, fast.zrows) == (
+                general.order,
+                general.exps,
+                general.zrows,
+            )
+            assert all(not zrow for zrow in fast.zrows)
+            assert all(
+                fast.entry(i, j) == m.entry(i, j).substitute()
+                for i in range(m.size)
+                for j in range(m.size)
+            )
+            count += 1
+        assert count > 100
+
+    def test_values_substitute_per_entry(self):
+        m = construct(circle("A3", 2))
+        rng = random.Random(11)
+        values = {
+            t: random_entry(m.order, rng, symbolic=0.5) for t in m.z_indices()[::2]
+        }
+        inst = m.instantiate(values)
+        for i in range(m.size):
+            for j in range(m.size):
+                assert inst.entry(i, j) == m.entry(i, j).substitute(values)
+        with pytest.raises(ValueError, match="different root order"):
+            m.instantiate({m.z_indices()[0]: RootExpr.one(m.order + 1)})
 
 
 class TestAdmissibleOrders:

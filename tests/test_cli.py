@@ -274,6 +274,12 @@ class TestVerifyCommand:
             ("root_order five\n", "invalid literal for int() with base 10: 'five'"),
             ("root_order 5\nq^1 q^x\nq^1 q^4\n", "bad root expression 'q^x'"),
             ("root_order 5\nq^1 q^4\nq^1\n", "matrix is not square"),
+            ("root_order 5\nq^1 q^4\nq^x\n", "bad root expression 'q^x'"),
+            ("root_order 0\nq^1 q^4\nq^1 q^4\n", "order must be positive"),
+            ("root_order 0\nq^1 q^x\nq^1 q^4\n", "order must be positive"),
+            ("root_order 0\nq^x q^4\nq^1 q^4\n", "bad root expression 'q^x'"),
+            ("root_order -5\nq^1 q^4\nq^1 q^4\n", "order must be positive"),
+            ("root_order -5\nz1^1 q^4\nq^1 q^4\n", "bad root expression 'z1^1'"),
         ],
     )
     def test_malformed_matrix_is_input_error(
@@ -340,6 +346,16 @@ class TestOracleCommand:
     def test_workers_flag_is_gone(self, write, capsys):
         code, _ = run(capsys, "oracle", write(A2A2), "--workers", "4")
         assert code == 3
+
+
+class TestDefaultOrderFailure:
+    @pytest.mark.parametrize("command", ["construct", "realize", "present"])
+    def test_no_admissible_divisor_in_the_field(self, write, capsys, command):
+        # the B3 ring of 2 has genus gcd 3, and GF(11) has no root of order 3
+        path = write(DiagramFile(circle("B3", 2), FieldSpec("gf", q=11)).serialize())
+        code, out = run(capsys, command, path)
+        assert code == 1
+        assert out == "failure: no admissible root order divides the genus gcd 3\n"
 
 
 class TestRealizeCommand:
@@ -582,6 +598,27 @@ class TestSelflinkCommand:
         code, out = run(capsys, "selflink", write(text))
         assert code == 0
         assert "pair 1 4: unclassified" in out
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (
+                "vertices 3\nedge 1 2 -2 -2\nedge 2 3 -1 -1\n"
+                "linkable 1 3\nmode selflink\n",
+                "pair 1 3: unclassified (a1affine edge (1,2) on the path)",
+            ),
+            (
+                "vertices 4\nedge 1 2 -2 -1\nedge 2 3 -2 -1\nedge 3 4 -2 -1\n"
+                "linkable 1 4\nmode selflink\n",
+                "pair 1 4: unclassified (more than two double edges on the path)",
+            ),
+        ],
+        ids=["a1affine-edge", "three-doubles"],
+    )
+    def test_unclassified_reason(self, write, capsys, text, line):
+        code, out = run(capsys, "selflink", write(text))
+        assert code == 0
+        assert out == line + "\n"
 
     def test_no_pairs(self, write, capsys):
         code, out = run(capsys, "selflink", write("vertices 2\nedge 1 2 -1 -1\n"))

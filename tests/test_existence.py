@@ -533,6 +533,18 @@ class TestSelflinkGenus:
         )
         with pytest.raises(UnclassifiedPath):
             selflink_genus(diag(square, []), 0, 2)
+        # an A1(1) edge on the path
+        loop = ((2, -2, 0), (-2, 2, -1), (0, -1, 2))
+        with pytest.raises(
+            UnclassifiedPath, match=r"^a1affine edge \(1,2\) on the path$"
+        ):
+            selflink_genus(diag(loop, [], mode="selflink"), 0, 2)
+        # three doubles in a chain of four
+        doubles = ((2, -2, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -2), (0, 0, -1, 2))
+        with pytest.raises(
+            UnclassifiedPath, match="^more than two double edges on the path$"
+        ):
+            selflink_genus(diag(doubles, [], mode="selflink"), 0, 3)
 
 
 class TestSelflinkOrderConstraint:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import random
+from fractions import Fraction
+from math import gcd, lcm
 
 from conftest import (
     COMPONENT_ROWS,
@@ -84,6 +86,77 @@ class TestFindSymmetrizer:
         rows = ((2, -1, -1), (-1, 2, -1), (-2, -1, 2))
         with pytest.raises(NotSymmetrizable):
             find_symmetrizer(CartanMatrix(rows))
+
+    @pytest.mark.parametrize(
+        "rows", [((2, -1), (0, 2)), ((2, 0), (-1, 2))], ids=["upper", "lower"]
+    )
+    def test_one_sided_zero(self, rows):
+        with pytest.raises(
+            NotSymmetrizable, match=r"^no positive d with d_1 a\(1,2\) = d_2 a\(2,1\)$"
+        ):
+            find_symmetrizer(CartanMatrix(rows))
+
+    def test_one_sided_zero_named_in_a_larger_matrix(self):
+        # an A2 on 1, 2 and a one-sided zero between 3 and 4
+        rows = ((2, -1, 0, 0), (-1, 2, 0, 0), (0, 0, 2, 0), (0, 0, -2, 2))
+        with pytest.raises(NotSymmetrizable, match=r"d_3 a\(3,4\) = d_4 a\(4,3\)"):
+            find_symmetrizer(CartanMatrix(rows))
+
+    def test_matches_reference_walk(self):
+        rng = random.Random(1969)
+        outcomes = set()
+        for _ in range(2000):
+            n = rng.randrange(1, 7)
+            rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        rows[i][j] = -rng.choice((1, 1, 2, 3))
+                        rows[j][i] = -rng.choice((1, 1, 2, 3))
+            cartan_matrix = CartanMatrix(tuple(map(tuple, rows)))
+            got = symmetrizer_outcome(find_symmetrizer, cartan_matrix)
+            assert got == symmetrizer_outcome(reference_symmetrizer, cartan_matrix)
+            outcomes.add(got[0] is NotSymmetrizable)
+        assert outcomes == {True, False}
+
+
+def reference_symmetrizer(cartan):
+    """find_symmetrizer as it was: its own breadth-first walk over Fractions."""
+    n = cartan.size
+    vals = [None] * n
+    for root in range(n):
+        if vals[root] is not None:
+            continue
+        vals[root] = Fraction(1)
+        comp = [root]
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in range(n):
+                if v != u and cartan.a(u, v) != 0 and vals[v] is None:
+                    vals[v] = vals[u] * cartan.a(u, v) / cartan.a(v, u)
+                    comp.append(v)
+                    queue.append(v)
+        scale = lcm(*(vals[v].denominator for v in comp))
+        shrink = gcd(*(int(vals[v] * scale) for v in comp))
+        for v in comp:
+            vals[v] = Fraction(int(vals[v] * scale) // shrink)
+    out = tuple(int(v) for v in vals)
+    for i in range(n):
+        for j in range(n):
+            if i != j and out[i] * cartan.a(i, j) != out[j] * cartan.a(j, i):
+                raise NotSymmetrizable(
+                    f"no positive d with d_{i + 1} a({i + 1},{j + 1}) = "
+                    f"d_{j + 1} a({j + 1},{i + 1})"
+                )
+    return out
+
+
+def symmetrizer_outcome(find, cartan):
+    try:
+        return find(cartan), None
+    except NotSymmetrizable as exc:
+        return NotSymmetrizable, str(exc)
 
 
 class TestDoubleDatum:
@@ -466,3 +539,11 @@ class TestDatumText:
             LinkingDatum.from_text("root_order 5\nnonsense here")
         with pytest.raises(ValueError):
             LinkingDatum.from_text("root_order five")
+
+    def test_character_powers_that_cancel_are_pure(self):
+        datum = double_datum(cartan("A2"), q_order=5)
+        text = datum.to_text().replace("chi 1: q^2", "chi 1: q^2*z1^1*z1^-1")
+        assert "z1" in text
+        assert LinkingDatum.from_text(text) == datum
+        with pytest.raises(ValueError, match="free parameter in character line"):
+            LinkingDatum.from_text(text.replace("z1^-1", "z1^-2"))
