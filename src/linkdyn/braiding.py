@@ -25,6 +25,7 @@ from .errors import (
     InadmissibleD,
     IndexOutOfRange,
     LinkConstraintUnsatisfiable,
+    NoAdmissibleOrder,
     NotLinkConnected,
     OrderMismatch,
     PathInconsistency,
@@ -510,14 +511,14 @@ def _validate_order(
         choices = _admissible_orders(diagram, mode, field, big_g)
         if mode == "finite" and big_g > 0:
             if not choices:
-                raise InadmissibleD(
+                raise NoAdmissibleOrder(
                     f"no admissible root order divides the genus gcd {big_g}"
                 )
             return choices[-1]
         # no cycle constraint: smallest prime from 5 up that the field offers
         choices = tuple(c for c in choices if c >= 5)
         if not choices:
-            raise InadmissibleD("the field provides no admissible root order")
+            raise NoAdmissibleOrder("the field provides no admissible root order")
         return choices[0]
     if mode == "finite":
         if d <= 2:

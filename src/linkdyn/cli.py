@@ -3,13 +3,15 @@
 Reads line-oriented diagram files, dispatches to the library, and
 prints deterministic reports.  Exit codes: 0 yes/success, 1 no or
 verification failure, 2 excluded case, 3 input error, 4 internal error
-(a bug: the message names the command and the exception).
+(a bug: the message names the command and the exception), 141 closed
+stdout.  An error's class decides between 1, 3 and 4 (see errors.py).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -25,26 +27,11 @@ from .braiding import (
 from .cycles import cycle_invariants, enumerate_cycles
 from .diagram import MODES, CartanMatrix, LinkableDynkinDiagram
 from .errors import (
+    DefiniteNo,
     DiagramSyntaxError,
-    InadmissibleD,
-    IndexOutOfRange,
-    LinkConstraintUnsatisfiable,
-    Neighbouring,
-    NotAPath,
-    NotLinkConnected,
-    NotNeighbouring,
-    NotPrime,
-    NotSymmetrizable,
-    OrderMismatch,
-    OrderNotDividing,
-    ScaleExceeded,
+    InputError,
     SemanticError,
-    ShapeParameterMismatch,
     UnclassifiedPath,
-    UnsupportedComponentType,
-    UnsupportedEdgeInMode,
-    UnsupportedMode,
-    VertexNotOnCycle,
 )
 from .existence import check, selflink_genus, selflink_order_constraint
 from .fields import FieldSpec
@@ -55,32 +42,6 @@ from .realization import (
     realize_free,
     realize_mod_p,
 )
-
-_FAILURE_ERRORS = (
-    LinkConstraintUnsatisfiable,
-    OrderNotDividing,
-    OrderMismatch,
-)
-_INPUT_ERRORS = (
-    DiagramSyntaxError,
-    SemanticError,
-    NotLinkConnected,
-    UnsupportedComponentType,
-    UnsupportedMode,
-    ShapeParameterMismatch,
-    UnsupportedEdgeInMode,
-    NotAPath,
-    VertexNotOnCycle,
-    Neighbouring,
-    NotNeighbouring,
-    IndexOutOfRange,
-    NotPrime,
-    NotSymmetrizable,
-    ScaleExceeded,
-    UnicodeDecodeError,
-    OSError,
-)
-
 
 # ------------------------------------------------------------- file format
 
@@ -341,14 +302,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     df = _load(args.file)
-    try:
-        matrix = construct(df.diagram, d=args.d, field=df.field)
-    except InadmissibleD as exc:
-        if args.d is not None:
-            print(f"error: {exc}")
-            return 3
-        print(f"failure: {exc}")
-        return 1
+    matrix = construct(df.diagram, d=args.d, field=df.field)
     report = verify(df.diagram, matrix, df.diagram.mode)
     if args.machine:
         print(matrix.to_text(), end="")
@@ -401,11 +355,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     df = _load(args.file)
-    try:
-        matrix = construct(df.diagram, field=df.field)
-    except InadmissibleD as exc:
-        print(f"failure: {exc}")
-        return 1
+    matrix = construct(df.diagram, field=df.field)
     if args.p is None:
         datum = realize_free(matrix, df.diagram)
         if not args.machine:
@@ -433,11 +383,7 @@ def _cmd_a4(args: argparse.Namespace) -> int:
 
 def _cmd_present(args: argparse.Namespace) -> int:
     df = _load(args.file)
-    try:
-        matrix = construct(df.diagram, field=df.field)
-    except InadmissibleD as exc:
-        print(f"failure: {exc}")
-        return 1
+    matrix = construct(df.diagram, field=df.field)
     datum = realize_free(matrix, df.diagram)
     pres = emit_presentation(datum)
     print(pres.to_machine() if args.machine else pres.to_text(), end="")
@@ -552,14 +498,19 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 3
     try:
         # looked up at each call, so a replaced _cmd_ function takes effect
-        return globals()[f"_cmd_{args.command}"](args)
-    except _FAILURE_ERRORS as exc:
+        code = globals()[f"_cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except DefiniteNo as exc:
         print(f"failure: {exc}")
         return 1
-    except InadmissibleD as exc:
-        print(f"error: {exc}")
-        return 3
-    except _INPUT_ERRORS as exc:
+    except BrokenPipeError:
+        # the reader went away (`linkdyn ... | head -1`): write nothing
+        # more, and point stdout at devnull so the flush at exit cannot
+        # fail again; 141 is what a shell reports for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (InputError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}")
         return 3
     except Exception as exc:

@@ -268,13 +268,17 @@ def find_symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
     d_v / d_u = a_uv / a_vu along the breadth-first walk of the plain
     edges, which gives the potentials of the diagram without dotted
     edges.  Raises NotSymmetrizable naming the first pair that fails
-    when no such vector exists.  The walk cannot divide by a one-sided
-    zero a_ij = 0 != a_ji, so then d stays 0 and only those pairs fail.
+    when no such vector exists.  A pair with no positive ratio, a
+    one-sided zero a_ij = 0 != a_ji or a_ij a_ji < 0, leaves d at 0,
+    and then only those pairs fail.
     """
     n, a = cartan.size, cartan.entries
-    one_sided = [[(a[i][j] == 0) != (a[j][i] == 0) for j in range(n)] for i in range(n)]
+    no_ratio = [
+        [(a[i][j] == 0) != (a[j][i] == 0) or a[i][j] * a[j][i] < 0 for j in range(n)]
+        for i in range(n)
+    ]
     out = [0] * n
-    if not any(map(any, one_sided)):
+    if not any(map(any, no_ratio)):
         diagram = LinkableDynkinDiagram(cartan, (), frozenset())
         pot = [Fraction(*p) for p in _potentials(diagram)]
         for comp in diagram.plain_components():
@@ -284,7 +288,7 @@ def find_symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
                 out[v] = int(pot[v] * scale) // shrink
     for i in range(n):
         for j in range(n):
-            if out[i] * a[i][j] != out[j] * a[j][i] or one_sided[i][j]:
+            if out[i] * a[i][j] != out[j] * a[j][i] or no_ratio[i][j]:
                 raise NotSymmetrizable(
                     f"no positive d with d_{i + 1} a({i + 1},{j + 1}) = "
                     f"d_{j + 1} a({j + 1},{i + 1})"

@@ -2,17 +2,33 @@
 
 import argparse
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 import linkdyn.braiding
 import linkdyn.cli
 import linkdyn.cycles
+import linkdyn.errors
 import linkdyn.realization
-from conftest import circle, run_cli
+from conftest import LINKDYN_SRC, circle, prism, run_cli
 from linkdyn import FieldSpec
 from linkdyn.cli import DiagramFile, main, parse
-from linkdyn.errors import DiagramSyntaxError, PathInconsistency, SemanticError
+from linkdyn.errors import (
+    DefiniteNo,
+    DiagramSyntaxError,
+    InadmissibleD,
+    InputError,
+    LinkdynError,
+    NoAdmissibleOrder,
+    NotPrime,
+    OrderMismatch,
+    PathInconsistency,
+    SemanticError,
+    UnclassifiedPath,
+)
 
 A1A1 = "vertices 2\nlink 1 2\n"
 
@@ -349,7 +365,7 @@ class TestOracleCommand:
 
 
 class TestDefaultOrderFailure:
-    @pytest.mark.parametrize("command", ["construct", "realize", "present"])
+    @pytest.mark.parametrize("command", ["construct", "realize", "present", "sum"])
     def test_no_admissible_divisor_in_the_field(self, write, capsys, command):
         # the B3 ring of 2 has genus gcd 3, and GF(11) has no root of order 3
         path = write(DiagramFile(circle("B3", 2), FieldSpec("gf", q=11)).serialize())
@@ -679,18 +695,78 @@ class TestDispatchErrors:
         assert code == 3
         assert out.startswith("error:")
 
-    def test_unexpected_exception_is_internal_error(
-        self, write, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "error, code, out",
+        [
+            pytest.param(error, code, out, id=type(error).__name__)
+            for error, code, out in [
+                (ValueError("boom"), 4, "internal error in selflink: ValueError: boom\n"),
+                (NotPrime("x"), 3, "error: x\n"),
+                (InadmissibleD("x"), 3, "error: x\n"),
+                (OrderMismatch("x"), 1, "failure: x\n"),
+                (NoAdmissibleOrder("x"), 1, "failure: x\n"),
+                (
+                    PathInconsistency("x"),
+                    4,
+                    "internal error in selflink: PathInconsistency: x\n",
+                ),
+            ]
+        ],
+    )
+    def test_error_class_decides_exit_code(
+        self, write, capsys, monkeypatch, error, code, out
     ):
         def boom(args):
-            raise ValueError("boom")
+            raise error
 
         monkeypatch.setattr(linkdyn.cli, "_cmd_selflink", boom)
-        code = main(["selflink", write(SELFLINK_A4)])
+        assert main(["selflink", write(SELFLINK_A4)]) == code
         captured = capsys.readouterr()
-        assert code == 4
-        assert captured.out == "internal error in selflink: ValueError: boom\n"
-        assert captured.err.startswith("Traceback")
+        assert captured.out == out
+        if code == 4:
+            assert captured.err.startswith("Traceback")
+        else:
+            assert captured.err == ""
+
+    def test_every_error_has_an_outcome(self):
+        bases = {LinkdynError, InputError, DefiniteNo}
+        bugs = {PathInconsistency, UnclassifiedPath}
+        classes = [
+            value
+            for value in vars(linkdyn.errors).values()
+            if isinstance(value, type) and issubclass(value, Exception)
+        ]
+        assert NoAdmissibleOrder in classes
+        for cls in classes:
+            outcomes = issubclass(cls, InputError), issubclass(cls, DefiniteNo)
+            if cls in bases | bugs:
+                continue
+            if cls is NoAdmissibleOrder:
+                assert outcomes == (True, True)
+            else:
+                assert sum(outcomes) == 1, cls.__name__
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # prism(8) presents to about 320 KB, far over a 64 KiB pipe
+        # buffer, so the child is still writing when the pipe closes
+        path = tmp_path / "prism8.dg"
+        path.write_text(DiagramFile(prism(8), FieldSpec("cyclotomic")).serialize())
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)  # buffering decides where EPIPE shows
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (LINKDYN_SRC, env.get("PYTHONPATH")))
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "linkdyn", "present", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert child.stdout.readline().startswith(b"generators: ")
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 141
+        assert err == b""
 
     def test_path_inconsistency_is_internal_error(
         self, write, capsys, monkeypatch

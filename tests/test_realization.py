@@ -102,6 +102,25 @@ class TestFindSymmetrizer:
         with pytest.raises(NotSymmetrizable, match=r"d_3 a\(3,4\) = d_4 a\(4,3\)"):
             find_symmetrizer(CartanMatrix(rows))
 
+    @pytest.mark.parametrize(
+        "rows", [((2, 1), (-1, 2)), ((2, -1), (1, 2))], ids=["upper", "lower"]
+    )
+    def test_opposite_signs(self, rows):
+        # d_1 / d_2 = a_21 / a_12 = -1 has no positive solution
+        with pytest.raises(
+            NotSymmetrizable, match=r"^no positive d with d_1 a\(1,2\) = d_2 a\(2,1\)$"
+        ):
+            find_symmetrizer(CartanMatrix(rows))
+
+    def test_opposite_signs_named_in_row_major_order(self):
+        # an A2 on 1, 2, opposite signs between 2 and 4, then 3 and 4
+        rows = ((2, -1, 0, 0), (-1, 2, 0, 1), (0, 0, 2, -1), (0, -1, 1, 2))
+        with pytest.raises(NotSymmetrizable, match=r"d_2 a\(2,4\) = d_4 a\(4,2\)"):
+            find_symmetrizer(CartanMatrix(rows))
+
+    def test_positive_pair_keeps_its_ratio(self):
+        assert find_symmetrizer(CartanMatrix(((2, 1), (1, 2)))) == (1, 1)
+
     def test_matches_reference_walk(self):
         rng = random.Random(1969)
         outcomes = set()
@@ -239,6 +258,10 @@ class TestDoubleDatum:
             double_datum(cartan("A2"), symmetrizer=(0, 0))
         with pytest.raises(NotSymmetrizable):
             double_datum(cartan("A2"), symmetrizer=(1,))
+
+    def test_opposite_signs_rejected(self):
+        with pytest.raises(NotSymmetrizable):
+            double_datum(CartanMatrix(((2, 1), (-1, 2))))
 
     def test_collapsing_q_order_rejected(self):
         with pytest.raises(InadmissibleD):
