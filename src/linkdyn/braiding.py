@@ -471,6 +471,31 @@ def admissible_orders(
     return _admissible_orders(diagram, mode, field, big_g, bound)
 
 
+def _order_fault(
+    diagram: LinkableDynkinDiagram, d: int, mode: str, field: FieldSpec, big_g: int
+) -> Optional[str]:
+    """The first reason d is not an admissible root order, None if it is.
+
+    Finite mode wants d odd, above 2 and prime to 3 if a G2 component is
+    present, affine mode a prime above 3; both want d to divide a nonzero
+    genus gcd big_g and the field to hold a primitive d-th root.
+    """
+    if mode == "finite":
+        if d <= 2:
+            return f"root order {d} must exceed 2"
+        if d % 2 == 0:
+            return f"root order {d} must be odd"
+        if d % 3 == 0 and _has_g2(diagram):
+            return f"root order {d} is divisible by 3 with a G2 component present"
+    elif d <= 3 or not is_prime(d):
+        return f"root order {d} must be a prime above 3"
+    if big_g > 0 and big_g % d != 0:
+        return f"root order {d} does not divide the genus gcd {big_g}"
+    if not field.has_primitive_root(d):
+        return f"the field has no primitive root of order {d}"
+    return None
+
+
 def _admissible_orders(
     diagram: LinkableDynkinDiagram,
     mode: str,
@@ -484,20 +509,18 @@ def _admissible_orders(
     only cuts off a cyclotomic field, where every prime qualifies, and
     the default suits listing and choosing one.
     """
-    g2 = mode == "finite" and _has_g2(diagram)
-    low = 3 if mode == "finite" else 5
     candidates = field.root_orders()
     if big_g or candidates is None:
-        candidates = range(low, (big_g or bound) + 1)
-    out = []
-    for d in candidates:
-        if d < low or big_g % d or d % 2 == 0 or (g2 and d % 3 == 0):
-            continue
-        if field.has_primitive_root(d) and (
-            (mode == "finite" and big_g > 0) or is_prime(d)
-        ):
-            out.append(d)
-    return tuple(out)
+        candidates = range(3, (big_g or bound) + 1)
+    any_order = mode == "finite" and big_g > 0
+    # the cheap tests first: most candidates fail them and need no message
+    return tuple(
+        d
+        for d in candidates
+        if not big_g % d
+        and (any_order or is_prime(d))
+        and _order_fault(diagram, d, mode, field, big_g) is None
+    )
 
 
 def _validate_order(
@@ -520,24 +543,9 @@ def _validate_order(
         if not choices:
             raise NoAdmissibleOrder("the field provides no admissible root order")
         return choices[0]
-    if mode == "finite":
-        if d <= 2:
-            raise InadmissibleD(f"root order {d} must exceed 2")
-        if d % 2 == 0:
-            raise InadmissibleD(f"root order {d} must be odd")
-        if _has_g2(diagram) and d % 3 == 0:
-            raise InadmissibleD(
-                f"root order {d} is divisible by 3 with a G2 component present"
-            )
-    else:
-        if d <= 3 or not is_prime(d):
-            raise InadmissibleD(f"root order {d} must be a prime above 3")
-    if big_g > 0 and big_g % d != 0:
-        raise InadmissibleD(
-            f"root order {d} does not divide the genus gcd {big_g}"
-        )
-    if not field.has_primitive_root(d):
-        raise InadmissibleD(f"the field has no primitive root of order {d}")
+    fault = _order_fault(diagram, d, mode, field, big_g)
+    if fault:
+        raise InadmissibleD(fault)
     return d
 
 
@@ -831,7 +839,6 @@ def brute_force_exists(
             f"shrink the diagram or the order bound"
         )
     for n in candidates_n:
-        ok = [_order_ok(e, n, mode, has_g2) for e in range(n)]
         # each column of V scaled to n / m, read in traversal order and
         # taken 0..m-1 times; a column with m = 1 only contributes 0
         gens = [
@@ -843,7 +850,8 @@ def brute_force_exists(
             tuple(sum(k * g[p] for k, (_, g) in zip(ks, gens)) % n for p in range(s))
             for ks in product(*(range(m) for m, _ in gens))
         )
-        least = min((e for e in diagonals if all(ok[x] for x in e)), default=None)
+        fits = (e for e in diagonals if all(_order_ok(x, n, mode, has_g2) for x in e))
+        least = min(fits, default=None)
         if least is None:
             continue
         matrix = _completed(diagram, n, [least[order.index(v)] for v in range(s)])

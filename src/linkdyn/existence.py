@@ -16,6 +16,7 @@ from .braiding import (
     BraidingMatrix,
     RootExpr,
     _admissible_orders,
+    _order_fault,
     _recognized_components,
 )
 from .cycles import genus_gcd
@@ -34,7 +35,7 @@ from .errors import (
     UnclassifiedPath,
     UnsupportedMode,
 )
-from .fields import CYCLOTOMIC, FieldSpec, is_prime
+from .fields import CYCLOTOMIC, FieldSpec
 
 # per mode: the rank-two labels whose crosswise double is excluded and
 # whose fully linked copies fail, and the reason given when no root
@@ -173,15 +174,6 @@ def excluded_case_matrix(
             f"(n, m) must be one of {sorted(_SHAPES)}, got ({n}, {m})"
         )
     mode = _SHAPES[(n, m)]
-    if mode == "finite":
-        if d <= 2 or d % 2 == 0 or d % 3 == 0:
-            raise InadmissibleD(
-                f"root order {d} must be odd, above 2 and prime to 3"
-            )
-    else:
-        if d <= 3 or not is_prime(d):
-            raise InadmissibleD(f"root order {d} must be a prime above 3")
-
     aij, aji = -m, -(m // n)
     rows = [[2, aij, 0, 0], [aji, 2, 0, 0], [0, 0, 2, aij], [0, 0, aji, 2]]
     diagram = LinkableDynkinDiagram(
@@ -190,6 +182,9 @@ def excluded_case_matrix(
         linked=frozenset({(0, 2), (1, 3)}),
         mode=mode,
     )
+    fault = _order_fault(diagram, d, mode, CYCLOTOMIC, 0)
+    if fault:
+        raise InadmissibleD(fault)
 
     def q(e: int) -> RootExpr:
         return RootExpr.root(d, e)

@@ -561,7 +561,6 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
                 )
             field, split = slots[key]
             words_text = [_serre_word(i, j, top, k, " ") for k in range(top + 1)]
-            words_mach = [_serre_word(i, j, top, k, "*") for k in range(top + 1)]
             lam = 1 if (i, j) in datum.linked else 0
             gw = ""
             if lam:
@@ -576,7 +575,7 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
             machine = (
                 f"serre {i + 1} {j + 1} | coeffs: {field}"
                 + " | words: "
-                + " , ".join(words_mach)
+                + " , ".join(w.replace(" ", "*") for w in words_text)
                 + f" | rhs: lambda={lam}"
                 + (f" g={gw}" if lam else "")
             )

@@ -430,15 +430,13 @@ def _satisfies_system(t: tuple[int, int, int, int], p: int) -> bool:
     )
 
 
-def a4_scan(p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All (n, m, k, l) solving the three congruences, by full search."""
-    return _a4_scan(p, magic_pairs(p))
-
-
 def _a4_scan(
     p: int, magic: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, int, int, int], ...]:
-    # a4_scan given magic_pairs(p)
+    """All (n, m, k, l) solving the three congruences, by full search.
+
+    magic is magic_pairs(p).
+    """
     pure = _pure_pairs(p)
     out = []
     for n, m in magic:
@@ -449,21 +447,16 @@ def _a4_scan(
     return tuple(sorted(out))
 
 
-def a4_closed_form(p: int) -> tuple[tuple[int, int, int, int], ...]:
+def _a4_closed_form(
+    p: int, magic: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int, int, int], ...]:
     """The same solutions through the square-root case formulas.
 
     Candidates are generated for the three parameter cases (m = 2n,
     n = 2m + 1, and the generic one) over every sign choice, then
     filtered through the congruences, so an ambiguous sign coupling in
-    a formula cannot add spurious tuples.
+    a formula cannot add spurious tuples.  magic is magic_pairs(p).
     """
-    return _a4_closed_form(p, magic_pairs(p))
-
-
-def _a4_closed_form(
-    p: int, magic: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int, int, int], ...]:
-    # a4_closed_form given magic_pairs(p)
     inv2, inv3, inv4 = (pow(x, -1, p) for x in (2, 3, 4))
     roots_m2 = sqrt_mod(-2, p)
     roots_5 = sqrt_mod(5, p)
@@ -589,8 +582,6 @@ __all__ = [
     "sqrt_mod",
     "magic_pairs",
     "count_magic_solutions",
-    "a4_scan",
-    "a4_closed_form",
     "a4_solve_zp2",
     "A4Solution",
     "a4_realizable_zp2",

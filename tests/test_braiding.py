@@ -17,6 +17,7 @@ from linkdyn import (
     FieldSpec,
     InadmissibleD,
     IndexOutOfRange,
+    NoAdmissibleOrder,
     NotLinkConnected,
     OrderMismatch,
     RootExpr,
@@ -495,6 +496,126 @@ class TestAdmissibleOrders:
             ord_diagonal(m, 2)
 
 
+def reference_admissible_orders(diagram, mode, field, big_g, bound=100):
+    """The admissible orders by the filter that _order_fault replaced.
+
+    Kept as the reference, with its own copy of the mode rule.
+    """
+    g2 = mode == "finite" and braiding._has_g2(diagram)
+    low = 3 if mode == "finite" else 5
+    candidates = field.root_orders()
+    if big_g or candidates is None:
+        candidates = range(low, (big_g or bound) + 1)
+    out = []
+    for d in candidates:
+        if d < low or big_g % d or d % 2 == 0 or (g2 and d % 3 == 0):
+            continue
+        if field.has_primitive_root(d) and (
+            (mode == "finite" and big_g > 0) or is_prime(d)
+        ):
+            out.append(d)
+    return tuple(out)
+
+
+def reference_validate_order(diagram, d, mode, field, big_g):
+    """The checked or chosen root order, by the checks _order_fault replaced."""
+    if d is None:
+        choices = reference_admissible_orders(diagram, mode, field, big_g)
+        if mode == "finite" and big_g > 0:
+            if not choices:
+                raise NoAdmissibleOrder(
+                    f"no admissible root order divides the genus gcd {big_g}"
+                )
+            return choices[-1]
+        choices = tuple(c for c in choices if c >= 5)
+        if not choices:
+            raise NoAdmissibleOrder("the field provides no admissible root order")
+        return choices[0]
+    if mode == "finite":
+        if d <= 2:
+            raise InadmissibleD(f"root order {d} must exceed 2")
+        if d % 2 == 0:
+            raise InadmissibleD(f"root order {d} must be odd")
+        if braiding._has_g2(diagram) and d % 3 == 0:
+            raise InadmissibleD(
+                f"root order {d} is divisible by 3 with a G2 component present"
+            )
+    else:
+        if d <= 3 or not is_prime(d):
+            raise InadmissibleD(f"root order {d} must be a prime above 3")
+    if big_g > 0 and big_g % d != 0:
+        raise InadmissibleD(
+            f"root order {d} does not divide the genus gcd {big_g}"
+        )
+    if not field.has_primitive_root(d):
+        raise InadmissibleD(f"the field has no primitive root of order {d}")
+    return d
+
+
+def order_outcome(validate, diagram, d, mode, field, big_g):
+    """The chosen root order, or the exception type and text."""
+    try:
+        return validate(diagram, d, mode, field, big_g)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestOrderRuleAgainstReference:
+    """_order_fault's one rule against the two copies it replaced."""
+
+    FIELDS = (
+        CYCLOTOMIC,
+        FieldSpec("gf", q=31),
+        FieldSpec("gf", q=11),
+        FieldSpec("roots", orders=(12, 7)),
+    )
+
+    def diagrams(self):
+        for labels, pairs in small_family():
+            yield component_diag(list(labels), list(pairs))
+        for label in ("A3", "B3"):
+            for n in range(2, 9):
+                yield circle(label, n)
+
+    def test_orders_and_messages_match_reference(self):
+        messages, gs = set(), set()
+        for d in self.diagrams():
+            for mode in ("finite", "affine"):
+                try:
+                    big_g = linkdyn.cycles.genus_gcd(d, mode)
+                except Exception:
+                    continue
+                gs.add(big_g)
+                for field in self.FIELDS:
+                    got = braiding._admissible_orders(d, mode, field, big_g)
+                    want = reference_admissible_orders(d, mode, field, big_g)
+                    assert got == want, (d, mode, field, big_g)
+                    for order in chain(range(-2, 61), [None]):
+                        got = order_outcome(
+                            braiding._validate_order, d, order, mode, field, big_g
+                        )
+                        want = order_outcome(
+                            reference_validate_order, d, order, mode, field, big_g
+                        )
+                        assert got == want, (d, order, mode, field, big_g)
+                        if not isinstance(got, int):
+                            messages.add(got[1])
+        # cycle-free diagrams and several nonzero genus gcds were met, and
+        # every message of the rule was given
+        assert 0 in gs and len(gs) > 2
+        for phrase in (
+            "must exceed 2",
+            "must be odd",
+            "with a G2 component present",
+            "must be a prime above 3",
+            "does not divide the genus gcd",
+            "has no primitive root",
+            "no admissible root order divides",
+            "the field provides no",
+        ):
+            assert any(phrase in m for m in messages), phrase
+
+
 class TestOracle:
     def test_single_vertex_witness_at_five(self):
         d = component_diag(["A1"], [])
@@ -534,6 +655,14 @@ class TestOracle:
             assert not brute_force_exists(d, n_max=n_max).found
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_order_checks_follow_the_diagonals(self, count_calls):
+        # a "no" with one diagonal per order: its entries, not every
+        # exponent below each order, are checked
+        d = component_diag(["A2", "A3"], [(0, 2), (1, 4)])
+        calls = count_calls(braiding, "_order_ok")
+        assert not brute_force_exists(d, n_max=2000).found
+        assert len(calls) <= 4000
 
     def test_walks_the_link_graph_once(self, count_calls):
         walks = count_calls(linkdyn.diagram, "_breadth_first")

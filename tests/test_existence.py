@@ -452,6 +452,20 @@ class TestExcludedCaseMatrix:
         with pytest.raises(InadmissibleD):
             excluded_case_matrix(1, 2, d=9)
 
+    @pytest.mark.parametrize(
+        "n, m, d, message",
+        [
+            (3, 3, 1, "root order 1 must exceed 2"),
+            (3, 3, 4, "root order 4 must be odd"),
+            (3, 3, 9, "root order 9 is divisible by 3 with a G2 component present"),
+            (1, 2, 9, "root order 9 must be a prime above 3"),
+        ],
+    )
+    def test_order_messages(self, n, m, d, message):
+        with pytest.raises(InadmissibleD) as err:
+            excluded_case_matrix(n, m, d=d)
+        assert str(err.value) == message
+
 
 # paths are classified by their multiple edges; rows below follow the
 # template orientations so the families carry their usual names
