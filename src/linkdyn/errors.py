@@ -117,7 +117,11 @@ class PathInconsistency(LinkdynError):
 
 
 class ScaleExceeded(InputError):
-    """The brute-force search space is too large to scan exhaustively."""
+    """An input is larger than the operation is bounded to.
+
+    The oracle's search space, the prime of the rank-four system and
+    the range where is_prime is exact each have such a bound.
+    """
 
 
 class OrderMismatch(DefiniteNo):

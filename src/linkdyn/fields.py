@@ -11,19 +11,46 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import ScaleExceeded
+
+
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# below this bound Miller-Rabin to the bases above is exact
+# (Sorenson and Webster, 2015)
+_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime; ScaleExceeded at or above 3.317 * 10^24.
+
+    Trial division by the bases settles every n below 43^2; larger n
+    go through Miller-Rabin to every base.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _EXACT_BELOW:
+        raise ScaleExceeded(
+            f"{n} is at or above {_EXACT_BELOW}, where the primality "
+            f"test is no longer exact"
+        )
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+        if b * b > n:
+            return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

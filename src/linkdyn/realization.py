@@ -26,6 +26,7 @@ from .errors import (
     NotPrime,
     NotSymmetrizable,
     OrderNotDividing,
+    ScaleExceeded,
 )
 from .fields import is_prime
 
@@ -392,33 +393,59 @@ def sqrt_mod(a: int, p: int) -> tuple[int, ...]:
     return tuple(sorted({r, p - r}))
 
 
+_P_LIMIT = 100_000  # largest prime a4 solves: time and the table grow as p
+
+
 def _require_rank4_prime(p: int) -> None:
     if p < 5 or not is_prime(p):
         raise NotPrime(f"{p} is not a prime of at least 5")
 
 
-def magic_pairs(p: int) -> tuple[tuple[int, int], ...]:
-    """All (n, m) with n^2 - nm + m^2 + m + 1 = 0 modulo p, sorted."""
+def _sqrt_table(p: int) -> list[int]:
+    """One square root r of each residue mod p, -1 for non-squares.
+
+    The other root is p - r.  p is refused above _P_LIMIT, before the
+    primality test and before the p-entry table is built.
+    """
+    if p > _P_LIMIT:
+        raise ScaleExceeded(f"p = {p} exceeds the rank-four limit {_P_LIMIT}")
     _require_rank4_prime(p)
+    table = [-1] * p
+    for x in range(p // 2 + 1):
+        table[x * x % p] = x
+    return table
+
+
+def _quad(a: int, b: int, c: int, p: int, table: list[int]) -> tuple[int, ...]:
+    """The roots of a x^2 + b x + c modulo p, ascending."""
+    a, b, c = a % p, b % p, c % p
+    if a == 0:
+        if b == 0:
+            return tuple(range(p)) if c == 0 else ()
+        return (-c * pow(b, -1, p) % p,)
+    r = table[(b * b - 4 * a * c) % p]
+    if r < 0:
+        return ()
+    inv = pow(2 * a, -1, p)
+    return tuple(sorted({(-b + r) * inv % p, (-b - r) * inv % p}))
+
+
+def magic_pairs(
+    p: int, table: Optional[list[int]] = None
+) -> tuple[tuple[int, int], ...]:
+    """All (n, m) with n^2 - nm + m^2 + m + 1 = 0 modulo p, sorted.
+
+    table is _sqrt_table(p), built here when not given.
+    """
+    if table is None:
+        table = _sqrt_table(p)
     return tuple(
-        (n, m)
-        for n in range(p)
-        for m in range(p)
-        if (n * n - n * m + m * m + m + 1) % p == 0
+        (n, m) for n in range(p) for m in _quad(1, 1 - n, n * n + 1, p, table)
     )
 
 
 def count_magic_solutions(p: int) -> int:
     return len(magic_pairs(p))
-
-
-def _pure_pairs(p: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (k, l)
-        for k in range(p)
-        for l in range(p)
-        if (k * k - k * l + l * l + 1) % p == 0
-    )
 
 
 def _satisfies_system(t: tuple[int, int, int, int], p: int) -> bool:
@@ -431,18 +458,27 @@ def _satisfies_system(t: tuple[int, int, int, int], p: int) -> bool:
 
 
 def _a4_scan(
-    p: int, magic: tuple[tuple[int, int], ...]
+    p: int, magic: tuple[tuple[int, int], ...], table: list[int]
 ) -> tuple[tuple[int, int, int, int], ...]:
-    """All (n, m, k, l) solving the three congruences, by full search.
+    """All (n, m, k, l) solving the three congruences, by enumeration.
 
-    magic is magic_pairs(p).
+    For each magic pair the coupling line k cm + l cl + 1 = 0 is solved
+    for l (for k when cl = 0) and put into the conic k^2 - kl + l^2 + 1
+    = 0, which leaves one quadratic with at most two roots.  magic is
+    magic_pairs(p) and table is _sqrt_table(p).
     """
-    pure = _pure_pairs(p)
     out = []
     for n, m in magic:
         cm, cl = (m - 2 * n) % p, (n - 2 * m - 1) % p
-        for k, l in pure:
-            if (k * cm + l * cl + 1) % p == 0:
+        if cl:
+            # cl^2 times the conic at l = -(1 + k cm) / cl
+            inv = pow(cl, -1, p)
+            a, b, c = cl * cl + cl * cm + cm * cm, cl + 2 * cm, 1 + cl * cl
+            for k in _quad(a, b, c, p, table):
+                out.append((n, m, k, -(1 + k * cm) * inv % p))
+        elif cm:  # with cm = cl = 0 the line reads 1 = 0
+            k = -pow(cm, -1, p) % p
+            for l in _quad(1, -k, k * k + 1, p, table):
                 out.append((n, m, k, l))
     return tuple(sorted(out))
 
@@ -539,9 +575,10 @@ class A4Solution(NamedTuple):
 
 
 def a4_solve_zp2(p: int) -> A4Solution:
-    """Both routes, sharing one computation of magic_pairs(p)."""
-    magic = magic_pairs(p)
-    scan = _a4_scan(p, magic)
+    """Both routes, sharing one square-root table and magic_pairs(p)."""
+    table = _sqrt_table(p)
+    magic = magic_pairs(p, table)
+    scan = _a4_scan(p, magic, table)
     closed = _a4_closed_form(p, magic)
     return A4Solution(p, scan, closed, scan == closed)
 
@@ -549,9 +586,9 @@ def a4_solve_zp2(p: int) -> A4Solution:
 def a4_realizable_zp2(p: int) -> tuple[bool, tuple[str, ...]]:
     """Whether the rank-four chain admits a realization over (Z/p)^2.
 
-    The exhaustive scan decides; the report compares it with the
-    square-root criterion and with the residue-class shortcut, flagging
-    primes where the shortcut and the scan differ.
+    The scan, which lists every solution, decides; the report compares
+    it with the square-root criterion and with the residue-class
+    shortcut, flagging primes where the shortcut and the scan differ.
     """
     return a4_solve_zp2(p).report()
 

@@ -247,6 +247,18 @@ class TestConstructCommand:
         assert code == 3
         assert out.startswith("error:")
 
+    def test_large_prime_d_on_an_affine_diagram(self, write, capsys):
+        # 2^61 - 1: the affine order rule tests it for primality
+        code, out = run(
+            capsys,
+            "construct",
+            write(A1A1 + "mode affine\n"),
+            "--d",
+            str(2**61 - 1),
+        )
+        assert code == 0
+        assert "verification: ok" in out
+
     def test_start_flag_is_gone(self, write, capsys):
         code, out = run(capsys, "construct", write(A1A1), "--start", "2")
         assert code == 3
@@ -466,6 +478,11 @@ class TestA4Command:
         code, out = run(capsys, "a4", "--p", "6")
         assert code == 3
         assert out.startswith("error:")
+
+    def test_prime_past_the_bound_rejected(self, capsys):
+        code, out = run(capsys, "a4", "--p", "100003")
+        assert code == 3
+        assert out == "error: p = 100003 exceeds the rank-four limit 100000\n"
 
 
 class TestPresentCommand:

@@ -44,6 +44,13 @@ from linkdyn.errors import (
     NotPrime,
     NotSymmetrizable,
     OrderNotDividing,
+    ScaleExceeded,
+)
+from linkdyn.realization import (
+    A4Solution,
+    _a4_closed_form,
+    _quad,
+    _sqrt_table,
 )
 
 PRIMES_TO_101 = tuple(p for p in range(5, 102) if is_prime(p))
@@ -487,6 +494,104 @@ class TestMagicCount:
     def test_rejects_non_primes(self, p):
         with pytest.raises(NotPrime):
             count_magic_solutions(p)
+
+    # 100_002 is even: the bound is checked before primality; 10^30
+    # would not fit a square-root table in memory
+    @pytest.mark.parametrize("p", [100_003, 100_002, 10**30])
+    def test_rejects_primes_past_the_bound(self, p):
+        for solve in (magic_pairs, count_magic_solutions, a4_solve_zp2):
+            with pytest.raises(ScaleExceeded, match=f"p = {p} exceeds .* 100000"):
+                solve(p)
+
+    def test_largest_prime_within_the_bound(self):
+        # 99991 = 6 * 16665 + 1 is the largest prime at most 100000
+        assert count_magic_solutions(99_991) == 6 * 16665
+
+
+# --------------------------------------------- the p^2 search, as reference
+
+
+def reference_magic_pairs(p):
+    return tuple(
+        (n, m)
+        for n in range(p)
+        for m in range(p)
+        if (n * n - n * m + m * m + m + 1) % p == 0
+    )
+
+
+def reference_pure_pairs(p):
+    return tuple(
+        (k, l)
+        for k in range(p)
+        for l in range(p)
+        if (k * k - k * l + l * l + 1) % p == 0
+    )
+
+
+def reference_a4_scan(p, magic):
+    """Every magic pair against every pure pair: |magic| |pure| ~ p^2."""
+    pure = reference_pure_pairs(p)
+    out = []
+    for n, m in magic:
+        cm, cl = (m - 2 * n) % p, (n - 2 * m - 1) % p
+        for k, l in pure:
+            if (k * cm + l * cl + 1) % p == 0:
+                out.append((n, m, k, l))
+    return tuple(sorted(out))
+
+
+def reference_a4_solve(p):
+    magic = reference_magic_pairs(p)
+    scan = reference_a4_scan(p, magic)
+    closed = _a4_closed_form(p, magic)
+    return A4Solution(p, scan, closed, scan == closed)
+
+
+PRIMES_TO_300 = tuple(p for p in range(5, 300) if is_prime(p))
+
+
+class TestA4AgainstReference:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_quad_matches_exhaustive_search(self, p):
+        # every (a, b, c), so a = 0, b = 0 and the zero polynomial occur
+        table = _sqrt_table(p)
+        for a in range(p):
+            for b in range(p):
+                for c in range(-p, p):
+                    expected = tuple(
+                        x for x in range(p) if (a * x * x + b * x + c) % p == 0
+                    )
+                    assert _quad(a, b, c, p, table) == expected, (a, b, c)
+
+    def test_sqrt_table_holds_one_root_per_square(self):
+        for p in (5, 7, 13, 101):
+            table = _sqrt_table(p)
+            assert len(table) == p
+            for a in range(p):
+                assert sqrt_mod(a, p) == tuple(
+                    sorted({table[a], (p - table[a]) % p}) if table[a] >= 0 else ()
+                )
+
+    def test_solutions_match_reference_below_300(self):
+        for p in PRIMES_TO_300:
+            sol, ref = a4_solve_zp2(p), reference_a4_solve(p)
+            assert magic_pairs(p) == reference_magic_pairs(p), p
+            assert sol.p == ref.p
+            assert sol.tuples == ref.tuples, p
+            assert sol.closed_form == ref.closed_form, p
+            assert sol.routes_agree == ref.routes_agree, p
+
+    @pytest.mark.parametrize("p, count", [(10_007, 0), (10_009, 20_016)])
+    def test_large_primes(self, p, count):
+        sol = a4_solve_zp2(p)
+        assert len(sol.tuples) == count
+        assert sol.routes_agree
+        assert list(sol.tuples) == sorted(set(sol.tuples))
+        for n, m, k, l in sol.tuples:
+            assert (n * n - n * m + m * m + m + 1) % p == 0
+            assert (k * k - k * l + l * l + 1) % p == 0
+            assert (k * (m - 2 * n) + l * (n - 2 * m - 1) + 1) % p == 0
 
 
 class TestRankFourSystem:
