@@ -25,6 +25,7 @@ from .errors import (
     InadmissibleD,
     IndexOutOfRange,
     LinkConstraintUnsatisfiable,
+    MalformedMatrix,
     NoAdmissibleOrder,
     NotLinkConnected,
     OrderMismatch,
@@ -33,7 +34,7 @@ from .errors import (
     UnsupportedComponentType,
     UnsupportedMode,
 )
-from .fields import CYCLOTOMIC, FieldSpec, is_prime
+from .fields import CYCLOTOMIC, FieldSpec, divisors, is_prime
 
 _Z_LIMIT = 2_000_000  # diagonals per root order the oracle is willing to enumerate
 
@@ -319,10 +320,13 @@ class BraidingMatrix:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = lines[0].split() if lines else []
         if len(header) < 2 or header[0] != "root_order":
-            raise ValueError("missing root_order header")
-        order = int(header[1])
-        rows = [[_parse_entry(tok, order) for tok in ln.split()] for ln in lines[1:]]
-        return cls._from_grid(order, *_grid(order, rows))
+            raise MalformedMatrix("missing root_order header")
+        try:
+            order = int(header[1])
+            rows = [[_parse_entry(t, order) for t in ln.split()] for ln in lines[1:]]
+            return cls._from_grid(order, *_grid(order, rows))
+        except ValueError as exc:
+            raise MalformedMatrix(str(exc)) from None
 
 
 
@@ -505,20 +509,17 @@ def _admissible_orders(
 ) -> tuple[int, ...]:
     """admissible_orders for a diagram whose genus gcd big_g is known.
 
-    With big_g = 0 the candidates are the field's root orders; bound
-    only cuts off a cyclotomic field, where every prime qualifies, and
-    the default suits listing and choosing one.
+    The candidates are the divisors of a nonzero big_g, else the field's
+    root orders; bound only cuts off a cyclotomic field, where every
+    prime qualifies, and the default suits listing and choosing one.
     """
-    candidates = field.root_orders()
-    if big_g or candidates is None:
-        candidates = range(3, (big_g or bound) + 1)
+    candidates = divisors(big_g) if big_g else field.root_orders()
     any_order = mode == "finite" and big_g > 0
-    # the cheap tests first: most candidates fail them and need no message
+    # the cheap test first: most candidates fail it and need no message
     return tuple(
         d
-        for d in candidates
-        if not big_g % d
-        and (any_order or is_prime(d))
+        for d in candidates or range(3, bound + 1)
+        if (any_order or is_prime(d))
         and _order_fault(diagram, d, mode, field, big_g) is None
     )
 

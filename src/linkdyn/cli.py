@@ -321,17 +321,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     df = _load(args.file)
     with open(args.matrix, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
-        matrix = BraidingMatrix.from_text(text)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 3
+    matrix = BraidingMatrix.from_text(text)
     if matrix.size != df.diagram.size:
-        print(
-            f"error: matrix has {matrix.size} rows but the diagram has "
+        raise InputError(
+            f"matrix has {matrix.size} rows but the diagram has "
             f"{df.diagram.size} vertices"
         )
-        return 3
     report = verify(df.diagram, matrix, df.diagram.mode)
     if report.ok:
         print("ok")

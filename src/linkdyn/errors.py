@@ -119,9 +119,13 @@ class PathInconsistency(LinkdynError):
 class ScaleExceeded(InputError):
     """An input is larger than the operation is bounded to.
 
-    The oracle's search space, the prime of the rank-four system and
-    the range where is_prime is exact each have such a bound.
+    The oracle's search space, the rank-four prime, the range where is_prime
+    is exact and the numbers whose divisors are listed each have a bound.
     """
+
+
+class MalformedMatrix(InputError, ValueError):
+    """Matrix text that does not parse."""
 
 
 class OrderMismatch(DefiniteNo):

@@ -9,6 +9,7 @@ dividing q - 1), and an explicit list of available orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Optional
 
 from .errors import ScaleExceeded
@@ -18,6 +19,15 @@ _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # below this bound Miller-Rabin to the bases above is exact
 # (Sorenson and Webster, 2015)
 _EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_DIVISOR_LIMIT = 10**14  # largest m divisors(m) lists: under 1 s of trial division
+
+
+def divisors(m: int) -> list[int]:
+    """Every divisor of m >= 1, ascending, by trial division up to sqrt(m)."""
+    if m > _DIVISOR_LIMIT:
+        raise ScaleExceeded(f"{m} exceeds the divisor limit {_DIVISOR_LIMIT}")
+    low = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
+    return low + [m // d for d in reversed(low) if d * d != m]
 
 
 def is_prime(n: int) -> bool:
@@ -81,29 +91,25 @@ class FieldSpec:
         """True if the field contains a primitive d-th root of unity."""
         if d < 1:
             return False
-        if self.kind == "cyclotomic":
-            return True
-        if self.kind == "gf":
-            return (self.q - 1) % d == 0
-        return any(m % d == 0 for m in self.orders)
+        return self.kind == "cyclotomic" or any(m % d == 0 for m in self._moduli())
 
     def root_orders(self) -> Optional[list[int]]:
         """Every d with a primitive d-th root here, ascending; None if all."""
         if self.kind == "cyclotomic":
             return None
-        found: set[int] = set()
-        for m in (self.q - 1,) if self.kind == "gf" else self.orders:
-            d = 1
-            while d * d <= m:
-                if m % d == 0:
-                    found.update((d, m // d))
-                d += 1
-        return sorted(found)
+        return sorted(set().union(*map(divisors, self._moduli())))
 
     def satisfies_baseline(self) -> bool:
         """True if some prime p > 3 has a primitive p-th root here."""
-        orders = self.root_orders()
-        return orders is None or any(p > 3 and is_prime(p) for p in orders)
+        # a prime above 3 divides m exactly when m does not divide 6^k for
+        # k = m.bit_length(), which is at least the exponents of 2 and 3
+        return self.kind == "cyclotomic" or any(
+            pow(6, m.bit_length(), m) for m in self._moduli()
+        )
+
+    def _moduli(self) -> tuple[int, ...]:
+        # the roots here are those of order dividing one of these
+        return (self.q - 1,) if self.kind == "gf" else self.orders
 
 
 CYCLOTOMIC = FieldSpec("cyclotomic")

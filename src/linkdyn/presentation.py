@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 
 from .braiding import RootExpr
 from .errors import IndexOutOfRange
+from .fields import divisors
 from .realization import LinkingDatum
 
 Sym = tuple[tuple[str, int], ...]
@@ -70,7 +71,7 @@ _PSI_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
 
 def _phi_powers(d: int) -> list[tuple[int, int]]:
     # Phi_d = prod over e | d of (x^e - 1)^mu(d/e)
-    return [(e, m) for e in range(1, d + 1) if d % e == 0 and (m := _mobius(d // e))]
+    return [(e, m) for e in divisors(d) if (m := _mobius(d // e))]
 
 
 def cyclotomic_polynomial(d: int) -> tuple[int, ...]:

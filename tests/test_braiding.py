@@ -2,8 +2,8 @@
 
 import random
 import re
-from itertools import chain, product
-from math import gcd
+from itertools import chain, combinations, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,8 @@ from linkdyn import (
     FieldSpec,
     InadmissibleD,
     IndexOutOfRange,
+    InputError,
+    MalformedMatrix,
     NoAdmissibleOrder,
     NotLinkConnected,
     OrderMismatch,
@@ -300,7 +302,11 @@ REFERENCE_ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
 
 
 def reference_from_text(text):
-    """BraidingMatrix.from_text as it was: one RootExpr per token."""
+    """BraidingMatrix.from_text as it was: one RootExpr per token.
+
+    Its ValueError texts are raised as MalformedMatrix, the class the
+    CLI reports as bad input.
+    """
 
     def parse(token, order):
         m = REFERENCE_TOKEN.match(token)
@@ -314,10 +320,13 @@ def reference_from_text(text):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) < 2 or header[0] != "root_order":
-        raise ValueError("missing root_order header")
-    order = int(header[1])
-    rows = tuple(tuple(parse(tok, order) for tok in ln.split()) for ln in lines[1:])
-    return BraidingMatrix(order, rows)
+        raise MalformedMatrix("missing root_order header")
+    try:
+        order = int(header[1])
+        rows = tuple(tuple(parse(tok, order) for tok in ln.split()) for ln in lines[1:])
+        return BraidingMatrix(order, rows)
+    except ValueError as exc:
+        raise MalformedMatrix(str(exc)) from None
 
 
 def parse_outcome(parse, text):
@@ -403,6 +412,17 @@ class TestMatrixTextAgainstReference:
         got = parse_outcome(BraidingMatrix.from_text, text)
         assert got == parse_outcome(reference_from_text, text)
 
+    @pytest.mark.parametrize(
+        "text", ["hello\n", "root_order five\n", "root_order 5\nq^1 q^4\nq^1\n"]
+    )
+    def test_malformed_text_is_input_error(self, text):
+        # the CLI reports an InputError as bad input; callers that catch
+        # ValueError still see one
+        with pytest.raises(MalformedMatrix) as info:
+            BraidingMatrix.from_text(text)
+        assert isinstance(info.value, InputError)
+        assert isinstance(info.value, ValueError)
+
     def test_builds_no_root_expr(self, monkeypatch):
         text = construct(prism(4)).to_text()
         created = []
@@ -466,6 +486,30 @@ class TestAdmissibleOrders:
     def test_divisors_of_genus_gcd(self):
         assert admissible_orders(circle("B3", 2)) == (3,)
         assert admissible_orders(circle("B3", 4)) == (3, 5, 15)
+
+    def test_large_genus_gcd_lists_its_divisors(self):
+        # a ring of n B3 components has genus gcd 2^n - (-1)^n, and
+        # 2^28 - 1 = (3 * 43 * 127)(5 * 29 * 113): every product of a
+        # nonempty subset of those primes is admissible in finite mode
+        d = circle("B3", 28)
+        primes = (3, 5, 29, 43, 113, 127)
+        want = sorted(
+            prod(s) for k in range(1, 7) for s in combinations(primes, k)
+        )
+        report = check(d)
+        assert report.genus_gcd == 2**28 - 1
+        assert report.admissible == tuple(want)
+        m = construct(d)
+        assert m.order == 2**28 - 1
+        assert verify(d, m).ok
+
+    def test_genus_gcd_above_the_divisor_limit_is_refused(self):
+        # 2^48 - 1 is above 10^14, the largest number divisors lists
+        d = circle("B3", 48)
+        assert linkdyn.cycles.genus_gcd(d, "finite") == 2**48 - 1
+        for op in (check, construct, admissible_orders):
+            with pytest.raises(ScaleExceeded, match="divisor limit"):
+                op(d)
 
     def test_no_cycles_gives_primes(self):
         d = component_diag(["A2", "A2"], [(0, 2)])
@@ -561,7 +605,12 @@ def order_outcome(validate, diagram, d, mode, field, big_g):
 
 
 class TestOrderRuleAgainstReference:
-    """_order_fault's one rule against the two copies it replaced."""
+    """_order_fault's one rule against the two copies it replaced.
+
+    The reference scans every integer up to the genus gcd; the rings of
+    up to 16 B3 components reach G = 65535, where that scan still runs
+    quickly, and check the divisor list against it.
+    """
 
     FIELDS = (
         CYCLOTOMIC,
@@ -574,7 +623,7 @@ class TestOrderRuleAgainstReference:
         for labels, pairs in small_family():
             yield component_diag(list(labels), list(pairs))
         for label in ("A3", "B3"):
-            for n in range(2, 9):
+            for n in range(2, 17):
                 yield circle(label, n)
 
     def test_orders_and_messages_match_reference(self):
@@ -602,7 +651,7 @@ class TestOrderRuleAgainstReference:
                             messages.add(got[1])
         # cycle-free diagrams and several nonzero genus gcds were met, and
         # every message of the rule was given
-        assert 0 in gs and len(gs) > 2
+        assert 0 in gs and len(gs) > 2 and 2**16 - 1 in gs
         for phrase in (
             "must exceed 2",
             "must be odd",

@@ -376,6 +376,29 @@ class TestOracleCommand:
         assert code == 3
 
 
+class TestDivisorLimit:
+    # q - 1 = 2^61 - 2 is above 10^14, the largest number whose divisors
+    # are listed; parsing the field lists none
+    BIG_GF = "vertices 2\nlink 1 2\nfield gf 2305843009213693951\n"
+
+    def test_big_field_validates_and_check_is_refused(self, write, capsys):
+        path = write(self.BIG_GF)
+        code, out = run(capsys, "validate", path)
+        assert (code, out) == (0, self.BIG_GF + "mode finite\n")
+        code, out = run(capsys, "check", path)
+        assert code == 3
+        assert out == (
+            "error: 2305843009213693950 exceeds the divisor limit "
+            "100000000000000\n"
+        )
+
+    def test_ring_of_thirty_b3_lists_divisors_of_its_genus_gcd(self, write, capsys):
+        ring = DiagramFile(circle("B3", 30), FieldSpec("cyclotomic"))
+        code, out = run(capsys, "check", write(ring.serialize()))
+        assert code == 0
+        assert "genus gcd: 1073741823\n" in out
+
+
 class TestDefaultOrderFailure:
     @pytest.mark.parametrize("command", ["construct", "realize", "present", "sum"])
     def test_no_admissible_divisor_in_the_field(self, write, capsys, command):

@@ -1,6 +1,7 @@
 """Cartan validation, component classification, and linking consistency."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,25 @@ class TestClassification:
                 )
                 got = classify_components(d, "affine")
                 assert [c.label for c in got] == [label], label
+
+    @pytest.mark.parametrize("label, size", [("E6(1)", 7), ("E7(1)", 8), ("E8(1)", 9)])
+    def test_relabelled_affine_e_recognized(self, label, size):
+        rows = dict(_affine_templates(size))[label]
+        perm = list(range(size))
+        random.Random(size).shuffle(perm)
+        assert perm != sorted(perm)
+        shuffled = [
+            [rows[perm[i]][perm[j]] for j in range(size)] for i in range(size)
+        ]
+        d = LinkableDynkinDiagram(
+            validate_cartan(shuffled), (), frozenset(), "affine"
+        )
+        for mode in ("affine", "any"):
+            got = classify_components(d, mode)
+            assert [(c.label, c.vertices) for c in got] == [
+                (label, tuple(range(size)))
+            ], mode
+        assert [c.label for c in classify_components(d, "finite")] == ["other"]
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)

@@ -319,6 +319,28 @@ class TestRealizeFree:
             for j in range(matrix.size):
                 assert datum.braiding_entry(i, j) == inst.entry(i, j)
 
+    @pytest.mark.parametrize(
+        "realize",
+        [realize_free, lambda m, d, z_values: realize_mod_p(m, d, 5, z_values)],
+        ids=["free", "mod_p"],
+    )
+    def test_value_leaving_a_parameter_names_the_entry(self, realize):
+        dd = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
+        matrix = construct(dd)
+        t = matrix.z_indices()[0]
+        # z_t stays z_t and every other parameter goes to 1, so the first
+        # entry in reading order that holds z_t is the one named
+        i, j, k = next(
+            (i, j, dict(matrix.entry(i, j).zpow)[t])
+            for i in range(matrix.size)
+            for j in range(matrix.size)
+            if t in dict(matrix.entry(i, j).zpow)
+        )
+        entry = f"q^{matrix.exps[i][j]}*z{t}^{k}"
+        with pytest.raises(ValueError) as info:
+            realize(matrix, dd, z_values={t: RootExpr.z(5, t)})
+        assert str(info.value) == f"{entry} contains free parameters"
+
     def test_single_vertex(self):
         solo = diag([[2]], [])
         datum = realize_free(construct(solo), solo)
