@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -29,7 +29,6 @@ from .errors import (
     NoAdmissibleOrder,
     NotLinkConnected,
     OrderMismatch,
-    PathInconsistency,
     ScaleExceeded,
     UnsupportedComponentType,
     UnsupportedMode,
@@ -568,7 +567,6 @@ def _offdiagonal_entries(
     every ordered pair is set exactly once.
     """
     a = diagram.cartan.entries
-    partner = {v: diagram.partner(v) for v in range(diagram.size)}
     out: dict[tuple[int, int], Slot] = {}
     z = 0
 
@@ -577,53 +575,41 @@ def _offdiagonal_entries(
         out[(i, j)] = (i, -1, 0, 0)
         out[(j, i)] = (j, -1, 0, 0)
 
-    free = [v for v in range(diagram.size) if partner[v] is None]
+    free = [v for v in range(diagram.size) if diagram.partner(v) is None]
 
     # neither end on a dotted edge
-    for i in free:
-        for j in free:
-            if i < j:
-                z += 1
-                out[(j, i)] = (i, 0, z, 1)
-                out[(i, j)] = (i, a[i][j], z, -1)
+    for i, j in combinations(free, 2):
+        z += 1
+        out[(j, i)] = (i, 0, z, 1)
+        out[(i, j)] = (i, a[i][j], z, -1)
 
     # one end on a dotted edge {i,k}, the other end j free
-    for i, k in diagram.linkable:
-        for j in free:
-            z += 1
-            out[(j, i)] = (i, 0, z, 1)
-            out[(i, j)] = (i, a[i][j], z, -1)
-            out[(j, k)] = (k, 0, z, -1)
-            out[(k, j)] = (k, a[k][j], z, 1)
+    for (i, k), j in product(diagram.linkable, free):
+        z += 1
+        out[(j, i)] = (i, 0, z, 1)
+        out[(i, j)] = (i, a[i][j], z, -1)
+        out[(j, k)] = (k, 0, z, -1)
+        out[(k, j)] = (k, a[k][j], z, 1)
 
-    # both ends on distinct dotted edges
-    pairs = diagram.linkable
-    for p in range(len(pairs)):
-        for q in range(p + 1, len(pairs)):
-            roles = None
-            for i, k in (pairs[p], pairs[p][::-1]):
-                for j, l in (pairs[q], pairs[q][::-1]):
-                    if a[j][k] == 0 and a[i][l] == 0:
-                        roles = (i, k, j, l)
-                        break
-                if roles:
-                    break
-            if roles is None:
-                raise PathInconsistency(
-                    f"dotted edges {pairs[p]} and {pairs[q]} admit no "
-                    f"orientation with vanishing cross entries"
-                )
-            i, k, j, l = roles
-            z += 1
-            c = a[i][j]  # the entries carry b_ii^c, its inverse or neither
-            out[(j, i)] = (i, 0, z, 1)
-            out[(k, j)] = (i, 0, z, 1)
-            out[(i, j)] = (i, c, z, -1)
-            out[(l, i)] = (i, c, z, -1)
-            out[(j, k)] = (i, 0, z, -1)
-            out[(k, l)] = (i, 0, z, -1)
-            out[(i, l)] = (i, -c, z, 1)
-            out[(l, k)] = (i, -c, z, 1)
+    # both ends on distinct dotted edges; each joins two plain components,
+    # so some orientation has both cross entries zero
+    for first, second in combinations(diagram.linkable, 2):
+        i, k, j, l = next(
+            (i, k, j, l)
+            for i, k in (first, first[::-1])
+            for j, l in (second, second[::-1])
+            if a[j][k] == 0 and a[i][l] == 0
+        )
+        z += 1
+        c = a[i][j]  # the entries carry b_ii^c, its inverse or neither
+        out[(j, i)] = (i, 0, z, 1)
+        out[(k, j)] = (i, 0, z, 1)
+        out[(i, j)] = (i, c, z, -1)
+        out[(l, i)] = (i, c, z, -1)
+        out[(j, k)] = (i, 0, z, -1)
+        out[(k, l)] = (i, 0, z, -1)
+        out[(i, l)] = (i, -c, z, 1)
+        out[(l, k)] = (i, -c, z, 1)
     return out
 
 

@@ -10,7 +10,9 @@ stdout.  An error's class decides between 1, 3 and 4 (see errors.py).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import os
 import sys
 from collections.abc import Callable
@@ -226,9 +228,8 @@ def parse(text: str) -> DiagramFile:
         rows[j][i] = aji
     cartan = CartanMatrix(tuple(tuple(r) for r in rows))
 
-    if mode != "selflink" and pair_lines:
-        bare = LinkableDynkinDiagram(cartan, (), frozenset(), mode=mode)
-        comp = bare.component_index()
+    if mode != "selflink":
+        comp = cartan.component_roots
         for (i, j), lineno in sorted(pair_lines.items(), key=lambda kv: kv[1]):
             if comp[i] == comp[j]:
                 raise SemanticError(
@@ -491,6 +492,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 3
+    stdout = sys.stdout
+    if not isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        return _run(args)
+    # unbuffered (-u, PYTHONUNBUFFERED): that text layer drops, unseen, what a
+    # short raw write leaves over; a buffered one writes it into the pipe
+    fd, encoding, errors = stdout.fileno(), stdout.encoding, stdout.errors
+    with open(fd, "w", encoding=encoding, errors=errors, closefd=False) as out:
+        with contextlib.redirect_stdout(out):
+            return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         # looked up at each call, so a replaced _cmd_ function takes effect
         code = globals()[f"_cmd_{args.command}"](args)

@@ -9,6 +9,7 @@ dotted edge must lie in different plain components.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -42,11 +43,32 @@ class CartanMatrix:
         )
         return CartanMatrix(rows)
 
+    # the plain graph, built on first use; equality and hashing see the entries
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's plain neighbours, ascending, read off its row."""
+        return tuple(
+            tuple(u for u, x in enumerate(row) if x and u != v)
+            for v, row in enumerate(self.entries)
+        )
+
+    @cached_property
+    def component_roots(self) -> tuple[int, ...]:
+        """Each vertex's root: the smallest vertex of its plain component."""
+        roots = [-1] * self.size
+        for root in range(self.size):
+            reached = [root] if roots[root] < 0 else []
+            for v in reached:  # grows while we walk it
+                if roots[v] < 0:
+                    roots[v] = root
+                    reached.extend(self.neighbors[v])
+        return tuple(roots)
+
     def plain_edges(self) -> Iterator[Pair]:
         """Unordered vertex pairs joined by a nonzero off-diagonal entry."""
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                if self.entries[i][j] != 0:
+        for i, near in enumerate(self.neighbors):
+            for j in near:
+                if j > i:
                     yield (i, j)
 
 
@@ -142,20 +164,12 @@ class LinkableDynkinDiagram:
         # derived data lives outside the fields, so equality and hashing
         # still see only the matrix, the dotted edges and the mode
         object.__setattr__(self, "_partner", partner)
-        object.__setattr__(
-            self,
-            "_neighbors",
-            tuple(
-                tuple(u for u, x in enumerate(row) if x and u != v)
-                for v, row in enumerate(self.cartan.entries)
-            ),
-        )
         object.__setattr__(self, "_components", {})
         object.__setattr__(self, "_traversals", {})
         if not self.linked <= set(self.linkable):
             raise ValueError("linked pairs must be declared linkable")
         if self.mode != "selflink":
-            comp = self.component_index()
+            comp = self.cartan.component_roots
             for i, j in self.linkable:
                 if comp[i] == comp[j]:
                     raise ValueError(
@@ -174,7 +188,7 @@ class LinkableDynkinDiagram:
 
     def plain_neighbors(self, v: int) -> list[int]:
         """Vertices joined to v by a plain edge, ascending (a fresh list)."""
-        return list(self._neighbors[v])
+        return list(self.cartan.neighbors[v])
 
     def partner(self, v: int) -> Optional[int]:
         """The other end of the dotted edge at v, or None."""
@@ -190,27 +204,14 @@ class LinkableDynkinDiagram:
 
     def plain_components(self) -> list[tuple[int, ...]]:
         """Connected components of the plain-edge graph, each sorted."""
-        comp = self.component_index()
         groups: dict[int, list[int]] = {}
-        for v in range(self.size):
-            groups.setdefault(comp[v], []).append(v)
-        return [tuple(sorted(g)) for _, g in sorted(groups.items())]
+        for v, root in enumerate(self.cartan.component_roots):
+            groups.setdefault(root, []).append(v)
+        return [tuple(g) for g in groups.values()]
 
     def component_index(self) -> dict[int, int]:
         """Map each vertex to the smallest vertex of its plain component."""
-        parent = list(range(self.cartan.size))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.cartan.plain_edges():
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        return {v: find(v) for v in range(self.cartan.size)}
+        return dict(enumerate(self.cartan.component_roots))
 
     def link_traversal(
         self, root: int = 0
@@ -238,11 +239,8 @@ def _breadth_first(
     parent: dict[int, Optional[int]] = {root: None}
     order = [root]
     for u in order:  # grows while we walk it: a FIFO queue
-        neigh = diagram.plain_neighbors(u)
-        p = diagram.partner(u)
-        if p is not None:
-            neigh = sorted(neigh + [p])
-        for v in neigh:
+        p, near = diagram.partner(u), diagram.cartan.neighbors[u]
+        for v in near if p is None else sorted((*near, p)):
             if v not in parent:
                 parent[v] = u
                 order.append(v)
@@ -497,15 +495,8 @@ def link_connected_components(
         seen.update(comp)
         verts = tuple(sorted(comp))
         pos = {v: t for t, v in enumerate(verts)}
-        rows = tuple(
-            tuple(diagram.a(u, v) for v in verts) for u in verts
-        )
         linkable = tuple(
-            sorted(
-                (pos[i], pos[j])
-                for i, j in diagram.linkable
-                if i in pos and j in pos
-            )
+            sorted((pos[i], pos[j]) for i, j in diagram.linkable if i in pos)
         )
         linked = frozenset(
             (pos[i], pos[j]) for i, j in diagram.linked if i in pos
@@ -514,7 +505,7 @@ def link_connected_components(
             SubDiagram(
                 verts,
                 LinkableDynkinDiagram(
-                    CartanMatrix(rows), linkable, linked, diagram.mode
+                    diagram.cartan.submatrix(verts), linkable, linked, diagram.mode
                 ),
             )
         )
@@ -528,16 +519,20 @@ def pairwise_linking_consistency(diagram: LinkableDynkinDiagram) -> list[str]:
     gives a constraint that must hold: a_ij == a_kl together with
     a_ji == a_lk, and likewise for the crossed matching.  Most of the
     four equalities compare entries across components and hold
-    trivially; the remaining ones force equal edge data between linked
-    components.  One violation is reported per failing matching, empty
-    when fine.
+    trivially, so only pairs with a plain edge between them are
+    compared; the remaining equalities force equal edge data between
+    linked components.  One violation is reported per failing matching,
+    in the order of the pairs, empty when fine.
     """
     a = diagram.a
     violations: list[str] = []
     pairs = diagram.linkable
-    for p in range(len(pairs)):
-        for q in range(p + 1, len(pairs)):
-            i, k = pairs[p]
+    neighbors = diagram.cartan.neighbors
+    edge_at = {v: q for q, pair in enumerate(pairs) for v in pair}
+    for p, (i, k) in enumerate(pairs):
+        # a later dotted edge with no end next to i or k compares zeros
+        near = {edge_at.get(u, -1) for x in (i, k) for u in neighbors[x]}
+        for q in sorted(q for q in near if q > p):
             j, l = pairs[q]
             for (x, y), (u, w) in (((i, j), (k, l)), ((i, l), (k, j))):
                 bad = [

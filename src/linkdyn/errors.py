@@ -109,10 +109,7 @@ class NoAdmissibleOrder(InadmissibleD, DefiniteNo):
 class PathInconsistency(LinkdynError):
     """Two dotted edges admit no orientation for the off-diagonal completion.
 
-    Reachable only in selflink mode, which construct and the oracle
-    refuse: the four orientations of dotted edges {i,k} and {j,l} all
-    fail only when two ends of one dotted edge share a plain component.
-    Raising it means a precondition was violated or a bug upstream.
+    No library path raises it; it stays as the example of a bug class.
     """
 
 

@@ -9,6 +9,7 @@ dividing q - 1), and an explicit list of available orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Optional
 
@@ -26,8 +27,13 @@ def divisors(m: int) -> list[int]:
     """Every divisor of m >= 1, ascending, by trial division up to sqrt(m)."""
     if m > _DIVISOR_LIMIT:
         raise ScaleExceeded(f"{m} exceeds the divisor limit {_DIVISOR_LIMIT}")
+    return list(_divisors(m))
+
+
+@lru_cache(maxsize=64)  # check and the construct after it divide G once
+def _divisors(m: int) -> tuple[int, ...]:
     low = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
-    return low + [m // d for d in reversed(low) if d * d != m]
+    return (*low, *(m // d for d in reversed(low) if d * d != m))
 
 
 def is_prime(n: int) -> bool:

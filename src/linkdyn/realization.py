@@ -195,7 +195,7 @@ def _realize(
     """The canonical-basis datum of a parameter-free matrix.
 
     The group is (Z/factor)^s, Z^s for factor 0.  chi_j(e_i) = b_ij, so
-    the character exponents are the columns of the exponent grid.
+    the characters are the grid's columns and only linking can fail.
     """
     s = inst.size
     datum = LinkingDatum(
@@ -209,7 +209,7 @@ def _realize(
         linked=diagram.linked,
         diagram=diagram,
     )
-    failures = datum.verify_datum(inst)
+    failures = datum.verify_datum()
     if failures:
         raise LinkConstraintUnsatisfiable("; ".join(failures))
     return datum

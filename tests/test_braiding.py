@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import linkdyn.braiding as braiding
 import linkdyn.cycles
 import linkdyn.diagram
+import linkdyn.fields as fields
 from linkdyn import (
     BraidingMatrix,
     FieldSpec,
@@ -486,6 +487,14 @@ class TestAdmissibleOrders:
     def test_divisors_of_genus_gcd(self):
         assert admissible_orders(circle("B3", 2)) == (3,)
         assert admissible_orders(circle("B3", 4)) == (3, 5, 15)
+
+    def test_construct_lists_the_divisors_once(self):
+        # check lists the divisors of G = 2^8 - 1, and construct's own
+        # choice of order reads the same list
+        fields._divisors.cache_clear()
+        assert construct(circle("B3", 8)).order == 255
+        info = fields._divisors.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_large_genus_gcd_lists_its_divisors(self):
         # a ring of n B3 components has genus gcd 2^n - (-1)^n, and

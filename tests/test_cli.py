@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import linkdyn.cycles
 import linkdyn.errors
 import linkdyn.realization
 from conftest import LINKDYN_SRC, circle, prism, run_cli
-from linkdyn import FieldSpec
+from linkdyn import FieldSpec, LinkableDynkinDiagram
 from linkdyn.cli import DiagramFile, main, parse
 from linkdyn.errors import (
     DefiniteNo,
@@ -88,6 +89,18 @@ def run(capsys, *argv):
 
 
 class TestParse:
+    def test_builds_one_diagram(self, monkeypatch):
+        built = []
+        post_init = LinkableDynkinDiagram.__post_init__
+
+        def counted(diagram):
+            built.append(diagram)
+            post_init(diagram)
+
+        monkeypatch.setattr(LinkableDynkinDiagram, "__post_init__", counted)
+        df = parse(A2A2)
+        assert len(built) == 1 and built[0] is df.diagram
+
     def test_two_vertex_chain(self):
         df = parse("vertices 2\nedge 1 2 -1 -1\n")
         d = df.diagram
@@ -258,6 +271,14 @@ class TestConstructCommand:
         )
         assert code == 0
         assert "verification: ok" in out
+
+    def test_diagram_not_link_connected_is_input_error(self, write, capsys):
+        # construct refuses it before its existence check, whose own
+        # message differs
+        source = write("vertices 4\nedge 1 2 -1 -1\nedge 3 4 -1 -1\n")
+        code, out = run(capsys, "construct", source)
+        assert code == 3
+        assert out == "error: construct needs a link-connected diagram\n"
 
     def test_start_flag_is_gone(self, write, capsys):
         code, out = run(capsys, "construct", write(A1A1), "--start", "2")
@@ -786,13 +807,15 @@ class TestDispatchErrors:
             else:
                 assert sum(outcomes) == 1, cls.__name__
 
-    def test_closed_stdout_exits_quietly(self, tmp_path):
+    def present_into_closed_pipe(self, tmp_path, unbuffered):
         # prism(8) presents to about 320 KB, far over a 64 KiB pipe
         # buffer, so the child is still writing when the pipe closes
         path = tmp_path / "prism8.dg"
         path.write_text(DiagramFile(prism(8), FieldSpec("cyclotomic")).serialize())
         env = dict(os.environ)
         env.pop("PYTHONUNBUFFERED", None)  # buffering decides where EPIPE shows
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (LINKDYN_SRC, env.get("PYTHONPATH")))
         )
@@ -805,8 +828,27 @@ class TestDispatchErrors:
         assert child.stdout.readline().startswith(b"generators: ")
         child.stdout.close()
         _, err = child.communicate(timeout=120)
-        assert child.returncode == 141
-        assert err == b""
+        return child.returncode, err
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        assert self.present_into_closed_pipe(tmp_path, unbuffered=False) == (141, b"")
+
+    def test_closed_stdout_exits_quietly_when_unbuffered(self, tmp_path):
+        # an unbuffered text layer drops what a short raw write leaves
+        # over, so without a buffered layer the child would exit 0
+        assert self.present_into_closed_pipe(tmp_path, unbuffered=True) == (141, b"")
+
+    def test_unbuffered_stdout_is_restored_and_left_open(
+        self, write, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "out.txt"
+        raw = open(path, "wb", buffering=0)
+        unbuffered = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", unbuffered)
+        assert main(["construct", write(A1A1), "--machine"]) == 0
+        assert sys.stdout is unbuffered and not raw.closed
+        unbuffered.close()
+        assert path.read_text() == "root_order 5\nq^1 q^4\nq^1 q^4\n"
 
     def test_path_inconsistency_is_internal_error(
         self, write, capsys, monkeypatch

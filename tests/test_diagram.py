@@ -20,7 +20,7 @@ from linkdyn import (
 )
 from linkdyn.diagram import _find_isomorphism, _affine_templates, _finite_templates
 
-from conftest import block_rows, component_diag, diag, prism, small_family
+from conftest import block_rows, circle, component_diag, diag, prism, small_family
 
 
 def cartan_ok(rows):
@@ -314,3 +314,112 @@ class TestPairwiseConsistency:
     def test_aligned_g2_pair_consistent(self):
         d = component_diag(["G2", "G2"], [(0, 2), (1, 3)])
         assert pairwise_linking_consistency(d) == []
+
+
+def reference_pairwise(diagram):
+    """pairwise_linking_consistency as the loop over all pairs of dotted
+    edges that it replaced."""
+    a = diagram.a
+    violations = []
+    pairs = diagram.linkable
+    for p in range(len(pairs)):
+        for q in range(p + 1, len(pairs)):
+            i, k = pairs[p]
+            j, l = pairs[q]
+            for (x, y), (u, w) in (((i, j), (k, l)), ((i, l), (k, j))):
+                bad = [
+                    f"a({s1 + 1},{t1 + 1})={a(s1, t1)} != "
+                    f"a({s2 + 1},{t2 + 1})={a(s2, t2)}"
+                    for (s1, t1), (s2, t2) in (((x, y), (u, w)), ((y, x), (w, u)))
+                    if a(s1, t1) != a(s2, t2)
+                ]
+                if bad:
+                    violations.append(
+                        f"dotted ({i + 1},{k + 1}) vs ({j + 1},{l + 1}): "
+                        + ", ".join(bad)
+                    )
+    return violations
+
+
+def reference_components(rows):
+    """Plain edges, component index and plain components by a union-find
+    over the nonzero entries above the diagonal."""
+    n = len(rows)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    index = {v: find(v) for v in range(n)}
+    groups = {}
+    for v in range(n):
+        groups.setdefault(index[v], []).append(v)
+    return edges, index, [tuple(g) for _, g in sorted(groups.items())]
+
+
+EDGE_ENTRIES = (
+    (-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4), (-2, -3),
+)
+
+
+def random_selflink_diagram(rng):
+    """Up to 8 vertices, random plain edges, random disjoint dotted
+    edges that may join plain neighbours or one component."""
+    s = rng.randrange(2, 9)
+    rows = [[2 if i == j else 0 for j in range(s)] for i in range(s)]
+    for i in range(s):
+        for j in range(i + 1, s):
+            if rng.random() < 0.35:
+                rows[i][j], rows[j][i] = rng.choice(EDGE_ENTRIES)[:: rng.choice((1, -1))]
+    ends = rng.sample(range(s), s)
+    pairs = [ends[2 * t : 2 * t + 2] for t in range(rng.randrange(s // 2 + 1))]
+    linked = [p for p in pairs if rng.random() < 0.5]
+    return diag(rows, pairs, linked, mode="selflink")
+
+
+class TestPlainGraphAgainstReference:
+    """The plain graph kept on the Cartan matrix against a union-find over
+    its entries, and the consistency check against all pairs."""
+
+    def agree(self, d):
+        edges, index, components = reference_components(d.cartan.entries)
+        assert list(d.cartan.plain_edges()) == edges
+        assert d.component_index() == index
+        assert d.plain_components() == components
+        assert pairwise_linking_consistency(d) == reference_pairwise(d)
+
+    def test_small_family_rings_and_prisms(self):
+        family = [component_diag(list(l), list(p)) for l, p in small_family()]
+        assert sum(d.is_link_connected() for d in family) == 307
+        rings = [circle(label, n) for label in ("A3", "B3") for n in (2, 3, 5, 8)]
+        violated = 0
+        for d in family + rings + [prism(k) for k in (4, 5, 8, 16, 64)]:
+            self.agree(d)
+            violated += bool(reference_pairwise(d))
+        assert violated > 50
+
+    def test_random_selflink_diagrams(self):
+        rng = random.Random(16)
+        adjacent = violated = 0
+        for _ in range(2000):
+            d = random_selflink_diagram(rng)
+            self.agree(d)
+            adjacent += any(d.a(i, j) for i, j in d.linkable)
+            violated += bool(reference_pairwise(d))
+        # the sample holds dotted edges between plain neighbours and
+        # failing matchings, where skipping a pair would show
+        assert adjacent > 200 and violated > 200
+
+    def test_plain_graph_stays_out_of_equality(self):
+        rows = block_rows(["A3", "B2", "A1"])
+        built, fresh = validate_cartan(rows), validate_cartan(rows)
+        assert built.neighbors == ((1,), (0, 2), (1,), (4,), (3,), ())
+        assert built.component_roots == (0, 0, 0, 3, 3, 5)
+        assert built.neighbors is built.neighbors
+        assert built == fresh and hash(built) == hash(fresh)

@@ -61,6 +61,11 @@ class TestDivisors:
             m = rng.randrange(1, 10**6)
             assert divisors(m) == brute_divisors(m), m
 
+    def test_returns_a_fresh_list(self):
+        got = divisors(12)
+        got.append(5)
+        assert divisors(12) == [1, 2, 3, 4, 6, 12]
+
     def test_refuses_above_the_limit_before_dividing(self, monkeypatch):
         class Undividable(int):
             def __mod__(self, other):

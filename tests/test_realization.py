@@ -347,6 +347,23 @@ class TestRealizeFree:
         assert datum.factors == (0,)
         assert datum.braiding_entry(0, 0) == RootExpr.root(5, 1)
 
+    def test_canonical_datum_is_not_compared_with_its_matrix(self, monkeypatch):
+        # chi_j(e_i) = b_ij by construction; only linking is checked
+        read = []
+        entry_exp = LinkingDatum.entry_exp
+
+        def counted(datum, i, j):
+            read.append((i, j))
+            return entry_exp(datum, i, j)
+
+        monkeypatch.setattr(LinkingDatum, "entry_exp", counted)
+        dd = component_diag(["A3", "A3"], [(0, 3), (1, 4), (2, 5)])
+        matrix = construct(dd)
+        datum = realize_free(matrix, dd)
+        assert read == []
+        assert datum.verify_datum(matrix.instantiate()) == ()
+        assert len(read) == 36
+
     def test_rejects_matrix_violating_character_identity(self):
         dd = component_diag(["A1", "A1"], [(0, 1)])
         bad = BraidingMatrix.from_text("root_order 5\nq^1 q^1\nq^1 q^1")
