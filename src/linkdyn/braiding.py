@@ -282,9 +282,6 @@ class BraidingMatrix:
         n = self.size
         return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
 
-    def diagonal(self) -> tuple[RootExpr, ...]:
-        return tuple(self.entry(i, i) for i in range(self.size))
-
     def z_indices(self) -> tuple[int, ...]:
         return tuple(
             sorted(
@@ -340,28 +337,26 @@ class VerificationReport(NamedTuple):
 
 
 def verify(
-    diagram: LinkableDynkinDiagram,
-    matrix: BraidingMatrix,
-    mode: str = "finite",
+    diagram: LinkableDynkinDiagram, matrix: BraidingMatrix
 ) -> VerificationReport:
     """Check the defining identities of a braiding matrix exactly.
 
     Checked are: no diagonal entry equals 1, the product identity
     b_ij b_ji = b_ii^a_ij for all pairs, the linking identity
     b_ki^(1-a_ij) b_kj = 1 for every linkable pair in both orders and
-    all k, and the order conditions of the requested mode ('finite':
+    all k, and the order conditions of the diagram's mode ('finite':
     diagonal orders above 2, not divisible by 3 when a G2 component is
     present; 'affine': all diagonal orders equal to one prime above 3;
     'selflink': no order conditions beyond b_ii != 1).  Each identity
     is a congruence on the exponents of q modulo the root order plus an
     equation on the z-exponents of the symbolic entries.
     """
-    failures = tuple(_failures(diagram, matrix, mode))
+    failures = tuple(_failures(diagram, matrix))
     return VerificationReport(not failures, failures)
 
 
 def _failures(
-    diagram: LinkableDynkinDiagram, matrix: BraidingMatrix, mode: str
+    diagram: LinkableDynkinDiagram, matrix: BraidingMatrix
 ) -> Iterator[str]:
     """The failure messages of verify, lazily and in its order."""
     s = diagram.size
@@ -414,17 +409,12 @@ def _failures(
     if any(i in zrows[i] or exps[i][i] == 0 for i in range(s)):
         return
     diagonal_orders = [d // gcd(d, exps[i][i]) for i in range(s)]
-    if mode == "finite":
+    if diagram.mode == "finite":
         has_g2 = _has_g2(diagram)
         for i, o in enumerate(diagonal_orders):
-            if o <= 2:
-                yield f"order of b_{i + 1}{i + 1} is {o}, must exceed 2"
-            elif has_g2 and o % 3 == 0:
-                yield (
-                    f"order of b_{i + 1}{i + 1} is {o}, divisible by 3 "
-                    f"with a G2 component present"
-                )
-    elif mode == "affine":
+            if flaw := _finite_order_flaw(o, has_g2):
+                yield f"order of b_{i + 1}{i + 1} is {o}, {flaw}"
+    elif diagram.mode == "affine":
         orders = sorted(set(diagonal_orders))
         if len(orders) > 1:
             yield f"diagonal orders differ: {orders}"
@@ -439,51 +429,67 @@ def _has_g2(diagram: LinkableDynkinDiagram) -> bool:
     return any(c.label == "G2" for c in classify_components(diagram, "finite"))
 
 
-def _recognized_components(
-    diagram: LinkableDynkinDiagram, mode: str
-) -> list[ComponentType]:
-    """The components for mode 'finite' or 'affine', all of a known type.
+def _finite_order_flaw(o: int, has_g2: bool) -> Optional[str]:
+    """Why a finite diagram's diagonal entry may not have order o, or None.
 
-    Finite mode uses the finite catalog, affine mode both catalogs;
-    UnsupportedComponentType names the first unrecognized component.
+    The order must exceed 2 and, with a G2 component present, be prime
+    to 3.
     """
-    comps = classify_components(diagram, "finite" if mode == "finite" else "any")
+    if o <= 2:
+        return "must exceed 2"
+    if has_g2 and o % 3 == 0:
+        return "divisible by 3 with a G2 component present"
+    return None
+
+
+def _recognized_components(diagram: LinkableDynkinDiagram) -> list[ComponentType]:
+    """The components of a finite or affine diagram, all of a known type.
+
+    A finite diagram uses the finite catalog, an affine one both
+    catalogs; UnsupportedComponentType names the first unrecognized
+    component.
+    """
+    finite = diagram.mode == "finite"
+    comps = classify_components(diagram, "finite" if finite else "any")
     for c in comps:
         if c.label == "other":
             verts = ", ".join(str(v + 1) for v in c.vertices)
             raise UnsupportedComponentType(
                 f"component with vertices {verts} is not of a recognized "
-                f"{'finite' if mode == 'finite' else 'finite or affine'} type"
+                f"{'finite' if finite else 'finite or affine'} type"
             )
     return comps
 
 
 def admissible_orders(
     diagram: LinkableDynkinDiagram,
-    mode: str = "finite",
     field: FieldSpec = CYCLOTOMIC,
     bound: int = 1000,
 ) -> tuple[int, ...]:
     """Root orders the construction may use, ascending.
 
-    With a nonzero genus gcd G the candidates are divisors of G; with
-    G = 0 they are the primes among the field's root orders, in a
-    cyclotomic field the primes up to the given bound.
+    diagram.mode decides the rules, as in construct.  With a nonzero
+    genus gcd G the candidates are divisors of G; with G = 0 they are
+    the primes among the field's root orders, in a cyclotomic field the
+    primes up to the given bound.
     """
-    big_g = genus_gcd(diagram, mode)
-    return _admissible_orders(diagram, mode, field, big_g, bound)
+    if diagram.mode == "selflink":
+        raise UnsupportedMode("root orders require standard linking mode")
+    big_g = genus_gcd(diagram)
+    return _admissible_orders(diagram, field, big_g, bound)
 
 
 def _order_fault(
-    diagram: LinkableDynkinDiagram, d: int, mode: str, field: FieldSpec, big_g: int
+    diagram: LinkableDynkinDiagram, d: int, field: FieldSpec, big_g: int
 ) -> Optional[str]:
     """The first reason d is not an admissible root order, None if it is.
 
-    Finite mode wants d odd, above 2 and prime to 3 if a G2 component is
-    present, affine mode a prime above 3; both want d to divide a nonzero
-    genus gcd big_g and the field to hold a primitive d-th root.
+    A finite diagram wants d odd, above 2 and prime to 3 if a G2
+    component is present, an affine one a prime above 3; both want d to
+    divide a nonzero genus gcd big_g and the field to hold a primitive
+    d-th root.
     """
-    if mode == "finite":
+    if diagram.mode == "finite":
         if d <= 2:
             return f"root order {d} must exceed 2"
         if d % 2 == 0:
@@ -501,7 +507,6 @@ def _order_fault(
 
 def _admissible_orders(
     diagram: LinkableDynkinDiagram,
-    mode: str,
     field: FieldSpec,
     big_g: int,
     bound: int = 100,
@@ -513,26 +518,22 @@ def _admissible_orders(
     prime qualifies, and the default suits listing and choosing one.
     """
     candidates = divisors(big_g) if big_g else field.root_orders()
-    any_order = mode == "finite" and big_g > 0
+    any_order = diagram.mode == "finite" and big_g > 0
     # the cheap test first: most candidates fail it and need no message
     return tuple(
         d
         for d in candidates or range(3, bound + 1)
         if (any_order or is_prime(d))
-        and _order_fault(diagram, d, mode, field, big_g) is None
+        and _order_fault(diagram, d, field, big_g) is None
     )
 
 
 def _validate_order(
-    diagram: LinkableDynkinDiagram,
-    d: Optional[int],
-    mode: str,
-    field: FieldSpec,
-    big_g: int,
+    diagram: LinkableDynkinDiagram, d: Optional[int], field: FieldSpec, big_g: int
 ) -> int:
     if d is None:
-        choices = _admissible_orders(diagram, mode, field, big_g)
-        if mode == "finite" and big_g > 0:
+        choices = _admissible_orders(diagram, field, big_g)
+        if diagram.mode == "finite" and big_g > 0:
             if not choices:
                 raise NoAdmissibleOrder(
                     f"no admissible root order divides the genus gcd {big_g}"
@@ -543,7 +544,7 @@ def _validate_order(
         if not choices:
             raise NoAdmissibleOrder("the field provides no admissible root order")
         return choices[0]
-    fault = _order_fault(diagram, d, mode, field, big_g)
+    fault = _order_fault(diagram, d, field, big_g)
     if fault:
         raise InadmissibleD(fault)
     return d
@@ -661,7 +662,7 @@ def construct(
             f"existence check says {report.decision}: "
             + "; ".join(report.reasons)
         )
-    d = _validate_order(diagram, d, diagram.mode, field, report.genus_gcd)
+    d = _validate_order(diagram, d, field, report.genus_gcd)
     exps = [num * pow(den, -1, d) % d for num, den in _potentials(diagram)]
     return _completed(diagram, d, exps)
 
@@ -683,10 +684,7 @@ def _order_ok(e: int, n: int, mode: str, has_g2: bool) -> bool:
         return False
     if mode == "affine":
         return True  # n is prime above 3, so the order is exactly n
-    o = n // gcd(n, e)
-    if o <= 2:
-        return False
-    return not (has_g2 and o % 3 == 0)
+    return _finite_order_flaw(n // gcd(n, e), has_g2) is None
 
 
 def _identity_forms(
@@ -802,7 +800,7 @@ def brute_force_exists(
         raise UnsupportedMode("the brute-force search requires standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("the brute-force search needs a link-connected diagram")
-    _recognized_components(diagram, mode)
+    _recognized_components(diagram)
     has_g2 = mode == "finite" and _has_g2(diagram)
     s = diagram.size
     order, _ = diagram.link_traversal()
@@ -842,7 +840,7 @@ def brute_force_exists(
         if least is None:
             continue
         matrix = _completed(diagram, n, [least[order.index(v)] for v in range(s)])
-        report = verify(diagram, matrix, mode)
+        report = verify(diagram, matrix)
         if not report.ok:
             raise RuntimeError(
                 f"identity forms accepted a diagonal that verify rejects "

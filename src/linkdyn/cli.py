@@ -260,16 +260,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_cycles(args: argparse.Namespace) -> int:
     df = _load(args.file)
-    inv_mode = "finite" if df.diagram.mode == "finite" else "affine"
     found = enumerate_cycles(df.diagram)
     print(f"cycles: {len(found)}")
     big_g = 0
     for t, cyc in enumerate(found, start=1):
-        inv = cycle_invariants(df.diagram, cyc, inv_mode)
+        inv = cycle_invariants(df.diagram, cyc)
         big_g = gcd(big_g, inv.genus)
         verts = "-".join(str(v + 1) for v in cyc.vertices)
         steps = "".join("p" if s == "plain" else "d" for s in cyc.steps)
-        if inv_mode == "finite":
+        if df.diagram.mode == "finite":
             print(
                 f"cycle {t}: vertices {verts} steps {steps} "
                 f"weight {inv.weight2} length {inv.length} genus {inv.genus}"
@@ -304,7 +303,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_construct(args: argparse.Namespace) -> int:
     df = _load(args.file)
     matrix = construct(df.diagram, d=args.d, field=df.field)
-    report = verify(df.diagram, matrix, df.diagram.mode)
+    report = verify(df.diagram, matrix)
     if args.machine:
         print(matrix.to_text(), end="")
     else:
@@ -328,7 +327,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"matrix has {matrix.size} rows but the diagram has "
             f"{df.diagram.size} vertices"
         )
-    report = verify(df.diagram, matrix, df.diagram.mode)
+    report = verify(df.diagram, matrix)
     if report.ok:
         print("ok")
         return 0

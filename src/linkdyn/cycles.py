@@ -18,11 +18,20 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .diagram import LinkableDynkinDiagram, edge_kind
 from .errors import NotAPath, UnsupportedEdgeInMode, VertexNotOnCycle
 
-# edge kinds allowed inside a cycle, per mode
+# edge kinds allowed inside a cycle, per vocabulary
 _CYCLE_KINDS = {
     "finite": ("single", "double"),
     "affine": ("single", "double", "triple", "a1affine"),
 }
+
+
+def _vocabulary(diagram: LinkableDynkinDiagram) -> str:
+    """The cycle vocabulary and genus formula a diagram reads.
+
+    A finite diagram reads the finite ones, an affine or selflink
+    diagram the affine ones.
+    """
+    return "finite" if diagram.mode == "finite" else "affine"
 
 
 @dataclass(frozen=True)
@@ -93,17 +102,15 @@ def enumerate_cycles(diagram: LinkableDynkinDiagram) -> tuple[Cycle, ...]:
 
 
 def signed_weights(
-    diagram: LinkableDynkinDiagram,
-    cycle: Cycle,
-    mode: str = "finite",
-    reverse: bool = False,
+    diagram: LinkableDynkinDiagram, cycle: Cycle, reverse: bool = False
 ) -> tuple[int, int]:
     """Signed double and triple arrow counts along the stored direction.
 
     An arrow pointing the way we walk counts +1, an opposing arrow -1.
-    Edge kinds outside the mode's cycle vocabulary raise
+    Edge kinds outside the diagram's cycle vocabulary raise
     UnsupportedEdgeInMode.
     """
+    mode = _vocabulary(diagram)
     allowed = _CYCLE_KINDS[mode]
     w2 = w3 = 0
     for u, v, step in cycle.arcs(reverse):
@@ -151,12 +158,12 @@ def affine_genus_value(
 
 
 def cycle_invariants(
-    diagram: LinkableDynkinDiagram, cycle: Cycle, mode: str = "finite"
+    diagram: LinkableDynkinDiagram, cycle: Cycle
 ) -> CycleInvariants:
     """Weights, dotted length and genus of one cycle."""
-    w2, w3 = signed_weights(diagram, cycle, mode)
+    w2, w3 = signed_weights(diagram, cycle)
     length = cycle.dotted_length
-    if mode == "finite":
+    if _vocabulary(diagram) == "finite":
         g = finite_genus_value(abs(w2), length)
     else:
         coincide = w2 == 0 or w3 == 0 or (w2 > 0) == (w3 > 0)
@@ -164,10 +171,8 @@ def cycle_invariants(
     return CycleInvariants(abs(w2), abs(w3), length, g)
 
 
-def genus(
-    diagram: LinkableDynkinDiagram, cycle: Cycle, mode: str = "finite"
-) -> int:
-    return cycle_invariants(diagram, cycle, mode).genus
+def genus(diagram: LinkableDynkinDiagram, cycle: Cycle) -> int:
+    return cycle_invariants(diagram, cycle).genus
 
 
 def _potentials(diagram: LinkableDynkinDiagram) -> list[tuple[int, int]]:
@@ -197,7 +202,7 @@ def _potentials(diagram: LinkableDynkinDiagram) -> list[tuple[int, int]]:
     return pot  # type: ignore[return-value]
 
 
-def genus_gcd(diagram: LinkableDynkinDiagram, mode: str = "finite") -> int:
+def genus_gcd(diagram: LinkableDynkinDiagram) -> int:
     """Greatest common divisor of all cycle genera, 0 when all are 0.
 
     A cycle's genus is the numerator of |r - 1|, r = (-1)^L 2^w2 3^w3
@@ -207,18 +212,19 @@ def genus_gcd(diagram: LinkableDynkinDiagram, mode: str = "finite") -> int:
     gcd over the fundamental cycles of the _potentials forest, one per
     edge off it, is the gcd over all cycles; the potentials give each
     such r or 1 / r.  The cycles are enumerated only when a plain edge
-    outside the mode's cycle kinds, or doubling a dotted edge, has both
+    outside the diagram's cycle kinds, or doubling a dotted edge, has both
     ends of link degree >= 2, so UnsupportedEdgeInMode names the edge
     of the first cycle that holds one and two-vertex trips stay out.
     """
     edges = list(diagram.cartan.plain_edges())
     degree = Counter(chain.from_iterable(chain(edges, diagram.linkable)))
+    allowed = _CYCLE_KINDS[_vocabulary(diagram)]
     for u, v in edges:
         kind = edge_kind(diagram.a(u, v), diagram.a(v, u)).kind
         if min(degree[u], degree[v]) >= 2 and (
-            diagram.is_linkable_pair(u, v) or kind not in _CYCLE_KINDS[mode]
+            diagram.is_linkable_pair(u, v) or kind not in allowed
         ):
-            return gcd(*(genus(diagram, c, mode) for c in enumerate_cycles(diagram)))
+            return gcd(*(genus(diagram, c) for c in enumerate_cycles(diagram)))
     pot = _potentials(diagram)
     numerators = []
     # a dotted edge enters r as a_uv / a_vu = -1 / 1
@@ -267,28 +273,23 @@ def height_over(diagram: LinkableDynkinDiagram, path: Sequence[int]) -> int:
     return h
 
 
-def natural_orientation(
-    diagram: LinkableDynkinDiagram, cycle: Cycle, mode: str = "finite"
-) -> int:
+def natural_orientation(diagram: LinkableDynkinDiagram, cycle: Cycle) -> int:
     """+1 for the stored direction, -1 for its reverse.
 
     The chosen direction has at least as many double arrows pointing
     with it as against it.  Ties keep the stored direction.
     """
-    w2, _ = signed_weights(diagram, cycle, mode)
+    w2, _ = signed_weights(diagram, cycle)
     return -1 if w2 < 0 else 1
 
 
 def absolute_height(
-    diagram: LinkableDynkinDiagram,
-    cycle: Cycle,
-    vertex: int,
-    mode: str = "finite",
+    diagram: LinkableDynkinDiagram, cycle: Cycle, vertex: int
 ) -> int:
     """Clamped height of a vertex over itself around the whole cycle."""
     if vertex not in cycle.vertices:
         raise VertexNotOnCycle(f"vertex {vertex + 1} is not on the cycle")
-    reverse = natural_orientation(diagram, cycle, mode) < 0
+    reverse = natural_orientation(diagram, cycle) < 0
     arcs = list(cycle.arcs(reverse))
     pos = next(t for t, (u, _, _) in enumerate(arcs) if u == vertex)
     h = 0
@@ -302,13 +303,9 @@ def absolute_height(
 
 
 def level0_vertices(
-    diagram: LinkableDynkinDiagram, cycle: Cycle, mode: str = "finite"
+    diagram: LinkableDynkinDiagram, cycle: Cycle
 ) -> tuple[int, ...]:
     """Vertices of the cycle whose absolute height is zero, sorted."""
     return tuple(
-        sorted(
-            v
-            for v in cycle.vertices
-            if absolute_height(diagram, cycle, v, mode) == 0
-        )
+        sorted(v for v in cycle.vertices if absolute_height(diagram, cycle, v) == 0)
     )

@@ -70,15 +70,24 @@ class ExistenceReport(NamedTuple):
     admissible: tuple[int, ...]
 
 
-def _check(
-    diagram: LinkableDynkinDiagram, field: FieldSpec, mode: str
+def check(
+    diagram: LinkableDynkinDiagram, field: FieldSpec = CYCLOTOMIC
 ) -> ExistenceReport:
-    if diagram.mode == "selflink":
+    """Decide existence of a braiding matrix by the diagram's mode.
+
+    A finite diagram reads the finite criterion, an affine one the
+    criterion for homogeneous matrices.  Returns decision 'excluded'
+    for the crosswise two-component shapes (G2 x G2, and the rank-two
+    affine doubles), which the main criteria do not cover; their
+    matrices come from excluded_case_matrix instead.
+    """
+    mode = diagram.mode
+    if mode == "selflink":
         raise UnsupportedMode("existence checks require standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("the diagram is not link-connected")
     rank_two, no_order = _MODE_RULES[mode]
-    comps = _recognized_components(diagram, mode)
+    comps = _recognized_components(diagram)
 
     def fully_linked(vertices: Iterable[int]) -> bool:
         return all(diagram.partner(v) is not None for v in vertices)
@@ -113,8 +122,8 @@ def _check(
     if reasons:
         return ExistenceReport("no", mode, tuple(reasons), None, ())
 
-    big_g = genus_gcd(diagram, mode)
-    admissible = _admissible_orders(diagram, mode, field, big_g)
+    big_g = genus_gcd(diagram)
+    admissible = _admissible_orders(diagram, field, big_g)
     if not admissible:
         if mode == "finite" and big_g == 0:
             reason = "the field provides no admissible root order"
@@ -124,34 +133,6 @@ def _check(
     if field.kind == "cyclotomic" and (mode == "affine" or big_g == 0):
         admissible = admissible[:8]
     return ExistenceReport("yes", mode, (), big_g, admissible)
-
-
-def check_finite(
-    diagram: LinkableDynkinDiagram, field: FieldSpec = CYCLOTOMIC
-) -> ExistenceReport:
-    """Decide existence of a braiding matrix for a finite-type diagram.
-
-    Returns decision 'excluded' for the two-component G2 x G2 shape,
-    which the main criterion does not cover; its matrices come from
-    excluded_case_matrix instead.
-    """
-    return _check(diagram, field, "finite")
-
-
-def check_affine(
-    diagram: LinkableDynkinDiagram, field: FieldSpec = CYCLOTOMIC
-) -> ExistenceReport:
-    """Decide existence of a homogeneous braiding matrix in affine mode."""
-    return _check(diagram, field, "affine")
-
-
-def check(
-    diagram: LinkableDynkinDiagram, field: FieldSpec = CYCLOTOMIC
-) -> ExistenceReport:
-    """Dispatch to the finite or affine check by diagram mode."""
-    return _check(
-        diagram, field, "affine" if diagram.mode == "affine" else "finite"
-    )
 
 
 # ------------------------------------------------------------ excluded case
@@ -182,7 +163,7 @@ def excluded_case_matrix(
         linked=frozenset({(0, 2), (1, 3)}),
         mode=mode,
     )
-    fault = _order_fault(diagram, d, mode, CYCLOTOMIC, 0)
+    fault = _order_fault(diagram, d, CYCLOTOMIC, 0)
     if fault:
         raise InadmissibleD(fault)
 
@@ -296,8 +277,6 @@ def selflink_order_constraint(a_ij: int, a_ji: int) -> int:
 __all__ = [
     "ExistenceReport",
     "check",
-    "check_finite",
-    "check_affine",
     "excluded_case_matrix",
     "selflink_genus",
     "selflink_order_constraint",

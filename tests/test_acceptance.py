@@ -7,6 +7,7 @@ file therefore relies on pytest's in-file definition order.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -89,7 +90,7 @@ def test_criterion_02_a3_circles(capsys):
             ring = circle("A3", n)
             assert check(ring).decision == "yes", n
             matrix = construct(ring)
-            report = verify(ring, matrix, "finite")
+            report = verify(ring, matrix)
             assert report.ok, (n, report.failures)
             MATRICES.append((f"a3-circle-{n}", ring, matrix))
         for n in (3, 5):
@@ -107,14 +108,14 @@ def test_criterion_03_b3_circles(capsys):
             ring = circle("B3", n)
             cycles = enumerate_cycles(ring)
             assert len(cycles) == 1
-            inv = cycle_invariants(ring, cycles[0], "finite")
+            inv = cycle_invariants(ring, cycles[0])
             assert inv.weight2 == n and inv.length == n
             assert inv.genus == expected
             # every one of these rings also admits a matrix; keep it
             # for the lemma sweep
             assert check(ring).decision == "yes"
             matrix = construct(ring)
-            assert verify(ring, matrix, "finite").ok
+            assert verify(ring, matrix).ok
             MATRICES.append((f"b3-circle-{n}", ring, matrix))
 
 
@@ -126,11 +127,12 @@ def test_criterion_04_doubles(capsys):
             assert datum.verify_datum() == (), label
             dg = datum.diagram
             matrix = datum.braiding_matrix()
-            assert verify(dg, matrix, "finite").ok, label
+            assert verify(dg, matrix).ok, label
             # triple edges sit on the mirror cycle for G2, so genera
             # are priced in the mode that admits them
+            affine = replace(dg, mode="affine")
             for cyc in enumerate_cycles(dg):
-                assert genus(dg, cyc, "affine") == 0, label
+                assert genus(affine, cyc) == 0, label
             for x, y in datum.linked:
                 for a, b in ((x, y), (y, x)):
                     power = 1 - dg.a(a, b)
@@ -148,7 +150,7 @@ def test_criterion_05_excluded_matrices(capsys):
                    "shapes verify symbolically"):
         for n, m in ((3, 3), (1, 2), (4, 4)):
             dg, matrix = excluded_case_matrix(n, m)
-            report = verify(dg, matrix, dg.mode)
+            report = verify(dg, matrix)
             assert report.ok, ((n, m), report.failures)
             symbolic = any(
                 matrix.entry(i, j).is_symbolic
@@ -186,10 +188,12 @@ def test_criterion_06_oracle_equivalence(capsys):
 
 
 def _price(dg, cyc):
+    """The cycle's genus and the diagram in the first mode that prices it."""
     modes = ("finite", "affine") if dg.mode == "finite" else ("affine",)
     for mode in modes:
+        priced = replace(dg, mode=mode)
         try:
-            return genus(dg, cyc, mode), mode
+            return genus(priced, cyc), priced
         except UnsupportedEdgeInMode:
             continue
     return None, None
@@ -206,13 +210,13 @@ def test_criterion_07_lemma_suite(capsys):
             skipped = False
             level0_of = {}
             for cyc in enumerate_cycles(dg):
-                g, mode = _price(dg, cyc)
+                g, priced = _price(dg, cyc)
                 if g is None:
                     skipped = True
                     continue
                 genera.append(g)
                 if g > 0:
-                    vertices = level0_vertices(dg, cyc, mode)
+                    vertices = level0_vertices(priced, cyc)
                     assert vertices, (name, cyc)
                     existence_checks += 1
                     level0_of[cyc] = (g, vertices)

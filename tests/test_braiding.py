@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from itertools import chain, combinations, product
 from math import gcd, prod
 
@@ -46,6 +47,7 @@ from conftest import (
     random_entry,
     small_family,
 )
+from linkdyn.cli import parse
 from linkdyn.diagram import classify_components
 from linkdyn.fields import CYCLOTOMIC, is_prime
 from test_cycles import random_diagram
@@ -249,7 +251,7 @@ class TestVerify:
     def test_affine_mode_needs_homogeneous_prime_order(self):
         da = component_diag(["A1(1)", "A1(1)"], [(0, 2)], mode="affine")
         m = construct(da, d=5)
-        assert verify(da, m, "affine").ok
+        assert verify(da, m).ok
         m5, m7 = construct(da, d=5), construct(da, d=7)
         total = direct_sum([m5, m7])
         union = diag(
@@ -257,10 +259,19 @@ class TestVerify:
             [(0, 2), (4, 6)],
             mode="affine",
         )
-        rep = verify(union, total, "affine")
+        rep = verify(union, total)
         assert not rep.ok
         same = direct_sum([m5, construct(da, d=5)])
-        assert verify(union, same, "affine").ok
+        assert verify(union, same).ok
+
+    def test_affine_diagram_reads_the_affine_order_rule(self):
+        # no identity ties the two diagonals, only the diagram's mode
+        d = component_diag(["A1", "A1"], [], mode="affine")
+        z = RootExpr.z(35, 1)
+        q5, q7 = RootExpr.root(35, 5), RootExpr.root(35, 7)  # orders 7 and 5
+        m = BraidingMatrix(35, ((q5, z), (z.inv(), q7)))
+        assert verify(d, m).failures == ("diagonal orders differ: [5, 7]",)
+        assert verify(replace(d, mode="finite"), m).ok
 
     def test_size_mismatch_reported(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
@@ -515,10 +526,32 @@ class TestAdmissibleOrders:
     def test_genus_gcd_above_the_divisor_limit_is_refused(self):
         # 2^48 - 1 is above 10^14, the largest number divisors lists
         d = circle("B3", 48)
-        assert linkdyn.cycles.genus_gcd(d, "finite") == 2**48 - 1
+        assert linkdyn.cycles.genus_gcd(d) == 2**48 - 1
         for op in (check, construct, admissible_orders):
             with pytest.raises(ScaleExceeded, match="divisor limit"):
                 op(d)
+
+    def test_affine_diagram_lists_what_construct_accepts(self):
+        d = component_diag(["A1", "A1"], [(0, 1)], mode="affine")
+        out = admissible_orders(d, bound=20)
+        assert out == (5, 7, 11, 13, 17, 19)
+        assert construct(d).order == out[0]
+        with pytest.raises(InadmissibleD, match="prime above 3"):
+            construct(d, d=3)
+
+    def test_affine_ring_with_triple_edges(self):
+        # two G2(1) components joined in a ring: the triple edges lie on
+        # the cycle, which only the affine vocabulary prices
+        d = parse(
+            "vertices 6\nedge 1 2 -1 -1\nedge 2 3 -1 -3\nedge 4 5 -1 -1\n"
+            "edge 5 6 -1 -3\nlink 1 4\nlink 3 6\nmode affine\n"
+        ).diagram
+        assert linkdyn.cycles.genus_gcd(d) == 0
+        out = admissible_orders(d)
+        assert out[0] == 5
+        report = check(d)
+        assert (report.decision, report.genus_gcd) == ("yes", 0)
+        assert report.admissible == out[:8]
 
     def test_no_cycles_gives_primes(self):
         d = component_diag(["A2", "A2"], [(0, 2)])
@@ -549,11 +582,12 @@ class TestAdmissibleOrders:
             ord_diagonal(m, 2)
 
 
-def reference_admissible_orders(diagram, mode, field, big_g, bound=100):
+def reference_admissible_orders(diagram, field, big_g, bound=100):
     """The admissible orders by the filter that _order_fault replaced.
 
     Kept as the reference, with its own copy of the mode rule.
     """
+    mode = diagram.mode
     g2 = mode == "finite" and braiding._has_g2(diagram)
     low = 3 if mode == "finite" else 5
     candidates = field.root_orders()
@@ -570,10 +604,11 @@ def reference_admissible_orders(diagram, mode, field, big_g, bound=100):
     return tuple(out)
 
 
-def reference_validate_order(diagram, d, mode, field, big_g):
+def reference_validate_order(diagram, d, field, big_g):
     """The checked or chosen root order, by the checks _order_fault replaced."""
+    mode = diagram.mode
     if d is None:
-        choices = reference_admissible_orders(diagram, mode, field, big_g)
+        choices = reference_admissible_orders(diagram, field, big_g)
         if mode == "finite" and big_g > 0:
             if not choices:
                 raise NoAdmissibleOrder(
@@ -605,10 +640,10 @@ def reference_validate_order(diagram, d, mode, field, big_g):
     return d
 
 
-def order_outcome(validate, diagram, d, mode, field, big_g):
+def order_outcome(validate, diagram, d, field, big_g):
     """The chosen root order, or the exception type and text."""
     try:
-        return validate(diagram, d, mode, field, big_g)
+        return validate(diagram, d, field, big_g)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -639,23 +674,24 @@ class TestOrderRuleAgainstReference:
         messages, gs = set(), set()
         for d in self.diagrams():
             for mode in ("finite", "affine"):
+                dm = replace(d, mode=mode)
                 try:
-                    big_g = linkdyn.cycles.genus_gcd(d, mode)
+                    big_g = linkdyn.cycles.genus_gcd(dm)
                 except Exception:
                     continue
                 gs.add(big_g)
                 for field in self.FIELDS:
-                    got = braiding._admissible_orders(d, mode, field, big_g)
-                    want = reference_admissible_orders(d, mode, field, big_g)
-                    assert got == want, (d, mode, field, big_g)
+                    got = braiding._admissible_orders(dm, field, big_g)
+                    want = reference_admissible_orders(dm, field, big_g)
+                    assert got == want, (dm, field, big_g)
                     for order in chain(range(-2, 61), [None]):
                         got = order_outcome(
-                            braiding._validate_order, d, order, mode, field, big_g
+                            braiding._validate_order, dm, order, field, big_g
                         )
                         want = order_outcome(
-                            reference_validate_order, d, order, mode, field, big_g
+                            reference_validate_order, dm, order, field, big_g
                         )
-                        assert got == want, (d, order, mode, field, big_g)
+                        assert got == want, (dm, order, field, big_g)
                         if not isinstance(got, int):
                             messages.add(got[1])
         # cycle-free diagrams and several nonzero genus gcds were met, and
@@ -734,7 +770,7 @@ class TestOracle:
     def test_selflink_mode_rejected(self):
         # UnsupportedMode stays a ValueError for library callers
         d = diag(block_rows(["A2"]), [(0, 1)], mode="selflink")
-        for call in (construct, brute_force_exists):
+        for call in (construct, brute_force_exists, admissible_orders):
             with pytest.raises(UnsupportedMode) as info:
                 call(d)
             assert isinstance(info.value, ValueError)
@@ -835,7 +871,7 @@ class TestOracle:
         res = brute_force_exists(d, n_max=n_max)
         assert res.found and res.root_order == res.matrix.order
         assert res.matrix.to_text() == text
-        assert verify(d, res.matrix, d.mode).ok
+        assert verify(d, res.matrix).ok
 
 
 def forms_hold(forms, n, exps):
@@ -851,7 +887,7 @@ class TestIdentityForms:
         matrix = braiding._completed(d, n, exps)
         return not any(
             f.startswith(("product identity", "linking identity"))
-            for f in braiding._failures(d, matrix, d.mode)
+            for f in braiding._failures(d, matrix)
         )
 
     @staticmethod
@@ -918,12 +954,13 @@ class TestIdentityForms:
                 assert not self.identities_hold(d, n, [e, -e % n])
 
 
-def reference_failures(diagram, matrix, mode):
+def reference_failures(diagram, matrix):
     """verify's failure messages by RootExpr arithmetic on every entry.
 
     The verifier that the exponent-grid congruences replaced, kept as
     the reference; it reads the matrix only through entry().
     """
+    mode = diagram.mode
     s = diagram.size
     if matrix.size != s:
         yield f"matrix size {matrix.size} != diagram size {s}"
@@ -1024,7 +1061,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
         raise UnsupportedMode("the brute-force search requires standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("the brute-force search needs a link-connected diagram")
-    braiding._recognized_components(diagram, mode)
+    braiding._recognized_components(diagram)
     has_g2 = mode == "finite" and braiding._has_g2(diagram)
     s = diagram.size
     order, _ = diagram.link_traversal()
@@ -1084,7 +1121,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
     for n, exps in chain((first,), candidates):
         if forms_hold(forms, n, exps):
             matrix = braiding._completed(diagram, n, exps)
-            report = verify(diagram, matrix, mode)
+            report = verify(diagram, matrix)
             if not report.ok:
                 raise RuntimeError(
                     f"identity forms accepted a diagonal that verify rejects "
@@ -1181,10 +1218,10 @@ class TestGridAgainstReference:
         for labels, pairs in small_family():
             d = component_diag(list(labels), list(pairs))
             for matrix in self.matrices(d, rng):
-                mode = rng.choice(("finite", "affine", "selflink"))
-                got = tuple(braiding._failures(d, matrix, mode))
-                want = tuple(reference_failures(d, matrix, mode))
-                assert got == want, (labels, pairs, mode, matrix.to_text())
+                dm = replace(d, mode=rng.choice(("finite", "affine", "selflink")))
+                got = tuple(braiding._failures(dm, matrix))
+                want = tuple(reference_failures(dm, matrix))
+                assert got == want, (labels, pairs, dm.mode, matrix.to_text())
                 verdicts.add(not got)
                 kinds.update(k for k in self.KINDS for f in got if k in f)
         assert verdicts == {True, False}
@@ -1193,9 +1230,7 @@ class TestGridAgainstReference:
     def test_size_mismatch_matches_reference(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
         m = BraidingMatrix(5, ((RootExpr.root(5, 1),),))
-        assert tuple(braiding._failures(d, m, "finite")) == tuple(
-            reference_failures(d, m, "finite")
-        )
+        assert tuple(braiding._failures(d, m)) == tuple(reference_failures(d, m))
 
 
 class TestDirectSum:

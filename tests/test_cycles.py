@@ -7,6 +7,7 @@ code.
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -254,6 +255,22 @@ class TestGenera:
         assert genera == [3, 9]
         assert genus_gcd(d) == gcd(3, 9)
 
+    def test_diagram_mode_picks_the_vocabulary(self):
+        # a G2 component closed by a dotted edge: its triple edge lies
+        # on the cycle, which a finite diagram cannot price
+        rows = ((2, -1, 0), (-1, 2, -1), (0, -3, 2))
+        selflink = diag(rows, [(0, 2)], mode="selflink")
+        c = enumerate_cycles(selflink)[0]
+        assert cycle_invariants(selflink, c) == (0, 1, 1, 4)
+        assert genus_gcd(selflink) == 4
+        # the crosswise G2 pair crosses both triple edges, head to head
+        crosswise = component_diag(["G2", "G2"], [(0, 2), (1, 3)], mode="affine")
+        c = enumerate_cycles(crosswise)[0]
+        assert cycle_invariants(crosswise, c) == (0, 0, 2, 0)
+        assert genus_gcd(crosswise) == 0
+        with pytest.raises(UnsupportedEdgeInMode, match="in finite mode"):
+            genus_gcd(replace(crosswise, mode="finite"))
+
     def test_orientation_independence(self):
         for n in (2, 3):
             d = circle("B3", n)
@@ -318,11 +335,11 @@ class TestHeights:
 # ------------------------------------------------- basis against enumeration
 
 
-def reference_genus_gcd(diagram, mode="finite"):
+def reference_genus_gcd(diagram):
     """The gcd of the genera of every enumerated cycle, in list order."""
     g = 0
     for cycle in enumerate_cycles(diagram):
-        g = gcd(g, genus(diagram, cycle, mode))
+        g = gcd(g, genus(diagram, cycle))
     return g
 
 
@@ -340,9 +357,9 @@ def reference_potentials(diagram):
     return pot
 
 
-def gcd_or_message(fold, diagram, mode):
+def gcd_or_message(fold, diagram):
     try:
-        return fold(diagram, mode)
+        return fold(diagram)
     except UnsupportedEdgeInMode as exc:
         return str(exc)
 
@@ -373,7 +390,7 @@ def decide_without_enumeration(diagram, calls):
     before = len(calls)
     report = check(diagram)
     if report.decision == "yes":
-        assert verify(diagram, construct(diagram), diagram.mode).ok
+        assert verify(diagram, construct(diagram)).ok
     assert len(calls) == before
     return report
 
@@ -386,8 +403,9 @@ class TestBasisAgainstEnumeration:
         for _ in range(5000):
             labels, d = random_diagram(rng)
             for mode in ("finite", "affine"):
-                got = gcd_or_message(genus_gcd, d, mode)
-                assert got == gcd_or_message(reference_genus_gcd, d, mode)
+                dm = replace(d, mode=mode)
+                got = gcd_or_message(genus_gcd, dm)
+                assert got == gcd_or_message(reference_genus_gcd, dm)
                 if isinstance(got, str):
                     messages += 1
                 else:
@@ -411,7 +429,7 @@ class TestBasisAgainstEnumeration:
                     m = construct(d, d=order)
                 except InadmissibleD:
                     continue
-                assert verify(d, m, d.mode).ok
+                assert verify(d, m).ok
             assert len(calls) == before
 
     def test_potentials_in_lowest_terms(self):
@@ -424,7 +442,8 @@ class TestBasisAgainstEnumeration:
             ]
 
     def test_parallel_plain_and_dotted_edges(self):
-        # selflink mode: the two-vertex round trip is no cycle
+        # selflink mode: the two-vertex round trip is no cycle, and the
+        # genera follow the affine vocabulary
         for labels, pairs in (
             (["A2"], [(0, 1)]),
             (["B2"], [(0, 1)]),
@@ -433,8 +452,7 @@ class TestBasisAgainstEnumeration:
             (["B3", "A2"], [(1, 2), (0, 3)]),
         ):
             d = component_diag(labels, pairs, mode="selflink")
-            for mode in ("finite", "affine"):
-                assert genus_gcd(d, mode) == reference_genus_gcd(d, mode)
+            assert genus_gcd(d) == reference_genus_gcd(d)
 
     def test_small_family_and_rings(self, count_calls):
         calls = count_calls(linkdyn.cycles, "enumerate_cycles")
@@ -451,8 +469,8 @@ class TestBasisAgainstEnumeration:
         ]
         decided = 0
         for d in diagrams:
-            got = gcd_or_message(genus_gcd, d, d.mode)
-            assert got == gcd_or_message(reference_genus_gcd, d, d.mode)
+            got = gcd_or_message(genus_gcd, d)
+            assert got == gcd_or_message(reference_genus_gcd, d)
             if d.is_link_connected():
                 try:
                     decide_without_enumeration(d, calls)

@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import linkdyn.cycles
+import linkdyn.existence
 from conftest import block_rows, circle, component_diag, diag
 from linkdyn import (
     ExistenceReport,
     FieldSpec,
     check,
-    check_affine,
-    check_finite,
     construct,
     excluded_case_matrix,
     selflink_genus,
@@ -46,67 +47,67 @@ def doubled(label):
 class TestCheckFinite:
     def test_two_linked_copies_always_yes(self):
         for label in ("A1", "A2", "A3", "B2", "B3"):
-            rep = check_finite(doubled(label))
+            rep = check(doubled(label))
             assert rep.decision == "yes", (label, rep.reasons)
             assert rep.genus_gcd == 0
             assert rep.admissible
 
     def test_doubled_g2_is_the_excluded_shape(self):
-        rep = check_finite(doubled("G2"))
+        rep = check(doubled("G2"))
         assert rep.decision == "excluded"
         assert rep.genus_gcd is None
         assert any("G2" in r for r in rep.reasons)
 
     def test_misoriented_g2_pair_still_excluded(self):
         d = component_diag(["G2", "G2r"], [(0, 2), (1, 3)])
-        assert check_finite(d).decision == "excluded"
+        assert check(d).decision == "excluded"
 
     def test_single_dotted_edge_between_g2_copies_is_ordinary(self):
         d = component_diag(["G2", "G2"], [(0, 2)])
-        rep = check_finite(d)
+        rep = check(d)
         assert rep.decision == "yes"
         assert 3 not in rep.admissible
         assert rep.admissible[0] == 5
 
     def test_fully_linked_g2_vertex_condition(self):
         d = component_diag(["G2", "A1", "A1"], [(0, 2), (1, 3)])
-        rep = check_finite(d)
+        rep = check(d)
         assert rep.decision == "no"
         assert any("G2 component" in r for r in rep.reasons)
 
     def test_consistency_violation_reported(self):
         d = component_diag(["A2", "B2"], [(0, 2), (1, 3)])
-        rep = check_finite(d)
+        rep = check(d)
         assert rep.decision == "no"
         assert any(r.startswith("dotted") for r in rep.reasons)
 
     def test_a3_circle_parity(self):
         for n, expected in ((2, "yes"), (3, "no"), (4, "yes"), (5, "no")):
-            rep = check_finite(circle("A3", n))
+            rep = check(circle("A3", n))
             assert rep.decision == expected, n
             if expected == "no":
                 assert rep.genus_gcd == 2
 
     def test_b3_circle_genus_gcd(self):
-        rep = check_finite(circle("B3", 2))
+        rep = check(circle("B3", 2))
         assert rep.decision == "yes"
         assert rep.genus_gcd == 3
         assert rep.admissible == (3,)
-        rep = check_finite(circle("B3", 3))
+        rep = check(circle("B3", 3))
         assert rep.genus_gcd == 9
         assert rep.admissible == (3, 9)
 
     def test_genus_one_cycle_is_fatal(self):
         d = component_diag(["A3", "B3"], [(0, 3), (2, 5)])
-        rep = check_finite(d)
+        rep = check(d)
         assert rep.decision == "no"
         assert rep.genus_gcd == 1
 
     def test_field_without_usable_roots(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
-        rep = check_finite(d, FieldSpec("roots", orders=(4,)))
+        rep = check(d, FieldSpec("roots", orders=(4,)))
         assert rep.decision == "no"
-        rep = check_finite(d, FieldSpec("gf", q=11))
+        rep = check(d, FieldSpec("gf", q=11))
         assert rep.decision == "yes"
         assert 5 in rep.admissible
 
@@ -126,29 +127,29 @@ class TestCheckFinite:
 
     def test_field_blocks_required_genus_divisor(self):
         # genus gcd 3 but GF(11) has no cube roots of unity
-        rep = check_finite(circle("B3", 2), FieldSpec("gf", q=11))
+        rep = check(circle("B3", 2), FieldSpec("gf", q=11))
         assert rep.decision == "no"
         assert rep.genus_gcd == 3
 
     def test_precheck_errors(self):
         with pytest.raises(NotLinkConnected):
-            check_finite(component_diag(["A2", "A2"], []))
+            check(component_diag(["A2", "A2"], []))
         with pytest.raises(UnsupportedComponentType):
-            check_finite(component_diag(["A1(1)", "A1(1)"], [(0, 2)]))
+            check(component_diag(["A1(1)", "A1(1)"], [(0, 2)]))
         with pytest.raises(ValueError):
-            check_finite(diag(block_rows(["A2"]), [(0, 1)], mode="selflink"))
+            check(diag(block_rows(["A2"]), [(0, 1)], mode="selflink"))
 
     def test_report_shape(self):
-        yes = check_finite(doubled("A2"))
+        yes = check(doubled("A2"))
         assert yes.reasons == ()
-        no = check_finite(circle("A3", 3))
+        no = check(circle("A3", 3))
         assert no.reasons and no.admissible == ()
 
 
 class TestCheckAffine:
     def test_acyclic_affine_diagram_yes(self):
         d = component_diag(["A1(1)", "A1(1)"], [(0, 2)], mode="affine")
-        rep = check_affine(d)
+        rep = check(d)
         assert rep.decision == "yes"
         assert rep.admissible[0] == 5
         assert all(p > 3 for p in rep.admissible)
@@ -160,14 +161,14 @@ class TestCheckAffine:
         for r in rows:
             full.append([0, 0, 0] + r)
         d = diag(full, RING3, mode="affine")
-        rep = check_affine(d)
+        rep = check(d)
         assert rep.decision == "no"
         assert rep.genus_gcd == 4
         assert "prime" in rep.reasons[0]
 
     def test_genus_five_ring(self):
         d = diag(block_rows(["B3", "B3", "A3"]), RING3, mode="affine")
-        rep = check_affine(d)
+        rep = check(d)
         assert rep.decision == "yes"
         assert rep.genus_gcd == 5
         assert rep.admissible == (5,)
@@ -175,15 +176,15 @@ class TestCheckAffine:
     def test_affine_rejects_what_finite_allows(self):
         # genus 3 admits d = 3 in the finite theorem but no prime above 3
         d = circle("B3", 2, mode="affine")
-        assert check_affine(d).decision == "no"
-        assert check_finite(circle("B3", 2)).decision == "yes"
+        assert check(d).decision == "no"
+        assert check(circle("B3", 2)).decision == "yes"
 
     def test_excluded_shapes(self):
         for label in ("A1(1)", "A2(2)"):
             d = component_diag(
                 [label, label], [(0, 2), (1, 3)], mode="affine"
             )
-            rep = check_affine(d)
+            rep = check(d)
             assert rep.decision == "excluded"
             assert label in rep.reasons[0]
 
@@ -191,19 +192,19 @@ class TestCheckAffine:
         d = component_diag(
             ["A1(1)", "A2(2)"], [(0, 2), (1, 3)], mode="affine"
         )
-        rep = check_affine(d)
+        rep = check(d)
         assert rep.decision == "no"
         assert any("lie on dotted edges" in r for r in rep.reasons)
 
     def test_single_pair_of_rank_two_affines_is_ordinary(self):
         d = component_diag(["A2(2)", "A2(2)"], [(0, 2)], mode="affine")
-        assert check_affine(d).decision == "yes"
+        assert check(d).decision == "yes"
 
     def test_finite_components_in_affine_mode(self):
         d = component_diag(
             ["A3", "A3"], [(0, 3), (1, 4), (2, 5)], mode="affine"
         )
-        rep = check_affine(d)
+        rep = check(d)
         assert rep.decision == "yes"
         assert rep.genus_gcd == 0
 
@@ -381,8 +382,7 @@ class TestGoldenReports:
     def test_full_report(self, diagram, field, expected):
         rep = check(diagram) if field is None else check(diagram, field)
         assert rep == expected
-        by_mode = check_affine if diagram.mode == "affine" else check_finite
-        assert by_mode(diagram, field or FieldSpec("cyclotomic")) == expected
+        assert check(diagram, field or FieldSpec("cyclotomic")) == expected
 
 
 class TestDispatch:
@@ -390,6 +390,20 @@ class TestDispatch:
         assert check(doubled("A2")).mode == "finite"
         aff = component_diag(["A1(1)", "A1(1)"], [(0, 2)], mode="affine")
         assert check(aff).mode == "affine"
+
+    def test_diagram_mode_is_the_only_mode(self):
+        # classify_components' argument picks a catalog, not the linking mode
+        takes_mode = [
+            name
+            for name in linkdyn.__all__
+            if callable(obj := getattr(linkdyn, name))
+            and not isinstance(obj, type)
+            and "mode" in inspect.signature(obj).parameters
+        ]
+        assert takes_mode == ["classify_components"]
+        for gone in ("check_finite", "check_affine"):
+            assert not hasattr(linkdyn, gone)
+            assert not hasattr(linkdyn.existence, gone)
 
     def test_yes_means_constructible(self):
         for d in (doubled("A3"), circle("B3", 2), circle("A3", 2)):
@@ -406,7 +420,7 @@ class TestDispatch:
         """A finite-type diagram usable at a prime above 3 verifies affinely."""
         fin = diag(block_rows(["B3", "B3", "A3"]), RING3)
         aff = diag(block_rows(["B3", "B3", "A3"]), RING3, mode="affine")
-        rf, ra = check_finite(fin), check_affine(aff)
+        rf, ra = check(fin), check(aff)
         assert rf.decision == ra.decision == "yes"
         assert 5 in rf.admissible and 5 in ra.admissible
 
@@ -415,7 +429,7 @@ class TestExcludedCaseMatrix:
     def test_all_three_shapes_verify_symbolically(self):
         for n, m in ((3, 3), (1, 2), (4, 4)):
             diagram, matrix = excluded_case_matrix(n, m)
-            rep = verify(diagram, matrix, diagram.mode)
+            rep = verify(diagram, matrix)
             assert rep.ok, (n, m, rep.failures)
             assert any(
                 matrix.entry(i, j).is_symbolic
@@ -438,7 +452,7 @@ class TestExcludedCaseMatrix:
         for d in (7, 11):
             diagram, matrix = excluded_case_matrix(3, 3, d=d)
             assert matrix.order == d
-            assert verify(diagram, matrix, "finite").ok
+            assert verify(diagram, matrix).ok
 
     def test_parameter_errors(self):
         with pytest.raises(ShapeParameterMismatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -197,7 +198,7 @@ class TestDoubleDatum:
     def test_induced_matrix_verifies(self, label):
         datum = double_datum(cartan(label))
         matrix = datum.braiding_matrix()
-        report = verify(datum.diagram, matrix, "finite")
+        report = verify(datum.diagram, matrix)
         assert report.ok, report.failures
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
@@ -206,11 +207,11 @@ class TestDoubleDatum:
         # directions, so both weights cancel; affine mode prices the
         # triple edges that finite mode bans from cycles
         datum = double_datum(cartan(label))
-        dg = datum.diagram
+        dg = replace(datum.diagram, mode="affine")
         cycles = enumerate_cycles(dg)
         assert cycles
-        assert all(genus(dg, c, "affine") == 0 for c in cycles)
-        assert genus_gcd(dg, "affine") == 0
+        assert all(genus(dg, c) == 0 for c in cycles)
+        assert genus_gcd(dg) == 0
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
     @pytest.mark.parametrize("q_order", [5, 7])
