@@ -9,11 +9,21 @@ divisible by the d-th cyclotomic polynomial Phi_d.  Since
 x^d - 1 = Phi_d * Psi_d is squarefree, that holds exactly when
 p * Psi_d vanishes modulo x^d - 1, and the cofactor Psi_d is sparse, so
 the test never reduces a dense vector.
+
+The presentation needs none of that.  Each Serre coefficient is a
+q-binomial [n choose k]_{q_i} times a power of q, n = 1 - a_ij: its
+terms are an integer Gaussian-binomial row with shifted exponents, and
+whether it vanishes is the q-Lucas rule on k, n and the order of q_i.
+So the cost of a presentation does not grow with the root order, and
+its text and machine forms are each rendered only when asked for.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .braiding import RootExpr
@@ -23,8 +33,7 @@ from .realization import LinkingDatum
 
 Sym = tuple[tuple[str, int], ...]
 Key = tuple[int, Sym]
-# one coefficient of a text relation: _split_sign of it, None when zero
-_Slot = Optional[tuple[int, str]]
+Terms = tuple[tuple[Key, int], ...]
 
 
 def _mobius(n: int) -> int:
@@ -116,6 +125,30 @@ def _merge_sym(a: Sym, b: Sym) -> Sym:
     return tuple(sorted((n, k) for n, k in acc.items() if k))
 
 
+def _signed_sum(pieces: Iterable[tuple[int, str]]) -> str:
+    # [(sign, body), ...] as "body - body + body", "0" when there is none
+    out: list[str] = []
+    for sign, body in pieces:
+        if out:
+            out.append(" + " if sign > 0 else " - ")
+        elif sign < 0:
+            out.append("-")
+        out.append(body)
+    return "".join(out) if out else "0"
+
+
+def _render(terms: Terms, sign: int = 1) -> str:
+    # sign * (sum of c q^e sym) as "-2*q^3 + z1 - q"
+    def magnitude(e: int, sym: Sym, c: int) -> str:
+        mags = [str(abs(c))] if abs(c) != 1 or (e == 0 and not sym) else []
+        if e:
+            mags.append("q" if e == 1 else f"q^{e}")
+        mags.extend(name if k == 1 else f"{name}^{k}" for name, k in sym)
+        return "*".join(mags)
+
+    return _signed_sum((sign * c, magnitude(e, sym, c)) for (e, sym), c in terms)
+
+
 @dataclass(frozen=True, eq=False)
 class QValue:
     """One exact coefficient: Laurent polynomial in q and named symbols.
@@ -130,7 +163,7 @@ class QValue:
     """
 
     root_order: int
-    terms: tuple[tuple[Key, int], ...]
+    terms: Terms
 
     @staticmethod
     def _make(root_order: int, data: dict[Key, int]) -> "QValue":
@@ -269,23 +302,7 @@ class QValue:
     # ---------------------------------------------------------- rendering
 
     def render(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for (e, sym), c in self.terms:
-            mags: list[str] = []
-            if abs(c) != 1 or (e == 0 and not sym):
-                mags.append(str(abs(c)))
-            if e:
-                mags.append("q" if e == 1 else f"q^{e}")
-            for name, k in sym:
-                mags.append(name if k == 1 else f"{name}^{k}")
-            body = "*".join(mags)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return "0" if self.is_zero else _render(self.terms)
 
     def __str__(self) -> str:
         return self.render()
@@ -320,20 +337,73 @@ def qbinomial(n: int, i: int, q: QValue) -> QValue:
     return _qbinomial_row(n, q)[i]
 
 
-def _qbinomial_row(n: int, q: QValue) -> list[QValue]:
-    # [n choose k]_q for k = 0 .. n, one Pascal row
-    row = [QValue.one(q.root_order)]
-    for r in range(n):
-        new = []
-        for c in range(r + 2):
-            val = QValue.zero(q.root_order)
-            if c <= r:
-                val = val + q**c * row[c]
-            if c >= 1:
-                val = val + row[c - 1]
-            new.append(val)
-        row = new
+@cache
+def _gaussian_row(n: int) -> tuple[tuple[int, ...], ...]:
+    """[n choose k]_x for k = 0 .. n, each by its ascending coefficients.
+
+    Integer polynomials from the Pascal recurrence
+    [m + 1 choose k] = x^k [m choose k] + [m choose k - 1], built on
+    first use.
+    """
+    row: tuple[tuple[int, ...], ...] = ((1,),)
+    for m in range(n):
+        nxt = []
+        for k in range(m + 2):
+            coeffs = [0] * (k * (m + 1 - k) + 1)
+            if k <= m:
+                for t, c in enumerate(row[k]):
+                    coeffs[t + k] += c
+            if k:
+                for t, c in enumerate(row[k - 1]):
+                    coeffs[t] += c
+            nxt.append(tuple(coeffs))
+        row = tuple(nxt)
     return row
+
+
+def _qbinomial_row(n: int, q: QValue) -> list[QValue]:
+    # [n choose k]_q for k = 0 .. n: the integer rows at x = q, by Horner
+    out = []
+    for coeffs in _gaussian_row(n):
+        acc = QValue.zero(q.root_order)
+        for c in reversed(coeffs):
+            acc = acc * q + c
+        out.append(acc)
+    return out
+
+
+def _bracket_vanishes(n: int, k: int, order: int) -> bool:
+    """Whether [n choose k] is 0 at a primitive root of unity of the order.
+
+    The q-Lucas theorem (Olive 1965; Desarmenien 1982): at a primitive
+    N-th root w, [n choose k]_w = C(n // N, k // N) [n % N choose k % N]_w,
+    so it vanishes exactly when N > 1 and k % N > n % N.
+    """
+    return order > 1 and k % order > n % order
+
+
+def _serre_slots(n: int, e_ii: int, e_ij: int, d: int) -> tuple[Optional[Terms], ...]:
+    """The terms of c_0 .. c_n at q a primitive d-th root, None for a zero.
+
+    c_k = (-1)^k [n choose k]_{q_i} q_i^(k(k-1)/2) b_ij^k with q_i = q^e_ii
+    and b_ij = q^e_ij: the exponent t of the integer row moves to
+    e_ii t + e_ii k(k-1)/2 + k e_ij, folded mod d.  The terms are in
+    QValue's form: exponents ascending in 0 .. d - 1, no zero coefficient.
+    """
+    order = d // gcd(d, e_ii)  # the order of q_i
+    slots: list[Optional[Terms]] = []
+    for k, coeffs in enumerate(_gaussian_row(n)):
+        if _bracket_vanishes(n, k, order):
+            slots.append(None)
+            continue
+        sign = -1 if k % 2 else 1
+        shift = e_ii * (k * (k - 1) // 2) + k * e_ij
+        folded: dict[int, int] = {}
+        for t, c in enumerate(coeffs):
+            e = (e_ii * t + shift) % d
+            folded[e] = folded.get(e, 0) + sign * c
+        slots.append(tuple(((e, ()), c) for e, c in sorted(folded.items()) if c))
+    return tuple(slots)
 
 
 def check_identity(which: int, n: int, i: int, q: QValue) -> bool:
@@ -374,22 +444,13 @@ def serre_coefficients(a_ij: int, q_i: QValue, b_ij: QValue) -> list[QValue]:
     c_k = (-1)^k [1-a_ij choose k]_{q_i} q_i^(k(k-1)/2) b_ij^k for
     k = 0 .. 1-a_ij, so the list always has 2 - a_ij entries.
     """
-    return _crossed(_serre_brackets(a_ij, q_i), b_ij)
-
-
-def _serre_brackets(a_ij: int, q_i: QValue) -> list[QValue]:
-    # the factors (-1)^k [1-a_ij choose k]_{q_i} q_i^(k(k-1)/2) of c_k
     if a_ij > 0:
         raise ValueError("off-diagonal Cartan entries are nonpositive")
     out = []
     for k, c in enumerate(_qbinomial_row(1 - a_ij, q_i)):
-        c = c * q_i ** (k * (k - 1) // 2)
+        c = c * q_i ** (k * (k - 1) // 2) * b_ij**k
         out.append(-c if k % 2 else c)
     return out
-
-
-def _crossed(brackets: list[QValue], b_ij: QValue) -> list[QValue]:
-    return [c * b_ij**k for k, c in enumerate(brackets)]
 
 
 # ------------------------------------------------------------ presentation
@@ -401,38 +462,158 @@ class Relation(NamedTuple):
     machine: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HopfPresentation:
-    """Generators, relations, and coproduct of the linked algebra."""
+    """Generators, relations, and coproduct of the linked algebra.
 
-    group_generators: tuple[str, ...]
-    algebra_generators: tuple[str, ...]
-    relations: tuple[Relation, ...]
-    coproduct: tuple[str, ...]
-    coproduct_machine: tuple[str, ...]
+    Rendered from its linking datum on demand: to_text and to_machine
+    each build the lines of their own format only, and relations pairs
+    the two forms of each relation on first access.
+    """
+
+    datum: LinkingDatum
+    # the Serre coefficient slots by (a_ij, e_ii, e_ij), shared by both formats
+    _slots: dict[tuple[int, int, int], tuple[Optional[Terms], ...]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @property
+    def group_generators(self) -> tuple[str, ...]:
+        return tuple(f"h_{t + 1}" for t in range(len(self.datum.factors)))
+
+    @property
+    def algebra_generators(self) -> tuple[str, ...]:
+        return tuple(f"a_{i + 1}" for i in range(len(self.datum.elements)))
+
+    @cached_property
+    def relations(self) -> tuple[Relation, ...]:
+        blocks = zip(self._blocks(False), self._blocks(True))
+        return tuple(
+            Relation(kind, text, machine)
+            for (kind, texts), (_, machines) in blocks
+            for text, machine in zip(texts, machines)
+        )
+
+    @property
+    def coproduct(self) -> tuple[str, ...]:
+        return tuple(self._coproduct(False))
+
+    @property
+    def coproduct_machine(self) -> tuple[str, ...]:
+        return tuple(self._coproduct(True))
 
     def to_text(self) -> str:
         lines = [
             "generators: "
             + " ".join(self.group_generators + self.algebra_generators)
         ]
-        for kind in ("group", "mixed", "serre"):
-            block = [r for r in self.relations if r.kind == kind]
-            if block:
-                lines.append(f"{kind} relations:")
-                lines.extend("  " + r.text for r in block)
+        for kind, block in self._blocks(False):
+            heading = len(lines)
+            lines.append(f"{kind} relations:")
+            lines.extend(map("  ".__add__, block))
+            if len(lines) == heading + 1:
+                lines.pop()  # an empty block has no heading
         lines.append("coproduct:")
-        lines.extend("  " + c for c in self.coproduct)
+        lines.extend(map("  ".__add__, self._coproduct(False)))
         return "\n".join(lines) + "\n"
 
     def to_machine(self) -> str:
         lines = [
-            f"generators {len(self.group_generators)} "
-            f"{len(self.algebra_generators)}"
+            f"generators {len(self.datum.factors)} {len(self.datum.elements)}"
         ]
-        lines.extend(r.machine for r in self.relations)
-        lines.extend(self.coproduct_machine)
+        for _, block in self._blocks(True):
+            lines.extend(block)
+        lines.extend(self._coproduct(True))
         return "\n".join(lines) + "\n"
+
+    # ---------------------------------------------------------- builders
+
+    def _blocks(self, machine: bool) -> tuple[tuple[str, Iterator[str]], ...]:
+        """Each kind of relation with its lines, in the one format asked for."""
+        return (
+            ("group", self._group(machine)),
+            ("mixed", self._mixed(machine)),
+            ("serre", self._serre(machine)),
+        )
+
+    def _group(self, machine: bool) -> Iterator[str]:
+        factors = self.datum.factors
+        for t, f in enumerate(factors):
+            if f:
+                yield f"group power {t + 1} {f}" if machine else f"h_{t + 1}^{f} = 1"
+        for t in range(len(factors)):
+            for u in range(t + 1, len(factors)):
+                yield (
+                    f"group comm {t + 1} {u + 1}"
+                    if machine
+                    else f"h_{t + 1} h_{u + 1} = h_{u + 1} h_{t + 1}"
+                )
+
+    def _mixed(self, machine: bool) -> Iterator[str]:
+        chis = self.datum.character_exps
+        for t in range(len(self.datum.factors)):
+            for j, chi in enumerate(chis):
+                c = f"q^{chi[t]}" if chi[t] else "1"
+                if machine:
+                    yield f"mixed {t + 1} {j + 1} | coeff: {c}"
+                elif chi[t]:
+                    yield f"h_{t + 1} a_{j + 1} = {c} a_{j + 1} h_{t + 1}"
+                else:
+                    yield f"h_{t + 1} a_{j + 1} = a_{j + 1} h_{t + 1}"
+
+    def _serre(self, machine: bool) -> Iterator[str]:
+        """One crossed-power relation per vertex pair i < j.
+
+        Its left side has 2 - a_ij coefficient slots; a zero slot is
+        dropped from the text form and written as 0 in the machine form.
+        """
+        datum = self.datum
+        d, grid, factors = datum.order, datum.braiding_exps, datum.factors
+        cartan, elements = datum.diagram.cartan.entries, datum.elements
+        # per slot key, the machine coefficient field or the text left side
+        rendered: dict[tuple[int, int, int], str] = {}
+        sep = "*" if machine else " "
+        for i, row in enumerate(grid):
+            e_ii = row[i]
+            for j in range(i + 1, len(grid)):
+                a = cartan[i][j]
+                top = 1 - a
+                key = (a, e_ii, row[j])
+                if key not in rendered:
+                    if key not in self._slots:
+                        self._slots[key] = _serre_slots(top, e_ii, row[j], d)
+                    rendered[key] = _slot_text(self._slots[key], machine)
+                words = [_serre_word(i, j, top, k, sep) for k in range(top + 1)]
+                gw = None
+                if (i, j) in datum.linked:
+                    g_i, g_j = elements[i], elements[j]
+                    gw = _group_word(
+                        tuple(top * g_i[t] + g_j[t] for t in range(len(factors))),
+                        factors,
+                    )
+                if machine:
+                    rhs = f"lambda=1 g={gw}" if gw else "lambda=0"
+                    yield (
+                        f"serre {i + 1} {j + 1} | coeffs: {rendered[key]} | words: "
+                        f"{' , '.join(words)} | rhs: {rhs}"
+                    )
+                else:
+                    rhs = "0" if gw in (None, "1") else f"1 - {gw}"
+                    yield f"{rendered[key].format(*words)} = {rhs}"
+
+    def _coproduct(self, machine: bool) -> Iterator[str]:
+        factors = self.datum.factors
+        for t in range(len(factors)):
+            h = t + 1
+            yield f"coproduct h {h}" if machine else f"delta(h_{h}) = h_{h} (x) h_{h}"
+        for i, vec in enumerate(self.datum.elements):
+            gw = _group_word(vec, factors)
+            a = i + 1
+            yield (
+                f"coproduct a {a} | g={gw}"
+                if machine
+                else f"delta(a_{a}) = a_{a} (x) 1 + {gw} (x) a_{a}"
+            )
 
 
 def _group_word(exps: tuple[int, ...], factors: tuple[int, ...]) -> str:
@@ -443,10 +624,6 @@ def _group_word(exps: tuple[int, ...], factors: tuple[int, ...]) -> str:
         if e:
             parts.append(f"h_{t + 1}" if e == 1 else f"h_{t + 1}^{e}")
     return "*".join(parts) if parts else "1"
-
-
-def _coeff_str(exp: int) -> str:
-    return "1" if exp == 0 else f"q^{exp}"
 
 
 def _serre_word(i: int, j: int, top: int, k: int, sep: str) -> str:
@@ -460,27 +637,22 @@ def _serre_word(i: int, j: int, top: int, k: int, sep: str) -> str:
     return sep.join(parts)
 
 
-def _split_sign(c: QValue, text: str) -> tuple[int, str]:
-    # text is c.render(); pull the leading sign out, parenthesize genuine sums
-    if len(c.terms) == 1:
-        return (-1, text[1:]) if text.startswith("-") else (1, text)
-    if c.terms[0][1] < 0:
-        return -1, f"({(-c).render()})"
-    return 1, f"({text})"
+def _slot_text(slots: tuple[Optional[Terms], ...], machine: bool) -> str:
+    """One format's rendering of the coefficient slots of a Serre relation.
 
-
-def _signed_sum(slots: list[_Slot], words: list[str]) -> str:
-    parts: list[str] = []
-    for slot, w in zip(slots, words):
-        if slot is None:
-            continue
-        sign, body = slot
-        piece = w if body == "1" else f"{body} {w}"
-        if not parts:
-            parts.append(piece if sign > 0 else f"-{piece}")
-        else:
-            parts.append(f" + {piece}" if sign > 0 else f" - {piece}")
-    return "".join(parts) if parts else "0"
+    The machine form lists every slot, 0 for a zero.  The text form is
+    the left side with "{k}" for the k-th word: zero slots are dropped,
+    each leading sign is pulled out and sums are parenthesized.
+    """
+    if machine:
+        return " ; ".join("0" if c is None else _render(c) for c in slots)
+    pieces = []
+    for k, c in enumerate(slots):
+        if c is not None:
+            sign = -1 if c[0][1] < 0 else 1
+            body = _render(c, sign) if len(c) == 1 else f"({_render(c, sign)})"
+            pieces.append((sign, f"{{{k}}}" if body == "1" else f"{body} {{{k}}}"))
+    return _signed_sum(pieces)
 
 
 def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
@@ -491,107 +663,14 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
     contributes one crossed-power relation whose left side has 2 - a_ij
     coefficient slots (zero coefficients are dropped from the text form
     but kept in the machine form).  The slots depend only on
-    (a_ij, b_ii, b_ij), so each distinct triple is built, zero-tested
-    and rendered once per call.
+    (a_ij, b_ii, b_ij): each distinct triple is built once per
+    presentation from integer Gaussian-binomial rows, zero-tested by
+    the q-Lucas rule and rendered once per format.  Nothing is rendered
+    here: to_text and to_machine each render their own format on call.
     """
-    diagram = datum.diagram
-    if diagram is None:
+    if datum.diagram is None:
         raise ValueError("datum carries no diagram; cannot expand relations")
-    factors = datum.factors
-    l, s = len(factors), len(datum.elements)
-    hs = tuple(f"h_{t + 1}" for t in range(l))
-    alg = tuple(f"a_{i + 1}" for i in range(s))
-    rels: list[Relation] = []
-
-    for t, f in enumerate(factors):
-        if f:
-            rels.append(
-                Relation("group", f"h_{t + 1}^{f} = 1", f"group power {t + 1} {f}")
-            )
-    for t in range(l):
-        for u in range(t + 1, l):
-            rels.append(
-                Relation(
-                    "group",
-                    f"h_{t + 1} h_{u + 1} = h_{u + 1} h_{t + 1}",
-                    f"group comm {t + 1} {u + 1}",
-                )
-            )
-
-    for t in range(l):
-        for j in range(s):
-            ctext = _coeff_str(datum.character_exps[j][t])
-            rhs = (
-                f"a_{j + 1} h_{t + 1}"
-                if ctext == "1"
-                else f"{ctext} a_{j + 1} h_{t + 1}"
-            )
-            rels.append(
-                Relation(
-                    "mixed",
-                    f"h_{t + 1} a_{j + 1} = {rhs}",
-                    f"mixed {t + 1} {j + 1} | coeff: {ctext}",
-                )
-            )
-
-    def root_power(e: int) -> QValue:
-        return QValue._make(datum.order, {(e, ()): 1})
-
-    # the Serre coefficients depend only on (a_ij, b_ii, b_ij), read as
-    # exponents of q: per key the machine field and the text slots, and
-    # per (a_ij, b_ii) their q_i-only brackets
-    brackets: dict[tuple[int, int], list[QValue]] = {}
-    slots: dict[tuple[int, int, int], tuple[str, list[_Slot]]] = {}
-    for i in range(s):
-        e_ii = datum.entry_exp(i, i)
-        q_i = root_power(e_ii)
-        for j in range(i + 1, s):
-            a = diagram.a(i, j)
-            top = 1 - a
-            key = (a, e_ii, datum.entry_exp(i, j))
-            if key not in slots:
-                if (a, e_ii) not in brackets:
-                    brackets[a, e_ii] = _serre_brackets(a, q_i)
-                coeffs = _crossed(brackets[a, e_ii], root_power(key[2]))
-                # render is "0" exactly for a zero coefficient
-                texts = [c.render() for c in coeffs]
-                pairs = zip(coeffs, texts)
-                slots[key] = (
-                    " ; ".join(texts),
-                    [None if t == "0" else _split_sign(c, t) for c, t in pairs],
-                )
-            field, split = slots[key]
-            words_text = [_serre_word(i, j, top, k, " ") for k in range(top + 1)]
-            lam = 1 if (i, j) in datum.linked else 0
-            gw = ""
-            if lam:
-                exps = tuple(
-                    (1 - a) * datum.elements[i][t] + datum.elements[j][t]
-                    for t in range(l)
-                )
-                gw = _group_word(exps, factors)
-                rhs = "0" if gw == "1" else f"1 - {gw}"
-            else:
-                rhs = "0"
-            machine = (
-                f"serre {i + 1} {j + 1} | coeffs: {field}"
-                + " | words: "
-                + " , ".join(w.replace(" ", "*") for w in words_text)
-                + f" | rhs: lambda={lam}"
-                + (f" g={gw}" if lam else "")
-            )
-            rels.append(
-                Relation("serre", f"{_signed_sum(split, words_text)} = {rhs}", machine)
-            )
-
-    copro = [f"delta(h_{t + 1}) = h_{t + 1} (x) h_{t + 1}" for t in range(l)]
-    copro_m = [f"coproduct h {t + 1}" for t in range(l)]
-    for i in range(s):
-        gw = _group_word(datum.elements[i], factors)
-        copro.append(f"delta(a_{i + 1}) = a_{i + 1} (x) 1 + {gw} (x) a_{i + 1}")
-        copro_m.append(f"coproduct a {i + 1} | g={gw}")
-
-    return HopfPresentation(hs, alg, tuple(rels), tuple(copro), tuple(copro_m))
+    return HopfPresentation(datum)
 
 
 __all__ = [

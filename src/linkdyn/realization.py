@@ -64,30 +64,36 @@ class LinkingDatum:
         )
 
     @cached_property
-    def _supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        # the nonzero (generator, exponent) pairs of each g_i
-        return tuple(
-            tuple((t, e) for t, e in enumerate(vec) if e) for vec in self.elements
-        )
+    def braiding_exps(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent of q in chi_j(g_i), row i and column j.
+
+        Computed once.  A g_i with one nonzero coordinate (every g_i of
+        the canonical basis) reads its row off one column of the
+        characters.
+        """
+        d, chis = self.order, self.character_exps
+        rows = []
+        for vec in self.elements:
+            support = [(t, e) for t, e in enumerate(vec) if e]
+            if len(support) == 1:
+                (t, e), = support
+                rows.append(tuple(chi[t] * e % d for chi in chis))
+            else:
+                rows.append(
+                    tuple(sum(chi[t] * e for t, e in support) % d for chi in chis)
+                )
+        return tuple(rows)
 
     def entry_exp(self, i: int, j: int) -> int:
-        """The exponent of q in chi_j(g_i), from the support of g_i only.
-
-        With the canonical basis as the g_i this is one lookup.
-        """
-        chi = self.character_exps[j]
-        return sum(chi[t] * e for t, e in self._supports[i]) % self.order
+        """The exponent of q in chi_j(g_i)."""
+        return self.braiding_exps[i][j]
 
     def braiding_entry(self, i: int, j: int) -> RootExpr:
         """chi_j(g_i)."""
         return RootExpr(self.order, self.entry_exp(i, j))
 
     def braiding_matrix(self) -> BraidingMatrix:
-        s = len(self.elements)
-        return BraidingMatrix._from_grid(
-            self.order,
-            tuple(tuple(self.entry_exp(i, j) for j in range(s)) for i in range(s)),
-        )
+        return BraidingMatrix._from_grid(self.order, self.braiding_exps)
 
     def verify_datum(
         self, source: Optional[BraidingMatrix] = None

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import io
 import os
+import resource
 import subprocess
 import sys
 
@@ -546,11 +547,38 @@ class TestPresentCommand:
         assert code == 1
         assert out.startswith("failure:")
 
+    def test_root_order_2_pow_46_presents(self, tmp_path):
+        # the B3 ring of 46 has root order 2^46 - 1; the Serre coefficients
+        # come from integer rows and the q-Lucas rule, so nothing grows
+        # with the root order, and a child limited to 1 GiB of address
+        # space and 60 s fails fast if that regresses
+        path = tmp_path / "b3ring46.dg"
+        path.write_text(DiagramFile(circle("B3", 46), FieldSpec()).serialize())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (LINKDYN_SRC, env.get("PYTHONPATH")))
+        )
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        child = subprocess.run(
+            [sys.executable, "-m", "linkdyn", "present", str(path)],
+            capture_output=True,
+            env=env,
+            timeout=60,
+            preexec_fn=limit_memory,
+        )
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout.startswith(b"generators: h_1 h_2 ")
+        assert b"\nserre relations:\n" in child.stdout
+
 
 # sha256 of `present` and `present --machine` stdout on rings whose root
 # orders are 5 (A3 ring of 16) and 255, 513, 1023 (B3 rings of 8, 9, 10),
 # recorded from the dense cyclotomic reduction that the cofactor zero
-# test replaced
+# test replaced; the B3 ring of 20 (root order 2^20 - 1) was recorded
+# from the cofactor zero test that the q-Lucas rule replaced
 PRESENT_SHA256 = {
     ("A3", 16): (
         "36c2475a5d9419441ccc3ff0c0152b07936981c1af545dc0429b01a12148c355",
@@ -567,6 +595,10 @@ PRESENT_SHA256 = {
     ("B3", 10): (
         "e171951cdd8b2bbfbc48296d586a87c6652145ea5b22b38debae9525a79b6e7b",
         "34be6ce69f065f51282a09279fd47940e9a425947ed56a177b01a31b8b33f002",
+    ),
+    ("B3", 20): (
+        "7e4ac0cf78af68557d21d9afc7a6d60351ff8095f0aeba51cdae733620f93348",
+        "e4ceaec46ca1226d733354bd0600efedb10fbcab39c3d339af48513baa7f7564",
     ),
 }
 

@@ -450,6 +450,60 @@ class TestSerreCoefficients:
             serre_coefficients(1, QValue.q(), QValue.q())
 
 
+class TestQLucasRule:
+    """The presentation's Serre slots against the QValue cofactor zero test.
+
+    The reference coefficient is built from the subset statistic of
+    [n choose k] (not from the Pascal rows the slots read), shifted by
+    q_i^(k(k-1)/2) b_ij^k and normalized by QValue at root order d.
+    """
+
+    @staticmethod
+    def cases():
+        # every e_ii up to d = 40, three seeded ones for each d up to 120,
+        # one each at d = 255, 513 and 1023; e_ij is seeded throughout
+        rng = random.Random(18)
+        for d in range(1, 121):
+            for e_ii in range(d) if d <= 40 else rng.sample(range(d), 3):
+                yield d, e_ii, rng.randrange(d)
+        for d in (255, 513, 1023):
+            yield d, rng.randrange(d), rng.randrange(d)
+
+    def test_slots_match_cofactor_zero_test(self):
+        checked = zeros = 0
+        for d, e_ii, e_ij in self.cases():
+            for a_ij in (0, -1, -2, -3, -4):
+                n = 1 - a_ij
+                slots = linkdyn.presentation._serre_slots(n, e_ii, e_ij, d)
+                assert len(slots) == n + 1
+                for k, slot in enumerate(slots):
+                    shift = e_ii * (k * (k - 1) // 2) + k * e_ij
+                    sign = -1 if k % 2 else 1
+                    data = {}
+                    for t, c in gaussian_binomial(n, k).items():
+                        key = (e_ii * t + shift, ())
+                        data[key] = data.get(key, 0) + sign * c
+                    coeff = QValue._make(d, data)
+                    if coeff.is_zero:
+                        assert slot is None, (d, e_ii, n, k)
+                        zeros += 1
+                    else:
+                        assert slot == coeff.terms, (d, e_ii, e_ij, n, k)
+                    checked += 1
+        # about 21,000 coefficients, some of them zero
+        assert checked > 21000 and zeros > 0
+
+    def test_rule_on_each_order(self):
+        vanishes = linkdyn.presentation._bracket_vanishes
+        # at a primitive N-th root [n choose k] vanishes iff k % N > n % N
+        assert not vanishes(5, 2, 1)
+        assert not vanishes(5, 2, 2)
+        assert vanishes(4, 1, 2) and vanishes(4, 3, 2)
+        assert not vanishes(4, 2, 2)
+        assert [k for k in range(6) if vanishes(5, k, 5)] == [1, 2, 3, 4]
+        assert [k for k in range(6) if vanishes(5, k, 7)] == []
+
+
 def reference_signed_sum(coeffs, words):
     """A Serre left side built per pair from QValue coefficients.
 
@@ -460,7 +514,14 @@ def reference_signed_sum(coeffs, words):
     for c, w in zip(coeffs, words):
         if c.is_zero:
             continue
-        sign, body = linkdyn.presentation._split_sign(c, c.render())
+        # pull the leading sign out, parenthesize genuine sums
+        text = c.render()
+        if len(c.terms) == 1:
+            sign, body = (-1, text[1:]) if text.startswith("-") else (1, text)
+        elif c.terms[0][1] < 0:
+            sign, body = -1, f"({(-c).render()})"
+        else:
+            sign, body = 1, f"({text})"
         piece = w if body == "1" else f"{body} {w}"
         if not parts:
             parts.append(piece if sign > 0 else f"-{piece}")
@@ -538,60 +599,60 @@ class TestEmitPresentation:
         machine = emit_presentation(datum).to_machine()
         assert machine.splitlines()[0] == "generators 4 4"
 
-    def test_brackets_built_once_per_key(self, count_calls):
-        dd = circle("A3", 16)
-        datum = realize_free(construct(dd), dd)
-        keys = {
-            (dd.a(i, j), datum.braiding_entry(i, i))
-            for i in range(dd.size)
-            for j in range(i + 1, dd.size)
-        }
-        calls = count_calls(linkdyn.presentation, "_qbinomial_row")
-        emit_presentation(datum)
-        # one Pascal row [1 - a_ij choose k]_{q_i}, k = 0 .. 1 - a_ij, per
-        # key a_ij in {0, -1} and b_ii in {q, q^-1}, against 1,128 pairs
-        assert len(keys) == 4
-        assert sorted((n, str(q)) for n, q in calls) == sorted(
-            (1 - a, str(QValue.from_root_expr(b_ii))) for a, b_ii in keys
-        )
-
-    def test_serre_slots_built_once_per_key(self, count_calls):
-        dd = circle("A3", 16)
-        datum = realize_free(construct(dd), dd)
+    @staticmethod
+    def ring_keys(dd, datum):
+        # the slot keys (a_ij, e_ii, e_ij) of the 1,128 pairs of an A3 ring of 16
         pairs = [(i, j) for i in range(dd.size) for j in range(i + 1, dd.size)]
         keys = {
             (dd.a(i, j), datum.entry_exp(i, i), datum.entry_exp(i, j))
             for i, j in pairs
         }
-        calls = count_calls(linkdyn.presentation, "_crossed")
-        emit_presentation(datum)
-        # the coefficients are crossed with b_ij once per distinct
-        # (a_ij, b_ii, b_ij), not once per vertex pair
         assert (len(pairs), len(keys)) == (1128, 8)
-        assert len(calls) == len(keys)
+        return keys
 
-    def test_serre_coefficients_zero_tested_once(self, monkeypatch):
+    @staticmethod
+    def render_both(datum):
+        pres = emit_presentation(datum)
+        pres.to_text()
+        pres.to_machine()
+        return pres.relations
+
+    def test_brackets_built_once_per_key(self, count_calls):
         dd = circle("A3", 16)
         datum = realize_free(construct(dd), dd)
-        made, tested = [], []
-        crossed = linkdyn.presentation._crossed
-        is_zero = QValue.is_zero.fget
+        keys = self.ring_keys(dd, datum)
+        calls = count_calls(linkdyn.presentation, "_gaussian_row")
+        self.render_both(datum)
+        # one integer row [1 - a_ij choose k], k = 0 .. 1 - a_ij, read per
+        # distinct (a_ij, b_ii, b_ij), whichever formats are rendered
+        assert sorted(calls) == sorted((1 - a,) for a, _, _ in keys)
 
-        def recorded(*args):
-            out = crossed(*args)
-            made.extend(out)
-            return out
+    def test_serre_slots_built_once_per_key(self, count_calls):
+        dd = circle("A3", 16)
+        datum = realize_free(construct(dd), dd)
+        keys = self.ring_keys(dd, datum)
+        calls = count_calls(linkdyn.presentation, "_serre_slots")
+        self.render_both(datum)
+        # the coefficients are built once per distinct (a_ij, b_ii, b_ij),
+        # not once per vertex pair or per format
+        assert sorted(calls) == sorted(
+            (1 - a, e_ii, e_ij, datum.order) for a, e_ii, e_ij in keys
+        )
 
-        def counted(c):
-            tested.append(c)
-            return is_zero(c)
-
-        monkeypatch.setattr(linkdyn.presentation, "_crossed", recorded)
-        monkeypatch.setattr(QValue, "is_zero", property(counted))
-        emit_presentation(datum)
-        # render zero-tests each coefficient; its text decides the slot
-        assert len(made) == 20
-        assert [sum(t is c for t in tested) for c in made] == [1] * len(made)
+    def test_serre_coefficients_zero_tested_once(self, count_calls):
+        dd = circle("A3", 16)
+        datum = realize_free(construct(dd), dd)
+        built = count_calls(linkdyn.presentation, "_serre_slots")
+        tested = count_calls(linkdyn.presentation, "_bracket_vanishes")
+        self.render_both(datum)
+        # one q-Lucas decision per coefficient of each slot build
+        expected = [
+            (n, k, datum.order // math.gcd(datum.order, e_ii))
+            for n, e_ii, _, _ in built
+            for k in range(n + 1)
+        ]
+        assert len(expected) == 20
+        assert tested == expected
 
     @staticmethod
     def differential_data():
