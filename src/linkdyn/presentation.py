@@ -27,6 +27,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .braiding import RootExpr
+from .diagram import CartanMatrix
 from .errors import IndexOutOfRange
 from .fields import divisors
 from .realization import LinkingDatum
@@ -462,20 +463,24 @@ class Relation(NamedTuple):
     machine: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HopfPresentation:
     """Generators, relations, and coproduct of the linked algebra.
 
     Rendered from its linking datum on demand: to_text and to_machine
     each build the lines of their own format only, and relations pairs
-    the two forms of each relation on first access.
+    the two forms of each relation on first access.  Two presentations
+    are equal when their data and Cartan matrices are, the whole input
+    of the rendering.
     """
 
     datum: LinkingDatum
-    # the Serre coefficient slots by (a_ij, e_ii, e_ij), shared by both formats
-    _slots: dict[tuple[int, int, int], tuple[Optional[Terms], ...]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    cartan: CartanMatrix = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.datum.diagram is None:
+            raise ValueError("datum carries no diagram; cannot expand relations")
+        object.__setattr__(self, "cartan", self.datum.diagram.cartan)
 
     @property
     def group_generators(self) -> tuple[str, ...]:
@@ -569,7 +574,7 @@ class HopfPresentation:
         """
         datum = self.datum
         d, grid, factors = datum.order, datum.braiding_exps, datum.factors
-        cartan, elements = datum.diagram.cartan.entries, datum.elements
+        cartan, elements = self.cartan.entries, datum.elements
         # per slot key, the machine coefficient field or the text left side
         rendered: dict[tuple[int, int, int], str] = {}
         sep = "*" if machine else " "
@@ -580,9 +585,8 @@ class HopfPresentation:
                 top = 1 - a
                 key = (a, e_ii, row[j])
                 if key not in rendered:
-                    if key not in self._slots:
-                        self._slots[key] = _serre_slots(top, e_ii, row[j], d)
-                    rendered[key] = _slot_text(self._slots[key], machine)
+                    slots = _serre_slots(top, e_ii, row[j], d)
+                    rendered[key] = _slot_text(slots, machine)
                 words = [_serre_word(i, j, top, k, sep) for k in range(top + 1)]
                 gw = None
                 if (i, j) in datum.linked:
@@ -663,13 +667,10 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
     contributes one crossed-power relation whose left side has 2 - a_ij
     coefficient slots (zero coefficients are dropped from the text form
     but kept in the machine form).  The slots depend only on
-    (a_ij, b_ii, b_ij): each distinct triple is built once per
-    presentation from integer Gaussian-binomial rows, zero-tested by
-    the q-Lucas rule and rendered once per format.  Nothing is rendered
-    here: to_text and to_machine each render their own format on call.
+    (a_ij, b_ii, b_ij): each distinct triple is built from integer
+    Gaussian-binomial rows, zero-tested by the q-Lucas rule and rendered
+    once in each format rendered.  Nothing is rendered here: to_text and to_machine each render their own format on call.
     """
-    if datum.diagram is None:
-        raise ValueError("datum carries no diagram; cannot expand relations")
     return HopfPresentation(datum)
 
 

@@ -65,23 +65,12 @@ class LinkingDatum:
 
     @cached_property
     def braiding_exps(self) -> tuple[tuple[int, ...], ...]:
-        """The exponent of q in chi_j(g_i), row i and column j.
-
-        Computed once.  A g_i with one nonzero coordinate (every g_i of
-        the canonical basis) reads its row off one column of the
-        characters.
-        """
+        """The exponent of q in chi_j(g_i), row i and column j; computed once."""
         d, chis = self.order, self.character_exps
         rows = []
         for vec in self.elements:
             support = [(t, e) for t, e in enumerate(vec) if e]
-            if len(support) == 1:
-                (t, e), = support
-                rows.append(tuple(chi[t] * e % d for chi in chis))
-            else:
-                rows.append(
-                    tuple(sum(chi[t] * e for t, e in support) % d for chi in chis)
-                )
+            rows.append(tuple(sum(chi[t] * e for t, e in support) % d for chi in chis))
         return tuple(rows)
 
     def entry_exp(self, i: int, j: int) -> int:

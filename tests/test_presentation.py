@@ -593,6 +593,16 @@ class TestEmitPresentation:
             if rel.kind == "serre":
                 assert rel.text.endswith("= 0")
 
+    def test_value_equality(self):
+        dd = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
+        datum = realize_free(construct(dd), dd)
+        pres = emit_presentation(datum)
+        again = emit_presentation(realize_free(construct(dd), dd))
+        assert pres == again and hash(pres) == hash(again)
+        assert pres.relations == again.relations
+        other = double_datum(CartanMatrix(((2, -1), (-1, 2))))
+        assert pres != emit_presentation(other)
+
     def test_machine_header_counts_generators(self):
         dd = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
         datum = realize_free(construct(dd), dd)
@@ -610,49 +620,51 @@ class TestEmitPresentation:
         assert (len(pairs), len(keys)) == (1128, 8)
         return keys
 
-    @staticmethod
-    def render_both(datum):
-        pres = emit_presentation(datum)
-        pres.to_text()
-        pres.to_machine()
-        return pres.relations
+    # each count is taken over one render of one format
+    RENDERS = ("to_text", "to_machine")
 
     def test_brackets_built_once_per_key(self, count_calls):
         dd = circle("A3", 16)
         datum = realize_free(construct(dd), dd)
         keys = self.ring_keys(dd, datum)
         calls = count_calls(linkdyn.presentation, "_gaussian_row")
-        self.render_both(datum)
-        # one integer row [1 - a_ij choose k], k = 0 .. 1 - a_ij, read per
-        # distinct (a_ij, b_ii, b_ij), whichever formats are rendered
-        assert sorted(calls) == sorted((1 - a,) for a, _, _ in keys)
+        for render in self.RENDERS:
+            calls.clear()
+            getattr(emit_presentation(datum), render)()
+            # one integer row [1 - a_ij choose k], k = 0 .. 1 - a_ij, read
+            # per distinct (a_ij, b_ii, b_ij)
+            assert sorted(calls) == sorted((1 - a,) for a, _, _ in keys), render
 
     def test_serre_slots_built_once_per_key(self, count_calls):
         dd = circle("A3", 16)
         datum = realize_free(construct(dd), dd)
         keys = self.ring_keys(dd, datum)
         calls = count_calls(linkdyn.presentation, "_serre_slots")
-        self.render_both(datum)
-        # the coefficients are built once per distinct (a_ij, b_ii, b_ij),
-        # not once per vertex pair or per format
-        assert sorted(calls) == sorted(
-            (1 - a, e_ii, e_ij, datum.order) for a, e_ii, e_ij in keys
-        )
+        expected = sorted((1 - a, e_ii, e_ij, datum.order) for a, e_ii, e_ij in keys)
+        for render in self.RENDERS:
+            calls.clear()
+            getattr(emit_presentation(datum), render)()
+            # the coefficients are built once per distinct (a_ij, b_ii, b_ij),
+            # not once per vertex pair
+            assert sorted(calls) == expected, render
 
     def test_serre_coefficients_zero_tested_once(self, count_calls):
         dd = circle("A3", 16)
         datum = realize_free(construct(dd), dd)
         built = count_calls(linkdyn.presentation, "_serre_slots")
         tested = count_calls(linkdyn.presentation, "_bracket_vanishes")
-        self.render_both(datum)
-        # one q-Lucas decision per coefficient of each slot build
-        expected = [
-            (n, k, datum.order // math.gcd(datum.order, e_ii))
-            for n, e_ii, _, _ in built
-            for k in range(n + 1)
-        ]
-        assert len(expected) == 20
-        assert tested == expected
+        for render in self.RENDERS:
+            built.clear()
+            tested.clear()
+            getattr(emit_presentation(datum), render)()
+            # one q-Lucas decision per coefficient of each slot build
+            expected = [
+                (n, k, datum.order // math.gcd(datum.order, e_ii))
+                for n, e_ii, _, _ in built
+                for k in range(n + 1)
+            ]
+            assert len(expected) == 20, render
+            assert tested == expected, render
 
     @staticmethod
     def differential_data():
