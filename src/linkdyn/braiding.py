@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -687,51 +687,42 @@ def _order_ok(e: int, n: int, mode: str, has_g2: bool) -> bool:
     return _finite_order_flaw(n // gcd(n, e), has_g2) is None
 
 
-def _identity_forms(
-    diagram: LinkableDynkinDiagram,
-) -> Optional[tuple[tuple[tuple[int, int], ...], ...]]:
-    """The product and linking identities as integer forms in the diagonal.
+def _no_admissible_order(big_n: int, mode: str, has_g2: bool) -> bool:
+    """Whether no divisor of big_n is an admissible diagonal entry order."""
+    while has_g2 and big_n % 3 == 0:  # has_g2 only in finite mode
+        big_n //= 3
+    return big_n <= (2 if mode == "finite" else 1)
 
-    Every entry of the four-class completion is b_vv^c z_t^k, so every
-    identity _failures checks is a product of diagonal entries and
-    fresh z_t.  With diagonal q^e at order n the identity holds iff no
-    z_t remains and the diagonal powers c_v give sum c_v e_v == 0
-    (mod n); each form lists its (v, c_v).  None when some identity
-    keeps a z_t, which no diagonal can cancel.  The two product
-    identities of an edge give its constraint, a_vu e_v == a_uv e_u
-    (plain) or e_v == -e_u (dotted).  The forms come from construct's
-    completion, so the oracle that reads them is not independent of it.
+
+def _diagonal_forms(diagram: LinkableDynkinDiagram) -> list[Terms]:
+    """verify's identities as integer forms, (v, c_v) terms in the diagonal.
+
+    With b_ii = q^e_i and unknown off-diagonal exponents x_ij they are a
+    linear system A x = B e.  Nonzero scalars form a divisible group, so
+    off-diagonal entries exist iff k B e == 0 (mod n) for each k with
+    k A = 0.  A dotted edge {x, y} has a_xy = 0, so its linking
+    identities read x_kx + x_ky = 0, and A splits into blocks of at most
+    four vertex pairs:
+    - a pair {u, v}: x_uv + x_vu = a_uv e_u = a_vu e_v gives the plain
+      edge form a_uv e_u - a_vu e_v;
+    - a dotted edge {x, y}: k = x, y give x_xy = -e_x and x_yx = -e_y,
+      so x_xy + x_yx = 0 gives e_x + e_y;
+    - a dotted edge {i, k} and a free j: x_ij + x_ji = a_ij e_i,
+      x_kj + x_jk = a_kj e_k and x_ji + x_jk = 0 have rank 3: no form;
+    - dotted edges {i, k}, {j, l}: the product identities of {i, j},
+      {i, l}, {k, j}, {k, l} and x_ij + x_il = x_kj + x_kl = x_ji + x_jk
+      = x_li + x_lk = 0 form one even cycle in 8 unknowns; its only
+      left-kernel vector is the alternating sum, every other invariant
+      factor is 1, and the form is (a_ij + a_il) e_i + (a_kj + a_kl) e_k.
     """
-    s = diagram.size
     a = diagram.cartan.entries
-    off = _offdiagonal_entries(diagram)
-
-    def b(i: int, j: int) -> Slot:
-        return (i, 1, 0, 0) if i == j else off[(i, j)]
-
-    # each identity as the factors (slot, power) of a product that must be 1
-    products = chain(
-        (
-            ((b(i, j), 1), (b(j, i), 1), (b(i, i), -a[i][j]))
-            for i in range(s)
-            for j in range(s)
-            if i != j
-        ),
-        (
-            ((b(k, x), 1 - a[x][y]), (b(k, y), 1))
-            for i, j in diagram.linkable
-            for x, y in ((i, j), (j, i))
-            for k in range(s)
-        ),
-    )
-    forms = set()
-    for factors in products:
-        if _terms(*((((t, k),), p) for (_, _, t, k), p in factors if t)):
-            return None
-        form = _terms(*((((v, c),), p) for (v, c, _, _), p in factors))
-        if form:
-            forms.add(form)
-    return tuple(sorted(forms))
+    forms = [((u, a[u][v]), (v, -a[v][u])) for u, v in diagram.cartan.plain_edges()]
+    forms += [((x, 1), (y, 1)) for x, y in diagram.linkable]
+    for (i, k), (j, l) in combinations(diagram.linkable, 2):
+        terms = ((i, a[i][j] + a[i][l]), (k, a[k][j] + a[k][l]))
+        if form := tuple((v, c) for v, c in terms if c):
+            forms.append(form)
+    return forms
 
 
 def _diagonalize(
@@ -783,12 +774,15 @@ def brute_force_exists(
 
     Root orders are scanned ascending (finite mode: 5..n_max, affine
     mode: primes above 3 up to n_max, both limited to orders the field
-    provides).  verify's identities under the four-class completion,
-    as integer forms in the diagonal exponents, are diagonalized once;
-    each order's diagonals that satisfy them are read off that form.
-    The witness is the least of them, in link traversal order, whose
-    entries all have an admissible order; only it is completed, and
-    verify must accept it (RuntimeError otherwise).  Components must be
+    provides).  With off-diagonal entries any nonzero scalars, verify's
+    identities reduce to _diagonal_forms, diagonalized once, so "none"
+    proves that no braiding matrix has its diagonal at a scanned order.
+    An order is skipped when some vertex's entry can only have an order
+    that is not admissible; otherwise the diagonals satisfying the forms
+    are read off the diagonal form.  The witness is the least of them,
+    in link traversal order, whose entries all have an admissible order;
+    only it gets construct's completion, which verify must accept
+    (RuntimeError otherwise: a gap in the completion).  Components must be
     recognized as check requires (UnsupportedComponentType), n_max
     below 5 is a ValueError, and ScaleExceeded is raised when some
     order has more such diagonals than the search will enumerate.
@@ -811,11 +805,7 @@ def brute_force_exists(
         and (mode == "finite" or is_prime(n))
     ]
 
-    none = OracleResult(False, None, None, n_max)
-    forms = _identity_forms(diagram)
-    if forms is None:
-        return none
-    diag, cols = _diagonalize(forms, s)
+    diag, cols = _diagonalize(_diagonal_forms(diagram), s)
     # at order n, y_i runs over the multiples of n / gcd(d_i, n)
     worst = max((prod(gcd(x, n) for x in diag) for n in candidates_n), default=0)
     if worst > _Z_LIMIT:
@@ -831,6 +821,10 @@ def brute_force_exists(
             for x, col in zip(diag, cols)
             if (m := gcd(x, n)) > 1
         ]
+        # e_p is a multiple of h = gcd(n, g[p] for every g): ord(b_pp) | n/h
+        caps = (n // gcd(n, *(g[p] for _, g in gens)) for p in range(s))
+        if any(_no_admissible_order(cap, mode, has_g2) for cap in caps):
+            continue
         diagonals = (
             tuple(sum(k * g[p] for k, (_, g) in zip(ks, gens)) % n for p in range(s))
             for ks in product(*(range(m) for m, _ in gens))
@@ -847,7 +841,7 @@ def brute_force_exists(
                 f"at root order {n}: " + "; ".join(report.failures)
             )
         return OracleResult(True, n, matrix, n_max)
-    return none
+    return OracleResult(False, None, None, n_max)
 
 
 def ord_diagonal(matrix: BraidingMatrix, i: int) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 from typing import Optional
 
 from .errors import ScaleExceeded
@@ -24,7 +23,7 @@ _DIVISOR_LIMIT = 10**14  # largest m divisors(m) lists: under 1 s of trial divis
 
 
 def divisors(m: int) -> list[int]:
-    """Every divisor of m >= 1, ascending, by trial division up to sqrt(m)."""
+    """Every divisor of m >= 1, ascending, from the prime factors of m."""
     if m > _DIVISOR_LIMIT:
         raise ScaleExceeded(f"{m} exceeds the divisor limit {_DIVISOR_LIMIT}")
     return list(_divisors(m))
@@ -32,8 +31,13 @@ def divisors(m: int) -> list[int]:
 
 @lru_cache(maxsize=64)  # check and the construct after it divide G once
 def _divisors(m: int) -> tuple[int, ...]:
-    low = [d for d in range(1, isqrt(m) + 1) if m % d == 0]
-    return (*low, *(m // d for d in reversed(low) if d * d != m))
+    divs, p = {1}, 2
+    while p * p <= m:  # after it, the cofactor m is 1 or a prime
+        while m % p == 0:
+            m //= p
+            divs |= {d * p for d in divs}
+        p += 1 + (p > 2)
+    return tuple(sorted(divs | {d * m for d in divs}))
 
 
 def is_prime(n: int) -> bool:

@@ -47,7 +47,7 @@ from conftest import (
     random_entry,
     small_family,
 )
-from linkdyn.cli import parse
+from linkdyn.cli import main, parse
 from linkdyn.diagram import classify_components
 from linkdyn.fields import CYCLOTOMIC, is_prime
 from test_cycles import random_diagram
@@ -803,12 +803,28 @@ class TestOracle:
         assert brute_force_exists(circle("B3", 2), n_max=30).found
         assert (len(built), len(verified)) == (1, 1)
         # a "no" whose diagonals pass the edge constraints: the forms are
-        # compiled once and no matrix is built
-        compiled = count_calls(braiding, "_identity_forms")
+        # read off the diagram once and no matrix is built
+        compiled = count_calls(braiding, "_diagonal_forms")
         del built[:], verified[:]
         d = component_diag(["A2", "A3"], [(0, 2), (1, 4)])
         assert not brute_force_exists(d, n_max=12).found
         assert (len(compiled), built, verified) == (1, [], [])
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            circle("A3", 3),
+            component_diag(["A2", "A3"], [(0, 2), (1, 4)]),
+            component_diag(["A3", "B3"], [(0, 3), (2, 5)]),
+        ],
+        ids=["odd-A3-ring", "A2-A3-no", "A3-B3-genus-1"],
+    )
+    def test_orders_no_vertex_can_meet_are_skipped(self, d, count_calls):
+        # every diagonal of these has an entry of order 1 or 2, which the
+        # generators show before any diagonal is listed
+        tried = count_calls(braiding, "_order_ok")
+        assert not brute_force_exists(d, n_max=2000).found
+        assert tried == []
 
     def test_scale_exceeded(self):
         # the linked pair leaves one exponent free: n diagonals at order n
@@ -879,6 +895,146 @@ def forms_hold(forms, n, exps):
     return all(sum(c * exps[v] for v, c in form) % n == 0 for form in forms)
 
 
+def differing_order(forms, other, s, orders):
+    """The first order at which two form lists accept different diagonals.
+
+    At order n each list accepts a subgroup of (Z/n)^s, whose size and
+    generators _diagonalize gives; equal sizes and each side's
+    generators satisfying the other side's forms mean equal sets.  None
+    when they agree at every order.
+    """
+    sides = [
+        (braiding._diagonalize(f, s), g) for f, g in ((forms, other), (other, forms))
+    ]
+    for n in orders:
+        sizes = set()
+        for (diag, cols), others in sides:
+            sizes.add(prod(gcd(x, n) for x in diag))
+            gens = (
+                [c * (n // m) for c in col]
+                for x, col in zip(diag, cols)
+                if (m := gcd(x, n)) > 1  # with m = 1 the generator is 0
+            )
+            if not all(forms_hold(others, n, g) for g in gens):
+                return n
+        if len(sizes) > 1:
+            return n
+    return None
+
+
+def reference_identity_forms(diagram):
+    """The product and linking identities as forms under the completion.
+
+    The forms the oracle read until it derived them from the diagram,
+    kept as the reference.  Every entry of construct's four-class
+    completion is b_vv^c z_t^k, so every identity _failures checks is a
+    product of diagonal entries and fresh z_t.  With diagonal q^e at
+    order n the identity holds iff no z_t remains and the diagonal
+    powers c_v give sum c_v e_v == 0 (mod n); each form lists its
+    (v, c_v).  None when some identity keeps a z_t, which no diagonal
+    can cancel.
+    """
+    s = diagram.size
+    a = diagram.cartan.entries
+    off = braiding._offdiagonal_entries(diagram)
+
+    def b(i, j):
+        return (i, 1, 0, 0) if i == j else off[(i, j)]
+
+    # each identity as the factors (slot, power) of a product that must be 1
+    products = chain(
+        (
+            ((b(i, j), 1), (b(j, i), 1), (b(i, i), -a[i][j]))
+            for i in range(s)
+            for j in range(s)
+            if i != j
+        ),
+        (
+            ((b(k, x), 1 - a[x][y]), (b(k, y), 1))
+            for i, j in diagram.linkable
+            for x, y in ((i, j), (j, i))
+            for k in range(s)
+        ),
+    )
+    forms = set()
+    for factors in products:
+        if braiding._terms(*((((t, k),), p) for (_, _, t, k), p in factors if t)):
+            return None
+        form = braiding._terms(*((((v, c),), p) for (v, c, _, _), p in factors))
+        if form:
+            forms.add(form)
+    return tuple(sorted(forms))
+
+
+def eliminated_forms(diagram):
+    """verify's identities with unknown off-diagonal exponents, solved over Z.
+
+    Every product and linking identity becomes a row of integer
+    coefficients on the unknown exponents x_ij of the off-diagonal
+    entries and on the diagonal exponents e.  Integer row operations,
+    and column operations on the unknowns, bring the x-part to diagonal
+    form.  Returns the e-parts of the rows whose x-part vanishes, the
+    left kernel's forms, and the nonzero diagonal entries.  Nothing
+    here uses the blocks the oracle's derivation splits the system into.
+    """
+    s = diagram.size
+    a = diagram.cartan.entries
+
+    def row(*factors):
+        # the exponents of a product of entries b_ij^power that must be 1
+        x, e = {}, {}
+        for i, j, power in factors:
+            acc, key = (e, i) if i == j else (x, (i, j))
+            acc[key] = acc.get(key, 0) + power
+        return {k: c for k, c in x.items() if c}, {k: c for k, c in e.items() if c}
+
+    def subtract(target, source, q):
+        # target -= q * source, on sparse rows
+        for key, c in source.items():
+            if v := target.get(key, 0) - q * c:
+                target[key] = v
+            else:
+                target.pop(key, None)
+
+    rows = [
+        row((i, j, 1), (j, i, 1), (i, i, -a[i][j]))
+        for i in range(s)
+        for j in range(s)
+        if i != j
+    ]
+    rows += [
+        row((k, x, 1 - a[x][y]), (k, y, 1))
+        for i, j in diagram.linkable
+        for x, y in ((i, j), (j, i))
+        for k in range(s)
+    ]
+    forms, invariants = [], []
+    while True:
+        forms += [e for x, e in rows if not x and e]
+        if not (rows := [r for r in rows if r[0]]):
+            break
+        # a unit pivot where one exists, else the least entry
+        entries = [(r, c, v) for r, (x, _) in enumerate(rows) for c, v in x.items()]
+        r, c, p = min(entries, key=lambda t: abs(t[2]))
+        px, pe = rows[r]
+        for k, (x, e) in enumerate(rows):
+            if k != r and c in x:
+                q = x[c] // p
+                subtract(x, px, q)
+                subtract(e, pe, q)
+        # column operations clear the pivot row; they touch every row at c
+        for col, v in list(px.items()):
+            if col != c and (q := v // p):
+                for x, _ in rows:
+                    if c in x:
+                        subtract(x, {col: x[c]}, q)
+        if len(px) == 1 and not any(c in x for x, _ in rows if x is not px):
+            invariants.append(p)
+            del rows[r]
+    forms = [tuple(sorted(e.items())) for e in forms]
+    return forms, invariants
+
+
 class TestIdentityForms:
     """The oracle's integer forms against verify's identities."""
 
@@ -907,7 +1063,7 @@ class TestIdentityForms:
             d = component_diag(list(labels), list(pairs))
             if not d.is_link_connected():
                 continue
-            forms = braiding._identity_forms(d)
+            forms = braiding._diagonal_forms(d)
             # seeded random diagonals, and some that satisfy every form
             for _ in range(4):
                 n = rng.randrange(5, 31)
@@ -929,11 +1085,34 @@ class TestIdentityForms:
                 assert self.solutions(forms, d.size, n) == want, (d, n)
         assert verdicts == {True, False}
 
+    @staticmethod
+    def derivation_diagrams():
+        for labels, pairs in small_family():
+            for mode in ("finite", "affine"):
+                yield component_diag(list(labels), list(pairs), mode=mode)
+        for label in ("A3", "B3"):
+            for n in range(2, 9):
+                yield circle(label, n)
+
+    def test_forms_are_the_eliminated_identities(self):
+        # the closed-form blocks against Smith elimination of the whole
+        # system; every nonzero invariant factor is a unit
+        wild = 0
+        for d in self.derivation_diagrams():
+            forms, invariants = eliminated_forms(d)
+            wild += sum(abs(x) != 1 for x in invariants)
+            got = differing_order(
+                braiding._diagonal_forms(d), forms, d.size, range(5, 31)
+            )
+            assert got is None, (d, got)
+        assert wild == 0
+
     def test_leftover_parameter_rejects_every_diagonal(
-        self, monkeypatch, count_calls
+        self, monkeypatch, tmp_path, capsys
     ):
-        # the four-class completion cancels every z_t; a completion that
-        # leaves one behind must answer "none" without building a matrix
+        # the four-class completion cancels every z_t; one left behind is
+        # a gap in the completion, which the oracle reports as a bug
+        # (verify rejects its witness) instead of answering "none"
         complete = braiding._offdiagonal_entries
 
         def leaky(diagram):
@@ -945,10 +1124,14 @@ class TestIdentityForms:
 
         monkeypatch.setattr(braiding, "_offdiagonal_entries", leaky)
         d = component_diag(["A1", "A1"], [(0, 1)])
-        assert braiding._identity_forms(d) is None
-        built = count_calls(braiding, "_completed")
-        assert not brute_force_exists(d, n_max=12).found
-        assert built == []
+        with pytest.raises(RuntimeError, match="verify rejects"):
+            brute_force_exists(d, n_max=12)
+        path = tmp_path / "a1a1.dg"
+        path.write_text("vertices 2\nlink 1 2\n", encoding="utf-8")
+        assert main(["oracle", str(path), "--nmax", "12"]) == 4
+        out = capsys.readouterr().out
+        assert out.startswith("internal error in oracle: RuntimeError: ")
+        assert "verify rejects" in out
         for n in (5, 7, 12):
             for e in range(1, n):
                 assert not self.identities_hold(d, n, [e, -e % n])
@@ -1115,7 +1298,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
     first = next(candidates, None)
     if first is None:
         return none
-    forms = braiding._identity_forms(diagram)
+    forms = reference_identity_forms(diagram)
     if forms is None:
         return none
     for n, exps in chain((first,), candidates):
@@ -1147,6 +1330,12 @@ class TestOracleAgainstReference:
         got = oracle_outcome(brute_force_exists, d, n_max, field)
         want = oracle_outcome(reference_brute_force_exists, d, n_max, field)
         assert got == want, (d, n_max, field)
+        # the forms read off the diagram and the completion's forms
+        # accept the same diagonals at every order up to the bound
+        old = reference_identity_forms(d)
+        assert old is not None, d
+        new = braiding._diagonal_forms(d)
+        assert differing_order(new, old, d.size, range(5, n_max + 1)) is None, d
         return got
 
     def test_small_family_both_modes(self):

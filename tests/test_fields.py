@@ -1,6 +1,8 @@
 """Primality and divisor lists against trial division, and field specs."""
 
 import random
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -60,6 +62,13 @@ class TestDivisors:
         for _ in range(10):
             m = rng.randrange(1, 10**6)
             assert divisors(m) == brute_divisors(m), m
+
+    def test_factors_before_listing(self):
+        # 2^46 - 1 is near the limit; trial division stops at the cofactor
+        primes = (3, 47, 178481, 2796203)
+        want = sorted(prod(c) for k in range(5) for c in combinations(primes, k))
+        assert len(want) == 16
+        assert divisors(2**46 - 1) == want
 
     def test_returns_a_fresh_list(self):
         got = divisors(12)
