@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -45,7 +45,11 @@ Terms = tuple[tuple[int, int], ...]
 
 
 def _entry_text(exp: int, terms: Terms) -> str:
-    return f"q^{exp}" + "".join(f"*z{t}^{k}" for t, k in terms)
+    return f"q^{exp}" + _z_text(terms)
+
+
+def _z_text(terms: Terms) -> str:
+    return "".join([f"*z{t}^{k}" for t, k in terms])
 
 
 def _terms(*factors: tuple[Terms, int]) -> Terms:
@@ -306,9 +310,11 @@ class BraidingMatrix:
     def to_text(self) -> str:
         lines = [f"root_order {self.order}"]
         for row, zrow in zip(self.exps, self.zrows):
-            lines.append(
-                " ".join(_entry_text(e, zrow.get(j, ())) for j, e in enumerate(row))
-            )
+            # the q^e cells, then z-factors on the symbolic entries only
+            cells = [f"q^{e}" for e in row]
+            for j, terms in zrow.items():
+                cells[j] += _z_text(terms)
+            lines.append(" ".join(cells))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -510,37 +516,42 @@ def _admissible_orders(
     field: FieldSpec,
     big_g: int,
     bound: int = 100,
+    limit: Optional[int] = None,
 ) -> tuple[int, ...]:
     """admissible_orders for a diagram whose genus gcd big_g is known.
 
     The candidates are the divisors of a nonzero big_g, else the field's
     root orders; bound only cuts off a cyclotomic field, where every
     prime qualifies, and the default suits listing and choosing one.
+    Only the first limit orders are tested and returned, all for None.
     """
     candidates = divisors(big_g) if big_g else field.root_orders()
     any_order = diagram.mode == "finite" and big_g > 0
     # the cheap test first: most candidates fail it and need no message
-    return tuple(
+    orders = (
         d
         for d in candidates or range(3, bound + 1)
         if (any_order or is_prime(d))
         and _order_fault(diagram, d, field, big_g) is None
     )
+    return tuple(islice(orders, limit))
 
 
 def _validate_order(
     diagram: LinkableDynkinDiagram, d: Optional[int], field: FieldSpec, big_g: int
 ) -> int:
     if d is None:
-        choices = _admissible_orders(diagram, field, big_g)
         if diagram.mode == "finite" and big_g > 0:
+            choices = _admissible_orders(diagram, field, big_g)
             if not choices:
                 raise NoAdmissibleOrder(
                     f"no admissible root order divides the genus gcd {big_g}"
                 )
             return choices[-1]
-        # no cycle constraint: smallest prime from 5 up that the field offers
-        choices = tuple(c for c in choices if c >= 5)
+        # no cycle constraint: smallest prime from 5 up that the field
+        # offers; 3 is the only admissible order below 5, so two suffice
+        orders = _admissible_orders(diagram, field, big_g, limit=2)
+        choices = [c for c in orders if c >= 5]
         if not choices:
             raise NoAdmissibleOrder("the field provides no admissible root order")
         return choices[0]
@@ -553,44 +564,49 @@ def _validate_order(
 # ------------------------------------------------------------ construction
 
 
-# an off-diagonal entry of the completion as (v, c, t, k): the entry is
-# b_vv^c * z_t^k for every diagonal and root order; t = 0 means no z_t
-Slot = tuple[int, int, int, int]
-
-
-def _offdiagonal_entries(
-    diagram: LinkableDynkinDiagram,
-) -> dict[tuple[int, int], Slot]:
-    """Fill all off-diagonal entries from the diagonal.
+def _completed(
+    diagram: LinkableDynkinDiagram, d: int, exps: Sequence[int]
+) -> BraidingMatrix:
+    """The matrix with diagonal q^exps and the four-class completion.
 
     Ordered vertex pairs split into four classes by which ends lie on
-    dotted edges; each class instance uses one fresh parameter z_t and
-    every ordered pair is set exactly once.
+    dotted edges; each class instance uses one fresh parameter z_t, and
+    every off-diagonal entry is written once into the grid rows as
+    b_vv^c, times z_t^+-1 in zrows for all but the dotted edges.
     """
     a = diagram.cartan.entries
-    out: dict[tuple[int, int], Slot] = {}
+    s = diagram.size
+    e = [x % d for x in exps]
+    grid = [[0] * s for _ in range(s)]
+    zrows: list[dict[int, Terms]] = [{} for _ in range(s)]
+    for i in range(s):
+        grid[i][i] = e[i]
     z = 0
 
     # linkable pairs themselves
     for i, j in diagram.linkable:
-        out[(i, j)] = (i, -1, 0, 0)
-        out[(j, i)] = (j, -1, 0, 0)
+        grid[i][j] = -e[i] % d
+        grid[j][i] = -e[j] % d
 
-    free = [v for v in range(diagram.size) if diagram.partner(v) is None]
+    free = [v for v in range(s) if diagram.partner(v) is None]
 
     # neither end on a dotted edge
     for i, j in combinations(free, 2):
         z += 1
-        out[(j, i)] = (i, 0, z, 1)
-        out[(i, j)] = (i, a[i][j], z, -1)
+        zrows[j][i] = ((z, 1),)
+        grid[i][j] = a[i][j] * e[i] % d
+        zrows[i][j] = ((z, -1),)
 
     # one end on a dotted edge {i,k}, the other end j free
     for (i, k), j in product(diagram.linkable, free):
         z += 1
-        out[(j, i)] = (i, 0, z, 1)
-        out[(i, j)] = (i, a[i][j], z, -1)
-        out[(j, k)] = (k, 0, z, -1)
-        out[(k, j)] = (k, a[k][j], z, 1)
+        up, down = ((z, 1),), ((z, -1),)
+        zrows[j][i] = up
+        grid[i][j] = a[i][j] * e[i] % d
+        zrows[i][j] = down
+        zrows[j][k] = down
+        grid[k][j] = a[k][j] * e[k] % d
+        zrows[k][j] = up
 
     # both ends on distinct dotted edges; each joins two plain components,
     # so some orientation has both cross entries zero
@@ -602,31 +618,15 @@ def _offdiagonal_entries(
             if a[j][k] == 0 and a[i][l] == 0
         )
         z += 1
-        c = a[i][j]  # the entries carry b_ii^c, its inverse or neither
-        out[(j, i)] = (i, 0, z, 1)
-        out[(k, j)] = (i, 0, z, 1)
-        out[(i, j)] = (i, c, z, -1)
-        out[(l, i)] = (i, c, z, -1)
-        out[(j, k)] = (i, 0, z, -1)
-        out[(k, l)] = (i, 0, z, -1)
-        out[(i, l)] = (i, -c, z, 1)
-        out[(l, k)] = (i, -c, z, 1)
-    return out
-
-
-def _completed(
-    diagram: LinkableDynkinDiagram, d: int, exps: Sequence[int]
-) -> BraidingMatrix:
-    """The matrix with diagonal q^exps and the four-class completion."""
-    s = diagram.size
-    grid = [[0] * s for _ in range(s)]
-    zrows: list[dict[int, Terms]] = [{} for _ in range(s)]
-    for i in range(s):
-        grid[i][i] = exps[i] % d
-    for (i, j), (v, c, t, k) in _offdiagonal_entries(diagram).items():
-        grid[i][j] = c * exps[v] % d
-        if t:
-            zrows[i][j] = ((t, k),)
+        up, down = ((z, 1),), ((z, -1),)
+        # the entries carry b_ii^c, its inverse or neither
+        c = a[i][j] * e[i] % d
+        zrows[j][i] = zrows[k][j] = up
+        grid[i][j] = grid[l][i] = c
+        zrows[i][j] = zrows[l][i] = down
+        zrows[j][k] = zrows[k][l] = down
+        grid[i][l] = grid[l][k] = -c % d
+        zrows[i][l] = zrows[l][k] = up
     return BraidingMatrix._from_grid(d, tuple(map(tuple, grid)), tuple(zrows))
 
 

@@ -9,7 +9,7 @@ dotted edge must lie in different plain components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -382,6 +382,11 @@ def _affine_templates(s: int) -> list[tuple[str, list[list[int]]]]:
     return out
 
 
+def _row_profile(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
+    """Row i's off-diagonal entries, sorted: kept by every relabeling."""
+    return tuple(sorted(x for j, x in enumerate(rows[i]) if j != i))
+
+
 def _find_isomorphism(
     sub: CartanMatrix, template: list[list[int]]
 ) -> Optional[list[int]]:
@@ -390,12 +395,9 @@ def _find_isomorphism(
     if len(template) != n:
         return None
 
-    def row_profile(m, i, size) -> tuple[int, ...]:
-        return tuple(sorted(m[i][j] for j in range(size) if j != i))
-
-    sub_rows = [list(r) for r in sub.entries]
-    tpl_profiles = [row_profile(template, i, n) for i in range(n)]
-    sub_profiles = [row_profile(sub_rows, i, n) for i in range(n)]
+    sub_rows = sub.entries
+    tpl_profiles = [_row_profile(template, i) for i in range(n)]
+    sub_profiles = [_row_profile(sub_rows, i) for i in range(n)]
     if sorted(tpl_profiles) != sorted(sub_profiles):
         return None
 
@@ -428,6 +430,25 @@ def _find_isomorphism(
     return assign if extend(0) else None
 
 
+def _signature(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    return tuple(sorted(_row_profile(rows, i) for i in range(len(rows))))
+
+
+@lru_cache(maxsize=32)
+def _catalog(size: int, mode: str) -> dict[tuple, list[tuple[str, list[list[int]]]]]:
+    """The templates of one size and mode by signature, in catalog order.
+
+    Constant data, built on first use.
+    """
+    pool = _finite_templates(size) if mode in ("finite", "any") else []
+    if mode in ("affine", "any"):
+        pool += _affine_templates(size)
+    out: dict[tuple, list[tuple[str, list[list[int]]]]] = {}
+    for name, template in pool:
+        out.setdefault(_signature(template), []).append((name, template))
+    return out
+
+
 class ComponentType(NamedTuple):
     """One plain component with its recognized type label.
 
@@ -446,25 +467,27 @@ def classify_components(
 
     mode 'finite' tries finite templates only, 'affine' affine only,
     'any' both.  Components are returned sorted by smallest vertex.
-    The result is kept on the diagram, so each mode is classified once;
+    Each distinct component matrix is matched once, against the
+    templates with its sorted row profiles, first match winning.  The
+    result is kept on the diagram, so each mode is classified once;
     every call returns a fresh list.
     """
     cached = diagram._components.get(mode)
     if cached is not None:
         return list(cached)
+    labels: dict[tuple[tuple[int, ...], ...], str] = {}
     result = []
     for vertices in diagram.plain_components():
         sub = diagram.cartan.submatrix(vertices)
-        pool: list[tuple[str, list[list[int]]]] = []
-        if mode in ("finite", "any"):
-            pool.extend(_finite_templates(len(vertices)))
-        if mode in ("affine", "any"):
-            pool.extend(_affine_templates(len(vertices)))
-        label = "other"
-        for name, template in pool:
-            if _find_isomorphism(sub, template) is not None:
-                label = name
-                break
+        rows = sub.entries
+        label = labels.get(rows)
+        if label is None:
+            candidates = _catalog(len(rows), mode).get(_signature(rows), ())
+            label = next(
+                (n for n, t in candidates if _find_isomorphism(sub, t) is not None),
+                "other",
+            )
+            labels[rows] = label
         result.append(ComponentType(label, vertices))
     diagram._components[mode] = tuple(result)
     return result

@@ -123,15 +123,15 @@ def check(
         return ExistenceReport("no", mode, tuple(reasons), None, ())
 
     big_g = genus_gcd(diagram)
-    admissible = _admissible_orders(diagram, field, big_g)
+    # a cyclotomic field offers every prime: list only the first eight
+    listed = field.kind == "cyclotomic" and (mode == "affine" or big_g == 0)
+    admissible = _admissible_orders(diagram, field, big_g, limit=8 if listed else None)
     if not admissible:
         if mode == "finite" and big_g == 0:
             reason = "the field provides no admissible root order"
         else:
             reason = f"{no_order} (genus gcd {big_g})"
         return ExistenceReport("no", mode, (reason,), big_g, ())
-    if field.kind == "cyclotomic" and (mode == "affine" or big_g == 0):
-        admissible = admissible[:8]
     return ExistenceReport("yes", mode, (), big_g, admissible)
 
 

@@ -580,14 +580,29 @@ class HopfPresentation:
         sep = "*" if machine else " "
         for i, row in enumerate(grid):
             e_ii = row[i]
+            # per (a_ij, b_ij) of row i, the relation's left part with
+            # "{0}" for a_j, from the words of each 1 - a_ij built once
+            frames: dict[int, tuple[str, ...]] = {}
+            lefts: dict[tuple[int, int], str] = {}
             for j in range(i + 1, len(grid)):
                 a = cartan[i][j]
                 top = 1 - a
-                key = (a, e_ii, row[j])
-                if key not in rendered:
-                    slots = _serre_slots(top, e_ii, row[j], d)
-                    rendered[key] = _slot_text(slots, machine)
-                words = [_serre_word(i, j, top, k, sep) for k in range(top + 1)]
+                key = (a, row[j])
+                framed = lefts.get(key)
+                if framed is None:
+                    slot_key = (a, e_ii, row[j])
+                    if slot_key not in rendered:
+                        slots = _serre_slots(top, e_ii, row[j], d)
+                        rendered[slot_key] = _slot_text(slots, machine)
+                    if top not in frames:
+                        frames[top] = _serre_words(i, top, sep)
+                    words = frames[top]
+                    framed = lefts[key] = (
+                        f"{rendered[slot_key]} | words: {' , '.join(words)}"
+                        if machine
+                        else rendered[slot_key].format(*words)
+                    )
+                left = framed.format(f"a_{j + 1}")
                 gw = None
                 if (i, j) in datum.linked:
                     g_i, g_j = elements[i], elements[j]
@@ -597,13 +612,10 @@ class HopfPresentation:
                     )
                 if machine:
                     rhs = f"lambda=1 g={gw}" if gw else "lambda=0"
-                    yield (
-                        f"serre {i + 1} {j + 1} | coeffs: {rendered[key]} | words: "
-                        f"{' , '.join(words)} | rhs: {rhs}"
-                    )
+                    yield f"serre {i + 1} {j + 1} | coeffs: {left} | rhs: {rhs}"
                 else:
                     rhs = "0" if gw in (None, "1") else f"1 - {gw}"
-                    yield f"{rendered[key].format(*words)} = {rhs}"
+                    yield f"{left} = {rhs}"
 
     def _coproduct(self, machine: bool) -> Iterator[str]:
         factors = self.datum.factors
@@ -630,15 +642,13 @@ def _group_word(exps: tuple[int, ...], factors: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _serre_word(i: int, j: int, top: int, k: int, sep: str) -> str:
-    parts = []
-    left = top - k
-    if left:
-        parts.append(f"a_{i + 1}" if left == 1 else f"a_{i + 1}^{left}")
-    parts.append(f"a_{j + 1}")
-    if k:
-        parts.append(f"a_{i + 1}" if k == 1 else f"a_{i + 1}^{k}")
-    return sep.join(parts)
+def _serre_words(i: int, top: int, sep: str) -> tuple[str, ...]:
+    """The words a_i^(top - k) a_j a_i^k, k = 0 .. top, with "{0}" for a_j."""
+    powers = ["", f"a_{i + 1}"] + [f"a_{i + 1}^{p}" for p in range(2, top + 1)]
+    return tuple(
+        sep.join(w for w in (powers[top - k], "{0}", powers[k]) if w)
+        for k in range(top + 1)
+    )
 
 
 def _slot_text(slots: tuple[Optional[Terms], ...], machine: bool) -> str:

@@ -190,20 +190,21 @@ def _realize(
     """The canonical-basis datum of a parameter-free matrix.
 
     The group is (Z/factor)^s, Z^s for factor 0.  chi_j(e_i) = b_ij, so
-    the characters are the grid's columns and only linking can fail.
+    the characters are the grid's columns, the datum's braiding grid is
+    the matrix's own and only linking can fail.
     """
     s = inst.size
     datum = LinkingDatum(
         order=inst.order,
         factors=(factor,) * s,
-        elements=tuple(
-            tuple(1 if t == i else 0 for t in range(s)) for i in range(s)
-        ),
+        elements=tuple((0,) * i + (1,) + (0,) * (s - 1 - i) for i in range(s)),
         character_exps=tuple(zip(*inst.exps)),
         linkable=diagram.linkable,
         linked=diagram.linked,
         diagram=diagram,
     )
+    # seeds the cached property, which would sum the same grid again
+    object.__setattr__(datum, "braiding_exps", inst.exps)
     failures = datum.verify_datum()
     if failures:
         raise LinkConstraintUnsatisfiable("; ".join(failures))

@@ -922,6 +922,118 @@ def differing_order(forms, other, s, orders):
     return None
 
 
+def reference_offdiagonal_entries(diagram):
+    """Fill all off-diagonal entries from the diagonal, as slots.
+
+    The slot dict the completion was filled from until it wrote its
+    grid rows directly, kept as the reference.  Each off-diagonal entry
+    is (v, c, t, k): b_vv^c * z_t^k for every diagonal and root order,
+    t = 0 meaning no z_t.  Ordered vertex pairs split into four classes
+    by which ends lie on dotted edges; each class instance uses one
+    fresh parameter z_t and every ordered pair is set exactly once.
+    """
+    a = diagram.cartan.entries
+    out = {}
+    z = 0
+
+    # linkable pairs themselves
+    for i, j in diagram.linkable:
+        out[(i, j)] = (i, -1, 0, 0)
+        out[(j, i)] = (j, -1, 0, 0)
+
+    free = [v for v in range(diagram.size) if diagram.partner(v) is None]
+
+    # neither end on a dotted edge
+    for i, j in combinations(free, 2):
+        z += 1
+        out[(j, i)] = (i, 0, z, 1)
+        out[(i, j)] = (i, a[i][j], z, -1)
+
+    # one end on a dotted edge {i,k}, the other end j free
+    for (i, k), j in product(diagram.linkable, free):
+        z += 1
+        out[(j, i)] = (i, 0, z, 1)
+        out[(i, j)] = (i, a[i][j], z, -1)
+        out[(j, k)] = (k, 0, z, -1)
+        out[(k, j)] = (k, a[k][j], z, 1)
+
+    # both ends on distinct dotted edges; each joins two plain components,
+    # so some orientation has both cross entries zero
+    for first, second in combinations(diagram.linkable, 2):
+        i, k, j, l = next(
+            (i, k, j, l)
+            for i, k in (first, first[::-1])
+            for j, l in (second, second[::-1])
+            if a[j][k] == 0 and a[i][l] == 0
+        )
+        z += 1
+        c = a[i][j]  # the entries carry b_ii^c, its inverse or neither
+        out[(j, i)] = (i, 0, z, 1)
+        out[(k, j)] = (i, 0, z, 1)
+        out[(i, j)] = (i, c, z, -1)
+        out[(l, i)] = (i, c, z, -1)
+        out[(j, k)] = (i, 0, z, -1)
+        out[(k, l)] = (i, 0, z, -1)
+        out[(i, l)] = (i, -c, z, 1)
+        out[(l, k)] = (i, -c, z, 1)
+    return out
+
+
+def reference_completed(diagram, d, exps):
+    """The completion at diagonal q^exps, filled from the reference slots."""
+    s = diagram.size
+    grid = [[0] * s for _ in range(s)]
+    zrows = [{} for _ in range(s)]
+    for i in range(s):
+        grid[i][i] = exps[i] % d
+    for (i, j), (v, c, t, k) in reference_offdiagonal_entries(diagram).items():
+        grid[i][j] = c * exps[v] % d
+        if t:
+            zrows[i][j] = ((t, k),)
+    return BraidingMatrix._from_grid(d, tuple(map(tuple, grid)), tuple(zrows))
+
+
+class TestCompletionAgainstReference:
+    """_completed's grid rows against the slot dict they replaced."""
+
+    # (root order, diagonal exponents as a function of the vertex)
+    DIAGONALS = (
+        (5, lambda v: 1),
+        (7, lambda v: v + 3),
+        (12, lambda v: -v - 1),
+        (2**20 - 1, lambda v: 1000 * v + 2**19),
+    )
+
+    def agree(self, diagram):
+        for n, diagonal in self.DIAGONALS:
+            exps = [diagonal(v) for v in range(diagram.size)]
+            got = braiding._completed(diagram, n, exps)
+            want = reference_completed(diagram, n, exps)
+            assert (got.order, got.exps, got.zrows) == (
+                want.order,
+                want.exps,
+                want.zrows,
+            ), (diagram, n)
+            assert got.to_text() == want.to_text()
+
+    def test_small_family(self):
+        for labels, pairs in small_family():
+            self.agree(component_diag(list(labels), list(pairs)))
+
+    def test_rings_and_prisms(self):
+        for label in ("A3", "B3"):
+            for n in range(2, 17):
+                self.agree(circle(label, n))
+        for k in (4, 16):
+            self.agree(prism(k))
+
+    def test_random_diagrams(self):
+        rng = random.Random(20200209)
+        for _ in range(2000):
+            _, d = random_diagram(rng)
+            self.agree(d)
+
+
 def reference_identity_forms(diagram):
     """The product and linking identities as forms under the completion.
 
@@ -936,7 +1048,7 @@ def reference_identity_forms(diagram):
     """
     s = diagram.size
     a = diagram.cartan.entries
-    off = braiding._offdiagonal_entries(diagram)
+    off = reference_offdiagonal_entries(diagram)
 
     def b(i, j):
         return (i, 1, 0, 0) if i == j else off[(i, j)]
@@ -1113,16 +1225,16 @@ class TestIdentityForms:
         # the four-class completion cancels every z_t; one left behind is
         # a gap in the completion, which the oracle reports as a bug
         # (verify rejects its witness) instead of answering "none"
-        complete = braiding._offdiagonal_entries
+        complete = braiding._completed
 
-        def leaky(diagram):
-            out = complete(diagram)
-            v, c, t, _ = out[(1, 0)]
-            assert t == 0  # b_21 of a dotted pair carries no parameter
-            out[(1, 0)] = (v, c, 99, 1)
-            return out
+        def leaky(diagram, n, exps):
+            matrix = complete(diagram, n, exps)
+            zrows = [dict(zrow) for zrow in matrix.zrows]
+            assert 0 not in zrows[1]  # b_21 of a dotted pair carries no parameter
+            zrows[1][0] = ((99, 1),)
+            return BraidingMatrix._from_grid(n, matrix.exps, tuple(zrows))
 
-        monkeypatch.setattr(braiding, "_offdiagonal_entries", leaky)
+        monkeypatch.setattr(braiding, "_completed", leaky)
         d = component_diag(["A1", "A1"], [(0, 1)])
         with pytest.raises(RuntimeError, match="verify rejects"):
             brute_force_exists(d, n_max=12)

@@ -18,6 +18,7 @@ from linkdyn import (
     pairwise_linking_consistency,
     validate_cartan,
 )
+import linkdyn.diagram
 from linkdyn.diagram import _find_isomorphism, _affine_templates, _finite_templates
 
 from conftest import block_rows, circle, component_diag, diag, prism, small_family
@@ -423,3 +424,151 @@ class TestPlainGraphAgainstReference:
         assert built.component_roots == (0, 0, 0, 3, 3, 5)
         assert built.neighbors is built.neighbors
         assert built == fresh and hash(built) == hash(fresh)
+
+
+def reference_isomorphic(sub_rows, template):
+    """Whether a relabeling carries template onto sub_rows, by backtracking.
+
+    The matcher classify_components ran on every template of the pool
+    before the signature catalog, kept as the reference.
+    """
+    n = len(sub_rows)
+    if len(template) != n:
+        return False
+
+    def profile(m, i):
+        return tuple(sorted(m[i][j] for j in range(n) if j != i))
+
+    tpl = [profile(template, i) for i in range(n)]
+    sub = [profile(sub_rows, i) for i in range(n)]
+    if sorted(tpl) != sorted(sub):
+        return False
+    assign, used = [], [False] * n
+
+    def extend(k):
+        if k == n:
+            return True
+        for v in range(n):
+            if used[v] or sub[v] != tpl[k]:
+                continue
+            if all(
+                template[k][p] == sub_rows[v][assign[p]]
+                and template[p][k] == sub_rows[assign[p]][v]
+                for p in range(k)
+            ):
+                assign.append(v)
+                used[v] = True
+                if extend(k + 1):
+                    return True
+                assign.pop()
+                used[v] = False
+        return False
+
+    return extend(0)
+
+
+def reference_classify(diagram, mode):
+    """Each plain component's label by a scan of the whole catalog pool."""
+    out = []
+    for vertices in diagram.plain_components():
+        rows = [[diagram.a(i, j) for j in vertices] for i in vertices]
+        pool = []
+        if mode in ("finite", "any"):
+            pool += _finite_templates(len(vertices))
+        if mode in ("affine", "any"):
+            pool += _affine_templates(len(vertices))
+        label = next(
+            (name for name, tpl in pool if reference_isomorphic(rows, tpl)), "other"
+        )
+        out.append((label, vertices))
+    return out
+
+
+def permuted(rows, rng):
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    return [[rows[p][q] for q in perm] for p in perm]
+
+
+def random_connected_rows(rng, size):
+    """A connected generalized Cartan matrix, entries 0, -1, ..., -4.
+
+    A random spanning tree plus random extra edges; each edge gets its
+    two entries independently, so most of these match no template.
+    """
+    rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
+    edges = [(rng.randrange(v), v) for v in range(1, size)]
+    edges += [
+        (i, j)
+        for i in range(size)
+        for j in range(i + 1, size)
+        if rng.random() < 0.15
+    ]
+    for i, j in edges:
+        rows[i][j], rows[j][i] = rng.randint(-4, -1), rng.randint(-4, -1)
+    return permuted(rows, rng)
+
+
+class TestClassificationAgainstReference:
+    """The signature catalog, matched once per distinct component matrix,
+    against the scan of the whole pool it replaced, in all three modes."""
+
+    MODES = ("finite", "affine", "any")
+
+    def agree(self, d):
+        labels = set()
+        for mode in self.MODES:
+            got = [(c.label, c.vertices) for c in classify_components(d, mode)]
+            assert got == reference_classify(d, mode), (d, mode)
+            labels.update(label for label, _ in got)
+        return labels
+
+    def test_permuted_templates(self):
+        rng = random.Random(20)
+        for size in range(1, 10):
+            templates = _finite_templates(size) + _affine_templates(size)
+            # each template alone under three relabelings, then all of them
+            # as the components of one diagram, some matrices repeated
+            shapes = [permuted(rows, rng) for _, rows in templates for _ in range(3)]
+            for rows in shapes:
+                self.agree(
+                    LinkableDynkinDiagram(validate_cartan(rows), (), frozenset())
+                )
+            blocks = shapes + shapes[::2]
+            n = size * len(blocks)
+            whole = [[0] * n for _ in range(n)]
+            for b, rows in enumerate(blocks):
+                for i, row in enumerate(rows):
+                    whole[b * size + i][b * size : (b + 1) * size] = row
+            labels = self.agree(
+                LinkableDynkinDiagram(validate_cartan(whole), (), frozenset())
+            )
+            assert {name for name, _ in templates} <= labels
+
+    def test_small_family_rings_and_prisms(self):
+        family = [component_diag(list(l), list(p)) for l, p in small_family()]
+        assert len(family) == 631
+        rings = [circle(label, n) for label in ("A3", "B3") for n in range(2, 17)]
+        for d in family + rings + [prism(4), prism(8)]:
+            self.agree(d)
+
+    def test_random_connected_matrices(self):
+        rng = random.Random(21)
+        labels = []
+        for _ in range(600):
+            rows = random_connected_rows(rng, rng.randint(1, 7))
+            d = LinkableDynkinDiagram(validate_cartan(rows), (), frozenset())
+            labels.append(classify_components(d, "any")[0].label)
+            self.agree(d)
+        # mostly "other", with some recognized types among them
+        others = labels.count("other")
+        assert others > len(labels) // 2 and len(set(labels)) > 5
+
+    def test_ring_matches_once_per_component_shape(self, count_calls):
+        # 16 equal A3 components: one match per mode, at most three
+        calls = count_calls(linkdyn.diagram, "_find_isomorphism")
+        for mode in self.MODES:
+            d = circle("A3", 16)
+            labels = {c.label for c in classify_components(d, mode)}
+            assert labels == ({"other"} if mode == "affine" else {"A3"})
+        assert len(calls) <= 3

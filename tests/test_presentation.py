@@ -697,8 +697,8 @@ class TestEmitPresentation:
                 field = rel.machine.split(" | coeffs: ")[1].split(" | ")[0]
                 assert field == " ; ".join(c.render() for c in coeffs)
                 words = [
-                    linkdyn.presentation._serre_word(i, j, 1 - a, k, " ")
-                    for k in range(2 - a)
+                    word.format(f"a_{j + 1}")
+                    for word in linkdyn.presentation._serre_words(i, 1 - a, " ")
                 ]
                 left = rel.text.split(" = ")[0]
                 assert left == reference_signed_sum(coeffs, words)
