@@ -19,8 +19,8 @@ from itertools import combinations, islice, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .cycles import _potentials, genus_gcd
-from .diagram import ComponentType, LinkableDynkinDiagram, classify_components
+from .cycles import genus_gcd
+from .diagram import ComponentType, LinkableDynkinDiagram
 from .errors import (
     InadmissibleD,
     IndexOutOfRange,
@@ -416,9 +416,8 @@ def _failures(
         return
     diagonal_orders = [d // gcd(d, exps[i][i]) for i in range(s)]
     if diagram.mode == "finite":
-        has_g2 = _has_g2(diagram)
         for i, o in enumerate(diagonal_orders):
-            if flaw := _finite_order_flaw(o, has_g2):
+            if flaw := _finite_order_flaw(o, diagram.has_g2):
                 yield f"order of b_{i + 1}{i + 1} is {o}, {flaw}"
     elif diagram.mode == "affine":
         orders = sorted(set(diagonal_orders))
@@ -429,10 +428,6 @@ def _failures(
 
 
 # ---------------------------------------------------------- admissibility
-
-
-def _has_g2(diagram: LinkableDynkinDiagram) -> bool:
-    return any(c.label == "G2" for c in classify_components(diagram, "finite"))
 
 
 def _finite_order_flaw(o: int, has_g2: bool) -> Optional[str]:
@@ -448,23 +443,21 @@ def _finite_order_flaw(o: int, has_g2: bool) -> Optional[str]:
     return None
 
 
-def _recognized_components(diagram: LinkableDynkinDiagram) -> list[ComponentType]:
+def _recognized_components(diagram: LinkableDynkinDiagram) -> Sequence[ComponentType]:
     """The components of a finite or affine diagram, all of a known type.
 
     A finite diagram uses the finite catalog, an affine one both
     catalogs; UnsupportedComponentType names the first unrecognized
     component.
     """
-    finite = diagram.mode == "finite"
-    comps = classify_components(diagram, "finite" if finite else "any")
-    for c in comps:
+    for c in diagram.components:
         if c.label == "other":
             verts = ", ".join(str(v + 1) for v in c.vertices)
             raise UnsupportedComponentType(
                 f"component with vertices {verts} is not of a recognized "
-                f"{'finite' if finite else 'finite or affine'} type"
+                f"{'finite' if diagram.mode == 'finite' else 'finite or affine'} type"
             )
-    return comps
+    return diagram.components
 
 
 def admissible_orders(
@@ -500,7 +493,7 @@ def _order_fault(
             return f"root order {d} must exceed 2"
         if d % 2 == 0:
             return f"root order {d} must be odd"
-        if d % 3 == 0 and _has_g2(diagram):
+        if d % 3 == 0 and diagram.has_g2:
             return f"root order {d} is divisible by 3 with a G2 component present"
     elif d <= 3 or not is_prime(d):
         return f"root order {d} must be a prime above 3"
@@ -663,7 +656,7 @@ def construct(
             + "; ".join(report.reasons)
         )
     d = _validate_order(diagram, d, field, report.genus_gcd)
-    exps = [num * pow(den, -1, d) % d for num, den in _potentials(diagram)]
+    exps = [num * pow(den, -1, d) % d for num, den in diagram.potentials]
     return _completed(diagram, d, exps)
 
 
@@ -795,25 +788,27 @@ def brute_force_exists(
     if not diagram.is_link_connected():
         raise NotLinkConnected("the brute-force search needs a link-connected diagram")
     _recognized_components(diagram)
-    has_g2 = mode == "finite" and _has_g2(diagram)
+    has_g2 = diagram.has_g2
     s = diagram.size
-    order, _ = diagram.link_traversal()
-    candidates_n = [
-        n
-        for n in range(5, n_max + 1)
-        if field.has_primitive_root(n)
-        and (mode == "finite" or is_prime(n))
-    ]
+    order = diagram.link_walks[0][0]
+
+    def scanned(orders: range) -> Iterator[int]:
+        return (
+            n
+            for n in orders
+            if field.has_primitive_root(n) and (mode == "finite" or is_prime(n))
+        )
 
     diag, cols = _diagonalize(_diagonal_forms(diagram), s)
-    # at order n, y_i runs over the multiples of n / gcd(d_i, n)
-    worst = max((prod(gcd(x, n) for x in diag) for n in candidates_n), default=0)
-    if worst > _Z_LIMIT:
-        raise ScaleExceeded(
-            f"{worst} diagonal assignments at {s} vertices; "
-            f"shrink the diagram or the order bound"
-        )
-    for n in candidates_n:
+    # at order n, y_i runs over the multiples of n / gcd(d_i, n); the
+    # count is refused at the first order from the top that exceeds it
+    for n in scanned(range(n_max, 4, -1)):
+        if (count := prod(gcd(x, n) for x in diag)) > _Z_LIMIT:
+            raise ScaleExceeded(
+                f"{count} diagonal assignments at {s} vertices; "
+                f"shrink the diagram or the order bound"
+            )
+    for n in scanned(range(5, n_max + 1)):
         # each column of V scaled to n / m, read in traversal order and
         # taken 0..m-1 times; a column with m = 1 only contributes 0
         gens = [
@@ -830,9 +825,9 @@ def brute_force_exists(
             for ks in product(*(range(m) for m, _ in gens))
         )
         fits = (e for e in diagonals if all(_order_ok(x, n, mode, has_g2) for x in e))
-        least = min(fits, default=None)
-        if least is None:
-            continue
+        # past the caps some diagonal fits: each prime part of the forms'
+        # solutions holds one whose every entry has its part's largest order
+        least = min(fits)
         matrix = _completed(diagram, n, [least[order.index(v)] for v in range(s)])
         report = verify(diagram, matrix)
         if not report.ok:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .diagram import LinkableDynkinDiagram, edge_kind
 from .errors import NotAPath, UnsupportedEdgeInMode, VertexNotOnCycle
@@ -45,9 +45,6 @@ class Cycle:
 
     vertices: tuple[int, ...]
     steps: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
     @property
     def dotted_length(self) -> int:
@@ -175,33 +172,6 @@ def genus(diagram: LinkableDynkinDiagram, cycle: Cycle) -> int:
     return cycle_invariants(diagram, cycle).genus
 
 
-def _potentials(diagram: LinkableDynkinDiagram) -> list[tuple[int, int]]:
-    """Each vertex's diagonal exponent over the root of its link component.
-
-    The root, the smallest vertex, gets 1; down link_traversal a plain
-    edge u -> v multiplies by a_uv / a_vu and a dotted edge negates.
-    Each exponent is a (numerator, denominator) pair in lowest terms
-    with a positive denominator.
-    """
-    pot: list[Optional[tuple[int, int]]] = [None] * diagram.size
-    for root in range(diagram.size):
-        if pot[root] is None:
-            order, parent = diagram.link_traversal(root)
-            pot[root] = (1, 1)
-            for v in order[1:]:
-                u = parent[v]
-                num, den = pot[u]  # type: ignore[misc]
-                a_uv = diagram.a(u, v)
-                if a_uv:
-                    # both entries are negative on a plain edge
-                    num, den = num * -a_uv, den * -diagram.a(v, u)
-                    g = gcd(num, den)
-                    pot[v] = (num // g, den // g)
-                else:
-                    pot[v] = (-num, den)
-    return pot  # type: ignore[return-value]
-
-
 def genus_gcd(diagram: LinkableDynkinDiagram) -> int:
     """Greatest common divisor of all cycle genera, 0 when all are 0.
 
@@ -209,8 +179,8 @@ def genus_gcd(diagram: LinkableDynkinDiagram) -> int:
     the product of a_vu / a_uv over its plain steps u -> v and of -1
     over its dotted ones.  r is multiplicative on the cycle space, and
     m divides the genus iff r is a unit congruent to 1 mod m, so the
-    gcd over the fundamental cycles of the _potentials forest, one per
-    edge off it, is the gcd over all cycles; the potentials give each
+    gcd over the fundamental cycles of the link walks, one per edge
+    off them, is the gcd over all cycles; diagram.potentials give each
     such r or 1 / r.  The cycles are enumerated only when a plain edge
     outside the diagram's cycle kinds, or doubling a dotted edge, has both
     ends of link degree >= 2, so UnsupportedEdgeInMode names the edge
@@ -225,7 +195,7 @@ def genus_gcd(diagram: LinkableDynkinDiagram) -> int:
             diagram.is_linkable_pair(u, v) or kind not in allowed
         ):
             return gcd(*(genus(diagram, c) for c in enumerate_cycles(diagram)))
-    pot = _potentials(diagram)
+    pot = diagram.potentials
     numerators = []
     # a dotted edge enters r as a_uv / a_vu = -1 / 1
     for u, v, a_uv, a_vu in chain(

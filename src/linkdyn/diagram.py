@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import gcd
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -164,8 +165,6 @@ class LinkableDynkinDiagram:
         # derived data lives outside the fields, so equality and hashing
         # still see only the matrix, the dotted edges and the mode
         object.__setattr__(self, "_partner", partner)
-        object.__setattr__(self, "_components", {})
-        object.__setattr__(self, "_traversals", {})
         if not self.linked <= set(self.linkable):
             raise ValueError("linked pairs must be declared linkable")
         if self.mode != "selflink":
@@ -219,18 +218,72 @@ class LinkableDynkinDiagram:
         """Breadth-first search from root over plain and dotted edges.
 
         Neighbours are visited in ascending order.  Returns the visit
-        order and the parent of each reached vertex (None for root).
-        The search is kept on the diagram, so each root is walked once;
-        every call returns fresh copies.
+        order and the parent of each reached vertex (None for root), as
+        fresh copies: a root that is the smallest vertex of its link
+        component reads its walk in link_walks, any other is walked anew.
         """
-        if root not in self._traversals:
-            self._traversals[root] = _breadth_first(self, root)
-        order, parent = self._traversals[root]
+        walk = next((w for w in self.link_walks if w[0][0] == root), None)
+        order, parent = walk or _breadth_first(self, root)
         return list(order), dict(parent)
 
     def is_link_connected(self) -> bool:
         """True if plain and dotted edges together connect all vertices."""
-        return self.size == 0 or len(self.link_traversal()[0]) == self.size
+        return len(self.link_walks) <= 1
+
+    # the per-diagram analysis, built on first use and shared by every
+    # reader; equality and hashing still see only the fields
+
+    @cached_property
+    def link_walks(self) -> tuple[tuple[list[int], dict[int, Optional[int]]], ...]:
+        """The breadth-first walk of each link component from its smallest vertex.
+
+        In order of those vertices; each walk is a visit order and
+        parents as link_traversal returns them, kept here unchanged.
+        """
+        walks, seen = [], set()
+        for root in range(self.size):
+            if root not in seen:
+                walks.append(_breadth_first(self, root))
+                seen.update(walks[-1][0])
+        return tuple(walks)
+
+    @cached_property
+    def potentials(self) -> tuple[tuple[int, int], ...]:
+        """Each vertex's diagonal exponent over the root of its link component.
+
+        The root, the smallest vertex, gets 1; down its link walk a plain
+        edge u -> v multiplies by a_uv / a_vu and a dotted edge negates.
+        Each exponent is a (numerator, denominator) pair in lowest terms
+        with a positive denominator.
+        """
+        a = self.cartan.entries
+        pot: list[tuple[int, int]] = [(1, 1)] * self.size
+        for order, parent in self.link_walks:
+            for v in order[1:]:
+                u = parent[v]
+                num, den = pot[u]
+                if a[u][v]:
+                    # both entries are negative on a plain edge
+                    num, den = num * -a[u][v], den * -a[v][u]
+                    g = gcd(num, den)
+                    pot[v] = (num // g, den // g)
+                else:
+                    pot[v] = (-num, den)
+        return tuple(pot)
+
+    @cached_property
+    def components(self) -> tuple[ComponentType, ...]:
+        """The plain components with their labels, in the mode's catalog.
+
+        A finite diagram reads the finite catalog, any other both.
+        """
+        finite = self.mode == "finite"
+        return tuple(classify_components(self, "finite" if finite else "any"))
+
+    @cached_property
+    def has_g2(self) -> bool:
+        """Whether a finite diagram has a G2 component."""
+        return self.mode == "finite" and any(c.label == "G2" for c in self.components)
 
 
 def _breadth_first(
@@ -468,13 +521,8 @@ def classify_components(
     mode 'finite' tries finite templates only, 'affine' affine only,
     'any' both.  Components are returned sorted by smallest vertex.
     Each distinct component matrix is matched once, against the
-    templates with its sorted row profiles, first match winning.  The
-    result is kept on the diagram, so each mode is classified once;
-    every call returns a fresh list.
+    templates with its sorted row profiles, first match winning.
     """
-    cached = diagram._components.get(mode)
-    if cached is not None:
-        return list(cached)
     labels: dict[tuple[tuple[int, ...], ...], str] = {}
     result = []
     for vertices in diagram.plain_components():
@@ -489,7 +537,6 @@ def classify_components(
             )
             labels[rows] = label
         result.append(ComponentType(label, vertices))
-    diagram._components[mode] = tuple(result)
     return result
 
 
@@ -508,14 +555,8 @@ def link_connected_components(
     Each component comes back as an induced sub-diagram; its vertices
     field records the original labels in ascending order.
     """
-    n = diagram.size
-    seen: set[int] = set()
     out: list[SubDiagram] = []
-    for root in range(n):
-        if root in seen:
-            continue
-        comp, _ = diagram.link_traversal(root)
-        seen.update(comp)
+    for comp, _ in diagram.link_walks:
         verts = tuple(sorted(comp))
         pos = {v: t for t, v in enumerate(verts)}
         linkable = tuple(

@@ -499,14 +499,6 @@ class HopfPresentation:
             for text, machine in zip(texts, machines)
         )
 
-    @property
-    def coproduct(self) -> tuple[str, ...]:
-        return tuple(self._coproduct(False))
-
-    @property
-    def coproduct_machine(self) -> tuple[str, ...]:
-        return tuple(self._coproduct(True))
-
     def to_text(self) -> str:
         lines = [
             "generators: "

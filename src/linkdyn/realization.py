@@ -18,7 +18,6 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional
 
 from .braiding import BraidingMatrix, RootExpr
-from .cycles import _potentials
 from .diagram import CartanMatrix, LinkableDynkinDiagram
 from .errors import (
     InadmissibleD,
@@ -277,7 +276,7 @@ def find_symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
     out = [0] * n
     if not any(map(any, no_ratio)):
         diagram = LinkableDynkinDiagram(cartan, (), frozenset())
-        pot = [Fraction(*p) for p in _potentials(diagram)]
+        pot = [Fraction(*p) for p in diagram.potentials]
         for comp in diagram.plain_components():
             scale = lcm(*(pot[v].denominator for v in comp))
             shrink = gcd(*(int(pot[v] * scale) for v in comp))

@@ -47,8 +47,8 @@ from conftest import (
     random_entry,
     small_family,
 )
-from linkdyn.cli import main, parse
-from linkdyn.diagram import classify_components
+from linkdyn.cli import DiagramFile, main, parse
+from linkdyn.diagram import LinkableDynkinDiagram, classify_components
 from linkdyn.fields import CYCLOTOMIC, is_prime
 from test_cycles import random_diagram
 
@@ -74,6 +74,12 @@ class TestRootExpr:
         assert (q**4).exp == 1
         assert (q ** (-1) * q).is_one
         assert (q / q).is_one
+
+    def test_mixed_root_orders_are_refused(self):
+        with pytest.raises(ValueError, match="mixed root orders"):
+            RootExpr.root(5) * RootExpr.root(7)
+        with pytest.raises(ValueError, match="mixed root orders"):
+            RootExpr.z(5, 1) / RootExpr.one(10)
 
     def test_multiplicative_order(self):
         assert RootExpr.root(5, 1).multiplicative_order() == 5
@@ -307,6 +313,15 @@ class TestSerialization:
             for j in range(m.size)
         )
         assert again.to_text() == text
+
+    def test_equal_matrices_hash_alike(self):
+        # zrows are dicts, so the matrix hashes through its own __hash__
+        m = construct(circle("A3", 2))
+        again = BraidingMatrix.from_text(m.to_text())
+        assert again == m and hash(again) == hash(m)
+        other = BraidingMatrix.from_text(m.to_text().replace("z1^1", "z1^2", 1))
+        assert other != m
+        assert len({m, again, other}) == 2
 
 
 REFERENCE_TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
@@ -582,13 +597,18 @@ class TestAdmissibleOrders:
             ord_diagonal(m, 2)
 
 
+def reference_has_g2(diagram):
+    """Whether the finite catalog finds a G2 component, asked of the classifier."""
+    return any(c.label == "G2" for c in classify_components(diagram, "finite"))
+
+
 def reference_admissible_orders(diagram, field, big_g, bound=100):
     """The admissible orders by the filter that _order_fault replaced.
 
     Kept as the reference, with its own copy of the mode rule.
     """
     mode = diagram.mode
-    g2 = mode == "finite" and braiding._has_g2(diagram)
+    g2 = mode == "finite" and reference_has_g2(diagram)
     low = 3 if mode == "finite" else 5
     candidates = field.root_orders()
     if big_g or candidates is None:
@@ -624,7 +644,7 @@ def reference_validate_order(diagram, d, field, big_g):
             raise InadmissibleD(f"root order {d} must exceed 2")
         if d % 2 == 0:
             raise InadmissibleD(f"root order {d} must be odd")
-        if braiding._has_g2(diagram) and d % 3 == 0:
+        if reference_has_g2(diagram) and d % 3 == 0:
             raise InadmissibleD(
                 f"root order {d} is divisible by 3 with a G2 component present"
             )
@@ -835,6 +855,75 @@ class TestOracle:
             "2000010 diagonal assignments at 2 vertices; "
             "shrink the diagram or the order bound"
         )
+
+    def test_scale_refused_at_the_top_order_before_any_scan(self, count_calls):
+        # counts are taken from the largest order down, so the linked
+        # pair's bound is refused after one count and no candidate list
+        counted = count_calls(braiding, "prod")
+        tested = count_calls(braiding, "_order_ok")
+        d = component_diag(["A1", "A1"], [(0, 1)])
+        with pytest.raises(ScaleExceeded):
+            brute_force_exists(d, n_max=2_000_010)
+        assert (len(counted), tested) == (1, [])
+
+    def test_scale_refusal_names_the_first_order_over_the_limit(self):
+        # invariant factors 0 and 2: n * gcd(2, n) diagonals at order n, so
+        # 2000001 is over the limit, though 2000000 has twice as many
+        d = component_diag(["B2", "B2"], [(1, 3)])
+        with pytest.raises(ScaleExceeded) as info:
+            brute_force_exists(d, n_max=2_000_001)
+        assert str(info.value) == (
+            "2000001 diagonal assignments at 4 vertices; "
+            "shrink the diagram or the order bound"
+        )
+
+    def test_every_order_past_the_caps_has_a_fitting_diagonal(self):
+        # the oracle takes the least fitting diagonal of each order its
+        # caps let through, so none of those orders may be empty
+        def fits_everywhere(d, n_max):
+            if not d.is_link_connected():
+                return 0
+            try:
+                braiding._recognized_components(d)
+            except UnsupportedComponentType:
+                return 0
+            s, mode, has_g2 = d.size, d.mode, d.has_g2
+            diag_, cols = braiding._diagonalize(braiding._diagonal_forms(d), s)
+            tried = 0
+            for n in range(5, n_max + 1):
+                if mode == "affine" and not is_prime(n):
+                    continue
+                gens = [
+                    (m, [c * (n // m) for c in col])
+                    for x, col in zip(diag_, cols)
+                    if (m := gcd(x, n)) > 1
+                ]
+                caps = [n // gcd(n, *(g[p] for _, g in gens)) for p in range(s)]
+                if any(braiding._no_admissible_order(c, mode, has_g2) for c in caps):
+                    continue
+                tried += 1
+                assert any(
+                    all(
+                        braiding._order_ok(
+                            sum(k * g[p] for k, (_, g) in zip(ks, gens)) % n,
+                            n,
+                            mode,
+                            has_g2,
+                        )
+                        for p in range(s)
+                    )
+                    for ks in product(*(range(m) for m, _ in gens))
+                ), (d, n)
+            return tried
+
+        tried = sum(
+            fits_everywhere(component_diag(labels, pairs, mode=mode), 36)
+            for labels, pairs in small_family()
+            for mode in ("finite", "affine")
+        )
+        rng = random.Random(23)
+        tried += sum(fits_everywhere(random_diagram(rng)[1], 24) for _ in range(300))
+        assert tried > 5000
 
     # the first witness in scan order, byte for byte
     GOLDEN_WITNESSES = [
@@ -1357,7 +1446,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
     if not diagram.is_link_connected():
         raise NotLinkConnected("the brute-force search needs a link-connected diagram")
     braiding._recognized_components(diagram)
-    has_g2 = mode == "finite" and braiding._has_g2(diagram)
+    has_g2 = mode == "finite" and reference_has_g2(diagram)
     s = diagram.size
     order, _ = diagram.link_traversal()
 
@@ -1477,6 +1566,44 @@ class TestOracleAgainstReference:
             _, d = random_diagram(rng)
             found.add(self.agree(d, 24, rng.choice(fields))[0])
         assert {True, False} <= found
+
+
+class TestOneAnalysisPerCommand:
+    """Each command walks, classifies and takes potentials once per diagram."""
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            circle("B3", 3),
+            component_diag(["A1(1)", "A1(1)"], [(0, 2)], mode="affine"),
+        ],
+        ids=["B3-ring-3", "affine-pair"],
+    )
+    @pytest.mark.parametrize(
+        "command", ["check", "construct", "oracle", "realize", "present"]
+    )
+    def test_counts_through_the_cli(
+        self, d, command, count_calls, monkeypatch, tmp_path, capsys
+    ):
+        path = tmp_path / "d.dg"
+        path.write_text(DiagramFile(d, FieldSpec()).serialize())
+        walked = count_calls(linkdyn.diagram, "_breadth_first")
+        classified = count_calls(linkdyn.diagram, "classify_components")
+        potentials = vars(LinkableDynkinDiagram)["potentials"]
+        walk_potentials, took = potentials.func, []
+
+        def counted(diagram):
+            took.append((diagram,))
+            return walk_potentials(diagram)
+
+        monkeypatch.setattr(potentials, "func", counted)
+        assert main([command, str(path)]) == 0
+        capsys.readouterr()
+        analysed = {id(args[0]) for args in walked + classified + took}
+        assert len(analysed) == 1
+        # one link component, so one walk; the oracle needs no potentials
+        assert (len(walked), len(classified)) == (1, 1)
+        assert len(took) == (command != "oracle")
 
 
 class TestGridAgainstReference:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ import linkdyn.diagram
 from linkdyn.diagram import _find_isomorphism, _affine_templates, _finite_templates
 
 from conftest import block_rows, circle, component_diag, diag, prism, small_family
+from test_cycles import random_diagram, reference_potentials
 
 
 def cartan_ok(rows):
@@ -572,3 +574,91 @@ class TestClassificationAgainstReference:
             labels = {c.label for c in classify_components(d, mode)}
             assert labels == ({"other"} if mode == "affine" else {"A3"})
         assert len(calls) <= 3
+
+
+def reference_walk(diagram, root):
+    """Breadth-first order and parents from root, neighbours ascending."""
+    parent, order = {root: None}, [root]
+    for u in order:
+        near = [v for v in range(diagram.size) if v != u and diagram.a(u, v)]
+        if diagram.partner(u) is not None:
+            near.append(diagram.partner(u))
+        for v in sorted(near):
+            if v not in parent:
+                parent[v] = u
+                order.append(v)
+    return order, parent
+
+
+def analysis_diagrams():
+    """The small family in both modes, A3/B3 rings, two prisms, random ones."""
+    for labels, pairs in small_family():
+        for mode in ("finite", "affine"):
+            yield component_diag(labels, pairs, mode=mode)
+    for label in ("A3", "B3"):
+        for n in range(2, 17):
+            for mode in ("finite", "affine"):
+                yield circle(label, n, mode)
+    yield prism(4)
+    yield prism(16)
+    rng = random.Random(22)
+    for _ in range(1000):
+        yield random_diagram(rng)[1]
+    for _ in range(300):
+        yield random_selflink_diagram(rng)
+
+
+class TestAnalysisAgainstReference:
+    """The diagram's cached analysis against the functions it stands for."""
+
+    def test_walks_potentials_components_and_g2(self):
+        modes, g2, linked = set(), 0, 0
+        for d in analysis_diagrams():
+            roots, reached = [], set()
+            for v in range(d.size):
+                if v not in reached:
+                    roots.append(v)
+                    reached.update(reference_walk(d, v)[0])
+            assert d.link_walks == tuple(reference_walk(d, r) for r in roots)
+            assert d.is_link_connected() == (len(roots) <= 1)
+            linked += len(roots) == 1
+            assert d.potentials == tuple(
+                (p.numerator, p.denominator) for p in reference_potentials(d)
+            )
+            catalog = "finite" if d.mode == "finite" else "any"
+            assert d.components == tuple(classify_components(d, catalog))
+            finite_labels = {c.label for c in classify_components(d, "finite")}
+            assert d.has_g2 == (d.mode == "finite" and "G2" in finite_labels)
+            modes.add(d.mode)
+            g2 += d.has_g2
+        assert modes == {"finite", "affine", "selflink"}
+        assert g2 > 100 and linked > 1000
+
+    def test_traversal_from_any_root_is_a_fresh_walk(self):
+        d = component_diag(["A2", "B3", "A1"], [(1, 2), (4, 5)])
+        for root in range(d.size):
+            order, parent = d.link_traversal(root)
+            assert (order, parent) == reference_walk(d, root)
+            order.append(99)
+            parent[99] = root
+            assert d.link_traversal(root) == reference_walk(d, root)
+        assert d.link_walks == (reference_walk(d, 0),)
+
+    def test_analysis_is_built_once_and_kept_out_of_equality(self, count_calls):
+        walked = count_calls(linkdyn.diagram, "_breadth_first")
+        classified = count_calls(linkdyn.diagram, "classify_components")
+        d = circle("B3", 4)
+        for _ in range(3):
+            assert d.potentials is d.potentials
+            assert d.components is d.components
+            d.is_link_connected()
+            d.link_traversal()
+            assert not d.has_g2
+        assert (len(walked), len(classified)) == (1, 1)
+        fresh = circle("B3", 4)
+        assert fresh == d and hash(fresh) == hash(d)
+        # a new mode is a new diagram with its own analysis
+        affine = replace(d, mode="affine")
+        assert affine.components == tuple(classify_components(d, "any"))
+        # the call above is this module's own binding, which is not counted
+        assert (len(walked), len(classified)) == (1, 2)
