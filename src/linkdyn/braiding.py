@@ -4,11 +4,12 @@ Entries are exact expressions q^e * z1^k1 * z2^k2 * ... where q is a
 primitive root of unity of a fixed order and the z_t are free nonzero
 scalars.  A matrix keeps them as integers, a grid of exponents of q
 modulo the order plus the z-exponents of its symbolic entries, so the
-defining identities are congruences on exponents; RootExpr, the value
-of a single entry, shares the grid's normal form and z-algebra.  The
-module builds braiding matrices for linkable Dynkin diagrams, verifies
-the defining identities, searches for matrices by brute force and
-combines matrices of link-connected parts into direct sums.
+defining identities are congruences on exponents and every message
+renders its entries from those integers.  RootExpr is only the record
+of one entry that BraidingMatrix.entry returns.  The module builds
+braiding matrices for linkable Dynkin diagrams, verifies the defining
+identities, searches for matrices by brute force and combines matrices
+of link-connected parts into direct sums.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .fields import CYCLOTOMIC, FieldSpec, divisors, is_prime
 _Z_LIMIT = 2_000_000  # diagonals per root order the oracle is willing to enumerate
 
 
-# ---------------------------------------------------------------- RootExpr
+# ------------------------------------------------------------------ entries
 
 # the z-exponents of an entry: (t, k) pairs for z_t^k, sorted by t
 Terms = tuple[tuple[int, int], ...]
@@ -103,30 +104,14 @@ def _parse_entry(text: str, order: int) -> tuple[int, list[tuple[int, int]]]:
     return int(m.group(1)), zpow
 
 
-def _substitute(
-    order: int, exp: int, terms: Terms, values: dict[int, "RootExpr"]
-) -> tuple[int, Terms]:
-    """(exp, z-exponents) of q^exp z^terms with z_t = values[t], or 1."""
-    factors = []
-    for t, k in terms:
-        val = values.get(t)
-        if val is None:
-            continue
-        if val.order != order:
-            raise ValueError("substitution value has a different root order")
-        exp += val.exp * k
-        factors.append((val.zpow, k))
-    return exp, _terms(*factors)
-
-
 @dataclass(frozen=True)
 class RootExpr:
-    """q^exp times a product of powers of free parameters z_t.
+    """The entry q^exp times z_t^k for each (t, k) in zpow, as a record.
 
     order is the order of the root q; exp is kept in 0..order-1 and
-    zpow holds the (t, k) pairs for z_t^k in the normal form of _terms,
-    so repeated indices merge and zero powers drop.  The element is a
-    unit, so inverses always exist.
+    zpow in the normal form of _terms, so repeated indices merge and
+    zero powers drop.  BraidingMatrix.entry returns one; the identities
+    are computed on the matrix's integer grid, not on these values.
     """
 
     order: int
@@ -138,71 +123,8 @@ class RootExpr:
         object.__setattr__(self, "exp", self.exp % self.order)
         object.__setattr__(self, "zpow", _terms((self.zpow, 1)))
 
-    # ------------------------------------------------------- constructors
-
-    @classmethod
-    def root(cls, order: int, exp: int = 1) -> "RootExpr":
-        return cls(order, exp)
-
-    @classmethod
-    def one(cls, order: int) -> "RootExpr":
-        return cls(order, 0)
-
-    @classmethod
-    def z(cls, order: int, index: int, power: int = 1) -> "RootExpr":
-        return cls(order, 0, ((index, power),))
-
-    # -------------------------------------------------------- arithmetic
-
-    def _combine(self, other: "RootExpr", sign: int) -> "RootExpr":
-        if self.order != other.order:
-            raise ValueError("mixed root orders")
-        return RootExpr(
-            self.order,
-            self.exp + sign * other.exp,
-            _product(self.zpow, _power(other.zpow, sign)),
-        )
-
-    def __mul__(self, other: "RootExpr") -> "RootExpr":
-        return self._combine(other, 1)
-
-    def __truediv__(self, other: "RootExpr") -> "RootExpr":
-        return self._combine(other, -1)
-
-    def inv(self) -> "RootExpr":
-        return self**-1
-
-    def __pow__(self, n: int) -> "RootExpr":
-        return RootExpr(self.order, self.exp * n, _power(self.zpow, n))
-
-    # ---------------------------------------------------------- queries
-
-    @property
-    def is_one(self) -> bool:
-        return self.exp == 0 and not self.zpow
-
-    @property
-    def is_symbolic(self) -> bool:
-        return bool(self.zpow)
-
-    def multiplicative_order(self) -> int:
-        if self.zpow:
-            raise ValueError(f"{self} contains free parameters")
-        return self.order // gcd(self.order, self.exp)
-
-    def substitute(self, values: Optional[dict[int, "RootExpr"]] = None) -> "RootExpr":
-        """Replace every free parameter, by default with 1."""
-        exp, zpow = _substitute(self.order, self.exp, self.zpow, values or {})
-        return RootExpr(self.order, exp, zpow)
-
-    # ------------------------------------------------------------- text
-
     def __str__(self) -> str:
         return _entry_text(self.exp, self.zpow)
-
-    @classmethod
-    def parse(cls, text: str, order: int) -> "RootExpr":
-        return cls(order, *_parse_entry(text, order))
 
 
 # ----------------------------------------------------------- BraidingMatrix
@@ -233,9 +155,9 @@ class BraidingMatrix:
     each symbolic entry in row i to its z-exponents ((t, k), ...),
     sorted by t, each t once and every k nonzero; a pure entry has no
     key.  The identities, the completion, instantiation and realization
-    work on these integers.  entry, entries and diagonal build RootExpr
-    values on demand; BraidingMatrix(order, rows) converts rows of
-    RootExpr and from_text parses tokens, both through _grid.
+    work on these integers.  entry and entries build RootExpr records
+    on demand; BraidingMatrix(order, rows) reads rows of RootExpr and
+    from_text parses tokens, both through _grid.
     """
 
     order: int
@@ -293,19 +215,19 @@ class BraidingMatrix:
             )
         )
 
-    def instantiate(
-        self, values: Optional[dict[int, RootExpr]] = None
-    ) -> "BraidingMatrix":
-        """Substitute values (default 1) for every free parameter."""
-        d = self.order
-        if not values:
-            # the exponents are reduced already and every z_t goes to 1
-            return BraidingMatrix._from_grid(d, self.exps)
-        rows = [
-            [_substitute(d, e, zrow.get(j, ()), values) for j, e in enumerate(row)]
-            for row, zrow in zip(self.exps, self.zrows)
-        ]
-        return BraidingMatrix._from_grid(d, *_grid(d, rows))
+    def instantiate(self, values: Optional[dict[int, int]] = None) -> "BraidingMatrix":
+        """The parameter-free matrix with z_t = q^values[t], 1 if t is unset."""
+        d, exps = self.order, self.exps
+        if values:
+            exps = tuple(
+                tuple(
+                    (e + sum(values.get(t, 0) * k for t, k in zrow.get(j, ()))) % d
+                    for j, e in enumerate(row)
+                )
+                for row, zrow in zip(exps, self.zrows)
+            )
+        # without values the exponents are reduced already
+        return BraidingMatrix._from_grid(d, exps)
 
     def to_text(self) -> str:
         lines = [f"root_order {self.order}"]
@@ -329,7 +251,6 @@ class BraidingMatrix:
             return cls._from_grid(order, *_grid(order, rows))
         except ValueError as exc:
             raise MalformedMatrix(str(exc)) from None
-
 
 
 # ------------------------------------------------------------ verification
@@ -373,11 +294,9 @@ def _failures(
     cartan = diagram.cartan.entries
 
     for i in range(s):
-        if i in zrows[i]:
-            yield (
-                f"diagonal b_{i + 1}{i + 1} = {matrix.entry(i, i)} "
-                f"contains a free parameter"
-            )
+        if terms := zrows[i].get(i):
+            entry = _entry_text(exps[i][i], terms)
+            yield f"diagonal b_{i + 1}{i + 1} = {entry} contains a free parameter"
         elif exps[i][i] == 0:
             yield f"diagonal b_{i + 1}{i + 1} equals 1"
 
@@ -394,8 +313,8 @@ def _failures(
             if (left - right) % d or zl != zr:
                 yield (
                     f"product identity fails at ({i + 1},{j + 1}): "
-                    f"b_ij*b_ji = {RootExpr(d, left, zl)}, "
-                    f"b_ii^a_ij = {RootExpr(d, right, zr)}"
+                    f"b_ij*b_ji = {_entry_text(left % d, zl)}, "
+                    f"b_ii^a_ij = {_entry_text(right % d, zr)}"
                 )
 
     for i, j in diagram.linkable:
@@ -409,7 +328,7 @@ def _failures(
                 if e or z:
                     yield (
                         f"linking identity fails for pair ({x + 1},{y + 1}) "
-                        f"at k={k + 1}: got {RootExpr(d, e, z)}"
+                        f"at k={k + 1}: got {_entry_text(e, z)}"
                     )
 
     if any(i in zrows[i] or exps[i][i] == 0 for i in range(s)):
@@ -801,13 +720,15 @@ def brute_force_exists(
 
     diag, cols = _diagonalize(_diagonal_forms(diagram), s)
     # at order n, y_i runs over the multiples of n / gcd(d_i, n); the
-    # count is refused at the first order from the top that exceeds it
-    for n in scanned(range(n_max, 4, -1)):
-        if (count := prod(gcd(x, n) for x in diag)) > _Z_LIMIT:
-            raise ScaleExceeded(
-                f"{count} diagonal assignments at {s} vertices; "
-                f"shrink the diagram or the order bound"
-            )
+    # count is refused at the first order from the top that exceeds it,
+    # and no order's count exceeds the product of nonzero |d_i|
+    if 0 in diag or prod(map(abs, diag)) > _Z_LIMIT:
+        for n in scanned(range(n_max, 4, -1)):
+            if (count := prod(gcd(x, n) for x in diag)) > _Z_LIMIT:
+                raise ScaleExceeded(
+                    f"{count} diagonal assignments at {s} vertices; "
+                    f"shrink the diagram or the order bound"
+                )
     for n in scanned(range(5, n_max + 1)):
         # each column of V scaled to n / m, read in traversal order and
         # taken 0..m-1 times; a column with m = 1 only contributes 0
@@ -844,7 +765,10 @@ def ord_diagonal(matrix: BraidingMatrix, i: int) -> int:
     n = matrix.size
     if not 0 <= i < n:
         raise IndexOutOfRange(f"vertex {i + 1} outside 1..{n}")
-    return matrix.entry(i, i).multiplicative_order()
+    d, e = matrix.order, matrix.exps[i][i]
+    if terms := matrix.zrows[i].get(i):
+        raise ValueError(f"{_entry_text(e, terms)} contains free parameters")
+    return d // gcd(d, e)
 
 
 # -------------------------------------------------------------- direct sum

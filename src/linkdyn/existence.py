@@ -14,8 +14,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from .braiding import (
     BraidingMatrix,
-    RootExpr,
     _admissible_orders,
+    _grid,
     _order_fault,
     _recognized_components,
 )
@@ -167,18 +167,15 @@ def excluded_case_matrix(
     if fault:
         raise InadmissibleD(fault)
 
-    def q(e: int) -> RootExpr:
-        return RootExpr.root(d, e)
-
-    z = RootExpr.z(d, 1)
-    zi = z.inv()
-    entries = (
-        (q(1), q(-m) * zi, q(-1), q(m) * z),
-        (z, q(n), zi, q(-n)),
-        (q(1), z, q(-1), zi),
-        (q(-m) * zi, q(n), q(m) * z, q(-n)),
+    # each cell is q's exponent and the z-exponents, z = z_1
+    z, zi = ((1, 1),), ((1, -1),)
+    cells = (
+        ((1, ()), (-m, zi), (-1, ()), (m, z)),
+        ((0, z), (n, ()), (0, zi), (-n, ())),
+        ((1, ()), (0, z), (-1, ()), (0, zi)),
+        ((-m, zi), (n, ()), (m, z), (-n, ())),
     )
-    return diagram, BraidingMatrix(d, entries)
+    return diagram, BraidingMatrix._from_grid(d, *_grid(d, cells))
 
 
 # ------------------------------------------------------------- self-linking

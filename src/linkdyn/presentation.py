@@ -671,7 +671,8 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
     but kept in the machine form).  The slots depend only on
     (a_ij, b_ii, b_ij): each distinct triple is built from integer
     Gaussian-binomial rows, zero-tested by the q-Lucas rule and rendered
-    once in each format rendered.  Nothing is rendered here: to_text and to_machine each render their own format on call.
+    at most once per format.  Nothing is rendered here: to_text and
+    to_machine each render their own format when called.
     """
     return HopfPresentation(datum)
 

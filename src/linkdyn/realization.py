@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from .braiding import BraidingMatrix, RootExpr
+from .braiding import BraidingMatrix, RootExpr, _entry_text, _parse_entry, _terms
 from .diagram import CartanMatrix, LinkableDynkinDiagram
 from .errors import (
     InadmissibleD,
@@ -43,8 +43,9 @@ class LinkingDatum:
     infinite cyclic factor); elements holds each g_i as an exponent
     vector over the generators; character_exps holds each chi_j by the
     exponents, in 0..order-1, of its values q^e on the generators, q a
-    primitive root of unity of the given order.  characters gives the
-    same values as RootExpr.
+    primitive root of unity of the given order.  Every identity and
+    message is computed on these exponents; characters and
+    braiding_entry give the same values as RootExpr records.
     """
 
     order: int
@@ -96,8 +97,8 @@ class LinkingDatum:
                     e = self.entry_exp(i, j)
                     if source.order != d or e != row[j] or j in zrow:
                         failures.append(
-                            f"chi_{j + 1}(g_{i + 1}) = {RootExpr(d, e)} "
-                            f"but the matrix holds {source.entry(i, j)}"
+                            f"chi_{j + 1}(g_{i + 1}) = q^{e} but the matrix "
+                            f"holds {_entry_text(row[j], zrow.get(j, ()))}"
                         )
         if self.diagram is not None:
             cartan = self.diagram.cartan.entries
@@ -110,7 +111,7 @@ class LinkingDatum:
                             failures.append(
                                 f"character identity fails for pair "
                                 f"({x + 1},{y + 1}) at generator {t + 1}: "
-                                f"got {RootExpr(d, e)}"
+                                f"got q^{e}"
                             )
         return tuple(failures)
 
@@ -151,10 +152,10 @@ class LinkingDatum:
             elif line.startswith("chi "):
                 _, rest = line.split(" ", 1)
                 _, vals = rest.split(":")
-                values = [RootExpr.parse(tok, order) for tok in vals.split()]
-                if any(v.is_symbolic for v in values):
+                values = [_parse_entry(tok, order) for tok in vals.split()]
+                if any(_terms((z, 1)) for _, z in values):
                     raise ValueError(f"free parameter in character line {line!r}")
-                characters.append(tuple(v.exp for v in values))
+                characters.append(tuple(e % order for e, _ in values))
             elif line.startswith("lambda "):
                 head, flag = line.split(":")
                 _, i, j = head.split()
@@ -175,12 +176,6 @@ class LinkingDatum:
 
 
 # ------------------------------------------------------------ realizations
-
-
-def _require_pure(inst: BraidingMatrix) -> None:
-    for i, zrow in enumerate(inst.zrows):
-        if zrow:
-            raise ValueError(f"{inst.entry(i, min(zrow))} contains free parameters")
 
 
 def _realize(
@@ -213,28 +208,28 @@ def _realize(
 def realize_free(
     matrix: BraidingMatrix,
     diagram: LinkableDynkinDiagram,
-    z_values: Optional[dict[int, RootExpr]] = None,
+    z_values: Optional[dict[int, int]] = None,
 ) -> LinkingDatum:
     """Realize a matrix over Z^s with the canonical basis as the g_i.
 
-    Free parameters are substituted first (default 1); values that
-    leave a free parameter raise ValueError.  The character linking
-    identity is rechecked; failures raise LinkConstraintUnsatisfiable.
+    Free parameters are substituted first, z_t = q^z_values[t] and 1
+    where unset, as in BraidingMatrix.instantiate.  The character
+    linking identity is rechecked; failures raise
+    LinkConstraintUnsatisfiable.
     """
-    inst = matrix.instantiate(z_values)
-    _require_pure(inst)
-    return _realize(inst, diagram, 0)
+    return _realize(matrix.instantiate(z_values), diagram, 0)
 
 
 def realize_mod_p(
     matrix: BraidingMatrix,
     diagram: LinkableDynkinDiagram,
     modulus: int,
-    z_values: Optional[dict[int, RootExpr]] = None,
+    z_values: Optional[dict[int, int]] = None,
 ) -> LinkingDatum:
     """Realize a matrix over (Z/modulus)^s.
 
-    Every substituted entry must have multiplicative order dividing the
+    Free parameters are substituted as in realize_free.  Every
+    substituted entry must have multiplicative order dividing the
     modulus (OrderNotDividing otherwise), which makes the characters
     well defined on the finite group.  A modulus below 1 raises
     ValueError.
@@ -242,14 +237,13 @@ def realize_mod_p(
     if modulus < 1:
         raise ValueError(f"modulus {modulus} must be positive")
     inst = matrix.instantiate(z_values)
-    _require_pure(inst)
     d = inst.order
     for i, row in enumerate(inst.exps):
         for j, e in enumerate(row):
             o = d // gcd(d, e)
             if modulus % o:
                 raise OrderNotDividing(
-                    f"entry ({i + 1},{j + 1}) = {inst.entry(i, j)} has order "
+                    f"entry ({i + 1},{j + 1}) = q^{e} has order "
                     f"{o}, which does not divide {modulus}"
                 )
     return _realize(inst, diagram, modulus)
@@ -359,7 +353,13 @@ def double_datum(
 
 
 def sqrt_mod(a: int, p: int) -> tuple[int, ...]:
-    """All square roots of a modulo an odd prime p, ascending."""
+    """All square roots of a modulo an odd prime p, ascending.
+
+    Any other p raises NotPrime: the non-residue search below would not
+    end, and Euler's criterion would miss roots.
+    """
+    if p < 3 or not is_prime(p):
+        raise NotPrime(f"{p} is not an odd prime")
     a %= p
     if a == 0:
         return (0,)

@@ -7,9 +7,11 @@ out only the structure it cares about.  All builders renumber from 0.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -147,6 +149,96 @@ def small_family():
                 yield combo, pairs
 
 
+ENTRY_TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
+ENTRY_ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
+
+
+class Root(RootExpr):
+    """A RootExpr record with the arithmetic of entry values.
+
+    The library computes on its integer grid and keeps RootExpr as a
+    plain record; tests that check the grid against entry arithmetic
+    use this copy: products, quotients and powers, substitution,
+    parsing and the multiplicative order.  Its z-exponents are summed
+    here and normalized by the record, and it equals any RootExpr with
+    the same fields.
+    """
+
+    __hash__ = RootExpr.__hash__
+
+    def __eq__(self, other):
+        if not isinstance(other, RootExpr):
+            return NotImplemented
+        mine = (self.order, self.exp, self.zpow)
+        return mine == (other.order, other.exp, other.zpow)
+
+    @classmethod
+    def of(cls, value):
+        """The same entry, given as any RootExpr."""
+        return cls(value.order, value.exp, value.zpow)
+
+    @classmethod
+    def root(cls, order, exp=1):
+        return cls(order, exp)
+
+    @classmethod
+    def one(cls, order):
+        return cls(order, 0)
+
+    @classmethod
+    def z(cls, order, index, power=1):
+        return cls(order, 0, ((index, power),))
+
+    @classmethod
+    def parse(cls, text, order):
+        m = ENTRY_TOKEN.match(text)
+        if not m:
+            raise ValueError(f"bad root expression {text!r}")
+        zpow = tuple((int(t), int(k)) for t, k in ENTRY_ZPART.findall(m.group(2)))
+        return cls(order, int(m.group(1)), zpow)
+
+    def _combine(self, other, sign):
+        if self.order != other.order:
+            raise ValueError("mixed root orders")
+        powers = dict(self.zpow)
+        for t, k in other.zpow:
+            powers[t] = powers.get(t, 0) + sign * k
+        return Root(self.order, self.exp + sign * other.exp, tuple(powers.items()))
+
+    def __mul__(self, other):
+        return self._combine(other, 1)
+
+    def __truediv__(self, other):
+        return self._combine(other, -1)
+
+    def __pow__(self, n):
+        return Root(self.order, self.exp * n, tuple((t, k * n) for t, k in self.zpow))
+
+    def inv(self):
+        return self**-1
+
+    @property
+    def is_one(self):
+        return self.exp == 0 and not self.zpow
+
+    @property
+    def is_symbolic(self):
+        return bool(self.zpow)
+
+    def multiplicative_order(self):
+        if self.zpow:
+            raise ValueError(f"{self} contains free parameters")
+        return self.order // gcd(self.order, self.exp)
+
+    def substitute(self, values=None):
+        """Each z_t replaced by the Root values[t], by default by 1."""
+        out = Root(self.order, self.exp)
+        for t, k in self.zpow:
+            if values and t in values:
+                out = out * values[t] ** k
+        return out
+
+
 def random_entry(order, rng, symbolic=0.3):
     """q^e, and with the given chance a product of one or two z_t^k too."""
     zpow = ()
@@ -155,7 +247,7 @@ def random_entry(order, rng, symbolic=0.3):
             (t, rng.choice((-2, -1, 1, 2)))
             for t in rng.sample(range(1, 5), rng.choice((1, 2)))
         )
-    return RootExpr(order, rng.randrange(order), zpow)
+    return Root(order, rng.randrange(order), zpow)
 
 
 def perturbed(matrix, rng):

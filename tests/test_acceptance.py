@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     COMPONENT_ROWS,
+    Root,
     circle,
     component_diag,
     diag,
@@ -138,7 +139,7 @@ def test_criterion_04_doubles(capsys):
                     power = 1 - dg.a(a, b)
                     for t in range(len(datum.factors)):
                         value = (
-                            datum.characters[a][t] ** power
+                            Root.of(datum.characters[a][t]) ** power
                             * datum.characters[b][t]
                         )
                         assert value.is_one, (label, a, b, t)
@@ -153,7 +154,7 @@ def test_criterion_05_excluded_matrices(capsys):
             report = verify(dg, matrix)
             assert report.ok, ((n, m), report.failures)
             symbolic = any(
-                matrix.entry(i, j).is_symbolic
+                Root.of(matrix.entry(i, j)).is_symbolic
                 for i in range(dg.size)
                 for j in range(dg.size)
             )

@@ -1,7 +1,6 @@
-"""RootExpr arithmetic, construction, verification, oracle, direct sums."""
+"""Entry values, construction, verification, oracle, direct sums."""
 
 import random
-import re
 from dataclasses import replace
 from itertools import chain, combinations, product
 from math import gcd, prod
@@ -38,6 +37,8 @@ from linkdyn import (
 )
 
 from conftest import (
+    ENTRY_ZPART,
+    Root,
     block_rows,
     circle,
     component_diag,
@@ -58,18 +59,20 @@ UNRECOGNIZED_ROWS = ((2, -5, 0, 0), (-1, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2))
 
 
 class TestRootExpr:
+    """The record's normal form, and the tests' copy of entry arithmetic."""
+
     def test_constructors_and_identity(self):
-        q = RootExpr.root(5, 1)
+        q = Root.root(5, 1)
         assert not q.is_one
         assert (q**5).is_one
-        assert RootExpr.one(5).is_one
-        z = RootExpr.z(5, 1)
+        assert Root.one(5).is_one
+        z = Root.z(5, 1)
         assert z.is_symbolic
         assert not z.is_one
         assert (z * z.inv()).is_one
 
     def test_multiplication_and_powers(self):
-        q = RootExpr.root(7, 2)
+        q = Root.root(7, 2)
         assert (q * q).exp == 4
         assert (q**4).exp == 1
         assert (q ** (-1) * q).is_one
@@ -77,50 +80,54 @@ class TestRootExpr:
 
     def test_mixed_root_orders_are_refused(self):
         with pytest.raises(ValueError, match="mixed root orders"):
-            RootExpr.root(5) * RootExpr.root(7)
+            Root.root(5) * Root.root(7)
         with pytest.raises(ValueError, match="mixed root orders"):
-            RootExpr.z(5, 1) / RootExpr.one(10)
+            Root.z(5, 1) / Root.one(10)
 
     def test_multiplicative_order(self):
-        assert RootExpr.root(5, 1).multiplicative_order() == 5
-        assert RootExpr.root(10, 2).multiplicative_order() == 5
-        assert RootExpr.root(12, 8).multiplicative_order() == 3
-        assert RootExpr.one(9).multiplicative_order() == 1
+        assert Root.root(5, 1).multiplicative_order() == 5
+        assert Root.root(10, 2).multiplicative_order() == 5
+        assert Root.root(12, 8).multiplicative_order() == 3
+        assert Root.one(9).multiplicative_order() == 1
         with pytest.raises(ValueError):
-            RootExpr.z(5, 1).multiplicative_order()
+            Root.z(5, 1).multiplicative_order()
 
     def test_substitute_defaults_to_one(self):
-        q = RootExpr.root(5, 2)
-        v = q * RootExpr.z(5, 3, 2)
+        q = Root.root(5, 2)
+        v = q * Root.z(5, 3, 2)
         assert v.substitute() == q
-        assert v.substitute({3: RootExpr.root(5, 1)}).exp == 4
+        assert v.substitute({3: Root.root(5, 1)}).exp == 4
 
     def test_parse_round_trip(self):
         for text in ("q^2", "q^2*z1^-1", "q^0*z3^2", "q^0", "q^-1"):
-            v = RootExpr.parse(text, 7)
-            again = RootExpr.parse(str(v), 7)
+            v = Root.parse(text, 7)
+            again = Root.parse(str(v), 7)
             assert v == again
+            # the library's token parser, which from_text uses
+            assert RootExpr(7, *braiding._parse_entry(text, 7)) == v
 
     def test_parse_rejects_garbage(self):
         for text in ("z3^2", "", "q", "q^2 * z1^1", "q^2*w1^1"):
             with pytest.raises(ValueError):
-                RootExpr.parse(text, 7)
+                Root.parse(text, 7)
+            with pytest.raises(ValueError):
+                braiding._parse_entry(text, 7)
 
     @given(st.integers(-20, 20), st.integers(-20, 20))
     def test_exponents_add(self, a, b):
-        q = RootExpr.root(11, 1)
+        q = Root.root(11, 1)
         assert (q**a * q**b) == q ** (a + b)
 
     def test_repeated_indices_merge(self):
-        twice = RootExpr.parse("q^1*z1^1*z1^1", 5)
-        squared = RootExpr.parse("q^1*z1^2", 5)
-        assert twice * RootExpr.one(5) == squared
+        twice = Root.parse("q^1*z1^1*z1^1", 5)
+        squared = Root.parse("q^1*z1^2", 5)
+        assert twice * Root.one(5) == squared
         assert twice == squared
         assert str(twice) == "q^1*z1^2"
         assert BraidingMatrix(5, ((twice,),)).entry(0, 0) == twice
 
     def test_cancelling_powers_are_not_symbolic(self):
-        v = RootExpr.parse("q^0*z1^1*z1^-1", 5)
+        v = Root.parse("q^0*z1^1*z1^-1", 5)
         assert not v.is_symbolic
         assert v.is_one
 
@@ -131,8 +138,8 @@ class TestRootExpr:
                 (rng.randrange(1, 5), rng.randrange(-3, 4))
                 for _ in range(rng.randrange(6))
             ]
-            v = RootExpr(7, rng.randrange(-20, 20), zpow)
-            assert v.zpow == braiding._terms((zpow, 1))
+            v = Root(7, rng.randrange(-20, 20), zpow)
+            assert v.zpow == RootExpr(7, 0, zpow).zpow == braiding._terms((zpow, 1))
             w = random_entry(7, rng, symbolic=0.7)
             k = rng.randrange(-3, 4)
             assert (v * w).zpow == braiding._terms((zpow, 1), (w.zpow, 1))
@@ -145,7 +152,7 @@ class TestConstruct:
     def test_frozen_linked_pair_of_points(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
         m = construct(d, d=5)
-        q = RootExpr.root(5, 1)
+        q = Root.root(5, 1)
         assert m.entry(0, 0) == q
         assert m.entry(0, 1) == q.inv()
         assert m.entry(1, 0) == q
@@ -214,13 +221,13 @@ class TestConstruct:
     def test_dotted_edge_inverts_diagonal(self):
         d = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
         m = construct(d, d=7)
-        assert (m.entry(0, 0) * m.entry(2, 2)).is_one
-        assert (m.entry(1, 1) * m.entry(3, 3)).is_one
+        assert (Root.of(m.entry(0, 0)) * m.entry(2, 2)).is_one
+        assert (Root.of(m.entry(1, 1)) * m.entry(3, 3)).is_one
 
     def test_cartan_edge_scales_diagonal(self):
         d = component_diag(["B2", "A1"], [(1, 2)])
         m = construct(d, d=5)
-        b00, b11 = m.entry(0, 0), m.entry(1, 1)
+        b00, b11 = Root.of(m.entry(0, 0)), m.entry(1, 1)
         # normalization across the double edge: b_00^a01 = b_11^a10
         assert (b00**-2 * b11).is_one
 
@@ -228,7 +235,7 @@ class TestConstruct:
 class TestVerify:
     def test_identity_matrix_fails_diagonal(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
-        one = RootExpr.one(5)
+        one = Root.one(5)
         m = BraidingMatrix(5, ((one, one), (one, one)))
         rep = verify(d, m)
         assert not rep.ok
@@ -236,21 +243,21 @@ class TestVerify:
 
     def test_broken_product_identity(self):
         d = component_diag(["A2"], [])
-        q = RootExpr.root(5, 1)
+        q = Root.root(5, 1)
         m = BraidingMatrix(5, ((q, q), (q, q)))
         rep = verify(d, m)
         assert not rep.ok
 
     def test_broken_linking_identity(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
-        q = RootExpr.root(5, 1)
+        q = Root.root(5, 1)
         # linked diagonals must be mutually inverse
         m = BraidingMatrix(5, ((q, q.inv()), (q, q)))
         assert not verify(d, m).ok
 
     def test_low_order_diagonal_rejected_in_finite_mode(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
-        half = RootExpr.root(4, 2)  # order 2
+        half = Root.root(4, 2)  # order 2
         m = BraidingMatrix(4, ((half, half), (half, half)))
         assert not verify(d, m).ok
 
@@ -273,15 +280,15 @@ class TestVerify:
     def test_affine_diagram_reads_the_affine_order_rule(self):
         # no identity ties the two diagonals, only the diagram's mode
         d = component_diag(["A1", "A1"], [], mode="affine")
-        z = RootExpr.z(35, 1)
-        q5, q7 = RootExpr.root(35, 5), RootExpr.root(35, 7)  # orders 7 and 5
+        z = Root.z(35, 1)
+        q5, q7 = Root.root(35, 5), Root.root(35, 7)  # orders 7 and 5
         m = BraidingMatrix(35, ((q5, z), (z.inv(), q7)))
         assert verify(d, m).failures == ("diagonal orders differ: [5, 7]",)
         assert verify(replace(d, mode="finite"), m).ok
 
     def test_size_mismatch_reported(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
-        q = RootExpr.root(5, 1)
+        q = Root.root(5, 1)
         m = BraidingMatrix(5, ((q,),))
         rep = verify(d, m)
         assert not rep.ok and "size" in rep.failures[0]
@@ -290,8 +297,8 @@ class TestVerify:
         d = component_diag(["G2", "A1"], [(1, 2)])
         assert verify(d, construct(d, d=5)).ok
         # order 3 on the diagonal with a G2 component present must fail
-        q9 = RootExpr.root(9, 3)
-        one = RootExpr.one(9)
+        q9 = Root.root(9, 3)
+        one = Root.one(9)
         rows = (
             (q9, one, one),
             (one, q9, one),
@@ -324,10 +331,6 @@ class TestSerialization:
         assert len({m, again, other}) == 2
 
 
-REFERENCE_TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
-REFERENCE_ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
-
-
 def reference_from_text(text):
     """BraidingMatrix.from_text as it was: one RootExpr per token.
 
@@ -335,22 +338,15 @@ def reference_from_text(text):
     CLI reports as bad input.
     """
 
-    def parse(token, order):
-        m = REFERENCE_TOKEN.match(token)
-        if not m:
-            raise ValueError(f"bad root expression {token!r}")
-        zpow = tuple(
-            (int(t), int(k)) for t, k in REFERENCE_ZPART.findall(m.group(2))
-        )
-        return RootExpr(order, int(m.group(1)), zpow)
-
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) < 2 or header[0] != "root_order":
         raise MalformedMatrix("missing root_order header")
     try:
         order = int(header[1])
-        rows = tuple(tuple(parse(tok, order) for tok in ln.split()) for ln in lines[1:])
+        rows = tuple(
+            tuple(Root.parse(tok, order) for tok in ln.split()) for ln in lines[1:]
+        )
         return BraidingMatrix(order, rows)
     except ValueError as exc:
         raise MalformedMatrix(str(exc)) from None
@@ -374,7 +370,7 @@ def random_token(order, rng):
 
 
 class TestMatrixTextAgainstReference:
-    """from_text parses tokens to integers; the RootExpr parse is the reference."""
+    """from_text parses tokens to integers; the test-side parse is the reference."""
 
     @staticmethod
     def golden_texts():
@@ -406,7 +402,7 @@ class TestMatrixTextAgainstReference:
                 for j, tok in enumerate(row):
                     # an independent normal form: sum per index, drop zeros
                     powers = {}
-                    for t, k in REFERENCE_ZPART.findall(tok):
+                    for t, k in ENTRY_ZPART.findall(tok):
                         powers[int(t)] = powers.get(int(t), 0) + int(k)
                     terms = tuple(sorted((t, k) for t, k in powers.items() if k))
                     assert m.zrows[i].get(j, ()) == terms
@@ -480,7 +476,7 @@ class TestInstantiate:
         for m in self.matrices():
             fast = m.instantiate()
             # no z_0 exists, so this takes the general path with every z_t = 1
-            general = m.instantiate({0: RootExpr.one(m.order)})
+            general = m.instantiate({0: 0})
             assert (fast.order, fast.exps, fast.zrows) == (
                 general.order,
                 general.exps,
@@ -488,7 +484,7 @@ class TestInstantiate:
             )
             assert all(not zrow for zrow in fast.zrows)
             assert all(
-                fast.entry(i, j) == m.entry(i, j).substitute()
+                fast.entry(i, j) == Root.of(m.entry(i, j)).substitute()
                 for i in range(m.size)
                 for j in range(m.size)
             )
@@ -496,17 +492,18 @@ class TestInstantiate:
         assert count > 100
 
     def test_values_substitute_per_entry(self):
+        # z_t = q^values[t], and 1 for the parameters left out
         m = construct(circle("A3", 2))
         rng = random.Random(11)
         values = {
-            t: random_entry(m.order, rng, symbolic=0.5) for t in m.z_indices()[::2]
+            t: rng.randrange(-3 * m.order, 3 * m.order) for t in m.z_indices()[::2]
         }
+        roots = {t: Root.root(m.order, e) for t, e in values.items()}
         inst = m.instantiate(values)
+        assert all(not zrow for zrow in inst.zrows)
         for i in range(m.size):
             for j in range(m.size):
-                assert inst.entry(i, j) == m.entry(i, j).substitute(values)
-        with pytest.raises(ValueError, match="different root order"):
-            m.instantiate({m.z_indices()[0]: RootExpr.one(m.order + 1)})
+                assert inst.entry(i, j) == Root.of(m.entry(i, j)).substitute(roots)
 
 
 class TestAdmissibleOrders:
@@ -590,7 +587,7 @@ class TestAdmissibleOrders:
         d = component_diag(["A1", "A1"], [(0, 1)])
         m = construct(d, d=5)
         assert ord_diagonal(m, 0) == 5
-        q2 = RootExpr.root(10, 2)
+        q2 = Root.root(10, 2)
         m10 = BraidingMatrix(10, ((q2, q2.inv()), (q2, q2.inv())))
         assert ord_diagonal(m10, 0) == 5
         with pytest.raises(IndexOutOfRange):
@@ -865,6 +862,22 @@ class TestOracle:
         with pytest.raises(ScaleExceeded):
             brute_force_exists(d, n_max=2_000_010)
         assert (len(counted), tested) == (1, [])
+
+    def test_bounded_invariant_factors_skip_the_refusal_pass(self, monkeypatch):
+        # the odd A3 ring of 3 has invariant factors +-1 and 2, so no
+        # order has more than 2 diagonals: only the ascending scan asks
+        # for orders, where a refusal pass would first ask for every one
+        # of them from n_max down
+        asked = []
+        has_root = FieldSpec.has_primitive_root
+
+        def counted(field, n):
+            asked.append(n)
+            return has_root(field, n)
+
+        monkeypatch.setattr(FieldSpec, "has_primitive_root", counted)
+        assert not brute_force_exists(circle("A3", 3), n_max=200_000).found
+        assert asked == list(range(5, 200_001))
 
     def test_scale_refusal_names_the_first_order_over_the_limit(self):
         # invariant factors 0 and 2: n * gcd(2, n) diagonals at order n, so
@@ -1339,17 +1352,20 @@ class TestIdentityForms:
 
 
 def reference_failures(diagram, matrix):
-    """verify's failure messages by RootExpr arithmetic on every entry.
+    """verify's failure messages by entry arithmetic on every entry.
 
     The verifier that the exponent-grid congruences replaced, kept as
-    the reference; it reads the matrix only through entry().
+    the reference; it reads the matrix only through entry() and
+    computes with the test-side Root.
     """
     mode = diagram.mode
     s = diagram.size
     if matrix.size != s:
         yield f"matrix size {matrix.size} != diagram size {s}"
         return
-    b = matrix.entry
+
+    def b(i, j):
+        return Root.of(matrix.entry(i, j))
 
     for i in range(s):
         if b(i, i).is_symbolic:
@@ -1607,7 +1623,7 @@ class TestOneAnalysisPerCommand:
 
 
 class TestGridAgainstReference:
-    """The congruence verifier against the RootExpr one, message for message."""
+    """The congruence verifier against entry arithmetic, message for message."""
 
     ORDERS = (3, 5, 6, 7, 9, 10, 12, 13, 15, 25)
     # a phrase of each failure message verify can give
@@ -1657,7 +1673,7 @@ class TestGridAgainstReference:
 
     def test_size_mismatch_matches_reference(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
-        m = BraidingMatrix(5, ((RootExpr.root(5, 1),),))
+        m = BraidingMatrix(5, ((RootExpr(5, 1),),))
         assert tuple(braiding._failures(d, m)) == tuple(reference_failures(d, m))
 
 

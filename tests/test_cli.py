@@ -748,6 +748,50 @@ class TestSumCommand:
         assert len(out.splitlines()) == 7
 
 
+class TestNoEntryRecords:
+    """Commands compute and print from the exponent grid alone."""
+
+    # b_11 holds z1, b_12 b_21 = q^4 against b_ii^0 = 1, and row 1 of
+    # both linking identities gives q^4*z1: every identity kind fails
+    BAD = "root_order 5\nq^1*z1^1 q^3\nq^1 q^4\n"
+    FAILURES = (
+        "failure: diagonal b_11 = q^1*z1^1 contains a free parameter\n"
+        "failure: product identity fails at (1,2): b_ij*b_ji = q^4, b_ii^a_ij = q^0\n"
+        "failure: product identity fails at (2,1): b_ij*b_ji = q^4, b_ii^a_ij = q^0\n"
+        "failure: linking identity fails for pair (1,2) at k=1: got q^4*z1^1\n"
+        "failure: linking identity fails for pair (2,1) at k=1: got q^4*z1^1\n"
+    )
+
+    def test_no_root_expr_is_built(self, write, capsys, monkeypatch, tmp_path):
+        created = []
+        post_init = linkdyn.braiding.RootExpr.__post_init__
+
+        def counted(value):
+            created.append(value)
+            post_init(value)
+
+        monkeypatch.setattr(linkdyn.braiding.RootExpr, "__post_init__", counted)
+        ring, pair = write(a3_circle(2)), write(A1A1)
+        bad = tmp_path / "bad.m"
+        bad.write_text(self.BAD, encoding="utf-8")
+        for argv in (
+            ["check", ring],
+            ["construct", ring],
+            ["oracle", ring],
+            ["present", ring],
+            ["sum", ring, pair],
+            ["a4", "--p", "11"],
+        ):
+            assert run(capsys, *argv)[0] == 0, argv
+        assert run(capsys, "verify", pair, "--matrix", str(bad)) == (1, self.FAILURES)
+        # every entry of the pair's matrix has order 5
+        assert run(capsys, "realize", pair, "--p", "7") == (
+            1,
+            "failure: entry (1,1) = q^1 has order 5, which does not divide 7\n",
+        )
+        assert created == []
+
+
 class TestValidateCommand:
     def test_idempotent_normal_form(self, write, capsys):
         code, out = run(capsys, "validate", write("vertices 2\nedge 2 1 -1 -1\n"))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import linkdyn.cycles
 import linkdyn.existence
-from conftest import block_rows, circle, component_diag, diag
+from conftest import Root, block_rows, circle, component_diag, diag
 from linkdyn import (
     ExistenceReport,
     FieldSpec,
@@ -432,10 +432,28 @@ class TestExcludedCaseMatrix:
             rep = verify(diagram, matrix)
             assert rep.ok, (n, m, rep.failures)
             assert any(
-                matrix.entry(i, j).is_symbolic
+                Root.of(matrix.entry(i, j)).is_symbolic
                 for i in range(4)
                 for j in range(4)
             )
+
+    def test_cells_are_the_products_of_q_and_z(self):
+        # the exponent cells against the entries written as products
+        for n, m in ((3, 3), (1, 2), (4, 4)):
+            for d in (5, 7):
+                _, matrix = excluded_case_matrix(n, m, d)
+
+                def q(e):
+                    return Root.root(d, e)
+
+                z = Root.z(d, 1)
+                zi = z.inv()
+                assert matrix.entries == (
+                    (q(1), q(-m) * zi, q(-1), q(m) * z),
+                    (z, q(n), zi, q(-n)),
+                    (q(1), z, q(-1), zi),
+                    (q(-m) * zi, q(n), q(m) * z, q(-n)),
+                ), (n, m, d)
 
     def test_shape_metadata(self):
         diagram, matrix = excluded_case_matrix(3, 3)

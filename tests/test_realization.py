@@ -10,6 +10,7 @@ from math import gcd, lcm
 
 from conftest import (
     COMPONENT_ROWS,
+    Root,
     component_diag,
     diag,
     perturbed,
@@ -224,7 +225,7 @@ class TestDoubleDatum:
                 a = dg.a(first, second)
                 for t in range(generators):
                     combined = (
-                        datum.characters[first][t] ** (1 - a)
+                        Root.of(datum.characters[first][t]) ** (1 - a)
                         * datum.characters[second][t]
                     )
                     assert combined.is_one
@@ -235,9 +236,9 @@ class TestDoubleDatum:
         assert datum.factors == (0,)
         # the mirror generator reuses the same group element
         assert datum.elements == ((1,), (1,))
-        assert datum.braiding_entry(0, 0) == RootExpr.root(5, 2)
+        assert datum.braiding_entry(0, 0) == RootExpr(5, 2)
         # the mirror character is the inverse of the original
-        assert datum.characters[1][0] == RootExpr.root(5, -2)
+        assert datum.characters[1][0] == RootExpr(5, -2)
         assert datum.linked == frozenset({(0, 1)})
 
     def test_entries_follow_symmetrizer(self):
@@ -247,16 +248,14 @@ class TestDoubleDatum:
         n = len(rows)
         for i in range(n):
             for j in range(n):
-                assert datum.braiding_entry(i, j) == RootExpr.root(
-                    7, d[i] * rows[i][j]
-                )
-                assert datum.braiding_entry(i, n + j) == RootExpr.root(
+                assert datum.braiding_entry(i, j) == RootExpr(7, d[i] * rows[i][j])
+                assert datum.braiding_entry(i, n + j) == RootExpr(
                     7, -d[i] * rows[i][j]
                 )
 
     def test_scaled_symmetrizer_is_accepted(self):
         datum = double_datum(cartan("A2"), symmetrizer=(2, 2))
-        assert datum.braiding_entry(0, 0) == RootExpr.root(5, 4)
+        assert datum.braiding_entry(0, 0) == RootExpr(5, 4)
         assert datum.verify_datum() == ()
 
     def test_wrong_symmetrizer_rejected(self):
@@ -308,45 +307,27 @@ class TestRealizeFree:
             )
 
     def test_z_values_flow_through(self):
+        # z_values maps a parameter to an exponent: z_t = q^2 here
         dd = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
         matrix = construct(dd)
         tags = matrix.z_indices()
         assert tags
-        values = {t: RootExpr.root(5, 2) for t in tags}
+        values = {t: 2 for t in tags}
         datum = realize_free(matrix, dd, z_values=values)
         assert datum.verify_datum() == ()
         inst = matrix.instantiate(values)
+        roots = {t: Root.root(5, 2) for t in tags}
         for i in range(matrix.size):
             for j in range(matrix.size):
                 assert datum.braiding_entry(i, j) == inst.entry(i, j)
-
-    @pytest.mark.parametrize(
-        "realize",
-        [realize_free, lambda m, d, z_values: realize_mod_p(m, d, 5, z_values)],
-        ids=["free", "mod_p"],
-    )
-    def test_value_leaving_a_parameter_names_the_entry(self, realize):
-        dd = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
-        matrix = construct(dd)
-        t = matrix.z_indices()[0]
-        # z_t stays z_t and every other parameter goes to 1, so the first
-        # entry in reading order that holds z_t is the one named
-        i, j, k = next(
-            (i, j, dict(matrix.entry(i, j).zpow)[t])
-            for i in range(matrix.size)
-            for j in range(matrix.size)
-            if t in dict(matrix.entry(i, j).zpow)
-        )
-        entry = f"q^{matrix.exps[i][j]}*z{t}^{k}"
-        with pytest.raises(ValueError) as info:
-            realize(matrix, dd, z_values={t: RootExpr.z(5, t)})
-        assert str(info.value) == f"{entry} contains free parameters"
+                want = Root.of(matrix.entry(i, j)).substitute(roots)
+                assert datum.braiding_entry(i, j) == want
 
     def test_single_vertex(self):
         solo = diag([[2]], [])
         datum = realize_free(construct(solo), solo)
         assert datum.factors == (0,)
-        assert datum.braiding_entry(0, 0) == RootExpr.root(5, 1)
+        assert datum.braiding_entry(0, 0) == RootExpr(5, 1)
 
     def test_canonical_datum_is_not_compared_with_its_matrix(self, monkeypatch):
         # chi_j(e_i) = b_ij by construction; only linking is checked
@@ -373,17 +354,17 @@ class TestRealizeFree:
 
 
 def reference_verify_datum(datum, source=None):
-    """verify_datum by RootExpr arithmetic on the characters.
+    """verify_datum by entry arithmetic on the characters.
 
     The check that exponent lookups replaced, kept as the reference:
     chi_j(g_i) is the product of chi_j(h_t)^(g_i)_t over the generators.
     """
-    chars = datum.characters
+    chars = [[Root.of(c) for c in chi] for chi in datum.characters]
     failures = []
     if source is not None:
         for i in range(source.size):
             for j in range(source.size):
-                induced = RootExpr.one(datum.order)
+                induced = Root.one(datum.order)
                 for t, e in enumerate(datum.elements[i]):
                     induced = induced * chars[j][t] ** e
                 if induced != source.entry(i, j):
@@ -507,6 +488,13 @@ class TestSqrtMod:
         assert sqrt_mod(5, 13) == ()
         # p = 1 mod 4 goes through the long branch
         assert sqrt_mod(2, 17) == (6, 11)
+
+    @pytest.mark.parametrize("a, p", [(4, 21), (1, 9), (1, 2), (0, 1), (3, -7)])
+    def test_modulus_that_is_not_an_odd_prime(self, a, p):
+        # 2^2 = 4 modulo 21, which Euler's criterion would miss, and 9
+        # has no quadratic non-residue for Tonelli-Shanks to find
+        with pytest.raises(NotPrime, match=f"^{p} is not an odd prime$"):
+            sqrt_mod(a, p)
 
 
 class TestMagicCount:
