@@ -130,78 +130,52 @@ class RootExpr:
 # ----------------------------------------------------------- BraidingMatrix
 
 
-def _grid(
-    order: int, rows: Sequence[Sequence[tuple[int, Iterable[tuple[int, int]]]]]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[dict[int, Terms], ...]]:
-    """exps and zrows of a square matrix from its (exp, z-exponents) cells."""
-    n = len(rows)
-    exps, zrows = [], []
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        exps.append(tuple(e % order for e, _ in row))
-        zrows.append(
-            {j: t for j, (_, z) in enumerate(row) if z and (t := _terms((z, 1)))}
-        )
-    return tuple(exps), tuple(zrows)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class BraidingMatrix:
     """Square matrix of entries q^e * z1^k1 * ... sharing one root order.
 
-    The stored form is integer: exps[i][j] is the exponent of q in
-    entry (i, j), kept in 0..order-1, and zrows[i] maps the column j of
-    each symbolic entry in row i to its z-exponents ((t, k), ...),
-    sorted by t, each t once and every k nonzero; a pure entry has no
-    key.  The identities, the completion, instantiation and realization
-    work on these integers.  entry and entries build RootExpr records
-    on demand; BraidingMatrix(order, rows) reads rows of RootExpr and
-    from_text parses tokens, both through _grid.
+    The stored form is two integer grids of one shape: exps[i][j] is the
+    exponent of q in entry (i, j), kept in 0..order-1, and zrows[i][j]
+    its z-exponents ((t, k), ...), sorted by t, each t once and every k
+    nonzero, or () for a pure entry.  The identities, the completion,
+    instantiation and realization work on these integers.  from_cells
+    is the one builder that normalizes; entry and entries build RootExpr
+    records on demand.
     """
 
     order: int
     exps: tuple[tuple[int, ...], ...]
-    zrows: tuple[dict[int, Terms], ...]
-
-    def __init__(self, order: int, entries: Sequence[Sequence[RootExpr]]) -> None:
-        n = len(entries)
-        for row in entries:
-            if len(row) != n:
-                break  # _grid reports a short row before later orders
-            if any(e.order != order for e in row):
-                raise ValueError("entry root order differs from matrix order")
-        exps, zrows = _grid(order, [[(e.exp, e.zpow) for e in row] for row in entries])
-        # the dataclass is frozen, so write the fields past __setattr__
-        self.__dict__.update(order=order, exps=exps, zrows=zrows)
+    zrows: tuple[tuple[Terms, ...], ...]
 
     @classmethod
-    def _from_grid(
+    def from_cells(
         cls,
         order: int,
-        exps: tuple[tuple[int, ...], ...],
-        zrows: Optional[tuple[dict[int, Terms], ...]] = None,
+        cells: Sequence[Sequence[tuple[int, Iterable[tuple[int, int]]]]],
     ) -> "BraidingMatrix":
-        """A matrix from its stored form, which the caller keeps normal.
+        """The matrix of square rows of (exp, z-exponents) cells, normalized.
 
-        zrows defaults to a matrix without free parameters.
+        Each exp is reduced modulo the order and each z-part brought to
+        the normal form of _terms.  ValueError for a row whose length is
+        not the row count, or for cells at an order below 1.
         """
-        matrix = object.__new__(cls)
-        matrix.__dict__.update(
-            order=order, exps=exps, zrows=zrows or tuple({} for _ in exps)
-        )
-        return matrix
-
-    def __hash__(self) -> int:
-        zrows = tuple(tuple(sorted(zrow.items())) for zrow in self.zrows)
-        return hash((self.order, self.exps, zrows))
+        n = len(cells)
+        if n:
+            _positive(order)
+        exps, zrows = [], []
+        for row in cells:
+            if len(row) != n:
+                raise ValueError("matrix is not square")
+            exps.append(tuple(e % order for e, _ in row))
+            zrows.append(tuple(_terms((z, 1)) if z else () for _, z in row))
+        return cls(order, tuple(exps), tuple(zrows))
 
     @property
     def size(self) -> int:
         return len(self.exps)
 
     def entry(self, i: int, j: int) -> RootExpr:
-        return RootExpr(self.order, self.exps[i][j], self.zrows[i].get(j, ()))
+        return RootExpr(self.order, self.exps[i][j], self.zrows[i][j])
 
     @property
     def entries(self) -> tuple[tuple[RootExpr, ...], ...]:
@@ -210,9 +184,7 @@ class BraidingMatrix:
 
     def z_indices(self) -> tuple[int, ...]:
         return tuple(
-            sorted(
-                {t for zrow in self.zrows for terms in zrow.values() for t, _ in terms}
-            )
+            sorted({t for zrow in self.zrows for terms in zrow for t, _ in terms})
         )
 
     def instantiate(self, values: Optional[dict[int, int]] = None) -> "BraidingMatrix":
@@ -221,21 +193,21 @@ class BraidingMatrix:
         if values:
             exps = tuple(
                 tuple(
-                    (e + sum(values.get(t, 0) * k for t, k in zrow.get(j, ()))) % d
-                    for j, e in enumerate(row)
+                    (e + sum(values.get(t, 0) * k for t, k in terms)) % d
+                    for e, terms in zip(row, zrow)
                 )
                 for row, zrow in zip(exps, self.zrows)
             )
-        # without values the exponents are reduced already
-        return BraidingMatrix._from_grid(d, exps)
+        # without values the exponents are reduced already; every row of
+        # the pure z-grid is one shared tuple
+        return BraidingMatrix(d, exps, (((),) * self.size,) * self.size)
 
     def to_text(self) -> str:
         lines = [f"root_order {self.order}"]
         for row, zrow in zip(self.exps, self.zrows):
-            # the q^e cells, then z-factors on the symbolic entries only
-            cells = [f"q^{e}" for e in row]
-            for j, terms in zrow.items():
-                cells[j] += _z_text(terms)
+            cells = [
+                f"q^{e}{_z_text(z)}" if z else f"q^{e}" for e, z in zip(row, zrow)
+            ]
             lines.append(" ".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -248,7 +220,7 @@ class BraidingMatrix:
         try:
             order = int(header[1])
             rows = [[_parse_entry(t, order) for t in ln.split()] for ln in lines[1:]]
-            return cls._from_grid(order, *_grid(order, rows))
+            return cls.from_cells(order, rows)
         except ValueError as exc:
             raise MalformedMatrix(str(exc)) from None
 
@@ -294,7 +266,7 @@ def _failures(
     cartan = diagram.cartan.entries
 
     for i in range(s):
-        if terms := zrows[i].get(i):
+        if terms := zrows[i][i]:
             entry = _entry_text(exps[i][i], terms)
             yield f"diagonal b_{i + 1}{i + 1} = {entry} contains a free parameter"
         elif exps[i][i] == 0:
@@ -302,13 +274,13 @@ def _failures(
 
     for i in range(s):
         row, zrow, a_row = exps[i], zrows[i], cartan[i]
-        z_ii = zrow.get(i, ())
+        z_ii = zrow[i]
         for j in range(s):
             if i == j:
                 continue
             # b_ij b_ji = q^left z^zl against b_ii^a_ij = q^right z^zr
             left, right = row[j] + exps[j][i], row[i] * a_row[j]
-            zl = _product(zrow.get(j, ()), zrows[j].get(i, ()))
+            zl = _product(zrow[j], zrows[j][i])
             zr = _power(z_ii, a_row[j])
             if (left - right) % d or zl != zr:
                 yield (
@@ -324,14 +296,14 @@ def _failures(
                 # b_kx^exponent b_ky = q^e z^z must be 1
                 row, zrow = exps[k], zrows[k]
                 e = (row[x] * exponent + row[y]) % d
-                z = _product(_power(zrow.get(x, ()), exponent), zrow.get(y, ()))
+                z = _product(_power(zrow[x], exponent), zrow[y])
                 if e or z:
                     yield (
                         f"linking identity fails for pair ({x + 1},{y + 1}) "
                         f"at k={k + 1}: got {_entry_text(e, z)}"
                     )
 
-    if any(i in zrows[i] or exps[i][i] == 0 for i in range(s)):
+    if any(zrows[i][i] or exps[i][i] == 0 for i in range(s)):
         return
     diagonal_orders = [d // gcd(d, exps[i][i]) for i in range(s)]
     if diagram.mode == "finite":
@@ -490,7 +462,7 @@ def _completed(
     s = diagram.size
     e = [x % d for x in exps]
     grid = [[0] * s for _ in range(s)]
-    zrows: list[dict[int, Terms]] = [{} for _ in range(s)]
+    zrows: list[list[Terms]] = [[()] * s for _ in range(s)]
     for i in range(s):
         grid[i][i] = e[i]
     z = 0
@@ -539,7 +511,7 @@ def _completed(
         zrows[j][k] = zrows[k][l] = down
         grid[i][l] = grid[l][k] = -c % d
         zrows[i][l] = zrows[l][k] = up
-    return BraidingMatrix._from_grid(d, tuple(map(tuple, grid)), tuple(zrows))
+    return BraidingMatrix(d, tuple(map(tuple, grid)), tuple(map(tuple, zrows)))
 
 
 def construct(
@@ -766,7 +738,7 @@ def ord_diagonal(matrix: BraidingMatrix, i: int) -> int:
     if not 0 <= i < n:
         raise IndexOutOfRange(f"vertex {i + 1} outside 1..{n}")
     d, e = matrix.order, matrix.exps[i][i]
-    if terms := matrix.zrows[i].get(i):
+    if terms := matrix.zrows[i][i]:
         raise ValueError(f"{_entry_text(e, terms)} contains free parameters")
     return d // gcd(d, e)
 
@@ -787,10 +759,10 @@ def _partner_pairs(matrix: BraidingMatrix) -> tuple[tuple[int, int], ...]:
     d, exps, zrows = matrix.order, matrix.exps, matrix.zrows
     for i in range(matrix.size):
         e_ii = exps[i][i]
-        if i in used or i in zrows[i] or e_ii == 0:
+        if i in used or zrows[i][i] or e_ii == 0:
             continue
         for k in range(i + 1, matrix.size):
-            if k in used or k in zrows[i] or i in zrows[k] or k in zrows[k]:
+            if k in used or zrows[i][k] or zrows[k][i] or zrows[k][k]:
                 continue
             if exps[i][k] == -e_ii % d == exps[k][k] and exps[k][i] == e_ii:
                 found.append((i, k))
@@ -818,7 +790,7 @@ def direct_sum(
         orders: set[int] = set()
         for part in parts:
             for i in range(part.size):
-                if i in part.zrows[i]:
+                if part.zrows[i][i]:
                     raise ValueError("diagonal contains a free parameter")
                 orders.add(part.order // gcd(part.order, part.exps[i][i]))
         if len(orders) > 1:
@@ -832,7 +804,7 @@ def direct_sum(
     offsets = [sum(sizes[:i]) for i in range(len(parts))]
     total = sum(sizes)
     grid = [[0] * total for _ in range(total)]
-    zrows: list[dict[int, Terms]] = [{} for _ in range(total)]
+    zrows: list[list[Terms]] = [[()] * total for _ in range(total)]
 
     # rebase every part to the common order and renumber its parameters
     z_next = 0
@@ -842,8 +814,9 @@ def direct_sum(
         z_next += len(remap)
         for i, (row, zrow) in enumerate(zip(part.exps, part.zrows)):
             grid[base + i][base : base + part.size] = [e * scale for e in row]
-            for j, terms in zrow.items():
-                zrows[base + i][base + j] = tuple((remap[t], k) for t, k in terms)
+            zrows[base + i][base : base + part.size] = [
+                tuple((remap[t], k) for t, k in terms) for terms in zrow
+            ]
 
     partner: dict[int, int] = {}
     for part, base in zip(parts, offsets):
@@ -878,4 +851,4 @@ def direct_sum(
             if k is not None and l is not None:
                 put(k, l, -1)
                 put(l, k, 1)
-    return BraidingMatrix._from_grid(target, tuple(map(tuple, grid)), tuple(zrows))
+    return BraidingMatrix(target, tuple(map(tuple, grid)), tuple(map(tuple, zrows)))

@@ -47,6 +47,8 @@ from .realization import (
 
 # ------------------------------------------------------------- file format
 
+_VERTEX_LIMIT = 4096  # most vertices parse accepts: the Cartan rows hold N^2 cells
+
 
 @dataclass(frozen=True)
 class DiagramFile:
@@ -121,6 +123,10 @@ def parse(text: str) -> DiagramFile:
             size = _integer(parts[1], lineno)
             if size < 1:
                 raise SemanticError(lineno, "need at least one vertex")
+            if size > _VERTEX_LIMIT:
+                raise SemanticError(
+                    lineno, f"{size} vertices exceed the limit {_VERTEX_LIMIT}"
+                )
         elif head == "edge":
             _want(parts, 5, lineno)
             if size is None:

@@ -118,6 +118,8 @@ class ScaleExceeded(InputError):
 
     The oracle's search space, the rank-four prime, the range where is_prime
     is exact and the numbers whose divisors are listed each have a bound.
+    A diagram file's vertex count is bounded too, at 4096, but cli.parse
+    refuses a larger one as a SemanticError that names its line.
     """
 
 

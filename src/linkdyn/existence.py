@@ -15,7 +15,6 @@ from typing import Iterable, NamedTuple, Optional
 from .braiding import (
     BraidingMatrix,
     _admissible_orders,
-    _grid,
     _order_fault,
     _recognized_components,
 )
@@ -175,7 +174,7 @@ def excluded_case_matrix(
         ((1, ()), (0, z), (-1, ()), (0, zi)),
         ((-m, zi), (n, ()), (m, z), (-n, ())),
     )
-    return diagram, BraidingMatrix._from_grid(d, *_grid(d, cells))
+    return diagram, BraidingMatrix.from_cells(d, cells)
 
 
 # ------------------------------------------------------------- self-linking

@@ -82,7 +82,8 @@ class LinkingDatum:
         return RootExpr(self.order, self.entry_exp(i, j))
 
     def braiding_matrix(self) -> BraidingMatrix:
-        return BraidingMatrix._from_grid(self.order, self.braiding_exps)
+        n = len(self.braiding_exps)
+        return BraidingMatrix(self.order, self.braiding_exps, (((),) * n,) * n)
 
     def verify_datum(
         self, source: Optional[BraidingMatrix] = None
@@ -95,10 +96,10 @@ class LinkingDatum:
                 row, zrow = source.exps[i], source.zrows[i]
                 for j in range(source.size):
                     e = self.entry_exp(i, j)
-                    if source.order != d or e != row[j] or j in zrow:
+                    if source.order != d or e != row[j] or zrow[j]:
                         failures.append(
                             f"chi_{j + 1}(g_{i + 1}) = q^{e} but the matrix "
-                            f"holds {_entry_text(row[j], zrow.get(j, ()))}"
+                            f"holds {_entry_text(row[j], zrow[j])}"
                         )
         if self.diagram is not None:
             cartan = self.diagram.cartan.entries
@@ -206,29 +207,26 @@ def _realize(
 
 
 def realize_free(
-    matrix: BraidingMatrix,
-    diagram: LinkableDynkinDiagram,
-    z_values: Optional[dict[int, int]] = None,
+    matrix: BraidingMatrix, diagram: LinkableDynkinDiagram
 ) -> LinkingDatum:
     """Realize a matrix over Z^s with the canonical basis as the g_i.
 
-    Free parameters are substituted first, z_t = q^z_values[t] and 1
-    where unset, as in BraidingMatrix.instantiate.  The character
-    linking identity is rechecked; failures raise
+    Free parameters are set to 1 first, as by BraidingMatrix.instantiate;
+    pass matrix.instantiate(values) to give them other values.  The
+    character linking identity is rechecked; failures raise
     LinkConstraintUnsatisfiable.
     """
-    return _realize(matrix.instantiate(z_values), diagram, 0)
+    return _realize(matrix.instantiate(), diagram, 0)
 
 
 def realize_mod_p(
     matrix: BraidingMatrix,
     diagram: LinkableDynkinDiagram,
     modulus: int,
-    z_values: Optional[dict[int, int]] = None,
 ) -> LinkingDatum:
     """Realize a matrix over (Z/modulus)^s.
 
-    Free parameters are substituted as in realize_free.  Every
+    Free parameters are set to 1 as in realize_free.  Every
     substituted entry must have multiplicative order dividing the
     modulus (OrderNotDividing otherwise), which makes the characters
     well defined on the finite group.  A modulus below 1 raises
@@ -236,7 +234,7 @@ def realize_mod_p(
     """
     if modulus < 1:
         raise ValueError(f"modulus {modulus} must be positive")
-    inst = matrix.instantiate(z_values)
+    inst = matrix.instantiate()
     d = inst.order
     for i, row in enumerate(inst.exps):
         for j, e in enumerate(row):

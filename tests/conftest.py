@@ -239,6 +239,21 @@ class Root(RootExpr):
         return out
 
 
+def matrix_of(order, rows):
+    """The matrix of rows of RootExpr, as BraidingMatrix(order, rows) built it.
+
+    Every entry must have the matrix's root order; a short row is left
+    for from_cells to report, before the orders of later rows are read.
+    """
+    for row in rows:
+        if len(row) != len(rows):
+            break
+        if any(e.order != order for e in row):
+            raise ValueError("entry root order differs from matrix order")
+    cells = [[(e.exp, e.zpow) for e in row] for row in rows]
+    return BraidingMatrix.from_cells(order, cells)
+
+
 def random_entry(order, rng, symbolic=0.3):
     """q^e, and with the given chance a product of one or two z_t^k too."""
     zpow = ()
@@ -255,7 +270,7 @@ def perturbed(matrix, rng):
     rows = [list(row) for row in matrix.entries]
     i, j = rng.randrange(matrix.size), rng.randrange(matrix.size)
     rows[i][j] = random_entry(matrix.order, rng, symbolic=0.5)
-    return BraidingMatrix(matrix.order, rows)
+    return matrix_of(matrix.order, rows)
 
 
 def run_cli(*argv, hash_seed=None):

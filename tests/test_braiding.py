@@ -32,7 +32,9 @@ from linkdyn import (
     check,
     construct,
     direct_sum,
+    excluded_case_matrix,
     ord_diagonal,
+    realize_free,
     verify,
 )
 
@@ -43,6 +45,7 @@ from conftest import (
     circle,
     component_diag,
     diag,
+    matrix_of,
     perturbed,
     prism,
     random_entry,
@@ -124,7 +127,7 @@ class TestRootExpr:
         assert twice * Root.one(5) == squared
         assert twice == squared
         assert str(twice) == "q^1*z1^2"
-        assert BraidingMatrix(5, ((twice,),)).entry(0, 0) == twice
+        assert matrix_of(5, ((twice,),)).entry(0, 0) == twice
 
     def test_cancelling_powers_are_not_symbolic(self):
         v = Root.parse("q^0*z1^1*z1^-1", 5)
@@ -236,7 +239,7 @@ class TestVerify:
     def test_identity_matrix_fails_diagonal(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
         one = Root.one(5)
-        m = BraidingMatrix(5, ((one, one), (one, one)))
+        m = matrix_of(5, ((one, one), (one, one)))
         rep = verify(d, m)
         assert not rep.ok
         assert any("b_11" in f or "(1,1)" in f for f in rep.failures)
@@ -244,7 +247,7 @@ class TestVerify:
     def test_broken_product_identity(self):
         d = component_diag(["A2"], [])
         q = Root.root(5, 1)
-        m = BraidingMatrix(5, ((q, q), (q, q)))
+        m = matrix_of(5, ((q, q), (q, q)))
         rep = verify(d, m)
         assert not rep.ok
 
@@ -252,13 +255,13 @@ class TestVerify:
         d = component_diag(["A1", "A1"], [(0, 1)])
         q = Root.root(5, 1)
         # linked diagonals must be mutually inverse
-        m = BraidingMatrix(5, ((q, q.inv()), (q, q)))
+        m = matrix_of(5, ((q, q.inv()), (q, q)))
         assert not verify(d, m).ok
 
     def test_low_order_diagonal_rejected_in_finite_mode(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
         half = Root.root(4, 2)  # order 2
-        m = BraidingMatrix(4, ((half, half), (half, half)))
+        m = matrix_of(4, ((half, half), (half, half)))
         assert not verify(d, m).ok
 
     def test_affine_mode_needs_homogeneous_prime_order(self):
@@ -282,14 +285,14 @@ class TestVerify:
         d = component_diag(["A1", "A1"], [], mode="affine")
         z = Root.z(35, 1)
         q5, q7 = Root.root(35, 5), Root.root(35, 7)  # orders 7 and 5
-        m = BraidingMatrix(35, ((q5, z), (z.inv(), q7)))
+        m = matrix_of(35, ((q5, z), (z.inv(), q7)))
         assert verify(d, m).failures == ("diagonal orders differ: [5, 7]",)
         assert verify(replace(d, mode="finite"), m).ok
 
     def test_size_mismatch_reported(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
         q = Root.root(5, 1)
-        m = BraidingMatrix(5, ((q,),))
+        m = matrix_of(5, ((q,),))
         rep = verify(d, m)
         assert not rep.ok and "size" in rep.failures[0]
 
@@ -304,7 +307,7 @@ class TestVerify:
             (one, q9, one),
             (one, one, q9),
         )
-        assert not verify(d, BraidingMatrix(9, rows)).ok
+        assert not verify(d, matrix_of(9, rows)).ok
 
 
 class TestSerialization:
@@ -322,13 +325,97 @@ class TestSerialization:
         assert again.to_text() == text
 
     def test_equal_matrices_hash_alike(self):
-        # zrows are dicts, so the matrix hashes through its own __hash__
+        # the generated __hash__ reads the order and both grids
         m = construct(circle("A3", 2))
         again = BraidingMatrix.from_text(m.to_text())
         assert again == m and hash(again) == hash(m)
         other = BraidingMatrix.from_text(m.to_text().replace("z1^1", "z1^2", 1))
         assert other != m
         assert len({m, again, other}) == 2
+
+
+class TestStoredForm:
+    """zrows is a grid of the shape of exps, in the normal form of _terms."""
+
+    # repeated indices merge, and cancelling ones leave a pure () cell
+    CELLS = (
+        ((3, ((2, 1), (1, -1), (2, 1))), (-1, ())),
+        ((9, [(1, 1), (1, -1)]), (0, ((3, 2),))),
+    )
+
+    @classmethod
+    def matrices(cls):
+        ring = circle("A3", 2)
+        built = construct(ring)
+        yield built
+        yield BraidingMatrix.from_text(built.to_text())
+        yield BraidingMatrix.from_cells(7, cls.CELLS)
+        yield built.instantiate()
+        yield built.instantiate({t: t for t in built.z_indices()[::2]})
+        pair = component_diag(["A1", "A1"], [(0, 1)])
+        yield direct_sum([built, construct(pair, d=7)])
+        yield excluded_case_matrix(3, 3)[1]
+        yield realize_free(built, ring).braiding_matrix()
+
+    def test_zrows_is_a_normal_grid_of_the_shape_of_exps(self):
+        pure = symbolic = 0
+        for m in self.matrices():
+            assert len(m.zrows) == len(m.exps) == m.size
+            for row, zrow in zip(m.exps, m.zrows):
+                assert type(zrow) is tuple and len(zrow) == len(row)
+                for e, terms in zip(row, zrow):
+                    assert 0 <= e < m.order
+                    # a pure entry is (), a symbolic one its terms sorted
+                    # by index, each index once and every power nonzero
+                    assert type(terms) is tuple
+                    indices = [t for t, _ in terms]
+                    assert indices == sorted(set(indices))
+                    assert all(type(k) is int and k for _, k in terms)
+                    pure += not terms
+                    symbolic += bool(terms)
+        assert pure and symbolic
+
+    def test_from_cells_normalizes(self):
+        zrows = ((((1, -1), (2, 2)), ()), ((), ((3, 2),)))
+        want = BraidingMatrix(7, ((3, 6), (2, 0)), zrows)
+        assert BraidingMatrix.from_cells(7, self.CELLS) == want
+
+    def test_pure_matrices_share_one_row(self):
+        ring = circle("A3", 2)
+        built = construct(ring)
+        datum = realize_free(built, ring)
+        pure = (built.instantiate(), built.instantiate({1: 2}), datum.braiding_matrix())
+        for m in pure:
+            assert len({id(zrow) for zrow in m.zrows}) == 1
+            assert m.zrows[0] == ((),) * m.size
+
+    def test_rebuilt_matrices_compare_and_hash_equal(self):
+        for m in self.matrices():
+            rebuilt = (
+                BraidingMatrix.from_text(m.to_text()),
+                BraidingMatrix.from_cells(
+                    m.order, [list(zip(r, z)) for r, z in zip(m.exps, m.zrows)]
+                ),
+                matrix_of(m.order, m.entries),
+            )
+            for again in rebuilt:
+                assert again == m and hash(again) == hash(m)
+
+    @pytest.mark.parametrize(
+        "order, cells, message",
+        [
+            (0, [[(1, ())]], "order must be positive"),
+            (-5, [[(1, ())]], "order must be positive"),
+            (5, [[(1, ()), (4, ())], [(1, ())]], "matrix is not square"),
+        ],
+    )
+    def test_from_cells_refuses(self, order, cells, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BraidingMatrix.from_cells(order, cells)
+
+    def test_no_cells_at_any_order(self):
+        # no entry to reduce: a bare "root_order 0" header parses as before
+        assert BraidingMatrix.from_cells(0, []).size == 0
 
 
 def reference_from_text(text):
@@ -347,7 +434,7 @@ def reference_from_text(text):
         rows = tuple(
             tuple(Root.parse(tok, order) for tok in ln.split()) for ln in lines[1:]
         )
-        return BraidingMatrix(order, rows)
+        return matrix_of(order, rows)
     except ValueError as exc:
         raise MalformedMatrix(str(exc)) from None
 
@@ -405,7 +492,7 @@ class TestMatrixTextAgainstReference:
                     for t, k in ENTRY_ZPART.findall(tok):
                         powers[int(t)] = powers.get(int(t), 0) + int(k)
                     terms = tuple(sorted((t, k) for t, k in powers.items() if k))
-                    assert m.zrows[i].get(j, ()) == terms
+                    assert m.zrows[i][j] == terms
                     assert m.exps[i][j] == int(tok[2:].split("*")[0]) % order
                     merged += tok.count("*z") > len(terms)
         assert merged > 100
@@ -482,7 +569,7 @@ class TestInstantiate:
                 general.exps,
                 general.zrows,
             )
-            assert all(not zrow for zrow in fast.zrows)
+            assert not any(chain.from_iterable(fast.zrows))
             assert all(
                 fast.entry(i, j) == Root.of(m.entry(i, j)).substitute()
                 for i in range(m.size)
@@ -500,7 +587,7 @@ class TestInstantiate:
         }
         roots = {t: Root.root(m.order, e) for t, e in values.items()}
         inst = m.instantiate(values)
-        assert all(not zrow for zrow in inst.zrows)
+        assert not any(chain.from_iterable(inst.zrows))
         for i in range(m.size):
             for j in range(m.size):
                 assert inst.entry(i, j) == Root.of(m.entry(i, j)).substitute(roots)
@@ -588,7 +675,7 @@ class TestAdmissibleOrders:
         m = construct(d, d=5)
         assert ord_diagonal(m, 0) == 5
         q2 = Root.root(10, 2)
-        m10 = BraidingMatrix(10, ((q2, q2.inv()), (q2, q2.inv())))
+        m10 = matrix_of(10, ((q2, q2.inv()), (q2, q2.inv())))
         assert ord_diagonal(m10, 0) == 5
         with pytest.raises(IndexOutOfRange):
             ord_diagonal(m, 2)
@@ -1085,14 +1172,14 @@ def reference_completed(diagram, d, exps):
     """The completion at diagonal q^exps, filled from the reference slots."""
     s = diagram.size
     grid = [[0] * s for _ in range(s)]
-    zrows = [{} for _ in range(s)]
+    zrows = [[()] * s for _ in range(s)]
     for i in range(s):
         grid[i][i] = exps[i] % d
     for (i, j), (v, c, t, k) in reference_offdiagonal_entries(diagram).items():
         grid[i][j] = c * exps[v] % d
         if t:
             zrows[i][j] = ((t, k),)
-    return BraidingMatrix._from_grid(d, tuple(map(tuple, grid)), tuple(zrows))
+    return BraidingMatrix(d, tuple(map(tuple, grid)), tuple(map(tuple, zrows)))
 
 
 class TestCompletionAgainstReference:
@@ -1331,10 +1418,10 @@ class TestIdentityForms:
 
         def leaky(diagram, n, exps):
             matrix = complete(diagram, n, exps)
-            zrows = [dict(zrow) for zrow in matrix.zrows]
-            assert 0 not in zrows[1]  # b_21 of a dotted pair carries no parameter
+            zrows = [list(zrow) for zrow in matrix.zrows]
+            assert zrows[1][0] == ()  # b_21 of a dotted pair carries no parameter
             zrows[1][0] = ((99, 1),)
-            return BraidingMatrix._from_grid(n, matrix.exps, tuple(zrows))
+            return BraidingMatrix(n, matrix.exps, tuple(map(tuple, zrows)))
 
         monkeypatch.setattr(braiding, "_completed", leaky)
         d = component_diag(["A1", "A1"], [(0, 1)])
@@ -1648,12 +1735,12 @@ class TestGridAgainstReference:
             out += [built, perturbed(built, rng), perturbed(built, rng)]
         # pure and symbolic entries at random
         rows = [[random_entry(n, rng) for _ in range(s)] for _ in range(s)]
-        out.append(BraidingMatrix(n, rows))
+        out.append(matrix_of(n, rows))
         # a diagonal of distinct orders: the affine and G2 conditions
         pure = [[random_entry(n, rng, symbolic=0) for _ in range(s)] for _ in range(s)]
         for i in range(s):
             pure[i][i] = RootExpr(n, rng.randrange(1, n))
-        out.append(BraidingMatrix(n, pure))
+        out.append(matrix_of(n, pure))
         return out
 
     def test_failures_match_reference(self):
@@ -1673,7 +1760,7 @@ class TestGridAgainstReference:
 
     def test_size_mismatch_matches_reference(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
-        m = BraidingMatrix(5, ((RootExpr(5, 1),),))
+        m = matrix_of(5, ((RootExpr(5, 1),),))
         assert tuple(braiding._failures(d, m)) == tuple(reference_failures(d, m))
 
 

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -187,6 +188,30 @@ class TestParse:
         with pytest.raises(DiagramSyntaxError, match="unknown field"):
             parse("vertices 1\nfield padic 5\n")
 
+    def test_vertex_count_over_the_limit_is_refused_at_once(self, write, capsys):
+        # refused on its line, before the square Cartan rows are built;
+        # those of 100000 vertices would hold 10^10 cells
+        for size in (4097, 100_000):
+            start = time.perf_counter()
+            code, out = run(capsys, "validate", write(f"vertices {size}\n"))
+            assert time.perf_counter() - start < 1
+            assert code == 3
+            assert out == f"error: line 1: {size} vertices exceed the limit 4096\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vertices 2\nedge 1 2 -1\n", "line 2: directive 'edge' takes 4 arguments"),
+            ("vertices 0\n", "line 1: need at least one vertex"),
+            ("link 1 2\nvertices 2\n", "line 1: vertices must be declared first"),
+            ("vertices 1\nfield\n", "line 2: field needs a kind"),
+        ],
+    )
+    def test_error_line_through_main(self, write, capsys, text, message):
+        code, out = run(capsys, "validate", write(text))
+        assert code == 3
+        assert out == f"error: {message}\n"
+
     def test_unknown_mode(self):
         with pytest.raises(SemanticError, match="unknown mode"):
             parse("vertices 1\nmode compact\n")
@@ -307,6 +332,13 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", source, "--matrix", str(matrix))
         assert code == 1
         assert "failure:" in out
+
+    def test_cancelling_parameters_are_a_pure_entry(self, write, capsys, tmp_path):
+        matrix = tmp_path / "m.txt"
+        text = "root_order 5\nq^1*z1^1*z1^-1 q^4\nq^1 q^4\n"
+        matrix.write_text(text, encoding="utf-8")
+        code, out = run(capsys, "verify", write(A1A1), "--matrix", str(matrix))
+        assert (code, out) == (0, "ok\n")
 
     def test_size_mismatch_is_input_error(self, write, capsys, tmp_path):
         matrix = tmp_path / "m.txt"

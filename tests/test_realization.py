@@ -13,6 +13,7 @@ from conftest import (
     Root,
     component_diag,
     diag,
+    matrix_of,
     perturbed,
     random_entry,
     small_family,
@@ -307,15 +308,15 @@ class TestRealizeFree:
             )
 
     def test_z_values_flow_through(self):
-        # z_values maps a parameter to an exponent: z_t = q^2 here
+        # instantiate maps a parameter to an exponent: z_t = q^2 here
         dd = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
         matrix = construct(dd)
         tags = matrix.z_indices()
         assert tags
         values = {t: 2 for t in tags}
-        datum = realize_free(matrix, dd, z_values=values)
-        assert datum.verify_datum() == ()
         inst = matrix.instantiate(values)
+        datum = realize_free(inst, dd)
+        assert datum.verify_datum() == ()
         roots = {t: Root.root(5, 2) for t in tags}
         for i in range(matrix.size):
             for j in range(matrix.size):
@@ -391,7 +392,7 @@ class TestVerifyDatumAgainstReference:
     def data(self, d, rng):
         s, n = d.size, rng.choice((5, 7, 9, 12, 25))
         rows = [[random_entry(n, rng, symbolic=0) for _ in range(s)] for _ in range(s)]
-        random_matrix = BraidingMatrix(n, rows)
+        random_matrix = matrix_of(n, rows)
         # random generators and characters, any support
         yield LinkingDatum(
             order=n,
