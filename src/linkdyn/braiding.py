@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import chain, combinations, islice, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -746,69 +746,47 @@ def ord_diagonal(matrix: BraidingMatrix, i: int) -> int:
 # -------------------------------------------------------------- direct sum
 
 
-def _partner_pairs(matrix: BraidingMatrix) -> tuple[tuple[int, int], ...]:
-    """Recover dotted pairs of a constructed matrix from its entries.
-
-    A linked pair is the only place where both off-diagonal entries are
-    parameter-free and tied to the diagonal as b_ik = b_ii^-1 = b_kk
-    and b_ki = b_kk^-1.  Greedy and disjoint, which matches the output
-    of construct since dotted edges never share a vertex.
-    """
-    found: list[tuple[int, int]] = []
-    used: set[int] = set()
-    d, exps, zrows = matrix.order, matrix.exps, matrix.zrows
-    for i in range(matrix.size):
-        e_ii = exps[i][i]
-        if i in used or zrows[i][i] or e_ii == 0:
-            continue
-        for k in range(i + 1, matrix.size):
-            if k in used or zrows[i][k] or zrows[k][i] or zrows[k][k]:
-                continue
-            if exps[i][k] == -e_ii % d == exps[k][k] and exps[k][i] == e_ii:
-                found.append((i, k))
-                used.update((i, k))
-                break
-    return tuple(found)
-
-
 def direct_sum(
-    parts: Sequence[BraidingMatrix], homogeneous: bool = False
+    parts: Sequence[tuple[LinkableDynkinDiagram, BraidingMatrix]],
+    homogeneous: bool = False,
 ) -> BraidingMatrix:
-    """Combine matrices of link-connected parts into one matrix.
+    """Combine the matrices of link-connected parts, each with its diagram.
 
     Cross entries of the Cartan matrix vanish, so off-block entries
-    pair a fresh parameter with its inverse; entries in the rows and
-    columns of a dotted pair share that parameter so the linking
-    identity survives for every outside vertex.  Without homogeneity
-    the parts are rebased to the least common multiple of their root
-    orders; with homogeneity all diagonal orders must already agree
-    (OrderMismatch otherwise).
+    pair a fresh parameter with its inverse.  A unit is a free vertex
+    or a dotted edge of a part's diagram, and each pair of units in
+    different parts takes one parameter, numbered in ascending order
+    of their least vertices.  Without homogeneity the parts are rebased
+    to the least common multiple of their root orders; with homogeneity
+    all diagonal orders must already agree (OrderMismatch otherwise).
+    ValueError for no parts or a part whose diagram and matrix differ
+    in size.
     """
     if not parts:
         raise ValueError("need at least one part")
+    for diagram, part in parts:
+        if diagram.size != part.size:
+            raise ValueError(
+                f"a part has a diagram of size {diagram.size} "
+                f"and a matrix of size {part.size}"
+            )
     if homogeneous:
-        orders: set[int] = set()
-        for part in parts:
-            for i in range(part.size):
-                if part.zrows[i][i]:
-                    raise ValueError("diagonal contains a free parameter")
-                orders.add(part.order // gcd(part.order, part.exps[i][i]))
+        orders = {ord_diagonal(part, i) for _, part in parts for i in range(part.size)}
         if len(orders) > 1:
             raise OrderMismatch(
                 f"diagonal orders {sorted(orders)} cannot be made equal"
             )
     if len(parts) == 1:
-        return parts[0]
-    target = lcm(*(p.order for p in parts))
-    sizes = [p.size for p in parts]
-    offsets = [sum(sizes[:i]) for i in range(len(parts))]
-    total = sum(sizes)
+        return parts[0][1]
+    target = lcm(*(part.order for _, part in parts))
+    total = sum(part.size for _, part in parts)
     grid = [[0] * total for _ in range(total)]
     zrows: list[list[Terms]] = [[()] * total for _ in range(total)]
 
     # rebase every part to the common order and renumber its parameters
-    z_next = 0
-    for part, base in zip(parts, offsets):
+    z_next = base = 0
+    part_units = []
+    for diagram, part in parts:
         scale = target // part.order
         remap = {t: z_next + pos + 1 for pos, t in enumerate(part.z_indices())}
         z_next += len(remap)
@@ -817,38 +795,22 @@ def direct_sum(
             zrows[base + i][base : base + part.size] = [
                 tuple((remap[t], k) for t, k in terms) for terms in zrow
             ]
+        # its units, ascending: a free vertex v as its end (v, 1), a
+        # dotted edge {i, k} as its ends (i, 1), (k, -1)
+        free = (v for v in range(part.size) if diagram.partner(v) is None)
+        units = [((base + v, 1),) for v in free]
+        units += [((base + i, 1), (base + k, -1)) for i, k in diagram.linkable]
+        part_units.append(sorted(units))
+        base += part.size
 
-    partner: dict[int, int] = {}
-    for part, base in zip(parts, offsets):
-        for i, k in _partner_pairs(part):
-            partner[base + i] = base + k
-            partner[base + k] = base + i
-
-    # cross-block pairs: ascending order, one fresh parameter per class
-    # instance; a dotted pair forces the opposite column to cancel it
-    block = [max(p for p in range(len(parts)) if offsets[p] <= v) for v in range(total)]
-    assigned: set[tuple[int, int]] = set()
-
-    def put(r: int, c: int, power: int) -> None:
-        zrows[r][c] = ((z_next, power),)
-        assigned.add((r, c))
-
-    for i in range(total):
-        for j in range(i + 1, total):
-            if block[i] == block[j] or (i, j) in assigned:
-                continue
+    # each unit with every unit of a later part: b_yx = z^(sx sy) and
+    # b_xy its inverse for ends (x, sx) and (y, sy), so the linking
+    # identity of a dotted edge survives for every outside vertex
+    for p, units in enumerate(part_units):
+        later = chain.from_iterable(part_units[p + 1 :])
+        for first, second in product(units, later):
             z_next += 1
-            put(j, i, 1)
-            put(i, j, -1)
-            k = partner.get(i)
-            l = partner.get(j)
-            if k is not None:
-                put(j, k, -1)
-                put(k, j, 1)
-            if l is not None:
-                put(i, l, 1)
-                put(l, i, -1)
-            if k is not None and l is not None:
-                put(k, l, -1)
-                put(l, k, 1)
+            for (x, sx), (y, sy) in product(first, second):
+                zrows[y][x] = ((z_next, sx * sy),)
+                zrows[x][y] = ((z_next, -sx * sy),)
     return BraidingMatrix(target, tuple(map(tuple, grid)), tuple(map(tuple, zrows)))

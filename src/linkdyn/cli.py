@@ -415,7 +415,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     parts = []
     for path in args.files:
         df = _load(path)
-        parts.append(construct(df.diagram, field=df.field))
+        parts.append((df.diagram, construct(df.diagram, field=df.field)))
     total = direct_sum(parts, homogeneous=args.homogeneous)
     if not args.machine:
         print(f"combined: root order {total.order}, {total.size} vertices")

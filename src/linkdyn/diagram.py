@@ -443,11 +443,11 @@ def _row_profile(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
 def _find_isomorphism(
     sub: CartanMatrix, template: list[list[int]]
 ) -> Optional[list[int]]:
-    """Backtracking search for a relabeling carrying template onto sub."""
-    n = sub.size
-    if len(template) != n:
-        return None
+    """Backtracking search for a relabeling carrying template onto sub.
 
+    The template has sub's size, as the catalog offers only those.
+    """
+    n = sub.size
     sub_rows = sub.entries
     tpl_profiles = [_row_profile(template, i) for i in range(n)]
     sub_profiles = [_row_profile(sub_rows, i) for i in range(n)]

@@ -563,38 +563,26 @@ class HopfPresentation:
 
         Its left side has 2 - a_ij coefficient slots; a zero slot is
         dropped from the text form and written as 0 in the machine form.
+        Apart from the vertex numbers the left side depends on
+        (a_ij, b_ii, b_ij) only, so each distinct triple is rendered
+        once, as a template with "{i}" and "{j}" for the vertex numbers,
+        and each relation formats its template.
         """
         datum = self.datum
         d, grid, factors = datum.order, datum.braiding_exps, datum.factors
         cartan, elements = self.cartan.entries, datum.elements
-        # per slot key, the machine coefficient field or the text left side
-        rendered: dict[tuple[int, int, int], str] = {}
-        sep = "*" if machine else " "
+        lefts: dict[tuple[int, int, int], str] = {}
         for i, row in enumerate(grid):
             e_ii = row[i]
-            # per (a_ij, b_ij) of row i, the relation's left part with
-            # "{0}" for a_j, from the words of each 1 - a_ij built once
-            frames: dict[int, tuple[str, ...]] = {}
-            lefts: dict[tuple[int, int], str] = {}
             for j in range(i + 1, len(grid)):
                 a = cartan[i][j]
                 top = 1 - a
-                key = (a, row[j])
-                framed = lefts.get(key)
-                if framed is None:
-                    slot_key = (a, e_ii, row[j])
-                    if slot_key not in rendered:
-                        slots = _serre_slots(top, e_ii, row[j], d)
-                        rendered[slot_key] = _slot_text(slots, machine)
-                    if top not in frames:
-                        frames[top] = _serre_words(i, top, sep)
-                    words = frames[top]
-                    framed = lefts[key] = (
-                        f"{rendered[slot_key]} | words: {' , '.join(words)}"
-                        if machine
-                        else rendered[slot_key].format(*words)
-                    )
-                left = framed.format(f"a_{j + 1}")
+                key = (a, e_ii, row[j])
+                template = lefts.get(key)
+                if template is None:
+                    slots = _serre_slots(top, e_ii, row[j], d)
+                    template = lefts[key] = _serre_left(slots, machine)
+                left = template.format(i=i + 1, j=j + 1)
                 gw = None
                 if (i, j) in datum.linked:
                     g_i, g_j = elements[i], elements[j]
@@ -634,30 +622,30 @@ def _group_word(exps: tuple[int, ...], factors: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _serre_words(i: int, top: int, sep: str) -> tuple[str, ...]:
-    """The words a_i^(top - k) a_j a_i^k, k = 0 .. top, with "{0}" for a_j."""
-    powers = ["", f"a_{i + 1}"] + [f"a_{i + 1}^{p}" for p in range(2, top + 1)]
-    return tuple(
-        sep.join(w for w in (powers[top - k], "{0}", powers[k]) if w)
-        for k in range(top + 1)
-    )
+def _serre_left(slots: tuple[Optional[Terms], ...], machine: bool) -> str:
+    """One format's left side of a Serre relation, "{i}" and "{j}" for a_i, a_j.
 
-
-def _slot_text(slots: tuple[Optional[Terms], ...], machine: bool) -> str:
-    """One format's rendering of the coefficient slots of a Serre relation.
-
-    The machine form lists every slot, 0 for a zero.  The text form is
-    the left side with "{k}" for the k-th word: zero slots are dropped,
-    each leading sign is pulled out and sums are parenthesized.
+    The k-th slot multiplies the word a_i^(top - k) a_j a_i^k, where
+    top + 1 is the slot count.  The machine form lists every slot, 0 for
+    a zero, then the words; the text form drops zero slots, pulls each
+    leading sign out and parenthesizes sums.
     """
+    top = len(slots) - 1
+    sep = "*" if machine else " "
+    powers = ["", "a_{i}"] + [f"a_{{i}}^{p}" for p in range(2, top + 1)]
+    words = [
+        sep.join(w for w in (powers[top - k], "a_{j}", powers[k]) if w)
+        for k in range(top + 1)
+    ]
     if machine:
-        return " ; ".join("0" if c is None else _render(c) for c in slots)
+        coeffs = " ; ".join("0" if c is None else _render(c) for c in slots)
+        return f"{coeffs} | words: {' , '.join(words)}"
     pieces = []
-    for k, c in enumerate(slots):
+    for word, c in zip(words, slots):
         if c is not None:
             sign = -1 if c[0][1] < 0 else 1
             body = _render(c, sign) if len(c) == 1 else f"({_render(c, sign)})"
-            pieces.append((sign, f"{{{k}}}" if body == "1" else f"{body} {{{k}}}"))
+            pieces.append((sign, word if body == "1" else f"{body} {word}"))
     return _signed_sum(pieces)
 
 

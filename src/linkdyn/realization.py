@@ -491,9 +491,8 @@ def _a4_closed_form(
     roots_5 = sqrt_mod(5, p)
     cands: set[tuple[int, int, int, int]] = set()
 
+    # -2 is a unit modulo the odd prime p, so no root is 0
     for r2 in roots_m2:
-        if r2 == 0:
-            continue
         ir2 = pow(r2, -1, p)
         # m = 2n
         for n in ((-1 + r2) * inv3 % p, (-1 - r2) * inv3 % p):

@@ -269,7 +269,7 @@ class TestVerify:
         m = construct(da, d=5)
         assert verify(da, m).ok
         m5, m7 = construct(da, d=5), construct(da, d=7)
-        total = direct_sum([m5, m7])
+        total = direct_sum([(da, m5), (da, m7)])
         union = diag(
             block_rows(["A1(1)"] * 4),
             [(0, 2), (4, 6)],
@@ -277,7 +277,7 @@ class TestVerify:
         )
         rep = verify(union, total)
         assert not rep.ok
-        same = direct_sum([m5, construct(da, d=5)])
+        same = direct_sum([(da, m5), (da, construct(da, d=5))])
         assert verify(union, same).ok
 
     def test_affine_diagram_reads_the_affine_order_rule(self):
@@ -353,7 +353,7 @@ class TestStoredForm:
         yield built.instantiate()
         yield built.instantiate({t: t for t in built.z_indices()[::2]})
         pair = component_diag(["A1", "A1"], [(0, 1)])
-        yield direct_sum([built, construct(pair, d=7)])
+        yield direct_sum([(ring, built), (pair, construct(pair, d=7))])
         yield excluded_case_matrix(3, 3)[1]
         yield realize_free(built, ring).braiding_matrix()
 
@@ -679,6 +679,9 @@ class TestAdmissibleOrders:
         assert ord_diagonal(m10, 0) == 5
         with pytest.raises(IndexOutOfRange):
             ord_diagonal(m, 2)
+        symbolic = matrix_of(5, ((Root.z(5, 1) * Root.root(5, 2),),))
+        with pytest.raises(ValueError, match=r"q\^2\*z1\^1 contains free parameters"):
+            ord_diagonal(symbolic, 0)
 
 
 def reference_has_g2(diagram):
@@ -1776,7 +1779,7 @@ class TestDirectSum:
         b = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
         ma = construct(a, d=5)
         mb = construct(b, d=5)
-        total = direct_sum([ma, mb])
+        total = direct_sum([(a, ma), (b, mb)])
         union = self.build_union(
             ["A1", "A1"], [(0, 1)], ["A2", "A2"], [(0, 2), (1, 3)]
         )
@@ -1785,13 +1788,13 @@ class TestDirectSum:
     def test_single_part_unchanged(self):
         a = component_diag(["A1", "A1"], [(0, 1)])
         m = construct(a, d=5)
-        assert direct_sum([m]) is m
+        assert direct_sum([(a, m)]) is m
 
     def test_mixed_orders_rescale(self):
         a = component_diag(["A1", "A1"], [(0, 1)])
         ma = construct(a, d=5)
         mb = construct(a, d=7)
-        total = direct_sum([ma, mb])
+        total = direct_sum([(a, ma), (a, mb)])
         assert total.order == 35
         union = self.build_union(
             ["A1", "A1"], [(0, 1)], ["A1", "A1"], [(0, 1)]
@@ -1802,5 +1805,37 @@ class TestDirectSum:
         a = component_diag(["A1", "A1"], [(0, 1)])
         with pytest.raises(OrderMismatch):
             direct_sum(
-                [construct(a, d=5), construct(a, d=7)], homogeneous=True
+                [(a, construct(a, d=5)), (a, construct(a, d=7))], homogeneous=True
             )
+
+    def test_no_parts_or_a_part_of_two_sizes_refused(self):
+        a = component_diag(["A1", "A1"], [(0, 1)])
+        b = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
+        with pytest.raises(ValueError, match="need at least one part"):
+            direct_sum([])
+        with pytest.raises(ValueError, match="diagram of size 2 and a matrix of size 4"):
+            direct_sum([(a, construct(a, d=5)), (a, construct(b, d=5))])
+
+    def test_homogeneous_refuses_a_symbolic_diagonal(self):
+        a = component_diag(["A1", "A1"], [(0, 1)])
+        z = Root.z(5, 1)
+        m = matrix_of(5, ((z, Root.root(5, 4)), (Root.root(5, 1), Root.root(5, 4))))
+        with pytest.raises(ValueError, match=r"q\^0\*z1\^1 contains free parameters"):
+            direct_sum([(a, m), (a, construct(a, d=5))], homogeneous=True)
+
+    def test_excluded_shape_sum_text(self):
+        # the free vertex 1 meets each dotted edge of the G2 x G2 shape
+        # through one parameter (z3, z4), the dotted edge 2-3 through
+        # one more each (z5, z6)
+        free = component_diag(["A2", "A1"], [(1, 2)])
+        total = direct_sum([(free, construct(free, d=5)), excluded_case_matrix(3, 3)])
+        assert total.to_text() == (
+            "root_order 5\n"
+            "q^1 q^0*z1^1 q^0*z1^-1 q^0*z3^-1 q^0*z4^-1 q^0*z3^1 q^0*z4^1\n"
+            "q^4*z1^-1 q^1 q^4 q^0*z5^-1 q^0*z6^-1 q^0*z5^1 q^0*z6^1\n"
+            "q^0*z1^1 q^1 q^4 q^0*z5^1 q^0*z6^1 q^0*z5^-1 q^0*z6^-1\n"
+            "q^0*z3^1 q^0*z5^1 q^0*z5^-1 q^1 q^2*z2^-1 q^4 q^3*z2^1\n"
+            "q^0*z4^1 q^0*z6^1 q^0*z6^-1 q^0*z2^1 q^3 q^0*z2^-1 q^2\n"
+            "q^0*z3^-1 q^0*z5^-1 q^0*z5^1 q^1 q^0*z2^1 q^4 q^0*z2^-1\n"
+            "q^0*z4^-1 q^0*z6^-1 q^0*z6^1 q^2*z2^-1 q^3 q^3*z2^1 q^2\n"
+        )

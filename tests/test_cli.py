@@ -17,7 +17,7 @@ import linkdyn.cycles
 import linkdyn.errors
 import linkdyn.realization
 from conftest import LINKDYN_SRC, circle, prism, run_cli
-from linkdyn import FieldSpec, LinkableDynkinDiagram
+from linkdyn import BraidingMatrix, FieldSpec, LinkableDynkinDiagram
 from linkdyn.cli import DiagramFile, main, parse
 from linkdyn.errors import (
     DefiniteNo,
@@ -240,6 +240,16 @@ class TestCyclesCommand:
         assert out.endswith("genus gcd: 0\n")
         assert len(calls) == 1
 
+    def test_selflink_cycle_lists_both_weights(self, write, capsys):
+        # outside finite mode a cycle line carries weight2 and weight3
+        text = "vertices 3\nedge 1 2 -1 -1\nedge 2 3 -1 -3\nlink 1 3\nmode selflink\n"
+        assert run(capsys, "cycles", write(text)) == (
+            0,
+            "cycles: 1\n"
+            "cycle 1: vertices 1-2-3 steps ppd weight2 0 weight3 1 length 1 genus 4\n"
+            "genus gcd: 4\n",
+        )
+
 
 class TestCheckCommand:
     def test_even_circle_yes(self, write, capsys):
@@ -270,6 +280,17 @@ class TestConstructCommand:
         code, out = run(capsys, "construct", write(A1A1), "--machine")
         assert code == 0
         assert out == "root_order 5\nq^1 q^4\nq^1 q^4\n"
+
+    def test_matrix_failing_verify_is_reported(self, write, capsys, monkeypatch):
+        bad = BraidingMatrix.from_text(TestNoEntryRecords.BAD)
+        monkeypatch.setattr(linkdyn.cli, "construct", lambda *args, **kw: bad)
+        assert run(capsys, "construct", write(A1A1)) == (
+            1,
+            "constructed: root order 5\n"
+            + TestNoEntryRecords.BAD
+            + "verification: FAILED\n"
+            + TestNoEntryRecords.FAILURES,
+        )
 
     def test_refused_diagram_fails(self, write, capsys):
         code, out = run(capsys, "construct", write(a3_circle(3)))
@@ -779,6 +800,49 @@ class TestSumCommand:
         assert out.splitlines()[0] == "root_order 5"
         assert len(out.splitlines()) == 7
 
+    # A2 x A1 linked at 2-3 leaves vertex 1 free
+    A2A1 = "vertices 3\nedge 1 2 -1 -1\nlink 2 3\n"
+    A1A1_ROOTS_7 = A1A1 + "field roots 7\n"
+    # exact stdout of sums: a free vertex against a dotted edge, root
+    # orders 5 and 7 rebased to 35, and a part construct refuses
+    GOLDEN = [
+        (
+            (A1A1, A2A1),
+            ("--machine",),
+            0,
+            "root_order 5\n"
+            "q^1 q^4 q^0*z2^-1 q^0*z3^-1 q^0*z3^1\n"
+            "q^1 q^4 q^0*z2^1 q^0*z3^1 q^0*z3^-1\n"
+            "q^0*z2^1 q^0*z2^-1 q^1 q^0*z1^1 q^0*z1^-1\n"
+            "q^0*z3^1 q^0*z3^-1 q^4*z1^-1 q^1 q^4\n"
+            "q^0*z3^-1 q^0*z3^1 q^0*z1^1 q^1 q^4\n",
+        ),
+        (
+            (A2A1, A1A1_ROOTS_7),
+            (),
+            0,
+            "combined: root order 35, 5 vertices\n"
+            "root_order 35\n"
+            "q^7 q^0*z1^1 q^0*z1^-1 q^0*z2^-1 q^0*z2^1\n"
+            "q^28*z1^-1 q^7 q^28 q^0*z3^-1 q^0*z3^1\n"
+            "q^0*z1^1 q^7 q^28 q^0*z3^1 q^0*z3^-1\n"
+            "q^0*z2^1 q^0*z3^1 q^0*z3^-1 q^5 q^30\n"
+            "q^0*z2^-1 q^0*z3^-1 q^0*z3^1 q^5 q^30\n",
+        ),
+        (
+            (A1A1, G2G2),
+            (),
+            1,
+            "failure: existence check says excluded: "
+            "the crosswise G2 x G2 shape is decided by the special matrix family\n",
+        ),
+    ]
+
+    @pytest.mark.parametrize("texts, flags, code, out", GOLDEN)
+    def test_stdout_golden(self, write, capsys, texts, flags, code, out):
+        files = [write(text) for text in texts]
+        assert run(capsys, "sum", *files, *flags) == (code, out)
+
 
 class TestNoEntryRecords:
     """Commands compute and print from the exponent grid alone."""
@@ -831,6 +895,13 @@ class TestValidateCommand:
         code2, out2 = run(capsys, "validate", write(out))
         assert code2 == 0
         assert out2 == out
+
+    def test_roots_field_normal_form(self, write, capsys):
+        text = "vertices 2\nlink 1 2\nfield roots 7,5\n"
+        assert run(capsys, "validate", write(text)) == (
+            0,
+            "vertices 2\nlink 1 2\nfield roots 5,7\nmode finite\n",
+        )
 
 
 class TestDispatchErrors:

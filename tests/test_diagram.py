@@ -99,11 +99,19 @@ class TestEdgeKind:
         assert edge_kind(-1, -4) == ("quadruple", 1)
         assert edge_kind(-2, -3).kind == "other"
 
+    def test_one_sided_zero_refused(self):
+        with pytest.raises(ZeroAsymmetry):
+            edge_kind(-1, 0)
+
 
 class TestDiagramInvariants:
     def test_overlapping_dotted_edges_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             diag(block_rows(["A1", "A1", "A1"]), [(0, 1), (1, 2)])
+
+    def test_dotted_edge_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match=r"bad dotted edge \(1,3\)"):
+            diag(block_rows(["A1", "A1"]), [(0, 2)])
 
     def test_linked_must_be_linkable(self):
         cartan = validate_cartan(block_rows(["A1", "A1"]))
@@ -129,6 +137,8 @@ class TestDiagramInvariants:
         assert d.partner(1) == 3
         assert d.lambda_of(0, 2) == 1
         assert d.lambda_of(1, 3) == 0
+        with pytest.raises(ValueError, match=r"\(1,2\) is not a dotted edge"):
+            d.lambda_of(0, 1)
 
     def test_component_index_and_link_connectivity(self):
         d = component_diag(["A2", "A1"], [(1, 2)])

@@ -97,6 +97,16 @@ def reference_baseline(field):
 
 
 class TestFieldSpec:
+    def test_bad_specs_refused(self):
+        with pytest.raises(ValueError, match="unknown field kind 'bogus'"):
+            FieldSpec("bogus")
+        with pytest.raises(ValueError, match="roots field needs positive orders"):
+            FieldSpec("roots", orders=(0,))
+
+    def test_no_root_of_order_below_one(self):
+        assert not FieldSpec("cyclotomic").has_primitive_root(0)
+        assert FieldSpec("cyclotomic").has_primitive_root(1)
+
     def test_root_orders_are_the_divisors_of_the_moduli(self):
         assert FieldSpec("cyclotomic").root_orders() is None
         assert FieldSpec("gf", q=31).root_orders() == brute_divisors(30)

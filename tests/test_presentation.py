@@ -283,6 +283,16 @@ class TestQValueRing:
             QValue.q(5) + QValue.q(7)
         with pytest.raises(ValueError):
             QValue.q() * QValue.q(5)
+        # equality answers False instead
+        assert QValue.q(5) != QValue.q(7)
+        assert not QValue.q(5) == QValue.q(7)
+
+    def test_other_types_are_unequal(self):
+        assert QValue.q(5) != "x"
+        assert not QValue.integer(1) == "1"
+        # arithmetic refuses them
+        with pytest.raises(TypeError, match="cannot mix QValue with str"):
+            QValue.q(5) + "x"
 
     def test_constants_align_with_any_order(self):
         assert QValue.integer(2) + QValue.q(5) == QValue.q(5) + 2
@@ -696,9 +706,13 @@ class TestEmitPresentation:
                 )
                 field = rel.machine.split(" | coeffs: ")[1].split(" | ")[0]
                 assert field == " ; ".join(c.render() for c in coeffs)
+                # a_i^(top - k) a_j a_i^k for k = 0 .. top
+                top = 1 - a
+                powers = ["", f"a_{i + 1}"]
+                powers += [f"a_{i + 1}^{p}" for p in range(2, top + 1)]
                 words = [
-                    word.format(f"a_{j + 1}")
-                    for word in linkdyn.presentation._serre_words(i, 1 - a, " ")
+                    " ".join(w for w in (powers[top - k], f"a_{j + 1}", powers[k]) if w)
+                    for k in range(top + 1)
                 ]
                 left = rel.text.split(" = ")[0]
                 assert left == reference_signed_sum(coeffs, words)
