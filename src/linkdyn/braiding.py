@@ -3,19 +3,21 @@
 Entries are exact expressions q^e * z1^k1 * z2^k2 * ... where q is a
 primitive root of unity of a fixed order and the z_t are free nonzero
 scalars.  A matrix keeps them as integers, a grid of exponents of q
-modulo the order plus the z-exponents of its symbolic entries, so the
-defining identities are congruences on exponents and every message
-renders its entries from those integers.  RootExpr is only the record
-of one entry that BraidingMatrix.entry returns.  The module builds
-braiding matrices for linkable Dynkin diagrams, verifies the defining
-identities, searches for matrices by brute force and combines matrices
-of link-connected parts into direct sums.
+modulo the order plus a grid of signed ints for the z-parts (+-t for
+z_t^+-1), so the defining identities are congruences on exponents and
+cancelling codes, and every message renders its entries from those
+integers.  RootExpr is only the record of one entry that
+BraidingMatrix.entry returns.  The module builds braiding matrices for
+linkable Dynkin diagrams, verifies the defining identities, searches
+for matrices by brute force and combines matrices of link-connected
+parts into direct sums.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, islice, product
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -85,6 +87,22 @@ def _power(a: Terms, p: int) -> Terms:
     return tuple((t, k * p) for t, k in a) if p else ()
 
 
+def _code(terms: Terms, cell: tuple[int, int], overflow: list) -> int:
+    """The signed int of normal-form terms: t for z_t^1, -t for z_t^-1.
+
+    0 stands for a pure entry.  Terms that no code carries (several
+    factors, a power other than +-1, or z_0) go to overflow with their
+    cell, and their code is 0.
+    """
+    if len(terms) == 1:
+        (t, k), = terms
+        if t > 0 and k in (1, -1):
+            return t * k
+    if terms:
+        overflow.append((cell, terms))
+    return 0
+
+
 def _positive(order: int) -> None:
     if order < 1:
         raise ValueError("order must be positive")
@@ -92,6 +110,8 @@ def _positive(order: int) -> None:
 
 _TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
 _ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
+# the two shapes construct writes, q^e and q^e*z_t^+-1: a subset of _TOKEN
+_CODED = re.compile(r"q\^(-?\d+)(?:\*z(\d+)\^(-?)1)?")
 
 
 def _parse_entry(text: str, order: int) -> tuple[int, list[tuple[int, int]]]:
@@ -102,6 +122,24 @@ def _parse_entry(text: str, order: int) -> tuple[int, list[tuple[int, int]]]:
     _positive(order)
     zpow = [(int(t), int(k)) for t, k in _ZPART.findall(m.group(2))]
     return int(m.group(1)), zpow
+
+
+def _read_cell(
+    text: str, order: int, cell: tuple[int, int], overflow: list
+) -> tuple[int, int]:
+    """q's exponent, as written, and the code of a token; see _code.
+
+    The shapes construct writes are read off _CODED; every other token
+    goes through _parse_entry, which refuses exactly what _TOKEN does.
+    """
+    if m := _CODED.fullmatch(text):
+        e, t, minus = m.groups()
+        if not t:
+            return int(e), 0
+        if c := int(t):
+            return int(e), -c if minus else c
+    e, zpow = _parse_entry(text, order)
+    return e, _code(_terms((zpow, 1)), cell, overflow)
 
 
 @dataclass(frozen=True)
@@ -134,10 +172,16 @@ class RootExpr:
 class BraidingMatrix:
     """Square matrix of entries q^e * z1^k1 * ... sharing one root order.
 
-    The stored form is two integer grids of one shape: exps[i][j] is the
-    exponent of q in entry (i, j), kept in 0..order-1, and zrows[i][j]
-    its z-exponents ((t, k), ...), sorted by t, each t once and every k
-    nonzero, or () for a pure entry.  The identities, the completion,
+    The stored form is two integer grids of one shape and an overflow.
+    exps[i][j] is the exponent of q in entry (i, j), kept in
+    0..order-1, and zcodes[i][j] its z-part as one signed int: t for
+    z_t^1, -t for z_t^-1 and 0 for a pure entry, which covers every
+    entry that construct, the oracle and direct_sum write.  Any other
+    z-part (several factors, a power other than +-1, or z_0) is kept in
+    zoverflow as ((i, j), terms) in cell order, terms in the normal form
+    of _terms, with 0 in zcodes.  A z-part with a code is never kept
+    there, so equal matrices compare and hash equal.  zrows is the
+    derived grid of terms.  The identities, the completion,
     instantiation and realization work on these integers.  from_cells
     is the one builder that normalizes; entry and entries build RootExpr
     records on demand.
@@ -145,7 +189,8 @@ class BraidingMatrix:
 
     order: int
     exps: tuple[tuple[int, ...], ...]
-    zrows: tuple[tuple[Terms, ...], ...]
+    zcodes: tuple[tuple[int, ...], ...]
+    zoverflow: tuple[tuple[tuple[int, int], Terms], ...] = ()
 
     @classmethod
     def from_cells(
@@ -156,26 +201,51 @@ class BraidingMatrix:
         """The matrix of square rows of (exp, z-exponents) cells, normalized.
 
         Each exp is reduced modulo the order and each z-part brought to
-        the normal form of _terms.  ValueError for a row whose length is
-        not the row count, or for cells at an order below 1.
+        the normal form of _terms, then to its code or the overflow.
+        ValueError for a row whose length is not the row count, or for
+        cells at an order below 1.
         """
         n = len(cells)
         if n:
             _positive(order)
-        exps, zrows = [], []
-        for row in cells:
+        exps, zcodes, overflow = [], [], []
+        for i, row in enumerate(cells):
             if len(row) != n:
                 raise ValueError("matrix is not square")
             exps.append(tuple(e % order for e, _ in row))
-            zrows.append(tuple(_terms((z, 1)) if z else () for _, z in row))
-        return cls(order, tuple(exps), tuple(zrows))
+            zcodes.append(
+                tuple(
+                    _code(_terms((z, 1)) if z else (), (i, j), overflow)
+                    for j, (_, z) in enumerate(row)
+                )
+            )
+        return cls(order, tuple(exps), tuple(zcodes), tuple(overflow))
+
+    @cached_property
+    def _overflow(self) -> dict[tuple[int, int], Terms]:
+        return dict(self.zoverflow)
+
+    def _zpow(self, i: int, j: int) -> Terms:
+        """The z-exponents of entry (i, j) in the normal form of _terms."""
+        if c := self.zcodes[i][j]:
+            return ((c, 1),) if c > 0 else ((-c, -1),)
+        return self._overflow.get((i, j), ())
+
+    @cached_property
+    def zrows(self) -> tuple[tuple[Terms, ...], ...]:
+        """Every entry's z-exponents, () for a pure one, in a grid like exps.
+
+        Derived from zcodes and zoverflow on first use and kept.
+        """
+        n = self.size
+        return tuple(tuple(self._zpow(i, j) for j in range(n)) for i in range(n))
 
     @property
     def size(self) -> int:
         return len(self.exps)
 
     def entry(self, i: int, j: int) -> RootExpr:
-        return RootExpr(self.order, self.exps[i][j], self.zrows[i][j])
+        return RootExpr(self.order, self.exps[i][j], self._zpow(i, j))
 
     @property
     def entries(self) -> tuple[tuple[RootExpr, ...], ...]:
@@ -183,31 +253,38 @@ class BraidingMatrix:
         return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
 
     def z_indices(self) -> tuple[int, ...]:
-        return tuple(
-            sorted({t for zrow in self.zrows for terms in zrow for t, _ in terms})
-        )
+        found = set(map(abs, chain.from_iterable(self.zcodes)))
+        found.discard(0)
+        found.update(t for _, terms in self.zoverflow for t, _ in terms)
+        return tuple(sorted(found))
 
     def instantiate(self, values: Optional[dict[int, int]] = None) -> "BraidingMatrix":
         """The parameter-free matrix with z_t = q^values[t], 1 if t is unset."""
-        d, exps = self.order, self.exps
+        d, exps, n = self.order, self.exps, self.size
         if values:
             exps = tuple(
                 tuple(
-                    (e + sum(values.get(t, 0) * k for t, k in terms)) % d
-                    for e, terms in zip(row, zrow)
+                    (e + sum(values.get(t, 0) * k for t, k in self._zpow(i, j))) % d
+                    for j, e in enumerate(row)
                 )
-                for row, zrow in zip(exps, self.zrows)
+                for i, row in enumerate(exps)
             )
         # without values the exponents are reduced already; every row of
-        # the pure z-grid is one shared tuple
-        return BraidingMatrix(d, exps, (((),) * self.size,) * self.size)
+        # the pure code grid is one shared tuple
+        return BraidingMatrix(d, exps, ((0,) * n,) * n)
 
     def to_text(self) -> str:
+        overflow: dict[int, list[tuple[int, Terms]]] = {}
+        for (i, j), terms in self.zoverflow:
+            overflow.setdefault(i, []).append((j, terms))
         lines = [f"root_order {self.order}"]
-        for row, zrow in zip(self.exps, self.zrows):
+        for i, (row, zrow) in enumerate(zip(self.exps, self.zcodes)):
             cells = [
-                f"q^{e}{_z_text(z)}" if z else f"q^{e}" for e, z in zip(row, zrow)
+                f"q^{e}*z{c}^1" if c > 0 else f"q^{e}*z{-c}^-1" if c else f"q^{e}"
+                for e, c in zip(row, zrow)
             ]
+            for j, terms in overflow.get(i, ()):
+                cells[j] += _z_text(terms)
             lines.append(" ".join(cells))
         return "\n".join(lines) + "\n"
 
@@ -219,8 +296,20 @@ class BraidingMatrix:
             raise MalformedMatrix("missing root_order header")
         try:
             order = int(header[1])
-            rows = [[_parse_entry(t, order) for t in ln.split()] for ln in lines[1:]]
-            return cls.from_cells(order, rows)
+            exps, zcodes, overflow = [], [], []
+            for i, line in enumerate(lines[1:]):
+                row = line.split()
+                if order < 1 or len(row) != len(lines) - 1:
+                    # from_cells gives these messages after reading every token
+                    tokens = [ln.split() for ln in lines[1:]]
+                    cells = [[_parse_entry(t, order) for t in ts] for ts in tokens]
+                    return cls.from_cells(order, cells)
+                cells = [
+                    _read_cell(t, order, (i, j), overflow) for j, t in enumerate(row)
+                ]
+                exps.append(tuple(e % order for e, _ in cells))
+                zcodes.append(tuple(c for _, c in cells))
+            return cls(order, tuple(exps), tuple(zcodes), tuple(overflow))
         except ValueError as exc:
             raise MalformedMatrix(str(exc)) from None
 
@@ -257,31 +346,51 @@ def verify(
 def _failures(
     diagram: LinkableDynkinDiagram, matrix: BraidingMatrix
 ) -> Iterator[str]:
-    """The failure messages of verify, lazily and in its order."""
+    """The failure messages of verify, lazily and in its order.
+
+    Where no cell involved is in the overflow, a product of z-parts with
+    codes x and y is free of z exactly when x + y == 0.  So b_ij*b_ji
+    against b_ii^a_ij is decided on the codes when b_ii^a_ij is free of
+    z (code_ii * a_ij == 0), and b_kx^m*b_ky when m = 1 - a_xy is 1.
+    Every other cell, a z on the diagonal with a_ij != 0, a linking
+    exponent above 1 or an overflow cell, and every message, goes
+    through the terms of _product and _power.
+    """
     s = diagram.size
     if matrix.size != s:
         yield f"matrix size {matrix.size} != diagram size {s}"
         return
-    d, exps, zrows = matrix.order, matrix.exps, matrix.zrows
+    d, exps, codes = matrix.order, matrix.exps, matrix.zcodes
+    overflow, zpow = matrix._overflow, matrix._zpow
     cartan = diagram.cartan.entries
 
+    def touched(*cells: tuple[int, int]) -> bool:
+        return any(c in overflow for c in cells)
+
     for i in range(s):
-        if terms := zrows[i][i]:
-            entry = _entry_text(exps[i][i], terms)
+        if codes[i][i] or (i, i) in overflow:
+            entry = _entry_text(exps[i][i], zpow(i, i))
             yield f"diagonal b_{i + 1}{i + 1} = {entry} contains a free parameter"
         elif exps[i][i] == 0:
             yield f"diagonal b_{i + 1}{i + 1} equals 1"
 
     for i in range(s):
-        row, zrow, a_row = exps[i], zrows[i], cartan[i]
-        z_ii = zrow[i]
+        row, zrow, a_row = exps[i], codes[i], cartan[i]
+        e_ii, c_ii = row[i], zrow[i]
         for j in range(s):
             if i == j:
                 continue
             # b_ij b_ji = q^left z^zl against b_ii^a_ij = q^right z^zr
-            left, right = row[j] + exps[j][i], row[i] * a_row[j]
-            zl = _product(zrow[j], zrows[j][i])
-            zr = _power(z_ii, a_row[j])
+            left, right = row[j] + exps[j][i], e_ii * a_row[j]
+            if (
+                not (left - right) % d
+                and zrow[j] + codes[j][i] == 0
+                and not c_ii * a_row[j]
+                and not (overflow and touched((i, j), (j, i), (i, i)))
+            ):
+                continue
+            zl = _product(zpow(i, j), zpow(j, i))
+            zr = _power(zpow(i, i), a_row[j])
             if (left - right) % d or zl != zr:
                 yield (
                     f"product identity fails at ({i + 1},{j + 1}): "
@@ -294,16 +403,23 @@ def _failures(
             exponent = 1 - cartan[x][y]
             for k in range(s):
                 # b_kx^exponent b_ky = q^e z^z must be 1
-                row, zrow = exps[k], zrows[k]
+                row, zrow = exps[k], codes[k]
                 e = (row[x] * exponent + row[y]) % d
-                z = _product(_power(zrow[x], exponent), zrow[y])
+                if (
+                    not e
+                    and exponent == 1
+                    and zrow[x] + zrow[y] == 0
+                    and not (overflow and touched((k, x), (k, y)))
+                ):
+                    continue
+                z = _product(_power(zpow(k, x), exponent), zpow(k, y))
                 if e or z:
                     yield (
                         f"linking identity fails for pair ({x + 1},{y + 1}) "
                         f"at k={k + 1}: got {_entry_text(e, z)}"
                     )
 
-    if any(zrows[i][i] or exps[i][i] == 0 for i in range(s)):
+    if any(codes[i][i] or (i, i) in overflow or exps[i][i] == 0 for i in range(s)):
         return
     diagonal_orders = [d // gcd(d, exps[i][i]) for i in range(s)]
     if diagram.mode == "finite":
@@ -456,13 +572,13 @@ def _completed(
     Ordered vertex pairs split into four classes by which ends lie on
     dotted edges; each class instance uses one fresh parameter z_t, and
     every off-diagonal entry is written once into the grid rows as
-    b_vv^c, times z_t^+-1 in zrows for all but the dotted edges.
+    b_vv^c, with the code +-t of z_t^+-1 for all but the dotted edges.
     """
     a = diagram.cartan.entries
     s = diagram.size
     e = [x % d for x in exps]
     grid = [[0] * s for _ in range(s)]
-    zrows: list[list[Terms]] = [[()] * s for _ in range(s)]
+    codes = [[0] * s for _ in range(s)]
     for i in range(s):
         grid[i][i] = e[i]
     z = 0
@@ -477,20 +593,20 @@ def _completed(
     # neither end on a dotted edge
     for i, j in combinations(free, 2):
         z += 1
-        zrows[j][i] = ((z, 1),)
+        codes[j][i] = z
         grid[i][j] = a[i][j] * e[i] % d
-        zrows[i][j] = ((z, -1),)
+        codes[i][j] = -z
 
     # one end on a dotted edge {i,k}, the other end j free
     for (i, k), j in product(diagram.linkable, free):
         z += 1
-        up, down = ((z, 1),), ((z, -1),)
-        zrows[j][i] = up
+        up, down = z, -z
+        codes[j][i] = up
         grid[i][j] = a[i][j] * e[i] % d
-        zrows[i][j] = down
-        zrows[j][k] = down
+        codes[i][j] = down
+        codes[j][k] = down
         grid[k][j] = a[k][j] * e[k] % d
-        zrows[k][j] = up
+        codes[k][j] = up
 
     # both ends on distinct dotted edges; each joins two plain components,
     # so some orientation has both cross entries zero
@@ -502,16 +618,16 @@ def _completed(
             if a[j][k] == 0 and a[i][l] == 0
         )
         z += 1
-        up, down = ((z, 1),), ((z, -1),)
+        up, down = z, -z
         # the entries carry b_ii^c, its inverse or neither
         c = a[i][j] * e[i] % d
-        zrows[j][i] = zrows[k][j] = up
+        codes[j][i] = codes[k][j] = up
         grid[i][j] = grid[l][i] = c
-        zrows[i][j] = zrows[l][i] = down
-        zrows[j][k] = zrows[k][l] = down
+        codes[i][j] = codes[l][i] = down
+        codes[j][k] = codes[k][l] = down
         grid[i][l] = grid[l][k] = -c % d
-        zrows[i][l] = zrows[l][k] = up
-    return BraidingMatrix(d, tuple(map(tuple, grid)), tuple(map(tuple, zrows)))
+        codes[i][l] = codes[l][k] = up
+    return BraidingMatrix(d, tuple(map(tuple, grid)), tuple(map(tuple, codes)))
 
 
 def construct(
@@ -738,7 +854,7 @@ def ord_diagonal(matrix: BraidingMatrix, i: int) -> int:
     if not 0 <= i < n:
         raise IndexOutOfRange(f"vertex {i + 1} outside 1..{n}")
     d, e = matrix.order, matrix.exps[i][i]
-    if terms := matrix.zrows[i][i]:
+    if terms := matrix._zpow(i, i):
         raise ValueError(f"{_entry_text(e, terms)} contains free parameters")
     return d // gcd(d, e)
 
@@ -781,7 +897,8 @@ def direct_sum(
     target = lcm(*(part.order for _, part in parts))
     total = sum(part.size for _, part in parts)
     grid = [[0] * total for _ in range(total)]
-    zrows: list[list[Terms]] = [[()] * total for _ in range(total)]
+    codes = [[0] * total for _ in range(total)]
+    overflow: list[tuple[tuple[int, int], Terms]] = []
 
     # rebase every part to the common order and renumber its parameters
     z_next = base = 0
@@ -790,11 +907,17 @@ def direct_sum(
         scale = target // part.order
         remap = {t: z_next + pos + 1 for pos, t in enumerate(part.z_indices())}
         z_next += len(remap)
-        for i, (row, zrow) in enumerate(zip(part.exps, part.zrows)):
+        for i, (row, zrow) in enumerate(zip(part.exps, part.zcodes)):
             grid[base + i][base : base + part.size] = [e * scale for e in row]
-            zrows[base + i][base : base + part.size] = [
-                tuple((remap[t], k) for t, k in terms) for terms in zrow
+            codes[base + i][base : base + part.size] = [
+                remap[c] if c > 0 else -remap[-c] if c else 0 for c in zrow
             ]
+        # remap keeps the order of the indices, so the terms stay normal;
+        # a z_0^+-1 gets an index from 1 up and so a code
+        for (i, j), terms in part.zoverflow:
+            cell = (base + i, base + j)
+            terms = tuple((remap[t], k) for t, k in terms)
+            codes[cell[0]][cell[1]] = _code(terms, cell, overflow)
         # its units, ascending: a free vertex v as its end (v, 1), a
         # dotted edge {i, k} as its ends (i, 1), (k, -1)
         free = (v for v in range(part.size) if diagram.partner(v) is None)
@@ -811,6 +934,8 @@ def direct_sum(
         for first, second in product(units, later):
             z_next += 1
             for (x, sx), (y, sy) in product(first, second):
-                zrows[y][x] = ((z_next, sx * sy),)
-                zrows[x][y] = ((z_next, -sx * sy),)
-    return BraidingMatrix(target, tuple(map(tuple, grid)), tuple(map(tuple, zrows)))
+                codes[y][x] = z_next * sx * sy
+                codes[x][y] = -z_next * sx * sy
+    return BraidingMatrix(
+        target, tuple(map(tuple, grid)), tuple(map(tuple, codes)), tuple(overflow)
+    )

@@ -83,7 +83,7 @@ class LinkingDatum:
 
     def braiding_matrix(self) -> BraidingMatrix:
         n = len(self.braiding_exps)
-        return BraidingMatrix(self.order, self.braiding_exps, (((),) * n,) * n)
+        return BraidingMatrix(self.order, self.braiding_exps, ((0,) * n,) * n)
 
     def verify_datum(
         self, source: Optional[BraidingMatrix] = None
@@ -92,8 +92,9 @@ class LinkingDatum:
         failures: list[str] = []
         d, chis = self.order, self.character_exps
         if source is not None:
+            zrows = source.zrows
             for i in range(source.size):
-                row, zrow = source.exps[i], source.zrows[i]
+                row, zrow = source.exps[i], zrows[i]
                 for j in range(source.size):
                     e = self.entry_exp(i, j)
                     if source.order != d or e != row[j] or zrow[j]:

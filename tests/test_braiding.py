@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import replace
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from math import gcd, prod
 
 import pytest
@@ -335,12 +335,22 @@ class TestSerialization:
 
 
 class TestStoredForm:
-    """zrows is a grid of the shape of exps, in the normal form of _terms."""
+    """zcodes is a grid of the shape of exps, zoverflow holds only what no
+    code carries, and the derived zrows is in the normal form of _terms."""
 
     # repeated indices merge, and cancelling ones leave a pure () cell
     CELLS = (
         ((3, ((2, 1), (1, -1), (2, 1))), (-1, ())),
         ((9, [(1, 1), (1, -1)]), (0, ((3, 2),))),
+    )
+
+    # a z_0, a power 2 and two factors have no code; z1^1*z1^1*z1^-1
+    # and z0^1*z0^-1 normalize to cells that need no overflow
+    OVERFLOW_TEXT = (
+        "root_order 5\n"
+        "q^1*z0^1 q^4*z1^2 q^2\n"
+        "q^1*z1^1*z2^1 q^4*z1^1*z1^1*z1^-1 q^3*z0^1*z0^-1\n"
+        "q^0*z2^-3 q^1*z3^-1 q^9*z0^-1*z4^1\n"
     )
 
     @classmethod
@@ -356,6 +366,10 @@ class TestStoredForm:
         yield direct_sum([(ring, built), (pair, construct(pair, d=7))])
         yield excluded_case_matrix(3, 3)[1]
         yield realize_free(built, ring).braiding_matrix()
+        odd = BraidingMatrix.from_text(cls.OVERFLOW_TEXT)
+        yield odd
+        free, a3 = component_diag(["A1"], []), component_diag(["A3"], [])
+        yield direct_sum([(free, construct(free, d=5)), (a3, odd)])
 
     def test_zrows_is_a_normal_grid_of_the_shape_of_exps(self):
         pure = symbolic = 0
@@ -377,8 +391,11 @@ class TestStoredForm:
 
     def test_from_cells_normalizes(self):
         zrows = ((((1, -1), (2, 2)), ()), ((), ((3, 2),)))
-        want = BraidingMatrix(7, ((3, 6), (2, 0)), zrows)
-        assert BraidingMatrix.from_cells(7, self.CELLS) == want
+        got = BraidingMatrix.from_cells(7, self.CELLS)
+        assert (got.exps, got.zrows) == (((3, 6), (2, 0)), zrows)
+        # neither z-part has a code: both cells are in the overflow
+        overflow = (((0, 0), zrows[0][0]), ((1, 1), zrows[1][1]))
+        assert got == BraidingMatrix(7, ((3, 6), (2, 0)), ((0, 0), (0, 0)), overflow)
 
     def test_pure_matrices_share_one_row(self):
         ring = circle("A3", 2)
@@ -386,8 +403,63 @@ class TestStoredForm:
         datum = realize_free(built, ring)
         pure = (built.instantiate(), built.instantiate({1: 2}), datum.braiding_matrix())
         for m in pure:
-            assert len({id(zrow) for zrow in m.zrows}) == 1
+            assert len({id(zrow) for zrow in m.zcodes}) == 1
+            assert m.zcodes[0] == (0,) * m.size and m.zoverflow == ()
             assert m.zrows[0] == ((),) * m.size
+
+    @staticmethod
+    def written():
+        """Matrices the library writes itself, each cell z_t^+-1 or pure."""
+        ring = circle("A3", 2)
+        built = construct(ring)
+        yield built
+        yield built.instantiate()
+        yield built.instantiate({t: 2 * t for t in built.z_indices()})
+        pair = component_diag(["A1", "A1"], [(0, 1)])
+        yield direct_sum([(ring, built), (pair, construct(pair, d=7))])
+        yield excluded_case_matrix(3, 3)[1]
+        yield brute_force_exists(ring, n_max=12).matrix
+        for labels, pairs in islice(small_family(), 60):
+            d = component_diag(list(labels), list(pairs))
+            if d.is_link_connected() and check(d).decision == "yes":
+                yield construct(d)
+                yield brute_force_exists(d, n_max=12).matrix
+
+    def test_written_matrices_keep_an_empty_overflow(self):
+        count = 0
+        for m in self.written():
+            assert m.zoverflow == ()
+            assert all(type(c) is int for row in m.zcodes for c in row)
+            count += 1
+        assert count > 50
+
+    def test_a_cell_with_a_code_is_never_in_the_overflow(self):
+        seen = 0
+        for m in self.matrices():
+            cells = [cell for cell, _ in m.zoverflow]
+            assert cells == sorted(set(cells))
+            for i, zrow in enumerate(m.zrows):
+                for j, terms in enumerate(zrow):
+                    if len(terms) == 1 and terms[0][0] > 0 and abs(terms[0][1]) == 1:
+                        assert m.zcodes[i][j] == terms[0][0] * terms[0][1]
+                        assert (i, j) not in cells
+                    elif terms:
+                        assert m.zcodes[i][j] == 0 and (i, j) in cells
+                        seen += 1
+                    else:
+                        assert m.zcodes[i][j] == 0 and (i, j) not in cells
+        assert seen > 8
+        *_, odd, summed = self.matrices()
+        assert odd.zcodes == ((0, 0, 0), (0, 1, 0), (0, -3, 0))
+        cells = [cell for cell, _ in odd.zoverflow]
+        assert cells == [(0, 0), (0, 1), (1, 0), (2, 0), (2, 2)]
+        # direct_sum renumbers z_0 to z_1, and z_0^1 gets a code
+        assert summed.z_indices() == (1, 2, 3, 4, 5, 6, 7, 8)
+        for i, j in product(range(3), repeat=2):
+            renumbered = tuple((t + 1, k) for t, k in odd.zrows[i][j])
+            assert summed.zrows[i + 1][j + 1] == renumbered
+        assert summed.zcodes[1][1] == 1 and (1, 1) not in dict(summed.zoverflow)
+        assert summed.zrows[3][3] == ((1, -1), (5, 1))
 
     def test_rebuilt_matrices_compare_and_hash_equal(self):
         for m in self.matrices():
@@ -521,6 +593,39 @@ class TestMatrixTextAgainstReference:
     def test_malformed_text_same_message(self, text):
         got = parse_outcome(BraidingMatrix.from_text, text)
         assert got == parse_outcome(reference_from_text, text)
+
+    @pytest.mark.parametrize("token", ["q^+4", "q^1_0", "q^1*z+1^1", "q^1*z1^"])
+    def test_int_syntax_the_grammar_refuses(self, token):
+        # int() reads "+4" and "1_0"; the token grammar does not
+        text = f"root_order 5\nq^1 q^4\nq^1 {token}\n"
+        with pytest.raises(MalformedMatrix) as info:
+            BraidingMatrix.from_text(text)
+        assert str(info.value) == f"bad root expression {token!r}"
+        assert parse_outcome(BraidingMatrix.from_text, text) == parse_outcome(
+            reference_from_text, text
+        )
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "q^-0",
+            "q^007*z001^-1",
+            "q^3*z0^1",
+            "q^3*z00^-1",
+            "q^2*z1^-01",
+            "q^2*z1^2",
+            "q^2*z1^1*z1^-1",
+            "q^2*z2^1*z1^1",
+            "q^٣*z١^1",
+        ],
+    )
+    def test_edge_tokens_match_reference(self, token):
+        text = f"root_order 5\n{token} q^4\nq^1 q^4*z1^1\n"
+        got = BraidingMatrix.from_text(text)
+        assert parse_outcome(BraidingMatrix.from_text, text) == parse_outcome(
+            reference_from_text, text
+        )
+        assert got == reference_from_text(text)
 
     @pytest.mark.parametrize(
         "text", ["hello\n", "root_order five\n", "root_order 5\nq^1 q^4\nq^1\n"]
@@ -1182,7 +1287,7 @@ def reference_completed(diagram, d, exps):
         grid[i][j] = c * exps[v] % d
         if t:
             zrows[i][j] = ((t, k),)
-    return BraidingMatrix(d, tuple(map(tuple, grid)), tuple(map(tuple, zrows)))
+    return BraidingMatrix.from_cells(d, [list(zip(*r)) for r in zip(grid, zrows)])
 
 
 class TestCompletionAgainstReference:
@@ -1424,7 +1529,8 @@ class TestIdentityForms:
             zrows = [list(zrow) for zrow in matrix.zrows]
             assert zrows[1][0] == ()  # b_21 of a dotted pair carries no parameter
             zrows[1][0] = ((99, 1),)
-            return BraidingMatrix(n, matrix.exps, tuple(map(tuple, zrows)))
+            cells = [list(zip(*r)) for r in zip(matrix.exps, zrows)]
+            return BraidingMatrix.from_cells(n, cells)
 
         monkeypatch.setattr(braiding, "_completed", leaky)
         d = component_diag(["A1", "A1"], [(0, 1)])
@@ -1760,6 +1866,71 @@ class TestGridAgainstReference:
                 kinds.update(k for k in self.KINDS for f in got if k in f)
         assert verdicts == {True, False}
         assert kinds == set(self.KINDS)
+
+    # (diagram, matrix text, a failure a sum-of-codes test would miss)
+    TRAPS = (
+        # z3 on b_11 with a_12 = -1 and q's exponents in agreement: the
+        # codes of b_12 and b_21 sum to 3 * -1, yet z1^-1*z2^-1 is not z3^-1
+        (
+            component_diag(["A2"], []),
+            "root_order 7\nq^1*z3^1 q^3*z1^-1\nq^3*z2^-1 q^1\n",
+            "product identity fails at (1,2): b_ij*b_ji = q^6*z1^-1*z2^-1, "
+            "b_ii^a_ij = q^6*z3^-1",
+        ),
+        # a linkable pair with a_12 = -1, exponent 2: the codes of b_k1
+        # and b_k2 cancel, yet z1^2*z1^-1 is not 1
+        (
+            component_diag(["A2"], [(0, 1)], mode="selflink"),
+            "root_order 7\nq^1*z1^1 q^5*z1^-1\nq^5*z2^-1 q^3*z2^1\n",
+            "linking identity fails for pair (1,2) at k=1: got q^0*z1^1",
+        ),
+        (
+            component_diag(["A2"], [(0, 1)], mode="selflink"),
+            "root_order 7\nq^3 q^1\nq^1 q^5\n",
+            "linking identity fails for pair (2,1) at k=1: got q^5",
+        ),
+        # z_0 cells: overflow on both sides of every identity
+        (
+            component_diag(["A1", "A1"], [(0, 1)]),
+            "root_order 5\nq^1 q^4*z0^1\nq^1*z0^-1 q^4\n",
+            "linking identity fails for pair (1,2) at k=1: got q^0*z0^1",
+        ),
+        (
+            component_diag(["A1", "A1", "A1"], [(0, 1)]),
+            "root_order 5\nq^1 q^4 q^0*z0^1\nq^1 q^4 q^0*z0^-1\n"
+            "q^0*z0^-1 q^0*z0^1 q^2\n",
+            None,
+        ),
+        # the same index with opposite signs cancels, with equal signs not
+        (
+            component_diag(["A1", "A1", "A1"], [(0, 1)]),
+            "root_order 5\nq^1 q^4 q^0*z1^1\nq^1 q^4 q^0*z1^-1\n"
+            "q^0*z1^-1 q^0*z1^1 q^2\n",
+            None,
+        ),
+        (
+            component_diag(["A1", "A1", "A1"], [(0, 1)]),
+            "root_order 5\nq^1 q^4 q^0*z1^1\nq^1 q^4 q^0*z1^1\n"
+            "q^0*z1^1 q^0*z1^-1 q^2\n",
+            "product identity fails at (1,3): b_ij*b_ji = q^0*z1^2, b_ii^a_ij = q^0",
+        ),
+    )
+
+    def test_traps_match_reference(self):
+        for d, text, missed in self.TRAPS:
+            m = BraidingMatrix.from_text(text)
+            # a dotted edge inside a component exists in selflink mode only
+            modes = ("finite", "affine", "selflink")
+            if d.mode == "selflink":
+                modes = ("selflink",)
+            for mode in modes:
+                dm = replace(d, mode=mode)
+                got = tuple(braiding._failures(dm, m))
+                assert got == tuple(reference_failures(dm, m)), (mode, text)
+                if missed and dm == d:
+                    assert missed in got
+                elif missed is None:
+                    assert not [f for f in got if "identity" in f], (mode, text)
 
     def test_size_mismatch_matches_reference(self):
         d = component_diag(["A1", "A1"], [(0, 1)])

@@ -117,6 +117,12 @@ class TestCyclotomic:
     def test_small_polynomials(self, d, expected):
         assert cyclotomic_polynomial(d) == expected
 
+    def test_inexact_division_is_refused(self):
+        # 1 / (x^2 - 1) is no polynomial
+        with pytest.raises(ArithmeticError, match="^polynomial division was not exact$"):
+            linkdyn.presentation._binomial_product([(2, -1)])
+        assert linkdyn.presentation._binomial_product([(2, 1), (2, -1)]) == [1]
+
     def test_product_over_divisors_recovers_power(self):
         for n in range(1, 25):
             prod = [1]

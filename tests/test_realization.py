@@ -691,6 +691,12 @@ class TestDatumText:
         assert back == datum
         assert back.factors == (5, 5, 5, 5)
 
+    def test_blank_and_padded_lines_are_skipped(self):
+        datum = double_datum(cartan("B2"), q_order=7)
+        lines = datum.to_text().splitlines()
+        text = "\n\n".join(lines) + "\n   \n\t\n"
+        assert LinkingDatum.from_text(text) == datum
+
     def test_from_text_rejects_garbage(self):
         with pytest.raises(ValueError):
             LinkingDatum.from_text("root_order 5\nnonsense here")
