@@ -6,11 +6,10 @@ scalars.  A matrix keeps them as integers, a grid of exponents of q
 modulo the order plus a grid of signed ints for the z-parts (+-t for
 z_t^+-1), so the defining identities are congruences on exponents and
 cancelling codes, and every message renders its entries from those
-integers.  RootExpr is only the record of one entry that
-BraidingMatrix.entry returns.  The module builds braiding matrices for
-linkable Dynkin diagrams, verifies the defining identities, searches
-for matrices by brute force and combines matrices of link-connected
-parts into direct sums.
+integers.  The module builds braiding matrices for linkable Dynkin
+diagrams, verifies the defining identities, searches for matrices by
+brute force and combines matrices of link-connected parts into direct
+sums.
 """
 
 from __future__ import annotations
@@ -142,14 +141,14 @@ def _read_cell(
     return e, _code(_terms((zpow, 1)), cell, overflow)
 
 
+# the package builds none; kept only for bench/tracer.py's __post_init__ hook
 @dataclass(frozen=True)
 class RootExpr:
     """The entry q^exp times z_t^k for each (t, k) in zpow, as a record.
 
     order is the order of the root q; exp is kept in 0..order-1 and
     zpow in the normal form of _terms, so repeated indices merge and
-    zero powers drop.  BraidingMatrix.entry returns one; the identities
-    are computed on the matrix's integer grid, not on these values.
+    zero powers drop.
     """
 
     order: int
@@ -180,11 +179,9 @@ class BraidingMatrix:
     z-part (several factors, a power other than +-1, or z_0) is kept in
     zoverflow as ((i, j), terms) in cell order, terms in the normal form
     of _terms, with 0 in zcodes.  A z-part with a code is never kept
-    there, so equal matrices compare and hash equal.  zrows is the
-    derived grid of terms.  The identities, the completion,
-    instantiation and realization work on these integers.  from_cells
-    is the one builder that normalizes; entry and entries build RootExpr
-    records on demand.
+    there, so equal matrices compare and hash equal.  The identities,
+    the completion, instantiation and realization work on these
+    integers, and from_cells is the one builder that normalizes.
     """
 
     order: int
@@ -231,26 +228,9 @@ class BraidingMatrix:
             return ((c, 1),) if c > 0 else ((-c, -1),)
         return self._overflow.get((i, j), ())
 
-    @cached_property
-    def zrows(self) -> tuple[tuple[Terms, ...], ...]:
-        """Every entry's z-exponents, () for a pure one, in a grid like exps.
-
-        Derived from zcodes and zoverflow on first use and kept.
-        """
-        n = self.size
-        return tuple(tuple(self._zpow(i, j) for j in range(n)) for i in range(n))
-
     @property
     def size(self) -> int:
         return len(self.exps)
-
-    def entry(self, i: int, j: int) -> RootExpr:
-        return RootExpr(self.order, self.exps[i][j], self._zpow(i, j))
-
-    @property
-    def entries(self) -> tuple[tuple[RootExpr, ...], ...]:
-        n = self.size
-        return tuple(tuple(self.entry(i, j) for j in range(n)) for i in range(n))
 
     def z_indices(self) -> tuple[int, ...]:
         found = set(map(abs, chain.from_iterable(self.zcodes)))

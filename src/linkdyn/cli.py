@@ -527,9 +527,9 @@ def _run(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 3
     except Exception as exc:
-        # anything else, PathInconsistency included, is a bug: keep the
-        # traceback on stderr and report the command that hit it (the
-        # import is deferred because it adds about 2 ms to every start)
+        # anything else, an uncaught UnclassifiedPath included, is a bug:
+        # keep the traceback on stderr and report the command that hit it
+        # (the import is deferred because it adds about 2 ms to every start)
         import traceback
 
         traceback.print_exc(file=sys.stderr)

@@ -196,11 +196,6 @@ class LinkableDynkinDiagram:
     def is_linkable_pair(self, i: int, j: int) -> bool:
         return self._partner.get(i) == j
 
-    def lambda_of(self, i: int, j: int) -> int:
-        if self._partner.get(i) != j:
-            raise ValueError(f"({i + 1},{j + 1}) is not a dotted edge")
-        return 1 if (min(i, j), max(i, j)) in self.linked else 0
-
     def plain_components(self) -> list[tuple[int, ...]]:
         """Connected components of the plain-edge graph, each sorted."""
         groups: dict[int, list[int]] = {}
@@ -211,20 +206,6 @@ class LinkableDynkinDiagram:
     def component_index(self) -> dict[int, int]:
         """Map each vertex to the smallest vertex of its plain component."""
         return dict(enumerate(self.cartan.component_roots))
-
-    def link_traversal(
-        self, root: int = 0
-    ) -> tuple[list[int], dict[int, Optional[int]]]:
-        """Breadth-first search from root over plain and dotted edges.
-
-        Neighbours are visited in ascending order.  Returns the visit
-        order and the parent of each reached vertex (None for root), as
-        fresh copies: a root that is the smallest vertex of its link
-        component reads its walk in link_walks, any other is walked anew.
-        """
-        walk = next((w for w in self.link_walks if w[0][0] == root), None)
-        order, parent = walk or _breadth_first(self, root)
-        return list(order), dict(parent)
 
     def is_link_connected(self) -> bool:
         """True if plain and dotted edges together connect all vertices."""
@@ -237,8 +218,9 @@ class LinkableDynkinDiagram:
     def link_walks(self) -> tuple[tuple[list[int], dict[int, Optional[int]]], ...]:
         """The breadth-first walk of each link component from its smallest vertex.
 
-        In order of those vertices; each walk is a visit order and
-        parents as link_traversal returns them, kept here unchanged.
+        In order of those vertices.  A walk crosses plain and dotted
+        edges, visiting neighbours in ascending order, and is the visit
+        order with the parent of each reached vertex (None for the first).
         """
         walks, seen = [], set()
         for root in range(self.size):
@@ -538,42 +520,6 @@ def classify_components(
             labels[rows] = label
         result.append(ComponentType(label, vertices))
     return result
-
-
-class SubDiagram(NamedTuple):
-    """An induced piece of a diagram together with its original labels."""
-
-    vertices: tuple[int, ...]
-    diagram: LinkableDynkinDiagram
-
-
-def link_connected_components(
-    diagram: LinkableDynkinDiagram,
-) -> list[SubDiagram]:
-    """Components of the graph formed by plain and dotted edges together.
-
-    Each component comes back as an induced sub-diagram; its vertices
-    field records the original labels in ascending order.
-    """
-    out: list[SubDiagram] = []
-    for comp, _ in diagram.link_walks:
-        verts = tuple(sorted(comp))
-        pos = {v: t for t, v in enumerate(verts)}
-        linkable = tuple(
-            sorted((pos[i], pos[j]) for i, j in diagram.linkable if i in pos)
-        )
-        linked = frozenset(
-            (pos[i], pos[j]) for i, j in diagram.linked if i in pos
-        )
-        out.append(
-            SubDiagram(
-                verts,
-                LinkableDynkinDiagram(
-                    diagram.cartan.submatrix(verts), linkable, linked, diagram.mode
-                ),
-            )
-        )
-    return out
 
 
 def pairwise_linking_consistency(diagram: LinkableDynkinDiagram) -> list[str]:

@@ -8,8 +8,8 @@ the CLI reads its exit code from that alone:
   ``error: ...``, exit 3;
 - a DefiniteNo is the procedure's answer "no such object":
   ``failure: ...``, exit 1;
-- any other error (PathInconsistency, an UnclassifiedPath nobody
-  caught) is a bug: ``internal error in ...``, exit 4.
+- any other error (an UnclassifiedPath nobody caught) is a bug:
+  ``internal error in ...``, exit 4.
 
 Errors that blame a concrete input line (the CLI file format) carry
 the 1-based line number.
@@ -104,13 +104,6 @@ class InadmissibleD(InputError):
 
 class NoAdmissibleOrder(InadmissibleD, DefiniteNo):
     """No root order was requested and the field offers no admissible one."""
-
-
-class PathInconsistency(LinkdynError):
-    """Two dotted edges admit no orientation for the off-diagonal completion.
-
-    No library path raises it; it stays as the example of a bug class.
-    """
 
 
 class ScaleExceeded(InputError):

@@ -276,6 +276,4 @@ __all__ = [
     "excluded_case_matrix",
     "selflink_genus",
     "selflink_order_constraint",
-    "FieldSpec",
-    "CYCLOTOMIC",
 ]

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .braiding import RootExpr
 from .diagram import CartanMatrix
 from .errors import IndexOutOfRange
 from .fields import divisors
@@ -199,11 +198,6 @@ class QValue:
     @classmethod
     def symbol(cls, name: str) -> "QValue":
         return cls._make(0, {(0, ((name, 1),)): 1})
-
-    @classmethod
-    def from_root_expr(cls, value: RootExpr) -> "QValue":
-        sym = tuple((f"z{t}", k) for t, k in value.zpow)
-        return cls._make(value.order, {(value.exp, sym): 1})
 
     # --------------------------------------------------------- predicates
 
@@ -457,19 +451,12 @@ def serre_coefficients(a_ij: int, q_i: QValue, b_ij: QValue) -> list[QValue]:
 # ------------------------------------------------------------ presentation
 
 
-class Relation(NamedTuple):
-    kind: str
-    text: str
-    machine: str
-
-
 @dataclass(frozen=True)
 class HopfPresentation:
     """Generators, relations, and coproduct of the linked algebra.
 
     Rendered from its linking datum on demand: to_text and to_machine
-    each build the lines of their own format only, and relations pairs
-    the two forms of each relation on first access.  Two presentations
+    each build the lines of their own format only.  Two presentations
     are equal when their data and Cartan matrices are, the whole input
     of the rendering.
     """
@@ -489,15 +476,6 @@ class HopfPresentation:
     @property
     def algebra_generators(self) -> tuple[str, ...]:
         return tuple(f"a_{i + 1}" for i in range(len(self.datum.elements)))
-
-    @cached_property
-    def relations(self) -> tuple[Relation, ...]:
-        blocks = zip(self._blocks(False), self._blocks(True))
-        return tuple(
-            Relation(kind, text, machine)
-            for (kind, texts), (_, machines) in blocks
-            for text, machine in zip(texts, machines)
-        )
 
     def to_text(self) -> str:
         lines = [
@@ -673,7 +651,6 @@ __all__ = [
     "qbinomial",
     "check_identity",
     "serre_coefficients",
-    "Relation",
     "HopfPresentation",
     "emit_presentation",
 ]

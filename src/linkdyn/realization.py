@@ -17,7 +17,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from .braiding import BraidingMatrix, RootExpr, _entry_text, _parse_entry, _terms
+from .braiding import BraidingMatrix, _entry_text
 from .diagram import CartanMatrix, LinkableDynkinDiagram
 from .errors import (
     InadmissibleD,
@@ -44,8 +44,7 @@ class LinkingDatum:
     vector over the generators; character_exps holds each chi_j by the
     exponents, in 0..order-1, of its values q^e on the generators, q a
     primitive root of unity of the given order.  Every identity and
-    message is computed on these exponents; characters and
-    braiding_entry give the same values as RootExpr records.
+    message is computed on these exponents.
     """
 
     order: int
@@ -55,13 +54,6 @@ class LinkingDatum:
     linkable: tuple[Pair, ...]
     linked: frozenset[Pair]
     diagram: Optional[LinkableDynkinDiagram] = field(default=None, compare=False)
-
-    @property
-    def characters(self) -> tuple[tuple[RootExpr, ...], ...]:
-        """Each chi_j by its values on the generators."""
-        return tuple(
-            tuple(RootExpr(self.order, e) for e in chi) for chi in self.character_exps
-        )
 
     @cached_property
     def braiding_exps(self) -> tuple[tuple[int, ...], ...]:
@@ -77,10 +69,6 @@ class LinkingDatum:
         """The exponent of q in chi_j(g_i)."""
         return self.braiding_exps[i][j]
 
-    def braiding_entry(self, i: int, j: int) -> RootExpr:
-        """chi_j(g_i)."""
-        return RootExpr(self.order, self.entry_exp(i, j))
-
     def braiding_matrix(self) -> BraidingMatrix:
         n = len(self.braiding_exps)
         return BraidingMatrix(self.order, self.braiding_exps, ((0,) * n,) * n)
@@ -88,19 +76,31 @@ class LinkingDatum:
     def verify_datum(
         self, source: Optional[BraidingMatrix] = None
     ) -> tuple[str, ...]:
-        """Failure messages for the realization identities, empty if fine."""
+        """Failure messages for the realization identities, empty if fine.
+
+        With a source matrix, chi_j(g_i) must equal its entry (i, j).  A
+        source of another size or root order gets one failure for each
+        mismatch, and nothing else is checked.
+        """
         failures: list[str] = []
         d, chis = self.order, self.character_exps
         if source is not None:
-            zrows = source.zrows
-            for i in range(source.size):
-                row, zrow = source.exps[i], zrows[i]
-                for j in range(source.size):
-                    e = self.entry_exp(i, j)
-                    if source.order != d or e != row[j] or zrow[j]:
+            n = len(self.elements)
+            if source.size != n:
+                failures.append(f"matrix size {source.size} != datum size {n}")
+            if source.order != d:
+                failures.append(
+                    f"matrix root order {source.order} != datum root order {d}"
+                )
+            if failures:
+                return tuple(failures)
+            for i, row in enumerate(source.exps):
+                for j, e_ij in enumerate(row):
+                    e, zpow = self.entry_exp(i, j), source._zpow(i, j)
+                    if e != e_ij or zpow:
                         failures.append(
                             f"chi_{j + 1}(g_{i + 1}) = q^{e} but the matrix "
-                            f"holds {_entry_text(row[j], zrow[j])}"
+                            f"holds {_entry_text(e_ij, zpow)}"
                         )
         if self.diagram is not None:
             cartan = self.diagram.cartan.entries
@@ -130,51 +130,6 @@ class LinkingDatum:
             flag = 1 if (i, j) in self.linked else 0
             lines.append(f"lambda {i + 1} {j + 1}: {flag}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "LinkingDatum":
-        order = 0
-        factors: tuple[int, ...] = ()
-        elements: list[tuple[int, ...]] = []
-        characters: list[tuple[int, ...]] = []
-        linkable: list[Pair] = []
-        linked: set[Pair] = set()
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("root_order "):
-                order = int(line.split()[1])
-            elif line.startswith("factors"):
-                factors = tuple(int(x) for x in line.split()[1:])
-            elif line.startswith("g "):
-                _, rest = line.split(" ", 1)
-                _, vec = rest.split(":")
-                elements.append(tuple(int(x) for x in vec.split()))
-            elif line.startswith("chi "):
-                _, rest = line.split(" ", 1)
-                _, vals = rest.split(":")
-                values = [_parse_entry(tok, order) for tok in vals.split()]
-                if any(_terms((z, 1)) for _, z in values):
-                    raise ValueError(f"free parameter in character line {line!r}")
-                characters.append(tuple(e % order for e, _ in values))
-            elif line.startswith("lambda "):
-                head, flag = line.split(":")
-                _, i, j = head.split()
-                pair = (int(i) - 1, int(j) - 1)
-                linkable.append(pair)
-                if int(flag) == 1:
-                    linked.add(pair)
-            else:
-                raise ValueError(f"bad datum line {line!r}")
-        return cls(
-            order,
-            factors,
-            tuple(elements),
-            tuple(characters),
-            tuple(linkable),
-            frozenset(linked),
-        )
 
 
 # ------------------------------------------------------------ realizations

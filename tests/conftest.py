@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 from pathlib import Path
@@ -17,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import linkdyn
-from linkdyn import BraidingMatrix, LinkableDynkinDiagram, RootExpr, validate_cartan
+from linkdyn import BraidingMatrix, LinkableDynkinDiagram, validate_cartan
+from linkdyn.braiding import RootExpr
 
 # directory holding the imported linkdyn package, so a child interpreter
 # runs the same source as the test process whatever its working directory
@@ -254,6 +256,63 @@ def matrix_of(order, rows):
     return BraidingMatrix.from_cells(order, cells)
 
 
+# readers of the library's integer grids and text as entry records, for
+# tests that check them with the arithmetic of Root
+
+Relation = namedtuple("Relation", "kind text machine")
+
+
+def entry_of(matrix, i, j):
+    """Entry (i, j) of a BraidingMatrix as a Root."""
+    return Root(matrix.order, matrix.exps[i][j], matrix._zpow(i, j))
+
+
+def entries_of(matrix):
+    """Every entry of a BraidingMatrix as a Root, row by row."""
+    n = matrix.size
+    return tuple(tuple(entry_of(matrix, i, j) for j in range(n)) for i in range(n))
+
+
+def zrows_of(matrix):
+    """Every entry's z-exponents, () for a pure one, in a grid like exps."""
+    n = matrix.size
+    return tuple(tuple(matrix._zpow(i, j) for j in range(n)) for i in range(n))
+
+
+def characters_of(datum):
+    """Each chi_j of a LinkingDatum by its values on the generators, as Roots."""
+    return tuple(
+        tuple(Root(datum.order, e) for e in chi) for chi in datum.character_exps
+    )
+
+
+def datum_entry(datum, i, j):
+    """chi_j(g_i) of a LinkingDatum as a Root."""
+    return Root(datum.order, datum.entry_exp(i, j))
+
+
+def relations_of(pres):
+    """Each relation of a HopfPresentation as a Relation, in output order.
+
+    to_text lists each kind's relations, indented, under a "<kind>
+    relations:" heading; to_machine lists the same relations in the same
+    order between its header line and the coproduct's lines.
+    """
+    text = pres.to_text().splitlines()
+    cut = text.index("coproduct:")
+    kinds, kind = [], None
+    for line in text[1:cut]:
+        if line.startswith("  "):
+            kinds.append((kind, line[2:]))
+        else:
+            kind = line.removesuffix(" relations:")
+    coproduct = len(text) - cut - 1
+    machine = pres.to_machine().splitlines()
+    machine = machine[1 : len(machine) - coproduct]
+    assert len(machine) == len(kinds)
+    return tuple(Relation(k, t, m) for (k, t), m in zip(kinds, machine))
+
+
 def random_entry(order, rng, symbolic=0.3):
     """q^e, and with the given chance a product of one or two z_t^k too."""
     zpow = ()
@@ -267,7 +326,7 @@ def random_entry(order, rng, symbolic=0.3):
 
 def perturbed(matrix, rng):
     """The matrix with one random entry replaced by a random entry."""
-    rows = [list(row) for row in matrix.entries]
+    rows = [list(row) for row in entries_of(matrix)]
     i, j = rng.randrange(matrix.size), rng.randrange(matrix.size)
     rows[i][j] = random_entry(matrix.order, rng, symbolic=0.5)
     return matrix_of(matrix.order, rows)

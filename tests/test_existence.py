@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 import linkdyn.cycles
 import linkdyn.existence
-from conftest import Root, block_rows, circle, component_diag, diag
+from conftest import (
+    Root,
+    block_rows,
+    circle,
+    component_diag,
+    diag,
+    entries_of,
+    entry_of,
+)
 from linkdyn import (
     ExistenceReport,
     FieldSpec,
@@ -432,7 +440,7 @@ class TestExcludedCaseMatrix:
             rep = verify(diagram, matrix)
             assert rep.ok, (n, m, rep.failures)
             assert any(
-                Root.of(matrix.entry(i, j)).is_symbolic
+                entry_of(matrix, i, j).is_symbolic
                 for i in range(4)
                 for j in range(4)
             )
@@ -448,7 +456,7 @@ class TestExcludedCaseMatrix:
 
                 z = Root.z(d, 1)
                 zi = z.inv()
-                assert matrix.entries == (
+                assert entries_of(matrix) == (
                     (q(1), q(-m) * zi, q(-1), q(m) * z),
                     (z, q(n), zi, q(-n)),
                     (q(1), z, q(-1), zi),

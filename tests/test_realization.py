@@ -11,8 +11,12 @@ from math import gcd, lcm
 from conftest import (
     COMPONENT_ROWS,
     Root,
+    characters_of,
+    circle,
     component_diag,
+    datum_entry,
     diag,
+    entry_of,
     matrix_of,
     perturbed,
     random_entry,
@@ -23,7 +27,6 @@ from linkdyn import (
     CartanMatrix,
     check,
     LinkingDatum,
-    RootExpr,
     a4_realizable_zp2,
     a4_solve_zp2,
     construct,
@@ -226,8 +229,8 @@ class TestDoubleDatum:
                 a = dg.a(first, second)
                 for t in range(generators):
                     combined = (
-                        Root.of(datum.characters[first][t]) ** (1 - a)
-                        * datum.characters[second][t]
+                        characters_of(datum)[first][t] ** (1 - a)
+                        * characters_of(datum)[second][t]
                     )
                     assert combined.is_one
 
@@ -237,9 +240,9 @@ class TestDoubleDatum:
         assert datum.factors == (0,)
         # the mirror generator reuses the same group element
         assert datum.elements == ((1,), (1,))
-        assert datum.braiding_entry(0, 0) == RootExpr(5, 2)
+        assert datum_entry(datum, 0, 0) == Root(5, 2)
         # the mirror character is the inverse of the original
-        assert datum.characters[1][0] == RootExpr(5, -2)
+        assert characters_of(datum)[1][0] == Root(5, -2)
         assert datum.linked == frozenset({(0, 1)})
 
     def test_entries_follow_symmetrizer(self):
@@ -249,14 +252,14 @@ class TestDoubleDatum:
         n = len(rows)
         for i in range(n):
             for j in range(n):
-                assert datum.braiding_entry(i, j) == RootExpr(7, d[i] * rows[i][j])
-                assert datum.braiding_entry(i, n + j) == RootExpr(
+                assert datum_entry(datum, i, j) == Root(7, d[i] * rows[i][j])
+                assert datum_entry(datum, i, n + j) == Root(
                     7, -d[i] * rows[i][j]
                 )
 
     def test_scaled_symmetrizer_is_accepted(self):
         datum = double_datum(cartan("A2"), symmetrizer=(2, 2))
-        assert datum.braiding_entry(0, 0) == RootExpr(5, 4)
+        assert datum_entry(datum, 0, 0) == Root(5, 4)
         assert datum.verify_datum() == ()
 
     def test_wrong_symmetrizer_rejected(self):
@@ -297,7 +300,7 @@ class TestRealizeFree:
         inst = matrix.instantiate()
         for i in range(matrix.size):
             for j in range(matrix.size):
-                assert datum.braiding_entry(i, j) == inst.entry(i, j)
+                assert datum_entry(datum, i, j) == entry_of(inst, i, j)
 
     def test_generators_are_a_basis(self):
         dd = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
@@ -320,15 +323,15 @@ class TestRealizeFree:
         roots = {t: Root.root(5, 2) for t in tags}
         for i in range(matrix.size):
             for j in range(matrix.size):
-                assert datum.braiding_entry(i, j) == inst.entry(i, j)
-                want = Root.of(matrix.entry(i, j)).substitute(roots)
-                assert datum.braiding_entry(i, j) == want
+                assert datum_entry(datum, i, j) == entry_of(inst, i, j)
+                want = entry_of(matrix, i, j).substitute(roots)
+                assert datum_entry(datum, i, j) == want
 
     def test_single_vertex(self):
         solo = diag([[2]], [])
         datum = realize_free(construct(solo), solo)
         assert datum.factors == (0,)
-        assert datum.braiding_entry(0, 0) == RootExpr(5, 1)
+        assert datum_entry(datum, 0, 0) == Root(5, 1)
 
     def test_canonical_datum_is_not_compared_with_its_matrix(self, monkeypatch):
         # chi_j(e_i) = b_ij by construction; only linking is checked
@@ -359,19 +362,32 @@ def reference_verify_datum(datum, source=None):
 
     The check that exponent lookups replaced, kept as the reference:
     chi_j(g_i) is the product of chi_j(h_t)^(g_i)_t over the generators.
+    Entries are compared only when the source has the datum's size and
+    root order; otherwise each mismatch is the one failure of its kind.
     """
-    chars = [[Root.of(c) for c in chi] for chi in datum.characters]
+    chars = characters_of(datum)
     failures = []
     if source is not None:
+        s = len(datum.elements)
+        mismatches = [
+            f"matrix {what} {got} != datum {what} {want}"
+            for what, got, want in (
+                ("size", source.size, s),
+                ("root order", source.order, datum.order),
+            )
+            if got != want
+        ]
+        if mismatches:
+            return tuple(mismatches)
         for i in range(source.size):
             for j in range(source.size):
                 induced = Root.one(datum.order)
                 for t, e in enumerate(datum.elements[i]):
                     induced = induced * chars[j][t] ** e
-                if induced != source.entry(i, j):
+                if induced != entry_of(source, i, j):
                     failures.append(
                         f"chi_{j + 1}(g_{i + 1}) = {induced} "
-                        f"but the matrix holds {source.entry(i, j)}"
+                        f"but the matrix holds {entry_of(source, i, j)}"
                     )
     if datum.diagram is not None:
         for i, j in datum.linkable:
@@ -431,14 +447,54 @@ class TestVerifyDatumAgainstReference:
                     verdicts.add(not got)
                     kinds.update(f.split("_")[0].split(" ")[0] for f in got)
         assert verdicts == {True, False}
-        # entry comparisons (chi_j(g_i) ...) and character identities
-        assert kinds == {"chi", "character"}
+        # entry comparisons (chi_j(g_i) ...), character identities and a
+        # source at another root order (matrix root order ...)
+        assert kinds == {"chi", "character", "matrix"}
 
     @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
     def test_doubles_match_reference(self, label):
         datum = double_datum(cartan(label), q_order=7)
         for source in (None, datum.braiding_matrix()):
             assert datum.verify_datum(source) == reference_verify_datum(datum, source)
+
+
+class TestVerifyDatumMismatch:
+    """A source of another size or root order is reported as such, once."""
+
+    def setup_method(self):
+        self.pair = component_diag(["A1", "A1"], [(0, 1)])
+        self.datum = realize_free(construct(self.pair), self.pair)
+        assert (self.datum.order, len(self.datum.elements)) == (5, 2)
+
+    def test_larger_source_is_one_size_failure(self):
+        ring = construct(circle("A3", 2))
+        assert ring.size == 6
+        assert self.datum.verify_datum(ring) == ("matrix size 6 != datum size 2",)
+
+    def test_smaller_source_is_one_size_failure(self):
+        solo = construct(diag([[2]], []))
+        assert self.datum.verify_datum(solo) == ("matrix size 1 != datum size 2",)
+
+    def test_other_root_order_is_one_order_failure(self):
+        other = construct(self.pair, d=7)
+        assert self.datum.verify_datum(other) == (
+            "matrix root order 7 != datum root order 5",
+        )
+        solo = construct(diag([[2]], []), d=7)
+        assert self.datum.verify_datum(solo) == (
+            "matrix size 1 != datum size 2",
+            "matrix root order 7 != datum root order 5",
+        )
+
+    def test_mismatch_stops_before_the_character_identities(self):
+        # characters that break the linking identity, against a source
+        # of another root order: only the mismatch is reported
+        broken = replace(self.datum, character_exps=((1, 1), (1, 1)))
+        assert broken.verify_datum() != ()
+        other = construct(self.pair, d=7)
+        assert broken.verify_datum(other) == (
+            "matrix root order 7 != datum root order 5",
+        )
 
 
 class TestRealizeModP:
@@ -453,7 +509,7 @@ class TestRealizeModP:
         inst = self.matrix.instantiate()
         for i in range(4):
             for j in range(4):
-                assert datum.braiding_entry(i, j) == inst.entry(i, j)
+                assert datum_entry(datum, i, j) == entry_of(inst, i, j)
 
     def test_coprime_modulus_rejected(self):
         with pytest.raises(OrderNotDividing, match="does not divide"):
@@ -677,36 +733,3 @@ class TestRankFourSystem:
         assert "not recomputed" in note7
         with pytest.raises(NotPrime):
             max_diagram_note_zp2(6)
-
-
-class TestDatumText:
-    def test_round_trip_free(self):
-        datum = double_datum(cartan("B2"), q_order=7)
-        assert LinkingDatum.from_text(datum.to_text()) == datum
-
-    def test_round_trip_finite_factors(self):
-        dd = component_diag(["A2", "A2"], [(0, 2), (1, 3)])
-        datum = realize_mod_p(construct(dd), dd, 5)
-        back = LinkingDatum.from_text(datum.to_text())
-        assert back == datum
-        assert back.factors == (5, 5, 5, 5)
-
-    def test_blank_and_padded_lines_are_skipped(self):
-        datum = double_datum(cartan("B2"), q_order=7)
-        lines = datum.to_text().splitlines()
-        text = "\n\n".join(lines) + "\n   \n\t\n"
-        assert LinkingDatum.from_text(text) == datum
-
-    def test_from_text_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            LinkingDatum.from_text("root_order 5\nnonsense here")
-        with pytest.raises(ValueError):
-            LinkingDatum.from_text("root_order five")
-
-    def test_character_powers_that_cancel_are_pure(self):
-        datum = double_datum(cartan("A2"), q_order=5)
-        text = datum.to_text().replace("chi 1: q^2", "chi 1: q^2*z1^1*z1^-1")
-        assert "z1" in text
-        assert LinkingDatum.from_text(text) == datum
-        with pytest.raises(ValueError, match="free parameter in character line"):
-            LinkingDatum.from_text(text.replace("z1^-1", "z1^-2"))
