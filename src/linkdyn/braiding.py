@@ -67,25 +67,6 @@ def _terms(*factors: tuple[Terms, int]) -> Terms:
     return tuple(sorted((t, k) for t, k in acc.items() if k))
 
 
-def _product(a: Terms, b: Terms) -> Terms:
-    """_terms((a, 1), (b, 1)) for a and b in normal form."""
-    if not b:
-        return a
-    if not a:
-        return b
-    if len(a) == len(b) == 1 and a[0][0] == b[0][0]:
-        k = a[0][1] + b[0][1]
-        return ((a[0][0], k),) if k else ()
-    return _terms((a, 1), (b, 1))
-
-
-def _power(a: Terms, p: int) -> Terms:
-    """_terms((a, p)) for a in normal form."""
-    if p == 1 or not a:
-        return a
-    return tuple((t, k * p) for t, k in a) if p else ()
-
-
 def _code(terms: Terms, cell: tuple[int, int], overflow: list) -> int:
     """The signed int of normal-form terms: t for z_t^1, -t for z_t^-1.
 
@@ -130,8 +111,10 @@ def _read_cell(
 
     The shapes construct writes are read off _CODED; every other token
     goes through _parse_entry, which refuses exactly what _TOKEN does.
+    Either way a token is refused before an order below 1 is.
     """
     if m := _CODED.fullmatch(text):
+        _positive(order)
         e, t, minus = m.groups()
         if not t:
             return int(e), 0
@@ -270,25 +253,28 @@ class BraidingMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BraidingMatrix":
+        """The matrix of to_text's form, each row split and read once.
+
+        Every token is read before the shape is judged, so a bad token
+        in any row is reported before a row of the wrong length.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = lines[0].split() if lines else []
         if len(header) < 2 or header[0] != "root_order":
             raise MalformedMatrix("missing root_order header")
         try:
-            order = int(header[1])
-            exps, zcodes, overflow = [], [], []
+            order, n = int(header[1]), len(lines) - 1
+            exps, zcodes, overflow, square = [], [], [], True
             for i, line in enumerate(lines[1:]):
                 row = line.split()
-                if order < 1 or len(row) != len(lines) - 1:
-                    # from_cells gives these messages after reading every token
-                    tokens = [ln.split() for ln in lines[1:]]
-                    cells = [[_parse_entry(t, order) for t in ts] for ts in tokens]
-                    return cls.from_cells(order, cells)
+                square = square and len(row) == n
                 cells = [
                     _read_cell(t, order, (i, j), overflow) for j, t in enumerate(row)
                 ]
                 exps.append(tuple(e % order for e, _ in cells))
                 zcodes.append(tuple(c for _, c in cells))
+            if not square:
+                raise ValueError("matrix is not square")
             return cls(order, tuple(exps), tuple(zcodes), tuple(overflow))
         except ValueError as exc:
             raise MalformedMatrix(str(exc)) from None
@@ -334,7 +320,7 @@ def _failures(
     z (code_ii * a_ij == 0), and b_kx^m*b_ky when m = 1 - a_xy is 1.
     Every other cell, a z on the diagonal with a_ij != 0, a linking
     exponent above 1 or an overflow cell, and every message, goes
-    through the terms of _product and _power.
+    through _terms.
     """
     s = diagram.size
     if matrix.size != s:
@@ -369,8 +355,8 @@ def _failures(
                 and not (overflow and touched((i, j), (j, i), (i, i)))
             ):
                 continue
-            zl = _product(zpow(i, j), zpow(j, i))
-            zr = _power(zpow(i, i), a_row[j])
+            zl = _terms((zpow(i, j), 1), (zpow(j, i), 1))
+            zr = _terms((zpow(i, i), a_row[j]))
             if (left - right) % d or zl != zr:
                 yield (
                     f"product identity fails at ({i + 1},{j + 1}): "
@@ -392,7 +378,7 @@ def _failures(
                     and not (overflow and touched((k, x), (k, y)))
                 ):
                     continue
-                z = _product(_power(zpow(k, x), exponent), zpow(k, y))
+                z = _terms((zpow(k, x), exponent), (zpow(k, y), 1))
                 if e or z:
                     yield (
                         f"linking identity fails for pair ({x + 1},{y + 1}) "

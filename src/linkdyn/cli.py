@@ -17,6 +17,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 
 from .braiding import (
@@ -382,12 +383,18 @@ def _cmd_a4(args: argparse.Namespace) -> int:
     return 0 if realizable else 1
 
 
+# lines per write of `present`: a prism of 1,280 vertices presents in about
+# 3.3 M lines, which joined into one document took several hundred MB
+_PRESENT_CHUNK = 4096
+
+
 def _cmd_present(args: argparse.Namespace) -> int:
     df = _load(args.file)
     matrix = construct(df.diagram, field=df.field)
     datum = realize_free(matrix, df.diagram)
-    pres = emit_presentation(datum)
-    print(pres.to_machine() if args.machine else pres.to_text(), end="")
+    lines = emit_presentation(datum).lines(args.machine)
+    while chunk := list(islice(lines, _PRESENT_CHUNK)):
+        print("\n".join(chunk))
     return 0
 
 

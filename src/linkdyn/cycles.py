@@ -13,10 +13,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .diagram import LinkableDynkinDiagram, edge_kind
-from .errors import NotAPath, UnsupportedEdgeInMode, VertexNotOnCycle
+from .errors import UnsupportedEdgeInMode, VertexNotOnCycle
 
 # edge kinds allowed inside a cycle, per vocabulary
 _CYCLE_KINDS = {
@@ -218,29 +218,6 @@ def _double_step(h: int, pointing_with: bool) -> int:
     if pointing_with:
         return h - 1 if h > 0 else 0
     return h + 1
-
-
-def height_over(diagram: LinkableDynkinDiagram, path: Sequence[int]) -> int:
-    """Clamped height of path[-1] over path[0] walking along path.
-
-    Start with h = 0; every double edge crossed with its arrow lowers h
-    (never below 0), every double edge crossed against its arrow raises
-    h, any other edge leaves it unchanged.  Consecutive vertices must be
-    joined by a plain or dotted edge; a plain edge takes precedence when
-    both exist.
-    """
-    if len(path) < 1 or len(set(path)) != len(path):
-        raise NotAPath("vertices repeat or path is empty")
-    h = 0
-    for t in range(len(path) - 1):
-        u, v = path[t], path[t + 1]
-        if diagram.a(u, v) != 0:
-            kind = edge_kind(diagram.a(u, v), diagram.a(v, u))
-            if kind.kind == "double":
-                h = _double_step(h, kind.head == 1)
-        elif not diagram.is_linkable_pair(u, v):
-            raise NotAPath(f"no edge between {u + 1} and {v + 1}")
-    return h
 
 
 def natural_orientation(diagram: LinkableDynkinDiagram, cycle: Cycle) -> int:

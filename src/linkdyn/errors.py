@@ -56,10 +56,6 @@ class UnsupportedEdgeInMode(InputError):
     """An edge kind outside the supported families for the requested mode."""
 
 
-class NotAPath(InputError):
-    """The given vertex sequence is not a path in the diagram."""
-
-
 class VertexNotOnCycle(InputError):
     """Height of a vertex was requested relative to a cycle not through it."""
 

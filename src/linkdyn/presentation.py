@@ -306,25 +306,6 @@ class QValue:
 # ------------------------------------------------------------ q-arithmetic
 
 
-def qnumber(n: int, q: QValue) -> QValue:
-    """1 + q + ... + q^(n-1)."""
-    if n < 0:
-        raise IndexOutOfRange(f"q-number needs n >= 0, got {n}")
-    acc = QValue.zero(q.root_order)
-    for t in range(n):
-        acc = acc + q**t
-    return acc
-
-
-def qfactorial(n: int, q: QValue) -> QValue:
-    if n < 0:
-        raise IndexOutOfRange(f"q-factorial needs n >= 0, got {n}")
-    acc = QValue.one(q.root_order)
-    for t in range(1, n + 1):
-        acc = acc * qnumber(t, q)
-    return acc
-
-
 def qbinomial(n: int, i: int, q: QValue) -> QValue:
     """q-binomial bracket by the Pascal recurrence, no division."""
     if n < 0 or i < 0 or i > n:
@@ -455,10 +436,10 @@ def serre_coefficients(a_ij: int, q_i: QValue, b_ij: QValue) -> list[QValue]:
 class HopfPresentation:
     """Generators, relations, and coproduct of the linked algebra.
 
-    Rendered from its linking datum on demand: to_text and to_machine
-    each build the lines of their own format only.  Two presentations
-    are equal when their data and Cartan matrices are, the whole input
-    of the rendering.
+    Rendered from its linking datum on demand: lines builds the lines
+    of one format as they are read, and to_text and to_machine join
+    them.  Two presentations are equal when their data and Cartan
+    matrices are, the whole input of the rendering.
     """
 
     datum: LinkingDatum
@@ -469,47 +450,41 @@ class HopfPresentation:
             raise ValueError("datum carries no diagram; cannot expand relations")
         object.__setattr__(self, "cartan", self.datum.diagram.cartan)
 
-    @property
-    def group_generators(self) -> tuple[str, ...]:
-        return tuple(f"h_{t + 1}" for t in range(len(self.datum.factors)))
+    def lines(self, machine: bool = False) -> Iterator[str]:
+        """The lines of one format, text or machine, each built as it is read.
 
-    @property
-    def algebra_generators(self) -> tuple[str, ...]:
-        return tuple(f"a_{i + 1}" for i in range(len(self.datum.elements)))
-
-    def to_text(self) -> str:
-        lines = [
-            "generators: "
-            + " ".join(self.group_generators + self.algebra_generators)
-        ]
-        for kind, block in self._blocks(False):
-            heading = len(lines)
-            lines.append(f"{kind} relations:")
-            lines.extend(map("  ".__add__, block))
-            if len(lines) == heading + 1:
-                lines.pop()  # an empty block has no heading
-        lines.append("coproduct:")
-        lines.extend(map("  ".__add__, self._coproduct(False)))
-        return "\n".join(lines) + "\n"
-
-    def to_machine(self) -> str:
-        lines = [
-            f"generators {len(self.datum.factors)} {len(self.datum.elements)}"
-        ]
-        for _, block in self._blocks(True):
-            lines.extend(block)
-        lines.extend(self._coproduct(True))
-        return "\n".join(lines) + "\n"
-
-    # ---------------------------------------------------------- builders
-
-    def _blocks(self, machine: bool) -> tuple[tuple[str, Iterator[str]], ...]:
-        """Each kind of relation with its lines, in the one format asked for."""
-        return (
+        to_text and to_machine join them into one document; the CLI
+        writes them a chunk at a time, so no whole document is held.
+        """
+        s, n = len(self.datum.factors), len(self.datum.elements)
+        if machine:
+            yield f"generators {s} {n}"
+        else:
+            h = [f"h_{t + 1}" for t in range(s)]
+            yield "generators: " + " ".join(h + [f"a_{i + 1}" for i in range(n)])
+        indent = "" if machine else "  "
+        blocks = (
             ("group", self._group(machine)),
             ("mixed", self._mixed(machine)),
             ("serre", self._serre(machine)),
         )
+        for kind, block in blocks:
+            for t, line in enumerate(block):
+                if not (t or machine):
+                    yield f"{kind} relations:"  # an empty block has no heading
+                yield indent + line
+        if not machine:
+            yield "coproduct:"
+        for line in self._coproduct(machine):
+            yield indent + line
+
+    def to_text(self) -> str:
+        return "\n".join(self.lines()) + "\n"
+
+    def to_machine(self) -> str:
+        return "\n".join(self.lines(machine=True)) + "\n"
+
+    # ---------------------------------------------------------- builders
 
     def _group(self, machine: bool) -> Iterator[str]:
         factors = self.datum.factors
@@ -637,8 +612,8 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
     but kept in the machine form).  The slots depend only on
     (a_ij, b_ii, b_ij): each distinct triple is built from integer
     Gaussian-binomial rows, zero-tested by the q-Lucas rule and rendered
-    at most once per format.  Nothing is rendered here: to_text and
-    to_machine each render their own format when called.
+    at most once per format.  Nothing is rendered here: lines, to_text
+    and to_machine each render their own format when called.
     """
     return HopfPresentation(datum)
 
@@ -646,8 +621,6 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
 __all__ = [
     "QValue",
     "cyclotomic_polynomial",
-    "qnumber",
-    "qfactorial",
     "qbinomial",
     "check_identity",
     "serre_coefficients",

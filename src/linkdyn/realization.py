@@ -306,42 +306,6 @@ def double_datum(
 # ---------------------------------------------------- (Z/p)^2 for rank four
 
 
-def sqrt_mod(a: int, p: int) -> tuple[int, ...]:
-    """All square roots of a modulo an odd prime p, ascending.
-
-    Any other p raises NotPrime: the non-residue search below would not
-    end, and Euler's criterion would miss roots.
-    """
-    if p < 3 or not is_prime(p):
-        raise NotPrime(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return (0,)
-    if pow(a, (p - 1) // 2, p) != 1:
-        return ()
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return tuple(sorted({r, p - r}))
-    # Tonelli-Shanks for p = 1 mod 4
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return tuple(sorted({r, p - r}))
-
-
 _P_LIMIT = 100_000  # largest prime a4 solves: time and the table grow as p
 
 
@@ -433,18 +397,21 @@ def _a4_scan(
 
 
 def _a4_closed_form(
-    p: int, magic: tuple[tuple[int, int], ...]
+    p: int, magic: tuple[tuple[int, int], ...], table: list[int]
 ) -> tuple[tuple[int, int, int, int], ...]:
     """The same solutions through the square-root case formulas.
 
     Candidates are generated for the three parameter cases (m = 2n,
     n = 2m + 1, and the generic one) over every sign choice, then
     filtered through the congruences, so an ambiguous sign coupling in
-    a formula cannot add spurious tuples.  magic is magic_pairs(p).
+    a formula cannot add spurious tuples.  magic is magic_pairs(p) and
+    table is _sqrt_table(p).
     """
     inv2, inv3, inv4 = (pow(x, -1, p) for x in (2, 3, 4))
-    roots_m2 = sqrt_mod(-2, p)
-    roots_5 = sqrt_mod(5, p)
+    # both roots of -2 and of 5, one root 0 for 5 at p = 5
+    roots_m2, roots_5 = (
+        {r, -r % p} if (r := table[a % p]) >= 0 else set() for a in (-2, 5)
+    )
     cands: set[tuple[int, int, int, int]] = set()
 
     # -2 is a unit modulo the odd prime p, so no root is 0
@@ -527,7 +494,7 @@ def a4_solve_zp2(p: int) -> A4Solution:
     table = _sqrt_table(p)
     magic = magic_pairs(p, table)
     scan = _a4_scan(p, magic, table)
-    closed = _a4_closed_form(p, magic)
+    closed = _a4_closed_form(p, magic, table)
     return A4Solution(p, scan, closed, scan == closed)
 
 
@@ -564,7 +531,6 @@ __all__ = [
     "realize_mod_p",
     "find_symmetrizer",
     "double_datum",
-    "sqrt_mod",
     "magic_pairs",
     "count_magic_solutions",
     "a4_solve_zp2",

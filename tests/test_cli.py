@@ -17,7 +17,15 @@ import linkdyn.cycles
 import linkdyn.errors
 import linkdyn.realization
 from conftest import LINKDYN_SRC, circle, prism, run_cli
-from linkdyn import BraidingMatrix, FieldSpec, LinkableDynkinDiagram
+from linkdyn import (
+    BraidingMatrix,
+    FieldSpec,
+    HopfPresentation,
+    LinkableDynkinDiagram,
+    construct,
+    emit_presentation,
+    realize_free,
+)
 from linkdyn.cli import DiagramFile, main, parse
 from linkdyn.errors import (
     DefiniteNo,
@@ -660,16 +668,43 @@ PRESENT_SHA256 = {
 }
 
 
+def refuse_joined_documents(monkeypatch):
+    """Make to_text and to_machine raise, so present must write lines as built."""
+
+    def refuse(pres):
+        raise AssertionError("present joined the whole document")
+
+    monkeypatch.setattr(HopfPresentation, "to_text", refuse)
+    monkeypatch.setattr(HopfPresentation, "to_machine", refuse)
+
+
 class TestPresentGolden:
     @pytest.mark.parametrize("label, n", sorted(PRESENT_SHA256))
-    def test_stdout_digests(self, write, capsys, label, n):
+    def test_stdout_digests(self, write, capsys, monkeypatch, label, n):
         path = write(DiagramFile(circle(label, n), FieldSpec()).serialize())
+        refuse_joined_documents(monkeypatch)
         digests = []
         for extra in ((), ("--machine",)):
             code, out = run(capsys, "present", path, *extra)
             assert code == 0
             digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
         assert tuple(digests) == PRESENT_SHA256[(label, n)]
+
+    def test_streamed_chunks_equal_the_joined_documents(self, write, capsys):
+        # the A160 chain presents in 51,365 lines, so the writer's chunks
+        # meet at many line boundaries
+        text = "vertices 160\n" + "".join(
+            f"edge {i} {i + 1} -1 -1\n" for i in range(1, 160)
+        )
+        diagram = parse(text).diagram
+        pres = emit_presentation(realize_free(construct(diagram), diagram))
+        path = write(text)
+        for extra, joined in (
+            ((), pres.to_text()),
+            (("--machine",), pres.to_machine()),
+        ):
+            assert joined.count("\n") > 10 * linkdyn.cli._PRESENT_CHUNK
+            assert run(capsys, "present", path, *extra) == (0, joined)
 
 
 # sha256 of `construct --machine`, `realize` and `realize --p <root

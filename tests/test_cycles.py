@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import linkdyn.cycles
 from linkdyn import (
     InadmissibleD,
-    NotAPath,
     UnsupportedComponentType,
     UnsupportedEdgeInMode,
     VertexNotOnCycle,
@@ -30,7 +29,6 @@ from linkdyn import (
     finite_genus_value,
     genus,
     genus_gcd,
-    height_over,
     level0_vertices,
     natural_orientation,
     verify,
@@ -282,24 +280,6 @@ class TestGenera:
 
 
 class TestHeights:
-    def test_height_follows_arrows(self):
-        d = component_diag(["B3"], [])
-        # the double edge 1=2 carries its arrow head at vertex 1
-        assert height_over(d, (1, 2)) == 1
-        assert height_over(d, (2, 1)) == 0
-        assert height_over(d, (0, 1, 2)) == 1
-
-    def test_height_clamped_and_path_checked(self):
-        d = component_diag(["B3", "A1"], [(2, 3)])
-        # crossing with the arrow can not push below zero
-        assert height_over(d, (2, 1, 0)) == 0
-        # a dotted step leaves the height unchanged
-        assert height_over(d, (1, 2, 3)) == 1
-        with pytest.raises(NotAPath):
-            height_over(d, (0, 2))
-        with pytest.raises(NotAPath):
-            height_over(d, (0, 0))
-
     def test_level0_on_positive_genus_circles(self):
         for label, n in (("B3", 2), ("B3", 3), ("B3", 4)):
             d = circle(label, n)

@@ -41,7 +41,6 @@ from linkdyn import (
     max_diagram_note_zp2,
     realize_free,
     realize_mod_p,
-    sqrt_mod,
     verify,
 )
 from linkdyn.errors import (
@@ -527,6 +526,15 @@ class TestRealizeModP:
         assert datum.verify_datum() == ()
 
 
+def table_roots(a, p):
+    """The square roots of a mod p as the closed form reads them, ascending.
+
+    One root r of a is read off _sqrt_table(p), the other is -r mod p.
+    """
+    r = _sqrt_table(p)[a % p]
+    return tuple(sorted({r, -r % p})) if r >= 0 else ()
+
+
 class TestSqrtMod:
     @given(
         st.sampled_from((5, 7, 11, 13, 17, 19, 29, 97, 101)),
@@ -534,24 +542,25 @@ class TestSqrtMod:
     )
     def test_matches_exhaustive_search(self, p, a):
         expected = tuple(sorted(x for x in range(p) if x * x % p == a % p))
-        assert sqrt_mod(a, p) == expected
+        assert table_roots(a, p) == expected
 
     def test_zero(self):
-        assert sqrt_mod(0, 7) == (0,)
-        assert sqrt_mod(14, 7) == (0,)
+        assert table_roots(0, 7) == (0,)
+        assert table_roots(14, 7) == (0,)
+        # sqrt(5) at p = 5 is the one root 0
+        assert table_roots(5, 5) == (0,)
 
     def test_known_roots(self):
-        assert sqrt_mod(5, 19) == (9, 10)
-        assert sqrt_mod(5, 13) == ()
-        # p = 1 mod 4 goes through the long branch
-        assert sqrt_mod(2, 17) == (6, 11)
+        assert table_roots(5, 19) == (9, 10)
+        assert table_roots(5, 13) == ()
+        assert table_roots(2, 17) == (6, 11)
+        assert table_roots(-2, 11) == (3, 8)
 
     @pytest.mark.parametrize("a, p", [(4, 21), (1, 9), (1, 2), (0, 1), (3, -7)])
     def test_modulus_that_is_not_an_odd_prime(self, a, p):
-        # 2^2 = 4 modulo 21, which Euler's criterion would miss, and 9
-        # has no quadratic non-residue for Tonelli-Shanks to find
-        with pytest.raises(NotPrime, match=f"^{p} is not an odd prime$"):
-            sqrt_mod(a, p)
+        # the table is refused before it is built, so no root is read
+        with pytest.raises(NotPrime, match=f"^{p} is not a prime of at least 5$"):
+            table_roots(a, p)
 
 
 class TestMagicCount:
@@ -629,7 +638,7 @@ def reference_a4_scan(p, magic):
 def reference_a4_solve(p):
     magic = reference_magic_pairs(p)
     scan = reference_a4_scan(p, magic)
-    closed = _a4_closed_form(p, magic)
+    closed = _a4_closed_form(p, magic, _sqrt_table(p))
     return A4Solution(p, scan, closed, scan == closed)
 
 
@@ -654,9 +663,8 @@ class TestA4AgainstReference:
             table = _sqrt_table(p)
             assert len(table) == p
             for a in range(p):
-                assert sqrt_mod(a, p) == tuple(
-                    sorted({table[a], (p - table[a]) % p}) if table[a] >= 0 else ()
-                )
+                roots = [x for x in range(p) if x * x % p == a]
+                assert table[a] in roots if roots else table[a] == -1
 
     def test_solutions_match_reference_below_300(self):
         for p in PRIMES_TO_300:
