@@ -19,10 +19,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, islice, product
 from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cycles import genus_gcd
-from .diagram import ComponentType, LinkableDynkinDiagram
+from .diagram import ComponentType, LinkableDynkinDiagram, dotted_edges_that_meet
 from .errors import (
     InadmissibleD,
     IndexOutOfRange,
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .fields import CYCLOTOMIC, FieldSpec, divisors, is_prime
 
-_Z_LIMIT = 2_000_000  # diagonals per root order the oracle is willing to enumerate
+_Z_LIMIT = 2_000_000  # diagonals the oracle will list at the order it answers at
 
 
 # ------------------------------------------------------------------ entries
@@ -679,12 +680,13 @@ def _diagonal_forms(diagram: LinkableDynkinDiagram) -> list[Terms]:
       {i, l}, {k, j}, {k, l} and x_ij + x_il = x_kj + x_kl = x_ji + x_jk
       = x_li + x_lk = 0 form one even cycle in 8 unknowns; its only
       left-kernel vector is the alternating sum, every other invariant
-      factor is 1, and the form is (a_ij + a_il) e_i + (a_kj + a_kl) e_k.
+      factor is 1, and the form is (a_ij + a_il) e_i + (a_kj + a_kl) e_k,
+      zero unless a plain edge joins the two dotted edges.
     """
     a = diagram.cartan.entries
     forms = [((u, a[u][v]), (v, -a[v][u])) for u, v in diagram.cartan.plain_edges()]
     forms += [((x, 1), (y, 1)) for x, y in diagram.linkable]
-    for (i, k), (j, l) in combinations(diagram.linkable, 2):
+    for (i, k), (j, l) in dotted_edges_that_meet(diagram):
         terms = ((i, a[i][j] + a[i][l]), (k, a[k][j] + a[k][l]))
         if form := tuple((v, c) for v, c in terms if c):
             forms.append(form)
@@ -745,13 +747,14 @@ def brute_force_exists(
     proves that no braiding matrix has its diagonal at a scanned order.
     An order is skipped when some vertex's entry can only have an order
     that is not admissible; otherwise the diagonals satisfying the forms
-    are read off the diagonal form.  The witness is the least of them,
-    in link traversal order, whose entries all have an admissible order;
-    only it gets construct's completion, which verify must accept
-    (RuntimeError otherwise: a gap in the completion).  Components must be
-    recognized as check requires (UnsupportedComponentType), n_max
-    below 5 is a ValueError, and ScaleExceeded is raised when some
-    order has more such diagonals than the search will enumerate.
+    are read off the diagonal form.  Some of them have entries of
+    admissible orders only, so the first such order ends the scan, and
+    the least of those, in link traversal order, is the witness; only
+    it gets construct's completion, which verify must accept
+    (RuntimeError otherwise: a gap in the completion).  Components must
+    be recognized as check requires (UnsupportedComponentType), n_max
+    below 5 is a ValueError, and ScaleExceeded is raised when that order
+    has more diagonals than the search will enumerate.
     """
     if n_max < 5:
         raise ValueError(f"order bound {n_max} is below 5, the least order scanned")
@@ -764,30 +767,14 @@ def brute_force_exists(
     has_g2 = diagram.has_g2
     s = diagram.size
     order = diagram.link_walks[0][0]
-
-    def scanned(orders: range) -> Iterator[int]:
-        return (
-            n
-            for n in orders
-            if field.has_primitive_root(n) and (mode == "finite" or is_prime(n))
-        )
-
     diag, cols = _diagonalize(_diagonal_forms(diagram), s)
-    # at order n, y_i runs over the multiples of n / gcd(d_i, n); the
-    # count is refused at the first order from the top that exceeds it,
-    # and no order's count exceeds the product of nonzero |d_i|
-    if 0 in diag or prod(map(abs, diag)) > _Z_LIMIT:
-        for n in scanned(range(n_max, 4, -1)):
-            if (count := prod(gcd(x, n) for x in diag)) > _Z_LIMIT:
-                raise ScaleExceeded(
-                    f"{count} diagonal assignments at {s} vertices; "
-                    f"shrink the diagram or the order bound"
-                )
-    for n in scanned(range(5, n_max + 1)):
-        # each column of V scaled to n / m, read in traversal order and
-        # taken 0..m-1 times; a column with m = 1 only contributes 0
+    for n in range(5, n_max + 1):
+        if not field.has_primitive_root(n) or mode == "affine" and not is_prime(n):
+            continue
+        # each column of V scaled to n / m and taken 0..m-1 times; a column
+        # with m = 1 only contributes 0
         gens = [
-            (m, [col[v] * (n // m) for v in order])
+            (m, [c * (n // m) for c in col])
             for x, col in zip(diag, cols)
             if (m := gcd(x, n)) > 1
         ]
@@ -795,6 +782,13 @@ def brute_force_exists(
         caps = (n // gcd(n, *(g[p] for _, g in gens)) for p in range(s))
         if any(_no_admissible_order(cap, mode, has_g2) for cap in caps):
             continue
+        # y_i runs over the multiples of n / gcd(d_i, n): this order is the
+        # answer, so its count is the only one that could be too large
+        if (count := prod(m for m, _ in gens)) > _Z_LIMIT:
+            raise ScaleExceeded(
+                f"{count} diagonal assignments at {s} vertices; "
+                f"shrink the diagram or the order bound"
+            )
         diagonals = (
             tuple(sum(k * g[p] for k, (_, g) in zip(ks, gens)) % n for p in range(s))
             for ks in product(*(range(m) for m, _ in gens))
@@ -802,8 +796,8 @@ def brute_force_exists(
         fits = (e for e in diagonals if all(_order_ok(x, n, mode, has_g2) for x in e))
         # past the caps some diagonal fits: each prime part of the forms'
         # solutions holds one whose every entry has its part's largest order
-        least = min(fits)
-        matrix = _completed(diagram, n, [least[order.index(v)] for v in range(s)])
+        least = min(fits, key=itemgetter(*order))
+        matrix = _completed(diagram, n, least)
         report = verify(diagram, matrix)
         if not report.ok:
             raise RuntimeError(

@@ -400,7 +400,7 @@ def _cmd_present(args: argparse.Namespace) -> int:
 
 def _cmd_selflink(args: argparse.Namespace) -> int:
     df = _load(args.file)
-    comp = df.diagram.component_index()
+    comp = df.diagram.cartan.component_roots
     inside = [(i, j) for i, j in df.diagram.linkable if comp[i] == comp[j]]
     if not inside:
         print("no self-linked pairs")

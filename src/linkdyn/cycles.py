@@ -71,7 +71,7 @@ def enumerate_cycles(diagram: LinkableDynkinDiagram) -> tuple[Cycle, ...]:
     n = diagram.size
     adj: list[list[tuple[int, str]]] = []
     for v in range(n):
-        nbrs = [(u, "plain") for u in diagram.plain_neighbors(v)]
+        nbrs = [(u, "plain") for u in diagram.cartan.neighbors[v]]
         if (p := diagram.partner(v)) is not None:
             nbrs.append((p, "dotted"))
         adj.append(sorted(nbrs))
@@ -192,7 +192,7 @@ def genus_gcd(diagram: LinkableDynkinDiagram) -> int:
     for u, v in edges:
         kind = edge_kind(diagram.a(u, v), diagram.a(v, u)).kind
         if min(degree[u], degree[v]) >= 2 and (
-            diagram.is_linkable_pair(u, v) or kind not in allowed
+            diagram.partner(u) == v or kind not in allowed
         ):
             return gcd(*(genus(diagram, c) for c in enumerate_cycles(diagram)))
     pot = diagram.potentials

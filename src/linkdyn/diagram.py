@@ -185,16 +185,9 @@ class LinkableDynkinDiagram:
     def a(self, i: int, j: int) -> int:
         return self.cartan.a(i, j)
 
-    def plain_neighbors(self, v: int) -> list[int]:
-        """Vertices joined to v by a plain edge, ascending (a fresh list)."""
-        return list(self.cartan.neighbors[v])
-
     def partner(self, v: int) -> Optional[int]:
         """The other end of the dotted edge at v, or None."""
         return self._partner.get(v)
-
-    def is_linkable_pair(self, i: int, j: int) -> bool:
-        return self._partner.get(i) == j
 
     def plain_components(self) -> list[tuple[int, ...]]:
         """Connected components of the plain-edge graph, each sorted."""
@@ -202,10 +195,6 @@ class LinkableDynkinDiagram:
         for v, root in enumerate(self.cartan.component_roots):
             groups.setdefault(root, []).append(v)
         return [tuple(g) for g in groups.values()]
-
-    def component_index(self) -> dict[int, int]:
-        """Map each vertex to the smallest vertex of its plain component."""
-        return dict(enumerate(self.cartan.component_roots))
 
     def is_link_connected(self) -> bool:
         """True if plain and dotted edges together connect all vertices."""
@@ -522,6 +511,23 @@ def classify_components(
     return result
 
 
+def dotted_edges_that_meet(
+    diagram: LinkableDynkinDiagram,
+) -> Iterator[tuple[Pair, Pair]]:
+    """Each pair of dotted edges with a plain edge between their ends.
+
+    In the order of combinations(diagram.linkable, 2); a pair with no
+    such edge has a_xy == 0 for every end x of one and y of the other.
+    """
+    pairs = diagram.linkable
+    neighbors = diagram.cartan.neighbors
+    edge_at = {v: q for q, pair in enumerate(pairs) for v in pair}
+    for p, (i, k) in enumerate(pairs):
+        near = {edge_at.get(u, -1) for x in (i, k) for u in neighbors[x]}
+        for q in sorted(q for q in near if q > p):
+            yield (i, k), pairs[q]
+
+
 def pairwise_linking_consistency(diagram: LinkableDynkinDiagram) -> list[str]:
     """Check the entry-matching condition between every two dotted edges.
 
@@ -536,27 +542,17 @@ def pairwise_linking_consistency(diagram: LinkableDynkinDiagram) -> list[str]:
     """
     a = diagram.a
     violations: list[str] = []
-    pairs = diagram.linkable
-    neighbors = diagram.cartan.neighbors
-    edge_at = {v: q for q, pair in enumerate(pairs) for v in pair}
-    for p, (i, k) in enumerate(pairs):
-        # a later dotted edge with no end next to i or k compares zeros
-        near = {edge_at.get(u, -1) for x in (i, k) for u in neighbors[x]}
-        for q in sorted(q for q in near if q > p):
-            j, l = pairs[q]
-            for (x, y), (u, w) in (((i, j), (k, l)), ((i, l), (k, j))):
-                bad = [
-                    f"a({s1 + 1},{t1 + 1})={a(s1, t1)} != "
-                    f"a({s2 + 1},{t2 + 1})={a(s2, t2)}"
-                    for (s1, t1), (s2, t2) in (
-                        ((x, y), (u, w)),
-                        ((y, x), (w, u)),
-                    )
-                    if a(s1, t1) != a(s2, t2)
-                ]
-                if bad:
-                    violations.append(
-                        f"dotted ({i + 1},{k + 1}) vs ({j + 1},{l + 1}): "
-                        + ", ".join(bad)
-                    )
+    for (i, k), (j, l) in dotted_edges_that_meet(diagram):
+        for (x, y), (u, w) in (((i, j), (k, l)), ((i, l), (k, j))):
+            bad = [
+                f"a({s1 + 1},{t1 + 1})={a(s1, t1)} != "
+                f"a({s2 + 1},{t2 + 1})={a(s2, t2)}"
+                for (s1, t1), (s2, t2) in (((x, y), (u, w)), ((y, x), (w, u)))
+                if a(s1, t1) != a(s2, t2)
+            ]
+            if bad:
+                violations.append(
+                    f"dotted ({i + 1},{k + 1}) vs ({j + 1},{l + 1}): "
+                    + ", ".join(bad)
+                )
     return violations

@@ -105,8 +105,9 @@ class NoAdmissibleOrder(InadmissibleD, DefiniteNo):
 class ScaleExceeded(InputError):
     """An input is larger than the operation is bounded to.
 
-    The oracle's search space, the rank-four prime, the range where is_prime
-    is exact and the numbers whose divisors are listed each have a bound.
+    The diagonals the oracle lists at the order it answers at, the
+    rank-four prime, the range where is_prime is exact and the numbers
+    whose divisors are listed each have a bound.
     A diagram file's vertex count is bounded too, at 4096, but cli.parse
     refuses a larger one as a SemanticError that names its line.
     """

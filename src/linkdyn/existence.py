@@ -190,7 +190,7 @@ def _plain_paths(
         if v == j:
             paths.append(list(path))
             return
-        for u in diagram.plain_neighbors(v):
+        for u in diagram.cartan.neighbors[v]:
             if u not in seen:
                 seen.add(u)
                 path.append(u)
@@ -211,7 +211,7 @@ def selflink_genus(diagram: LinkableDynkinDiagram, i: int, j: int) -> int:
     double), 4 (one triple) or 5 (two aligned doubles).  Anything else
     raises UnclassifiedPath.
     """
-    comp = diagram.component_index()
+    comp = diagram.cartan.component_roots
     if comp[i] != comp[j]:
         raise ValueError(
             f"vertices {i + 1} and {j + 1} lie in different components"

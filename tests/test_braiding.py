@@ -55,7 +55,11 @@ from conftest import (
 )
 from linkdyn.braiding import RootExpr
 from linkdyn.cli import DiagramFile, main, parse
-from linkdyn.diagram import LinkableDynkinDiagram, classify_components
+from linkdyn.diagram import (
+    LinkableDynkinDiagram,
+    classify_components,
+    dotted_edges_that_meet,
+)
 from linkdyn.fields import CYCLOTOMIC, is_prime
 from test_cycles import random_diagram
 
@@ -1041,25 +1045,21 @@ class TestOracle:
         assert not brute_force_exists(d, n_max=2000).found
         assert tried == []
 
-    def test_scale_exceeded(self):
-        # the linked pair leaves one exponent free: n diagonals at order n
+    def test_scale_exceeded(self, monkeypatch, count_calls):
+        # the linked pair leaves one exponent free: n diagonals at order n;
+        # order 5 answers, so a limit below 5 refuses there, before any
+        # diagonal is listed, whatever the bound
         d = component_diag(["A1", "A1"], [(0, 1)])
+        assert brute_force_exists(d, n_max=2_000_010).root_order == 5
+        monkeypatch.setattr(braiding, "_Z_LIMIT", 4)
+        tested = count_calls(braiding, "_order_ok")
         with pytest.raises(ScaleExceeded) as info:
             brute_force_exists(d, n_max=2_000_010)
         assert str(info.value) == (
-            "2000010 diagonal assignments at 2 vertices; "
+            "5 diagonal assignments at 2 vertices; "
             "shrink the diagram or the order bound"
         )
-
-    def test_scale_refused_at_the_top_order_before_any_scan(self, count_calls):
-        # counts are taken from the largest order down, so the linked
-        # pair's bound is refused after one count and no candidate list
-        counted = count_calls(braiding, "prod")
-        tested = count_calls(braiding, "_order_ok")
-        d = component_diag(["A1", "A1"], [(0, 1)])
-        with pytest.raises(ScaleExceeded):
-            brute_force_exists(d, n_max=2_000_010)
-        assert (len(counted), tested) == (1, [])
+        assert tested == []
 
     def test_bounded_invariant_factors_skip_the_refusal_pass(self, monkeypatch):
         # the odd A3 ring of 3 has invariant factors +-1 and 2, so no
@@ -1077,16 +1077,25 @@ class TestOracle:
         assert not brute_force_exists(circle("A3", 3), n_max=200_000).found
         assert asked == list(range(5, 200_001))
 
-    def test_scale_refusal_names_the_first_order_over_the_limit(self):
-        # invariant factors 0 and 2: n * gcd(2, n) diagonals at order n, so
-        # 2000001 is over the limit, though 2000000 has twice as many
+    def test_scale_refusal_names_the_first_order_over_the_limit(self, monkeypatch):
+        # invariant factors 0 and 2: n * gcd(2, n) diagonals at order n.
+        # Only the order that answers is counted: 5 here, whatever the
+        # bound, and 6 over GF(13), which has no fifth root of unity
         d = component_diag(["B2", "B2"], [(1, 3)])
-        with pytest.raises(ScaleExceeded) as info:
-            brute_force_exists(d, n_max=2_000_001)
-        assert str(info.value) == (
-            "2000001 diagonal assignments at 4 vertices; "
-            "shrink the diagram or the order bound"
-        )
+        for n_max in (30, 2_000_000, 2_000_001):
+            assert brute_force_exists(d, n_max=n_max).root_order == 5
+        gf13 = FieldSpec("gf", q=13)
+        assert brute_force_exists(d, n_max=2_000_001, field=gf13).root_order == 6
+        for limit, field, count in ((4, CYCLOTOMIC, 5), (11, gf13, 12)):
+            monkeypatch.setattr(braiding, "_Z_LIMIT", limit)
+            with pytest.raises(ScaleExceeded) as info:
+                brute_force_exists(d, n_max=2_000_001, field=field)
+            assert str(info.value) == (
+                f"{count} diagonal assignments at 4 vertices; "
+                "shrink the diagram or the order bound"
+            )
+            monkeypatch.setattr(braiding, "_Z_LIMIT", count)
+            assert brute_force_exists(d, n_max=2_000_001, field=field).found
 
     def test_every_order_past_the_caps_has_a_fitting_diagonal(self):
         # the oracle takes the least fitting diagonal of each order its
@@ -1506,6 +1515,39 @@ class TestIdentityForms:
             for n in range(2, 9):
                 yield circle(label, n)
 
+    def test_forms_from_dotted_edges_that_meet_are_the_all_pairs_forms(self):
+        # the definition that visits every pair of dotted edges; a pair
+        # with no plain edge between them gives no form
+        def all_pairs_forms(d):
+            a = d.cartan.entries
+            forms = [((u, a[u][v]), (v, -a[v][u])) for u, v in d.cartan.plain_edges()]
+            forms += [((x, 1), (y, 1)) for x, y in d.linkable]
+            for (i, k), (j, l) in combinations(d.linkable, 2):
+                terms = ((i, a[i][j] + a[i][l]), (k, a[k][j] + a[k][l]))
+                if form := tuple((v, c) for v, c in terms if c):
+                    forms.append(form)
+            return forms
+
+        diagrams = [
+            component_diag(list(labels), list(pairs), mode=mode)
+            for labels, pairs in small_family()
+            for mode in ("finite", "affine")
+        ]
+        diagrams += [circle(label, n) for label in ("A3", "B3") for n in range(2, 12)]
+        diagrams += [prism(k) for k in (4, 8, 16)]
+        met = pairs = 0
+        for d in diagrams:
+            assert braiding._diagonal_forms(d) == all_pairs_forms(d), d
+            meeting = [
+                (p, q)
+                for p, q in combinations(d.linkable, 2)
+                if any(d.a(x, y) for x in p for y in q)
+            ]
+            assert list(dotted_edges_that_meet(d)) == meeting, d
+            met += len(meeting)
+            pairs += len(d.linkable) * (len(d.linkable) - 1) // 2
+        assert 0 < met < pairs
+
     def test_forms_are_the_eliminated_identities(self):
         # the closed-form blocks against Smith elimination of the whole
         # system; every nonzero invariant factor is a unit
@@ -1648,7 +1690,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
             for u in order[:idx]:
                 if diagram.a(v, u) != 0:
                     tightest = min(tightest, gcd(abs(diagram.a(v, u)), n))
-                elif diagram.is_linkable_pair(v, u):
+                elif diagram.partner(v) == u:
                     tightest = 1
             est *= tightest
         return est
@@ -1693,7 +1735,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
                     constraints.append(
                         solve_linear(diagram.a(v, u), eu * diagram.a(u, v), n)
                     )
-                elif diagram.is_linkable_pair(v, u):
+                elif diagram.partner(v) == u:
                     constraints.append([-eu % n])
             if not constraints:
                 raise NotLinkConnected("vertex order is not link-contiguous")

@@ -46,6 +46,7 @@ class PathInconsistency(LinkdynError):
 
 
 A1A1 = "vertices 2\nlink 1 2\n"
+B2B2 = "vertices 4\nedge 1 2 -1 -2\nedge 3 4 -1 -2\nlink 2 4\n"
 
 A2A2 = (
     "vertices 4\n"
@@ -419,13 +420,29 @@ class TestOracleCommand:
         assert code == 1
         assert out == "none: no braiding matrix up to root order 12\n"
 
-    def test_scale_exceeded_is_input_error(self, write, capsys):
+    def test_scale_exceeded_is_input_error(self, write, capsys, monkeypatch):
+        # order 5 answers with 5 diagonals, so a limit of 4 refuses there
+        monkeypatch.setattr(linkdyn.braiding, "_Z_LIMIT", 4)
         code, out = run(capsys, "oracle", write(A1A1), "--nmax", "2000010")
         assert code == 3
         assert out == (
-            "error: 2000010 diagonal assignments at 2 vertices; "
+            "error: 5 diagonal assignments at 2 vertices; "
             "shrink the diagram or the order bound\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, nmax",
+        [(A1A1, "2000010"), (B2B2, "2000001")],
+        ids=["A1xA1", "B2xB2"],
+    )
+    def test_bound_past_the_limit_answers_as_a_small_one(
+        self, write, capsys, text, nmax
+    ):
+        # only the order that answers is counted, however large the bound
+        path = write(text)
+        want = run(capsys, "oracle", path, "--nmax", "30")
+        assert want[0] == 0
+        assert run(capsys, "oracle", path, "--nmax", nmax) == want
 
     @pytest.mark.parametrize("nmax", ["-3", "0", "4"])
     def test_order_bound_below_five_is_input_error(self, write, capsys, nmax):
