@@ -1,24 +1,27 @@
 """Command line front end.
 
-Reads line-oriented diagram files, dispatches to the library, and
-prints deterministic reports.  Exit codes: 0 yes/success, 1 no or
-verification failure, 2 excluded case, 3 input error, 4 internal error
-(a bug: the message names the command and the exception), 141 closed
-stdout.  An error's class decides between 1, 3 and 4 (see errors.py).
+Reads the argument list against one static table of the commands
+(`_COMMANDS`) in one pass, reads line-oriented diagram files, dispatches
+to the library, and prints deterministic reports.  Options go before or
+after the file, as `--opt value` or `--opt=value`, by any unique prefix;
+a malformed argument list exits 3 with its usage on stderr.  Exit codes:
+0 yes/success, 1 no or verification failure, 2 excluded case, 3 input
+error, 4 internal error (a bug: the message names the command and the
+exception), 141 closed stdout.  An error's class decides between 1, 3
+and 4 (see errors.py).
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import io
 import os
+import re
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 from math import gcd
+from types import SimpleNamespace
 
 from .braiding import (
     BraidingMatrix,
@@ -251,21 +254,28 @@ def parse(text: str) -> DiagramFile:
     return DiagramFile(diagram, field)
 
 
+def _read(path: str) -> str:
+    """A file's text: the same lines, and the same errors, as a text-mode
+    open gives (splitlines ends a line at \\r\\n and \\r too), for less
+    than the text layer costs on a small file."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read().decode("utf-8")
+
+
 def _load(path: str) -> DiagramFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(_read(path))
 
 
 # ----------------------------------------------------------------- commands
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     df = _load(args.file)
     print(df.serialize(), end="")
     return 0
 
 
-def _cmd_cycles(args: argparse.Namespace) -> int:
+def _cmd_cycles(args: SimpleNamespace) -> int:
     df = _load(args.file)
     found = enumerate_cycles(df.diagram)
     print(f"cycles: {len(found)}")
@@ -290,7 +300,7 @@ def _cmd_cycles(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: SimpleNamespace) -> int:
     df = _load(args.file)
     report = check(df.diagram, df.field)
     print(f"decision: {report.decision}")
@@ -307,7 +317,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return {"yes": 0, "no": 1, "excluded": 2}[report.decision]
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: SimpleNamespace) -> int:
     df = _load(args.file)
     matrix = construct(df.diagram, d=args.d, field=df.field)
     report = verify(df.diagram, matrix)
@@ -324,11 +334,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     df = _load(args.file)
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    matrix = BraidingMatrix.from_text(text)
+    matrix = BraidingMatrix.from_text(_read(args.matrix))
     if matrix.size != df.diagram.size:
         raise InputError(
             f"matrix has {matrix.size} rows but the diagram has "
@@ -343,7 +351,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: SimpleNamespace) -> int:
     df = _load(args.file)
     result = brute_force_exists(df.diagram, n_max=args.nmax, field=df.field)
     if result.found:
@@ -355,7 +363,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
+def _cmd_realize(args: SimpleNamespace) -> int:
     df = _load(args.file)
     matrix = construct(df.diagram, field=df.field)
     if args.p is None:
@@ -370,15 +378,15 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_a4(args: argparse.Namespace) -> int:
+def _cmd_a4(args: SimpleNamespace) -> int:
     solution = a4_solve_zp2(args.p)
     realizable, lines = solution.report()
     print(f"p = {args.p}")
     print(f"realizable: {'yes' if realizable else 'no'}")
     for line in lines:
         print(line)
-    for n, m, k, l in solution.tuples:
-        print(f"tuple {n} {m} {k} {l}")
+    if solution.tuples:
+        print("\n".join(f"tuple {n} {m} {k} {l}" for n, m, k, l in solution.tuples))
     print(max_diagram_note_zp2(args.p))
     return 0 if realizable else 1
 
@@ -388,7 +396,7 @@ def _cmd_a4(args: argparse.Namespace) -> int:
 _PRESENT_CHUNK = 4096
 
 
-def _cmd_present(args: argparse.Namespace) -> int:
+def _cmd_present(args: SimpleNamespace) -> int:
     df = _load(args.file)
     matrix = construct(df.diagram, field=df.field)
     datum = realize_free(matrix, df.diagram)
@@ -398,7 +406,7 @@ def _cmd_present(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selflink(args: argparse.Namespace) -> int:
+def _cmd_selflink(args: SimpleNamespace) -> int:
     df = _load(args.file)
     comp = df.diagram.cartan.component_roots
     inside = [(i, j) for i, j in df.diagram.linkable if comp[i] == comp[j]]
@@ -418,7 +426,7 @@ def _cmd_selflink(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
+def _cmd_sum(args: SimpleNamespace) -> int:
     parts = []
     for path in args.files:
         df = _load(path)
@@ -430,80 +438,238 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     return 0
 
 
-# --------------------------------------------------------------- dispatch
+# ------------------------------------------------------------------- argv
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """argparse type for an integer no smaller than low."""
+class _Option:
+    """One `--dest` option: kind int or str takes a value, _FLAG none.
 
-    # argparse names the function in its "invalid <name> value" message
-    def integer(text: str) -> int:
+    (A plain class: a dataclass would cost every start about 1.5 ms.)
+    """
+
+    __slots__ = ("dest", "kind", "default", "low", "required")
+
+    def __init__(self, dest, kind, default=None, low=None, required=False):
+        self.dest, self.kind, self.default = dest, kind, default
+        self.low, self.required = low, required  # low: the least int accepted
+
+
+_FLAG = "flag"
+_MACHINE = _Option("machine", _FLAG, default=False)
+_HELP = _Option("help", _FLAG)
+
+# command -> (positional: "file", "files" or None, options, help line)
+_COMMANDS: dict[str, tuple[str | None, tuple[_Option, ...], str]] = {
+    "validate": ("file", (), "parse a diagram file and echo its normal form"),
+    "cycles": ("file", (), "list cycles with weights and genera"),
+    "check": ("file", (), "decide whether a braiding matrix exists"),
+    "construct": ("file", (_Option("d", int), _MACHINE), "build a braiding matrix"),
+    "verify": (
+        "file",
+        (_Option("matrix", str, required=True),),
+        "verify a matrix file against the diagram",
+    ),
+    "oracle": (
+        "file",
+        (_Option("nmax", int, default=30, low=5), _MACHINE),
+        "exhaustive search for a braiding matrix",
+    ),
+    "realize": (
+        "file",
+        (_Option("p", int, low=1), _MACHINE),
+        "realize the constructed matrix over a group",
+    ),
+    "a4": (None, (_Option("p", int, required=True),), "rank-four realizability over (Z/p)^2"),
+    "present": ("file", (_MACHINE,), "emit the Hopf algebra presentation"),
+    "selflink": ("file", (), "constraints from same-component pairs"),
+    "sum": (
+        "files",
+        (_Option("homogeneous", _FLAG, default=False), _MACHINE),
+        "direct sum of constructed matrices",
+    ),
+}
+_TOP_NAMES = {"-h": _HELP, "--help": _HELP}
+
+
+class _Stop(Exception):
+    """The argument list asks for help (message None) or is malformed."""
+
+    def __init__(self, command: str | None, message: str | None) -> None:
+        self.command, self.message = command, message
+
+
+def _classify(word: str, names: dict[str, _Option], command: str | None):
+    """How a word before `--` reads: None for a value, else (option, or
+    None if unknown; the name it matched; the value after `=` or -h).
+
+    Long options match by any unique prefix.
+    """
+    if word[:1] != "-":
+        return None
+    if word in names:
+        return names[word], word, None
+    if len(word) == 1:
+        return None
+    name, eq, value = word.partition("=")
+    if eq and name in names:
+        return names[name], name, value
+    if word[1] == "-":
+        found = [n for n in names if n.startswith(name)]
+        attached = value if eq else None
+    else:
+        found = [n for n in names if n == word[:2]]
+        attached = word[2:]
+    if len(found) > 1:
+        raise _Stop(command, f"ambiguous option: {word} could match {', '.join(found)}")
+    if found:
+        return names[found[0]], found[0], attached
+    # a word like -5 or -.5 is a value (compiled at its first use only)
+    if re.match(r"^-\d+$|^-\d*\.\d+$", word) or " " in word:
+        return None
+    return None, word, None
+
+
+def _help(command: str | None, name: str, attached: str | None) -> _Stop:
+    """-h or --help; -h may carry more h's (-hh), nothing else."""
+    if attached is None or (name == "-h" and attached and not attached.strip("h")):
+        return _Stop(command, None)
+    return _Stop(command, f"argument -h/--help: ignored explicit argument {attached!r}")
+
+
+def _value(command: str, option: _Option, text: str) -> object:
+    if text == "--":
+        return []  # one "--" is dropped from an option's words, as argparse does
+    if option.kind is str:
+        return text
+    try:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
-        return value
+    except ValueError:
+        raise _Stop(command, f"argument --{option.dest}: invalid int value: {text!r}")
+    if option.low is not None and value < option.low:
+        raise _Stop(command, f"argument --{option.dest}: {value} is less than {option.low}")
+    return value
 
-    return integer
+
+def _read_command(command: str, words: list[str]) -> tuple[SimpleNamespace, list[str]]:
+    """The namespace of one command's words, and the words left over.
+
+    As argparse reads them: each word is an option (O), a value (A) or
+    the first `--` (-), after which every word is a value.  Options may
+    come before or after the positional; `file` takes one value and
+    `files` one unbroken run of them.
+    """
+    positional, options, _ = _COMMANDS[command]
+    names = _TOP_NAMES | {"--" + o.dest: o for o in options}
+    cut = words.index("--") if "--" in words else len(words)
+    found = [_classify(word, names, command) for word in words[:cut]]
+    pattern = "".join("A" if f is None else "O" for f in found)
+    if cut < len(words):
+        pattern += "-" + "A" * (len(words) - cut - 1)
+    values = {o.dest: o.default for o in options}
+    given: set[str] = set()
+    extras: list[str] = []
+    pending = positional is not None
+    i = 0
+    while i < len(words):
+        if pattern[i] != "O":
+            j = i + (pattern[i] == "-")
+            if pending and pattern[j : j + 1] == "A":
+                j += 1
+                more = "A-" if positional == "files" else "-"
+                while j < len(pattern) and pattern[j] in more:
+                    j += 1
+                taken = words[i:j]
+                if "--" in taken:
+                    taken.remove("--")
+                values[positional] = taken if positional == "files" else taken[0]
+                pending = False
+            else:
+                j = (pattern + "O").index("O", i)  # up to the next option
+                extras += words[i:j]
+            i = j
+            continue
+        option, name, attached = found[i]
+        i += 1
+        if option is None:
+            extras.append(words[i - 1])
+        elif option is _HELP:
+            raise _help(command, name, attached)
+        elif option.kind is _FLAG:
+            if attached is not None:
+                raise _Stop(
+                    command, f"argument --{option.dest}: ignored explicit argument {attached!r}"
+                )
+            values[option.dest] = True
+        else:
+            if attached is None:
+                if pattern[i : i + 1] != "A":
+                    raise _Stop(command, f"argument --{option.dest}: expected one argument")
+                attached = words[i]
+                i += 1
+            values[option.dest] = _value(command, option, attached)
+            given.add(option.dest)
+    missing = [positional] if pending else []
+    missing += ["--" + o.dest for o in options if o.required and o.dest not in given]
+    if missing:
+        raise _Stop(command, "the following arguments are required: " + ", ".join(missing))
+    return SimpleNamespace(command=command, **values), extras
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="linkdyn",
-        description="linkable Dynkin diagrams and their braiding matrices",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _read_argv(argv: list[str]) -> SimpleNamespace:
+    """The namespace of the whole argument list, in one pass over it."""
+    extras = []
+    for k, word in enumerate(argv):
+        if word == "--":
+            break
+        found = _classify(word, _TOP_NAMES, None)
+        if found is None:
+            if word not in _COMMANDS:
+                break
+            args, more = _read_command(word, argv[k + 1 :])
+            if extras or more:
+                raise _Stop(None, "unrecognized arguments: " + " ".join(extras + more))
+            return args
+        option, name, attached = found
+        if option is None:
+            extras.append(word)
+        else:
+            raise _help(None, name, attached)
+    else:
+        raise _Stop(None, "the following arguments are required: command")
+    choices = ", ".join(map(repr, _COMMANDS))
+    raise _Stop(None, f"argument command: invalid choice: {word!r} (choose from {choices})")
 
-    def with_file(name: str, helptext: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("file", help="diagram file")
-        return p
 
-    with_file("validate", "parse a diagram file and echo its normal form")
-    with_file("cycles", "list cycles with weights and genera")
-    with_file("check", "decide whether a braiding matrix exists")
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: linkdyn [-h] {" + ",".join(_COMMANDS) + "} ..."
+    positional, options, _ = _COMMANDS[command]
+    words = ["usage: linkdyn", command, "[-h]"]
+    for o in options:
+        text = f"--{o.dest}" if o.kind is _FLAG else f"--{o.dest} {o.dest.upper()}"
+        words.append(text if o.required else f"[{text}]")
+    words += {"file": ["file"], "files": ["files [files ...]"], None: []}[positional]
+    return " ".join(words)
 
-    p = with_file("construct", "build a braiding matrix")
-    p.add_argument("--d", type=int, default=None, help="root order to use")
-    p.add_argument("--machine", action="store_true")
 
-    p = with_file("verify", "verify a matrix file against the diagram")
-    p.add_argument("--matrix", required=True, help="matrix file")
-
-    p = with_file("oracle", "exhaustive search for a braiding matrix")
-    p.add_argument(
-        "--nmax", type=_int_at_least(5), default=30, help="largest root order"
-    )
-    p.add_argument("--machine", action="store_true")
-
-    p = with_file("realize", "realize the constructed matrix over a group")
-    p.add_argument(
-        "--p", type=_int_at_least(1), default=None, help="modulus for (Z/p)^s"
-    )
-    p.add_argument("--machine", action="store_true")
-
-    p = sub.add_parser("a4", help="rank-four realizability over (Z/p)^2")
-    p.add_argument("--p", type=int, required=True)
-
-    p = with_file("present", "emit the Hopf algebra presentation")
-    p.add_argument("--machine", action="store_true")
-
-    with_file("selflink", "constraints from same-component pairs")
-
-    p = sub.add_parser("sum", help="direct sum of constructed matrices")
-    p.add_argument("files", nargs="+", help="diagram files")
-    p.add_argument("--homogeneous", action="store_true")
-    p.add_argument("--machine", action="store_true")
-
-    return parser
+def _help_text(command: str | None) -> str:
+    if command is None:
+        lines = [f"  {name:<10} {entry[2]}" for name, entry in _COMMANDS.items()]
+    else:
+        lines = ["  " + _COMMANDS[command][2]]
+    return "\n".join([_usage(command), ""] + lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 3
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+    except _Stop as stop:
+        if stop.message is None:
+            print(_help_text(stop.command), end="")
+            return 0
+        prog = "linkdyn" if stop.command is None else f"linkdyn {stop.command}"
+        print(_usage(stop.command), f"{prog}: error: {stop.message}", sep="\n", file=sys.stderr)
+        return 3
     stdout = sys.stdout
     if not isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
         return _run(args)
@@ -515,7 +681,7 @@ def main(argv: list[str] | None = None) -> int:
             return _run(args)
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args: SimpleNamespace) -> int:
     try:
         # looked up at each call, so a replaced _cmd_ function takes effect
         code = globals()[f"_cmd_{args.command}"](args)

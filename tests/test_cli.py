@@ -1,6 +1,5 @@
 """Command line behavior: file parsing, exit codes, stable output."""
 
-import argparse
 import hashlib
 import io
 import os
@@ -406,6 +405,84 @@ class TestVerifyCommand:
         code, out = run(capsys, "verify", write(A1A1), "--matrix", str(matrix))
         assert code == 3
         assert out == f"error: {message}\n"
+
+
+def text_mode_error(path):
+    """The `error:` line for what a text-mode open and read of path raises."""
+    with pytest.raises((OSError, UnicodeDecodeError)) as info:
+        with open(path, encoding="utf-8") as fh:
+            fh.read()
+    return f"error: {info.value}\n"
+
+
+class TestInputFiles:
+    """Diagram and matrix files read the same with any line ending, and a
+    file that cannot be read gives the text-mode open's error."""
+
+    DIAGRAM = "# two A2 components\n" + A2A2.replace("link 1 3", "link 1 3  # first")
+    ENDINGS = ("\r\n", "\r")
+
+    def bytes_file(self, tmp_path, name, text, ending):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", ending).encode("utf-8"))
+        return str(path)
+
+    @pytest.mark.parametrize("ending", ENDINGS, ids=["crlf", "cr"])
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["validate"], DIAGRAM),
+            (["check"], DIAGRAM),
+            (["construct"], DIAGRAM),
+            (["cycles"], a3_circle(2)),
+            (["oracle", "--nmax", "12"], DIAGRAM),
+            (["check"], "vertices 2\n\n# blank above\nedge 1 2 -1 0\n"),
+        ],
+    )
+    def test_line_endings_give_the_same_stdout(self, tmp_path, capsys, ending, argv, text):
+        lf = run(capsys, *argv, self.bytes_file(tmp_path, "lf.dg", text, "\n"))
+        other = run(capsys, *argv, self.bytes_file(tmp_path, "x.dg", text, ending))
+        assert other == lf
+
+    @pytest.mark.parametrize("ending", ENDINGS, ids=["crlf", "cr"])
+    @pytest.mark.parametrize("tamper", [False, True])
+    def test_matrix_line_endings_give_the_same_stdout(
+        self, write, tmp_path, capsys, ending, tamper
+    ):
+        source = write(A2A2)
+        _, text = run(capsys, "construct", source, "--machine")
+        if tamper:
+            text = text.replace("q^4", "q^3", 1)
+        outs = [
+            run(capsys, "verify", source, "--matrix", self.bytes_file(tmp_path, name, text, end))
+            for name, end in (("lf.m", "\n"), ("x.m", ending))
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == (1 if tamper else 0)
+
+    def unreadable(self, tmp_path, kind):
+        if kind == "directory":
+            return str(tmp_path)
+        if kind == "missing":
+            return str(tmp_path / "missing.dg")
+        # a bad byte past the first 8 KiB, where a buffered reader has
+        # already decoded a first chunk
+        head = "vertices 2\n" + "# padding line of a comment\n" * 800
+        assert len(head) > 20_000
+        path = tmp_path / "bad.dg"
+        path.write_bytes(head.encode("utf-8") + b"link 1 2 # caf\xe9\n")
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["undecodable", "directory", "missing"])
+    def test_unreadable_diagram_is_input_error(self, tmp_path, capsys, kind):
+        path = self.unreadable(tmp_path, kind)
+        assert run(capsys, "check", path) == (3, text_mode_error(path))
+
+    @pytest.mark.parametrize("kind", ["undecodable", "directory", "missing"])
+    def test_unreadable_matrix_is_input_error(self, write, tmp_path, capsys, kind):
+        path = self.unreadable(tmp_path, kind)
+        code, out = run(capsys, "verify", write(A1A1), "--matrix", path)
+        assert (code, out) == (3, text_mode_error(path))
 
 
 class TestOracleCommand:
@@ -1098,26 +1175,6 @@ class TestDispatchErrors:
             "internal error in construct: PathInconsistency: "
             "two paths disagree\n"
         )
-
-    def test_parser_built_once_per_process(self, write, capsys, monkeypatch):
-        built = []
-        original = argparse.ArgumentParser.__init__
-
-        def counting(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            built.append(self.prog)
-
-        linkdyn.cli._build_parser.cache_clear()
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        try:
-            source = write(A1A1)
-            for argv in (["validate", source], ["check", source], ["a4", "--p", "5"]):
-                main(argv)
-            capsys.readouterr()
-        finally:
-            linkdyn.cli._build_parser.cache_clear()
-        assert built.count("linkdyn") == 1
-        assert len(built) == 12  # the top level and its 11 subcommands
 
     def test_usage_errors(self, capsys):
         assert main([]) == 3
