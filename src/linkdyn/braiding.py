@@ -329,7 +329,7 @@ def _failures(
         return
     d, exps, codes = matrix.order, matrix.exps, matrix.zcodes
     overflow, zpow = matrix._overflow, matrix._zpow
-    cartan = diagram.cartan.entries
+    cartan = diagram.cartan
 
     def touched(*cells: tuple[int, int]) -> bool:
         return any(c in overflow for c in cells)
@@ -342,7 +342,7 @@ def _failures(
             yield f"diagonal b_{i + 1}{i + 1} equals 1"
 
     for i in range(s):
-        row, zrow, a_row = exps[i], codes[i], cartan[i]
+        row, zrow, a_row = exps[i], codes[i], cartan.dense_row(i)
         e_ii, c_ii = row[i], zrow[i]
         for j in range(s):
             if i == j:
@@ -367,7 +367,7 @@ def _failures(
 
     for i, j in diagram.linkable:
         for x, y in ((i, j), (j, i)):
-            exponent = 1 - cartan[x][y]
+            exponent = 1 - cartan.a(x, y)
             for k in range(s):
                 # b_kx^exponent b_ky = q^e z^z must be 1
                 row, zrow = exps[k], codes[k]
@@ -541,8 +541,8 @@ def _completed(
     every off-diagonal entry is written once into the grid rows as
     b_vv^c, with the code +-t of z_t^+-1 for all but the dotted edges.
     """
-    a = diagram.cartan.entries
     s = diagram.size
+    a = [diagram.cartan.row(v).get for v in range(s)]  # a[i](j, 0) is a_ij
     e = [x % d for x in exps]
     grid = [[0] * s for _ in range(s)]
     codes = [[0] * s for _ in range(s)]
@@ -561,7 +561,7 @@ def _completed(
     for i, j in combinations(free, 2):
         z += 1
         codes[j][i] = z
-        grid[i][j] = a[i][j] * e[i] % d
+        grid[i][j] = a[i](j, 0) * e[i] % d
         codes[i][j] = -z
 
     # one end on a dotted edge {i,k}, the other end j free
@@ -569,10 +569,10 @@ def _completed(
         z += 1
         up, down = z, -z
         codes[j][i] = up
-        grid[i][j] = a[i][j] * e[i] % d
+        grid[i][j] = a[i](j, 0) * e[i] % d
         codes[i][j] = down
         codes[j][k] = down
-        grid[k][j] = a[k][j] * e[k] % d
+        grid[k][j] = a[k](j, 0) * e[k] % d
         codes[k][j] = up
 
     # both ends on distinct dotted edges; each joins two plain components,
@@ -582,12 +582,12 @@ def _completed(
             (i, k, j, l)
             for i, k in (first, first[::-1])
             for j, l in (second, second[::-1])
-            if a[j][k] == 0 and a[i][l] == 0
+            if a[j](k, 0) == 0 and a[i](l, 0) == 0
         )
         z += 1
         up, down = z, -z
         # the entries carry b_ii^c, its inverse or neither
-        c = a[i][j] * e[i] % d
+        c = a[i](j, 0) * e[i] % d
         codes[j][i] = codes[k][j] = up
         grid[i][j] = grid[l][i] = c
         codes[i][j] = codes[l][i] = down
@@ -683,11 +683,11 @@ def _diagonal_forms(diagram: LinkableDynkinDiagram) -> list[Terms]:
       factor is 1, and the form is (a_ij + a_il) e_i + (a_kj + a_kl) e_k,
       zero unless a plain edge joins the two dotted edges.
     """
-    a = diagram.cartan.entries
-    forms = [((u, a[u][v]), (v, -a[v][u])) for u, v in diagram.cartan.plain_edges()]
+    a = diagram.cartan.a
+    forms = [((u, a(u, v)), (v, -a(v, u))) for u, v in diagram.cartan.plain_edges()]
     forms += [((x, 1), (y, 1)) for x, y in diagram.linkable]
     for (i, k), (j, l) in dotted_edges_that_meet(diagram):
-        terms = ((i, a[i][j] + a[i][l]), (k, a[k][j] + a[k][l]))
+        terms = ((i, a(i, j) + a(i, l)), (k, a(k, j) + a(k, l)))
         if form := tuple((v, c) for v, c in terms if c):
             forms.append(form)
     return forms

@@ -51,7 +51,7 @@ from .realization import (
 
 # ------------------------------------------------------------- file format
 
-_VERTEX_LIMIT = 4096  # most vertices parse accepts: the Cartan rows hold N^2 cells
+_VERTEX_LIMIT = 4096  # most vertices parse accepts: it bounds the s x s matrices, not storage
 
 
 @dataclass(frozen=True)
@@ -232,11 +232,11 @@ def parse(text: str) -> DiagramFile:
     mode = mode or "finite"
     field = field or FieldSpec("cyclotomic")
 
-    rows = [[2 if i == j else 0 for j in range(size)] for i in range(size)]
+    rows = [{i: 2} for i in range(size)]
     for (i, j), (aij, aji) in entries.items():
-        rows[i][j] = aij
-        rows[j][i] = aji
-    cartan = CartanMatrix(tuple(tuple(r) for r in rows))
+        if aij:
+            rows[i][j], rows[j][i] = aij, aji
+    cartan = CartanMatrix(tuple(rows))
 
     if mode != "selflink":
         comp = cartan.component_roots
@@ -537,8 +537,8 @@ def _help(command: str | None, name: str, attached: str | None) -> _Stop:
 
 
 def _value(command: str, option: _Option, text: str) -> object:
-    if text == "--":
-        return []  # one "--" is dropped from an option's words, as argparse does
+    if text == "--":  # `--opt=--`, refused as `--opt --` is
+        raise _Stop(command, f"argument --{option.dest}: expected one argument")
     if option.kind is str:
         return text
     try:

@@ -26,9 +26,19 @@ MODES = ("finite", "affine", "selflink")
 
 @dataclass(frozen=True)
 class CartanMatrix:
-    """Immutable integer matrix satisfying the generalized Cartan axioms."""
+    """Immutable integer matrix satisfying the generalized Cartan axioms,
+    kept as each row's nonzero entries by column: N + 2E of them for N
+    vertices and E plain edges.  Square rows are accepted and kept so."""
 
-    entries: tuple[tuple[int, ...], ...]
+    entries: tuple[dict[int, int], ...]
+
+    def __post_init__(self) -> None:
+        rows = (r if isinstance(r, dict) else {j: x for j, x in enumerate(r) if x}
+                for r in self.entries)
+        object.__setattr__(self, "entries", tuple(rows))
+
+    def __hash__(self) -> int:
+        return hash(tuple(frozenset(row.items()) for row in self.entries))
 
     @property
     def size(self) -> int:
@@ -36,22 +46,24 @@ class CartanMatrix:
 
     def a(self, i: int, j: int) -> int:
         """Entry in row i, column j (0-based)."""
-        return self.entries[i][j]
+        return self.entries[i].get(j, 0)
 
-    def submatrix(self, vertices: Sequence[int]) -> "CartanMatrix":
-        rows = tuple(
-            tuple(self.entries[i][j] for j in vertices) for i in vertices
-        )
-        return CartanMatrix(rows)
+    def row(self, i: int) -> dict[int, int]:
+        """Row i's nonzero entries by column, for reading only."""
+        return self.entries[i]
+
+    def dense_row(self, i: int) -> list[int]:
+        """Row i with every column, as a new list."""
+        out = [0] * len(self.entries)
+        for j, x in self.entries[i].items():
+            out[j] = x
+        return out
 
     # the plain graph, built on first use; equality and hashing see the entries
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's plain neighbours, ascending, read off its row."""
-        return tuple(
-            tuple(u for u, x in enumerate(row) if x and u != v)
-            for v, row in enumerate(self.entries)
-        )
+        return tuple(tuple(sorted(u for u in row if u != v)) for v, row in enumerate(self.entries))
 
     @cached_property
     def component_roots(self) -> tuple[int, ...]:
@@ -227,15 +239,15 @@ class LinkableDynkinDiagram:
         Each exponent is a (numerator, denominator) pair in lowest terms
         with a positive denominator.
         """
-        a = self.cartan.entries
+        a = self.cartan.a
         pot: list[tuple[int, int]] = [(1, 1)] * self.size
         for order, parent in self.link_walks:
             for v in order[1:]:
                 u = parent[v]
                 num, den = pot[u]
-                if a[u][v]:
+                if a_uv := a(u, v):
                     # both entries are negative on a plain edge
-                    num, den = num * -a[u][v], den * -a[v][u]
+                    num, den = num * -a_uv, den * -a(v, u)
                     g = gcd(num, den)
                     pot[v] = (num // g, den // g)
                 else:
@@ -275,7 +287,7 @@ def _breadth_first(
 
 
 def _chain(n: int) -> list[list[int]]:
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
     for i in range(n - 1):
         m[i][i + 1] = m[i + 1][i] = -1
     return m
@@ -407,69 +419,60 @@ def _affine_templates(s: int) -> list[tuple[str, list[list[int]]]]:
 
 
 def _row_profile(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
-    """Row i's off-diagonal entries, sorted: kept by every relabeling."""
-    return tuple(sorted(x for j, x in enumerate(rows[i]) if j != i))
+    """Row i's nonzero off-diagonal entries, sorted: kept by every relabeling."""
+    return tuple(sorted(filter(None, rows[i][:i] + rows[i][i + 1 :])))
 
 
-def _find_isomorphism(
-    sub: CartanMatrix, template: list[list[int]]
-) -> Optional[list[int]]:
-    """Backtracking search for a relabeling carrying template onto sub.
+def _find_isomorphism(rows: Sequence[Sequence[int]], template: tuple) -> Optional[list[int]]:
+    """A relabeling carrying a catalog template onto the dense rows, or None.
 
-    The template has sub's size, as the catalog offers only those.
+    Backtracking with a stack of candidate iterators: template vertex k
+    goes to an unused vertex of its profile, next to the image of its
+    first lower neighbour if it has one, whose entries with the images
+    of 0..k-1 are the template's.
     """
-    n = sub.size
-    sub_rows = sub.entries
-    tpl_profiles = [_row_profile(template, i) for i in range(n)]
-    sub_profiles = [_row_profile(sub_rows, i) for i in range(n)]
-    if sorted(tpl_profiles) != sorted(sub_profiles):
-        return None
-
+    n = len(rows)
+    _, tpl, want, lower = template
+    have = [_row_profile(rows, v) for v in range(n)]
+    near = [[u for u in filter(row.__getitem__, range(n)) if u != v] for v, row in enumerate(rows)]
     assign: list[int] = []
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
-        for v in range(n):
-            if used[v] or sub_profiles[v] != tpl_profiles[k]:
-                continue
-            ok = True
-            for p in range(k):
-                if (
-                    template[k][p] != sub_rows[v][assign[p]]
-                    or template[p][k] != sub_rows[assign[p]][v]
-                ):
-                    ok = False
-                    break
-            if ok:
-                assign.append(v)
-                used[v] = True
-                if extend(k + 1):
-                    return True
-                assign.pop()
-                used[v] = False
-        return False
-
-    return assign if extend(0) else None
-
-
-def _signature(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(_row_profile(rows, i) for i in range(len(rows))))
+    tried = [iter(range(n))]
+    while tried:
+        k = len(tried) - 1
+        del assign[k:]  # back at vertex k: its last image goes
+        for v in tried[-1]:
+            if have[v] == want[k] and all(
+                w != v and tpl[k][p] == rows[v][w] and tpl[p][k] == rows[w][v]
+                for p, w in enumerate(assign)
+            ):
+                break
+        else:
+            tried.pop()
+            continue
+        assign.append(v)
+        if k + 1 == n:
+            return assign
+        p = lower[k + 1]
+        tried.append(iter(near[assign[p]] if p >= 0 else range(n)))
+    return None
 
 
 @lru_cache(maxsize=32)
-def _catalog(size: int, mode: str) -> dict[tuple, list[tuple[str, list[list[int]]]]]:
+def _catalog(size: int, mode: str) -> dict[tuple, list[tuple]]:
     """The templates of one size and mode by signature, in catalog order.
 
-    Constant data, built on first use.
+    Each is what the search reads: its name, rows, row profiles and each
+    vertex's first lower neighbour (-1 for none).  Constant data, built
+    on first use.
     """
     pool = _finite_templates(size) if mode in ("finite", "any") else []
     if mode in ("affine", "any"):
         pool += _affine_templates(size)
-    out: dict[tuple, list[tuple[str, list[list[int]]]]] = {}
-    for name, template in pool:
-        out.setdefault(_signature(template), []).append((name, template))
+    out: dict[tuple, list[tuple]] = {}
+    for name, rows in pool:
+        lower = [next(filter(rows[k].__getitem__, range(k)), -1) for k in range(size)]
+        profiles = [_row_profile(rows, k) for k in range(size)]
+        out.setdefault(tuple(sorted(profiles)), []).append((name, rows, profiles, lower))
     return out
 
 
@@ -496,14 +499,16 @@ def classify_components(
     """
     labels: dict[tuple[tuple[int, ...], ...], str] = {}
     result = []
+    entries = diagram.cartan.entries
     for vertices in diagram.plain_components():
-        sub = diagram.cartan.submatrix(vertices)
-        rows = sub.entries
+        zeros = (0,) * len(vertices)
+        rows = tuple(tuple(map(entries[v].get, vertices, zeros)) for v in vertices)
         label = labels.get(rows)
         if label is None:
-            candidates = _catalog(len(rows), mode).get(_signature(rows), ())
+            signature = tuple(sorted(_row_profile(rows, v) for v in range(len(rows))))
+            candidates = _catalog(len(rows), mode).get(signature, ())
             label = next(
-                (n for n, t in candidates if _find_isomorphism(sub, t) is not None),
+                (t[0] for t in candidates if _find_isomorphism(rows, t) is not None),
                 "other",
             )
             labels[rows] = label

@@ -108,8 +108,8 @@ class ScaleExceeded(InputError):
     The diagonals the oracle lists at the order it answers at, the
     rank-four prime, the range where is_prime is exact and the numbers
     whose divisors are listed each have a bound.
-    A diagram file's vertex count is bounded too, at 4096, but cli.parse
-    refuses a larger one as a SemanticError that names its line.
+    A diagram file's vertex count is bounded too, at 4096, for the s x s
+    matrices; cli.parse refuses more as a SemanticError naming its line.
     """
 
 

@@ -523,12 +523,12 @@ class HopfPresentation:
         """
         datum = self.datum
         d, grid, factors = datum.order, datum.braiding_exps, datum.factors
-        cartan, elements = self.cartan.entries, datum.elements
+        cartan, elements = self.cartan, datum.elements
         lefts: dict[tuple[int, int, int], str] = {}
         for i, row in enumerate(grid):
-            e_ii = row[i]
+            e_ii, a_row = row[i], cartan.dense_row(i)
             for j in range(i + 1, len(grid)):
-                a = cartan[i][j]
+                a = a_row[j]
                 top = 1 - a
                 key = (a, e_ii, row[j])
                 template = lefts.get(key)

@@ -103,10 +103,10 @@ class LinkingDatum:
                             f"holds {_entry_text(e_ij, zpow)}"
                         )
         if self.diagram is not None:
-            cartan = self.diagram.cartan.entries
+            a = self.diagram.a
             for i, j in self.linkable:
                 for x, y in ((i, j), (j, i)):
-                    exponent = 1 - cartan[x][y]
+                    exponent = 1 - a(x, y)
                     for t in range(len(self.factors)):
                         e = (chis[x][t] * exponent + chis[y][t]) % d
                         if e:
@@ -216,13 +216,11 @@ def find_symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
     one-sided zero a_ij = 0 != a_ji or a_ij a_ji < 0, leaves d at 0,
     and then only those pairs fail.
     """
-    n, a = cartan.size, cartan.entries
-    no_ratio = [
-        [(a[i][j] == 0) != (a[j][i] == 0) or a[i][j] * a[j][i] < 0 for j in range(n)]
-        for i in range(n)
-    ]
+    n, a = cartan.size, cartan.a
+    # only pairs with a nonzero entry can fail, in row-major order
+    pairs = sorted({p for i in range(n) for j in cartan.row(i) for p in ((i, j), (j, i))})
     out = [0] * n
-    if not any(map(any, no_ratio)):
+    if all(a(i, j) * a(j, i) > 0 for i, j in pairs):
         diagram = LinkableDynkinDiagram(cartan, (), frozenset())
         pot = [Fraction(*p) for p in diagram.potentials]
         for comp in diagram.plain_components():
@@ -230,13 +228,12 @@ def find_symmetrizer(cartan: CartanMatrix) -> tuple[int, ...]:
             shrink = gcd(*(int(pot[v] * scale) for v in comp))
             for v in comp:
                 out[v] = int(pot[v] * scale) // shrink
-    for i in range(n):
-        for j in range(n):
-            if out[i] * a[i][j] != out[j] * a[j][i] or no_ratio[i][j]:
-                raise NotSymmetrizable(
-                    f"no positive d with d_{i + 1} a({i + 1},{j + 1}) = "
-                    f"d_{j + 1} a({j + 1},{i + 1})"
-                )
+    for i, j in pairs:
+        if out[i] * a(i, j) != out[j] * a(j, i) or a(i, j) * a(j, i) <= 0:
+            raise NotSymmetrizable(
+                f"no positive d with d_{i + 1} a({i + 1},{j + 1}) = "
+                f"d_{j + 1} a({j + 1},{i + 1})"
+            )
     return tuple(out)
 
 
@@ -271,12 +268,8 @@ def double_datum(
                 f"collapse to 1"
             )
 
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            rows[i][j] = cartan.a(i, j)
-            rows[n + i][n + j] = cartan.a(i, j)
-    double_cartan = CartanMatrix(tuple(tuple(r) for r in rows))
+    rows = [cartan.row(i) for i in range(n)]
+    double_cartan = CartanMatrix(tuple(rows + [{n + j: x for j, x in r.items()} for r in rows]))
     pairs = tuple((i, n + i) for i in range(n))
     diagram = LinkableDynkinDiagram(
         double_cartan, pairs, frozenset(pairs), mode="finite"

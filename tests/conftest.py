@@ -60,6 +60,12 @@ def block_rows(labels):
     return tuple(tuple(r) for r in rows)
 
 
+def dense_rows(cartan):
+    """A Cartan matrix's square rows, read entry by entry."""
+    n = cartan.size
+    return tuple(tuple(cartan.a(i, j) for j in range(n)) for i in range(n))
+
+
 def diag(rows, pairs, linked=None, mode="finite"):
     """Diagram from Cartan rows plus dotted pairs (0-based, any order)."""
     ps = tuple(sorted(tuple(sorted(p)) for p in pairs))

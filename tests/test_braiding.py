@@ -43,6 +43,7 @@ from conftest import (
     block_rows,
     circle,
     component_diag,
+    dense_rows,
     diag,
     entries_of,
     entry_of,
@@ -1241,7 +1242,7 @@ def reference_offdiagonal_entries(diagram):
     by which ends lie on dotted edges; each class instance uses one
     fresh parameter z_t and every ordered pair is set exactly once.
     """
-    a = diagram.cartan.entries
+    a = dense_rows(diagram.cartan)
     out = {}
     z = 0
 
@@ -1356,7 +1357,7 @@ def reference_identity_forms(diagram):
     can cancel.
     """
     s = diagram.size
-    a = diagram.cartan.entries
+    a = dense_rows(diagram.cartan)
     off = reference_offdiagonal_entries(diagram)
 
     def b(i, j):
@@ -1399,7 +1400,7 @@ def eliminated_forms(diagram):
     here uses the blocks the oracle's derivation splits the system into.
     """
     s = diagram.size
-    a = diagram.cartan.entries
+    a = dense_rows(diagram.cartan)
 
     def row(*factors):
         # the exponents of a product of entries b_ij^power that must be 1
@@ -1519,7 +1520,7 @@ class TestIdentityForms:
         # the definition that visits every pair of dotted edges; a pair
         # with no plain edge between them gives no form
         def all_pairs_forms(d):
-            a = d.cartan.entries
+            a = dense_rows(d.cartan)
             forms = [((u, a[u][v]), (v, -a[v][u])) for u, v in d.cartan.plain_edges()]
             forms += [((x, 1), (y, 1)) for x, y in d.linkable]
             for (i, k), (j, l) in combinations(d.linkable, 2):
