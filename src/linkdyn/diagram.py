@@ -283,197 +283,142 @@ def _breadth_first(
     return order, parent
 
 
-# --------------------------------------------------------------- templates
+# ------------------------------------------------------------------ shapes
+#
+# Every catalog entry is a path, a cycle of single edges or a tree with one
+# or two branch vertices, so each is named by a shape code that relabeling
+# keeps.  An edge walked from u to v reads as its label (a_uv, a_vu).
+
+def _flip(labels: tuple[Pair, ...]) -> tuple[Pair, ...]:
+    """A path's edge labels read from its other end."""
+    return tuple((y, x) for x, y in reversed(labels))
 
 
-def _chain(n: int) -> list[list[int]]:
-    m = [[0] * i + [2] + [0] * (n - 1 - i) for i in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = m[i + 1][i] = -1
-    return m
+def _path(labels: tuple[Pair, ...]) -> tuple:
+    """A path's code: its labels from whichever end gives the smaller tuple."""
+    return ("path", min(labels, _flip(labels)))
 
 
-def _set_edge(m: list[list[int]], i: int, j: int, aij: int, aji: int) -> None:
-    m[i][j] = aij
-    m[j][i] = aji
+def _tree(near: Sequence, between: Optional[tuple[Pair, ...]] = None, far: Sequence = ()) -> tuple:
+    """A tree's code: the legs out of its branch vertex, each read outward,
+    sorted; with a second branch vertex, also the path to it and that
+    vertex's legs, in whichever orientation gives the smaller tuple."""
+    near, far = tuple(sorted(near)), tuple(sorted(far))
+    if between is None:
+        return ("tree", near)
+    return ("tree", min((near, between, far), (far, _flip(between), near)))
 
 
-def _star(arms: tuple[int, ...]) -> list[list[int]]:
-    # center is vertex 0, arms attach as consecutive chains
-    n = 1 + sum(arms)
-    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = 1
-    for length in arms:
-        prev = 0
-        for _ in range(length):
-            _set_edge(m, prev, v, -1, -1)
-            prev = v
-            v += 1
-    return m
+def _shape(rows: Sequence[dict[int, int]], vertices: Sequence[int]) -> Optional[tuple]:
+    """The shape code of the plain component on vertices, from sparse rows.
 
-
-def _finite_templates(s: int) -> list[tuple[str, list[list[int]]]]:
-    out: list[tuple[str, list[list[int]]]] = [(f"A{s}", _chain(s))]
-    if s >= 2:
-        m = _chain(s)
-        _set_edge(m, s - 2, s - 1, -1, -2)
-        out.append((f"B{s}", m))
-    if s >= 3:
-        m = _chain(s)
-        _set_edge(m, s - 2, s - 1, -2, -1)
-        out.append((f"C{s}", m))
-    if s >= 4:
-        m = _chain(s - 1)
-        for row in m:
-            row.append(0)
-        m.append([0] * s)
-        m[s - 1][s - 1] = 2
-        _set_edge(m, s - 3, s - 1, -1, -1)
-        out.append((f"D{s}", m))
-    if s == 6:
-        out.append(("E6", _star((1, 2, 2))))
-    if s == 7:
-        out.append(("E7", _star((1, 2, 3))))
-    if s == 8:
-        out.append(("E8", _star((1, 2, 4))))
-    if s == 4:
-        m = _chain(4)
-        _set_edge(m, 1, 2, -1, -2)
-        out.append(("F4", m))
-    if s == 2:
-        m = [[2, -1], [-3, 2]]
-        out.append(("G2", m))
-    return out
-
-
-def _affine_templates(s: int) -> list[tuple[str, list[list[int]]]]:
-    out: list[tuple[str, list[list[int]]]] = []
-    if s == 2:
-        out.append(("A1(1)", [[2, -2], [-2, 2]]))
-        out.append(("A2(2)", [[2, -1], [-4, 2]]))
-    if s >= 3:
-        m = _chain(s)
-        _set_edge(m, 0, s - 1, -1, -1)
-        out.append((f"A{s - 1}(1)", m))
-    if s >= 4:
-        # fork at one end, double arrow at the other, head outward
-        m = _chain(s)
-        _set_edge(m, 0, 1, 0, 0)
-        _set_edge(m, 0, 2, -1, -1)
-        _set_edge(m, s - 2, s - 1, -1, -2)
-        out.append((f"B{s - 1}(1)", m))
-    if s >= 3:
-        m = _chain(s)
-        _set_edge(m, 0, 1, -1, -2)
-        _set_edge(m, s - 2, s - 1, -2, -1)
-        out.append((f"C{s - 1}(1)", m))
-    if s >= 5:
-        m = _chain(s)
-        _set_edge(m, 0, 1, 0, 0)
-        _set_edge(m, 0, 2, -1, -1)
-        _set_edge(m, s - 2, s - 1, 0, 0)
-        _set_edge(m, s - 3, s - 1, -1, -1)
-        out.append((f"D{s - 1}(1)", m))
-    if s == 7:
-        out.append(("E6(1)", _star((2, 2, 2))))
-    if s == 8:
-        out.append(("E7(1)", _star((1, 3, 3))))
-    if s == 9:
-        out.append(("E8(1)", _star((1, 2, 5))))
-    if s == 5:
-        m = _chain(5)
-        _set_edge(m, 2, 3, -1, -2)
-        out.append(("F4(1)", m))
-    if s == 3:
-        m = _chain(3)
-        _set_edge(m, 1, 2, -1, -3)
-        out.append(("G2(1)", m))
-    if s >= 3:
-        # twisted even A: double arrows at both ends, heads aligned
-        m = _chain(s)
-        _set_edge(m, 0, 1, -2, -1)
-        _set_edge(m, s - 2, s - 1, -2, -1)
-        out.append((f"A{2 * (s - 1)}(2)", m))
-    if s >= 4:
-        # twisted odd A: fork at one end, double arrow pointing inward
-        m = _chain(s)
-        _set_edge(m, 0, 1, 0, 0)
-        _set_edge(m, 0, 2, -1, -1)
-        _set_edge(m, s - 2, s - 1, -2, -1)
-        out.append((f"A{2 * s - 3}(2)", m))
-    if s >= 3:
-        # twisted D: double arrows at both ends, heads outward
-        m = _chain(s)
-        _set_edge(m, 0, 1, -2, -1)
-        _set_edge(m, s - 2, s - 1, -1, -2)
-        out.append((f"D{s}(2)", m))
-    if s == 5:
-        m = _chain(5)
-        _set_edge(m, 2, 3, -2, -1)
-        out.append(("E6(2)", m))
-    if s == 3:
-        m = _chain(3)
-        _set_edge(m, 0, 1, -1, -3)
-        out.append(("D4(3)", m))
-    return out
-
-
-def _row_profile(rows: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
-    """Row i's nonzero off-diagonal entries, sorted: kept by every relabeling."""
-    return tuple(sorted(filter(None, rows[i][:i] + rows[i][i + 1 :])))
-
-
-def _find_isomorphism(rows: Sequence[Sequence[int]], template: tuple) -> Optional[list[int]]:
-    """A relabeling carrying a catalog template onto the dense rows, or None.
-
-    Backtracking with a stack of candidate iterators: template vertex k
-    goes to an unused vertex of its profile, next to the image of its
-    first lower neighbour if it has one, whose entries with the images
-    of 0..k-1 are the template's.
+    None unless the component is a path, a cycle of single edges or a
+    tree with at most two branch vertices: no catalog entry is anything
+    else.  Each vertex is walked at most twice.
     """
-    n = len(rows)
-    _, tpl, want, lower = template
-    have = [_row_profile(rows, v) for v in range(n)]
-    near = [[u for u in filter(row.__getitem__, range(n)) if u != v] for v, row in enumerate(rows)]
-    assign: list[int] = []
-    tried = [iter(range(n))]
-    while tried:
-        k = len(tried) - 1
-        del assign[k:]  # back at vertex k: its last image goes
-        for v in tried[-1]:
-            if have[v] == want[k] and all(
-                w != v and tpl[k][p] == rows[v][w] and tpl[p][k] == rows[w][v]
-                for p, w in enumerate(assign)
-            ):
-                break
-        else:
-            tried.pop()
-            continue
-        assign.append(v)
-        if k + 1 == n:
-            return assign
-        p = lower[k + 1]
-        tried.append(iter(near[assign[p]] if p >= 0 else range(n)))
-    return None
+    degree = {v: len(rows[v]) - 1 for v in vertices}
+    edges = sum(degree.values()) // 2
+    if edges == len(vertices):
+        # connected with one cycle: all of it if no degree exceeds 2
+        single = all(x == -1 for v in vertices for u, x in rows[v].items() if u != v)
+        return ("cycle", edges) if single and max(degree.values()) == 2 else None
+    branches = [v for v in vertices if degree[v] > 2]
+    if edges != len(vertices) - 1 or len(branches) > 2:
+        return None
+
+    # a row's keys are its vertex and that vertex's neighbours, so the
+    # other neighbour of a vertex v of degree 2, reached from u, is their
+    # sum less u and v
+    def walk(u: int, v: int) -> tuple[tuple[Pair, ...], int]:
+        # the labels from u through v to the next vertex not of degree 2
+        labels = [(rows[u][v], rows[v][u])]
+        while degree[v] == 2:
+            u, v = v, sum(rows[v]) - u - v
+            labels.append((rows[u][v], rows[v][u]))
+        return tuple(labels), v
+
+    if not branches:
+        if len(vertices) == 1:
+            return _path(())
+        end = next(v for v in vertices if degree[v] == 1)
+        return _path(walk(end, sum(rows[end]) - end)[0])
+    arms = [[walk(b, v) for v in rows[b] if v != b] for b in branches]
+    if len(branches) == 1:
+        return _tree([labels for labels, _ in arms[0]])
+    b, c = branches
+    between = next(labels for labels, end in arms[0] if end == c)
+    legs = [[labels for labels, end in arm if end not in branches] for arm in arms]
+    return _tree(legs[0], between, legs[1])
+
+
+def _templates(s: int, mode: str) -> Iterator[tuple[str, tuple]]:
+    """The catalog of one size and mode: each label with its shape code.
+
+    Finite types before affine ones, each in the order of Kac's tables;
+    line(k) is k single edges.
+    """
+
+    def line(k: int) -> tuple[Pair, ...]:
+        return ((-1, -1),) * k
+
+    if mode in ("finite", "any"):
+        yield f"A{s}", _path(line(s - 1))
+        if s >= 2:
+            yield f"B{s}", _path(line(s - 2) + ((-1, -2),))
+        if s >= 3:
+            yield f"C{s}", _path(line(s - 2) + ((-2, -1),))
+        if s >= 4:
+            yield f"D{s}", _tree([line(1), line(1), line(s - 3)])
+        if s in (6, 7, 8):
+            yield f"E{s}", _tree([line(1), line(2), line(s - 4)])
+        if s == 4:
+            yield "F4", _path(line(1) + ((-1, -2),) + line(1))
+        if s == 2:
+            yield "G2", _path(((-1, -3),))
+    if mode in ("affine", "any"):
+        if s == 2:
+            yield "A1(1)", _path(((-2, -2),))
+            yield "A2(2)", _path(((-1, -4),))
+        if s >= 3:
+            yield f"A{s - 1}(1)", ("cycle", s)
+        fork = [line(1), line(1)]
+        if s >= 4:
+            # fork at one end, double arrow at the other, head outward
+            yield f"B{s - 1}(1)", _tree(fork + [line(s - 4) + ((-1, -2),)])
+        if s >= 3:
+            yield f"C{s - 1}(1)", _path(((-1, -2),) + line(s - 3) + ((-2, -1),))
+        if s >= 5:
+            # forks at both ends, on one branch vertex at five vertices
+            yield f"D{s - 1}(1)", _tree(fork * 2) if s == 5 else _tree(fork, line(s - 5), fork)
+        if s in (7, 8, 9):
+            arms = {7: (2, 2, 2), 8: (1, 3, 3), 9: (1, 2, 5)}[s]
+            yield f"E{s - 1}(1)", _tree([line(k) for k in arms])
+        if s == 5:
+            yield "F4(1)", _path(line(2) + ((-1, -2),) + line(1))
+        if s == 3:
+            yield "G2(1)", _path(line(1) + ((-1, -3),))
+        if s >= 3:
+            # twisted even A: double arrows at both ends, heads aligned
+            yield f"A{2 * (s - 1)}(2)", _path(((-2, -1),) + line(s - 3) + ((-2, -1),))
+        if s >= 4:
+            # twisted odd A: fork at one end, double arrow pointing inward
+            yield f"A{2 * s - 3}(2)", _tree(fork + [line(s - 4) + ((-2, -1),)])
+        if s >= 3:
+            # twisted D: double arrows at both ends, heads outward
+            yield f"D{s}(2)", _path(((-2, -1),) + line(s - 3) + ((-1, -2),))
+        if s == 5:
+            yield "E6(2)", _path(line(2) + ((-2, -1),) + line(1))
+        if s == 3:
+            yield "D4(3)", _path(((-1, -3),) + line(1))
 
 
 @lru_cache(maxsize=32)
-def _catalog(size: int, mode: str) -> dict[tuple, list[tuple]]:
-    """The templates of one size and mode by signature, in catalog order.
+def _catalog(size: int, mode: str) -> dict[tuple, str]:
+    """The labels of one size and mode by shape code, no two codes alike.
 
-    Each is what the search reads: its name, rows, row profiles and each
-    vertex's first lower neighbour (-1 for none).  Constant data, built
-    on first use.
+    Constant data, built on first use.
     """
-    pool = _finite_templates(size) if mode in ("finite", "any") else []
-    if mode in ("affine", "any"):
-        pool += _affine_templates(size)
-    out: dict[tuple, list[tuple]] = {}
-    for name, rows in pool:
-        lower = [next(filter(rows[k].__getitem__, range(k)), -1) for k in range(size)]
-        profiles = [_row_profile(rows, k) for k in range(size)]
-        out.setdefault(tuple(sorted(profiles)), []).append((name, rows, profiles, lower))
-    return out
+    return {shape: label for label, shape in _templates(size, mode)}
 
 
 class ComponentType(NamedTuple):
@@ -492,28 +437,15 @@ def classify_components(
 ) -> list[ComponentType]:
     """Recognize each plain component against the finite or affine catalog.
 
-    mode 'finite' tries finite templates only, 'affine' affine only,
-    'any' both.  Components are returned sorted by smallest vertex.
-    Each distinct component matrix is matched once, against the
-    templates with its sorted row profiles, first match winning.
+    mode 'finite' reads the finite catalog only, 'affine' affine only,
+    'any' both.  Components are returned sorted by smallest vertex, each
+    labelled by one lookup of its shape code.
     """
-    labels: dict[tuple[tuple[int, ...], ...], str] = {}
-    result = []
-    entries = diagram.cartan.entries
-    for vertices in diagram.plain_components():
-        zeros = (0,) * len(vertices)
-        rows = tuple(tuple(map(entries[v].get, vertices, zeros)) for v in vertices)
-        label = labels.get(rows)
-        if label is None:
-            signature = tuple(sorted(_row_profile(rows, v) for v in range(len(rows))))
-            candidates = _catalog(len(rows), mode).get(signature, ())
-            label = next(
-                (t[0] for t in candidates if _find_isomorphism(rows, t) is not None),
-                "other",
-            )
-            labels[rows] = label
-        result.append(ComponentType(label, vertices))
-    return result
+    rows = diagram.cartan.entries
+    return [
+        ComponentType(_catalog(len(vertices), mode).get(_shape(rows, vertices), "other"), vertices)
+        for vertices in diagram.plain_components()
+    ]
 
 
 def dotted_edges_that_meet(
