@@ -745,9 +745,12 @@ def brute_force_exists(
     provides).  With off-diagonal entries any nonzero scalars, verify's
     identities reduce to _diagonal_forms, diagonalized once, so "none"
     proves that no braiding matrix has its diagonal at a scanned order.
-    An order is skipped when some vertex's entry can only have an order
-    that is not admissible; otherwise the diagonals satisfying the forms
-    are read off the diagonal form.  Some of them have entries of
+    The answer is "none" before the scan when some vertex's exponent
+    lies in the span of the columns of finite order d_i and no divisor
+    of their lcm is an admissible order.  An order is skipped when some
+    vertex's entry can only have an order that is not admissible;
+    otherwise the diagonals satisfying the forms are read off the
+    diagonal form.  Some of them have entries of
     admissible orders only, so the first such order ends the scan, and
     the least of those, in link traversal order, is the witness; only
     it gets construct's completion, which verify must accept
@@ -768,6 +771,16 @@ def brute_force_exists(
     s = diagram.size
     order = diagram.link_walks[0][0]
     diag, cols = _diagonalize(_diagonal_forms(diagram), s)
+    # a vertex no free column moves has e_p in the span of the torsion
+    # columns, so at every n its entry's order divides the lcm of their
+    # |d_i|: with no admissible divisor, every order would be skipped
+    free = [col for x, col in zip(diag, cols) if not x]
+    torsion = [(abs(x), col) for x, col in zip(diag, cols) if x]
+    for p in range(s):
+        if not any(col[p] for col in free):
+            big_l = lcm(*(x for x, col in torsion if col[p]))
+            if _no_admissible_order(big_l, mode, has_g2):
+                return OracleResult(False, None, None, n_max)
     for n in range(5, n_max + 1):
         if not field.has_primitive_root(n) or mode == "affine" and not is_prime(n):
             continue

@@ -19,7 +19,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
 from types import SimpleNamespace
 
@@ -391,18 +390,15 @@ def _cmd_a4(args: SimpleNamespace) -> int:
     return 0 if realizable else 1
 
 
-# lines per write of `present`: a prism of 1,280 vertices presents in about
-# 3.3 M lines, which joined into one document took several hundred MB
-_PRESENT_CHUNK = 4096
-
-
 def _cmd_present(args: SimpleNamespace) -> int:
     df = _load(args.file)
     matrix = construct(df.diagram, field=df.field)
     datum = realize_free(matrix, df.diagram)
-    lines = emit_presentation(datum).lines(args.machine)
-    while chunk := list(islice(lines, _PRESENT_CHUNK)):
-        print("\n".join(chunk))
+    # a row of relations per write: a prism of 1,280 vertices presents in
+    # about 3.3 M lines, which joined into one document took several hundred MB
+    write = sys.stdout.write
+    for piece in emit_presentation(datum).rows(args.machine):
+        write(piece)
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import compress
 from math import gcd
 from typing import Optional
 
@@ -436,9 +437,9 @@ def serre_coefficients(a_ij: int, q_i: QValue, b_ij: QValue) -> list[QValue]:
 class HopfPresentation:
     """Generators, relations, and coproduct of the linked algebra.
 
-    Rendered from its linking datum on demand: lines builds the lines
-    of one format as they are read, and to_text and to_machine join
-    them.  Two presentations are equal when their data and Cartan
+    Rendered from its linking datum on demand: rows builds one format a
+    row of relations at a time, and to_text and to_machine join the
+    rows.  Two presentations are equal when their data and Cartan
     matrices are, the whole input of the rendering.
     """
 
@@ -450,126 +451,168 @@ class HopfPresentation:
             raise ValueError("datum carries no diagram; cannot expand relations")
         object.__setattr__(self, "cartan", self.datum.diagram.cartan)
 
-    def lines(self, machine: bool = False) -> Iterator[str]:
-        """The lines of one format, text or machine, each built as it is read.
+    def rows(self, machine: bool = False) -> Iterator[str]:
+        """The document of one format, text or machine, a row at a time.
 
-        to_text and to_machine join them into one document; the CLI
-        writes them a chunk at a time, so no whole document is held.
-        """
-        s, n = len(self.datum.factors), len(self.datum.elements)
-        if machine:
-            yield f"generators {s} {n}"
-        else:
-            h = [f"h_{t + 1}" for t in range(s)]
-            yield "generators: " + " ".join(h + [f"a_{i + 1}" for i in range(n)])
-        indent = "" if machine else "  "
-        blocks = (
-            ("group", self._group(machine)),
-            ("mixed", self._mixed(machine)),
-            ("serre", self._serre(machine)),
-        )
-        for kind, block in blocks:
-            for t, line in enumerate(block):
-                if not (t or machine):
-                    yield f"{kind} relations:"  # an empty block has no heading
-                yield indent + line
-        if not machine:
-            yield "coproduct:"
-        for line in self._coproduct(machine):
-            yield indent + line
-
-    def to_text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
-
-    def to_machine(self) -> str:
-        return "\n".join(self.lines(machine=True)) + "\n"
-
-    # ---------------------------------------------------------- builders
-
-    def _group(self, machine: bool) -> Iterator[str]:
-        factors = self.datum.factors
-        for t, f in enumerate(factors):
-            if f:
-                yield f"group power {t + 1} {f}" if machine else f"h_{t + 1}^{f} = 1"
-        for t in range(len(factors)):
-            for u in range(t + 1, len(factors)):
-                yield (
-                    f"group comm {t + 1} {u + 1}"
-                    if machine
-                    else f"h_{t + 1} h_{u + 1} = h_{u + 1} h_{t + 1}"
-                )
-
-    def _mixed(self, machine: bool) -> Iterator[str]:
-        chis = self.datum.character_exps
-        for t in range(len(self.datum.factors)):
-            for j, chi in enumerate(chis):
-                c = f"q^{chi[t]}" if chi[t] else "1"
-                if machine:
-                    yield f"mixed {t + 1} {j + 1} | coeff: {c}"
-                elif chi[t]:
-                    yield f"h_{t + 1} a_{j + 1} = {c} a_{j + 1} h_{t + 1}"
-                else:
-                    yield f"h_{t + 1} a_{j + 1} = a_{j + 1} h_{t + 1}"
-
-    def _serre(self, machine: bool) -> Iterator[str]:
-        """One crossed-power relation per vertex pair i < j.
-
-        Its left side has 2 - a_ij coefficient slots; a zero slot is
-        dropped from the text form and written as 0 in the machine form.
-        Apart from the vertex numbers the left side depends on
-        (a_ij, b_ii, b_ij) only, so each distinct triple is rendered
-        once, as a template with "{i}" and "{j}" for the vertex numbers,
-        and each relation formats its template.
+        Each piece is one or more whole lines, each ending in a newline:
+        the header, the group powers, the commutators of each h_t, the
+        mixed relations of each h_t, the Serre relations of each vertex i
+        with the vertices after it, then the coproduct.  A row is filled
+        from tables built once per document (the number strings, the
+        q-power strings of the exponents that occur and one left-side
+        template per Serre key), so each line is a few concatenations or
+        one str.join.  to_text and to_machine join the pieces; the CLI
+        writes them as they come, so no whole document is held.
         """
         datum = self.datum
-        d, grid, factors = datum.order, datum.braiding_exps, datum.factors
-        cartan, elements = self.cartan, datum.elements
+        factors, elements, chis = datum.factors, datum.elements, datum.character_exps
+        s, n = len(factors), len(elements)
+        num = [str(v) for v in range(1, max(s, n) + 1)]
+        h = ["h_" + x for x in num[:s]]
+        a = ["a_" + x for x in num[:n]]
+        # only the exponents that occur, never range(order): the order may
+        # be 2^46 - 1
+        qs = {e: f"q^{e}" for e in set().union(*chis)}
+        if machine:
+            yield f"generators {s} {n}\n"
+            heads = ("",) * 3
+        else:
+            yield "generators: " + " ".join(h + a) + "\n"
+            heads = ("group relations:\n", "mixed relations:\n", "serre relations:\n")
+        blocks = (
+            self._group_rows(machine, num, h),
+            self._mixed_rows(machine, num, h, a, qs),
+            self._serre_rows(machine, num),
+        )
+        for head, block in zip(heads, blocks):
+            for piece in block:  # an empty block has no heading
+                yield head + piece
+                head = ""
+        yield self._coproduct(machine, num, h, a)
+
+    def to_text(self) -> str:
+        return "".join(self.rows())
+
+    def to_machine(self) -> str:
+        return "".join(self.rows(machine=True))
+
+    # ------------------------------------------------------------- rows
+
+    def _group_rows(self, machine: bool, num: list[str], h: list[str]) -> Iterator[str]:
+        # the powers of the finite factors, then the commutators of each h_t
+        # with the later generators: each row one join over a table
+        factors = self.datum.factors
+        powers = [(num[t], f) for t, f in enumerate(factors) if f]
+        if powers:
+            yield "".join(
+                f"group power {x} {f}\n" if machine else f"  h_{x}^{f} = 1\n"
+                for x, f in powers
+            )
+        s = len(factors)
+        if machine:
+            for t in range(s - 1):
+                pre = f"group comm {num[t]} "
+                yield pre + ("\n" + pre).join(num[t + 1 : s]) + "\n"
+        else:
+            # each line is "  h_t " + "h_u = h_u" + " h_t"
+            swapped = [f"{x} = {x}" for x in h]
+            for t in range(s - 1):
+                pre, post = f"  {h[t]} ", f" {h[t]}\n"
+                yield pre + (post + pre).join(swapped[t + 1 :]) + post
+
+    def _mixed_rows(
+        self, machine: bool, num: list[str], h: list[str], a: list[str], qs: dict[int, str]
+    ) -> Iterator[str]:
+        # h_t a_j = chi_j(h_t) a_j h_t for every j, one row per t
+        cols = zip(*self.datum.character_exps)  # one column at a time: s x n in all
+        if machine:
+            coeff = {e: f" | coeff: {q if e else 1}\n" for e, q in qs.items()}
+            for t, col in enumerate(cols):
+                pre = f"mixed {num[t]} "
+                yield "".join([pre + x + coeff[e] for x, e in zip(num, col)])
+        else:
+            scalar = {e: q + " " if e else "" for e, q in qs.items()}
+            equals = [x + " = " for x in a]
+            for t, col in enumerate(cols):
+                pre, post = f"  {h[t]} ", f" {h[t]}\n"
+                lines = [eq + scalar[e] + x for eq, x, e in zip(equals, a, col)]
+                yield pre + (post + pre).join(lines) + post
+
+    def _serre_rows(self, machine: bool, num: list[str]) -> Iterator[str]:
+        """The crossed-power relations of each vertex i with every j > i.
+
+        A left side has 2 - a_ij coefficient slots; a zero slot is
+        dropped from the text form and written as 0 in the machine form.
+        Apart from the vertex numbers a relation depends on
+        (a_ij, b_ii, b_ij) and on whether the pair is linked, so each
+        distinct triple's left side is rendered once, as a template with
+        "{i}" and "{j}" for the vertex numbers.  A row fills in i once
+        per template and splits it at "{j}", so each relation is one
+        str.join; the plain neighbours and the linked partner of i, the
+        only pairs with a_ij != 0 or a deformed right side, are
+        rendered after.
+        """
+        datum = self.datum
+        d, grid, factors, elements = datum.order, datum.braiding_exps, datum.factors, datum.elements
+        cartan, s = self.cartan, len(factors)
         lefts: dict[tuple[int, int, int], str] = {}
-        for i, row in enumerate(grid):
-            e_ii, a_row = row[i], cartan.dense_row(i)
-            for j in range(i + 1, len(grid)):
-                a = a_row[j]
-                top = 1 - a
-                key = (a, e_ii, row[j])
-                template = lefts.get(key)
-                if template is None:
-                    slots = _serre_slots(top, e_ii, row[j], d)
-                    template = lefts[key] = _serre_left(slots, machine)
-                left = template.format(i=i + 1, j=j + 1)
-                gw = None
-                if (i, j) in datum.linked:
+        partners: dict[int, list[int]] = {}
+        for i, j in datum.linked:
+            if i < j:
+                partners.setdefault(i, []).append(j)
+        unlinked = "lambda=0" if machine else "0"
+
+        def split(here: str, key: tuple[int, int, int], rhs: str) -> list[str]:
+            # one relation of vertex number `here`, cut where j goes
+            left = lefts.get(key)
+            if left is None:
+                slots = _serre_slots(1 - key[0], key[1], key[2], d)
+                left = lefts[key] = _serre_left(slots, machine)
+            line = (
+                f"serre {here} {{j}} | coeffs: {left} | rhs: {rhs}\n"
+                if machine
+                else f"  {left} = {rhs}\n"
+            )
+            return line.replace("{i}", here).split("{j}")
+
+        for i, row in enumerate(grid[:-1]):
+            e_ii, here, later = row[i], num[i], row[i + 1 :]
+            plain = {e: split(here, (0, e_ii, e), unlinked) for e in set(later)}
+            lines = [x.join(plain[e]) for x, e in zip(num[i + 1 :], later)]
+            arow, linked = cartan.row(i), partners.get(i, ())
+            for j in sorted({j for j in arow if j > i}.union(linked)):
+                a_ij, rhs = arow.get(j, 0), unlinked
+                if j in linked:
                     g_i, g_j = elements[i], elements[j]
                     gw = _group_word(
-                        tuple(top * g_i[t] + g_j[t] for t in range(len(factors))),
-                        factors,
+                        tuple((1 - a_ij) * g_i[t] + g_j[t] for t in range(s)), factors
                     )
-                if machine:
-                    rhs = f"lambda=1 g={gw}" if gw else "lambda=0"
-                    yield f"serre {i + 1} {j + 1} | coeffs: {left} | rhs: {rhs}"
-                else:
-                    rhs = "0" if gw in (None, "1") else f"1 - {gw}"
-                    yield f"{left} = {rhs}"
+                    if machine:
+                        rhs = f"lambda=1 g={gw}"
+                    elif gw != "1":
+                        rhs = f"1 - {gw}"
+                lines[j - i - 1] = num[j].join(split(here, (a_ij, e_ii, row[j]), rhs))
+            yield "".join(lines)
 
-    def _coproduct(self, machine: bool) -> Iterator[str]:
+    def _coproduct(self, machine: bool, num: list[str], h: list[str], a: list[str]) -> str:
+        # the whole block, its heading first in the text form
         factors = self.datum.factors
-        for t in range(len(factors)):
-            h = t + 1
-            yield f"coproduct h {h}" if machine else f"delta(h_{h}) = h_{h} (x) h_{h}"
-        for i, vec in enumerate(self.datum.elements):
-            gw = _group_word(vec, factors)
-            a = i + 1
-            yield (
-                f"coproduct a {a} | g={gw}"
-                if machine
-                else f"delta(a_{a}) = a_{a} (x) 1 + {gw} (x) a_{a}"
+        words = [_group_word(vec, factors) for vec in self.datum.elements]
+        if machine:
+            return "".join(f"coproduct h {x}\n" for x in num[: len(h)]) + "".join(
+                f"coproduct a {x} | g={gw}\n" for x, gw in zip(num, words)
             )
+        return (
+            "coproduct:\n"
+            + "".join(f"  delta({x}) = {x} (x) {x}\n" for x in h)
+            + "".join(f"  delta({x}) = {x} (x) 1 + {gw} (x) {x}\n" for x, gw in zip(a, words))
+        )
 
 
 def _group_word(exps: tuple[int, ...], factors: tuple[int, ...]) -> str:
     parts = []
-    for t, e in enumerate(exps):
-        if factors[t]:
-            e %= factors[t]
+    for t in compress(range(len(exps)), exps):  # the nonzero exponents only
+        e = exps[t] % factors[t] if factors[t] else exps[t]
         if e:
             parts.append(f"h_{t + 1}" if e == 1 else f"h_{t + 1}^{e}")
     return "*".join(parts) if parts else "1"
@@ -612,7 +655,7 @@ def emit_presentation(datum: LinkingDatum) -> HopfPresentation:
     but kept in the machine form).  The slots depend only on
     (a_ij, b_ii, b_ij): each distinct triple is built from integer
     Gaussian-binomial rows, zero-tested by the q-Lucas rule and rendered
-    at most once per format.  Nothing is rendered here: lines, to_text
+    at most once per format.  Nothing is rendered here: rows, to_text
     and to_machine each render their own format when called.
     """
     return HopfPresentation(datum)

@@ -123,9 +123,11 @@ class LinkingDatum:
         lines = [f"root_order {self.order}"]
         lines.append("factors " + " ".join(str(f) for f in self.factors))
         for i, vec in enumerate(self.elements):
-            lines.append(f"g {i + 1}: " + " ".join(str(e) for e in vec))
+            lines.append(f"g {i + 1}: " + " ".join(map(str, vec)))
+        # one q-power string per exponent that occurs, never per cell
+        qs = {e: f"q^{e}" for e in set().union(*self.character_exps)}
         for j, chi in enumerate(self.character_exps):
-            lines.append(f"chi {j + 1}: " + " ".join(f"q^{e}" for e in chi))
+            lines.append(f"chi {j + 1}: " + " ".join([qs[e] for e in chi]))
         for i, j in self.linkable:
             flag = 1 if (i, j) in self.linked else 0
             lines.append(f"lambda {i + 1} {j + 1}: {flag}")
@@ -322,18 +324,35 @@ def _sqrt_table(p: int) -> list[int]:
     return table
 
 
-def _quad(a: int, b: int, c: int, p: int, table: list[int]) -> tuple[int, ...]:
-    """The roots of a x^2 + b x + c modulo p, ascending."""
+def _inverses(p: int) -> list[int]:
+    """x^-1 modulo the prime p for x = 1 .. p - 1, at index x; 0 at 0.
+
+    p = (p // x) x + p % x gives x^-1 = -(p // x) (p % x)^-1, and
+    p % x < x, so one pass from 2 up fills the table in O(p).
+    """
+    inv = [0, 1] + [0] * (p - 2)
+    for x in range(2, p):
+        inv[x] = -(p // x) * inv[p % x] % p
+    return inv
+
+
+def _quad(
+    a: int, b: int, c: int, p: int, table: list[int], inv: list[int]
+) -> tuple[int, ...]:
+    """The roots of a x^2 + b x + c modulo p, ascending.
+
+    table is _sqrt_table(p) and inv is _inverses(p).
+    """
     a, b, c = a % p, b % p, c % p
     if a == 0:
         if b == 0:
             return tuple(range(p)) if c == 0 else ()
-        return (-c * pow(b, -1, p) % p,)
+        return (-c * inv[b] % p,)
     r = table[(b * b - 4 * a * c) % p]
     if r < 0:
         return ()
-    inv = pow(2 * a, -1, p)
-    return tuple(sorted({(-b + r) * inv % p, (-b - r) * inv % p}))
+    half = inv[2 * a % p]
+    return tuple(sorted({(-b + r) * half % p, (-b - r) * half % p}))
 
 
 def magic_pairs(
@@ -341,12 +360,18 @@ def magic_pairs(
 ) -> tuple[tuple[int, int], ...]:
     """All (n, m) with n^2 - nm + m^2 + m + 1 = 0 modulo p, sorted.
 
-    table is _sqrt_table(p), built here when not given.
+    As a quadratic in m, m^2 + (1 - n) m + n^2 + 1, its discriminant
+    is -3n^2 - 2n - 3 and its roots are (n - 1 +- r) / 2 for a square
+    root r of that.  table is _sqrt_table(p), built here when not given.
     """
     if table is None:
         table = _sqrt_table(p)
+    half = (p + 1) // 2  # 2^-1 modulo the odd prime p
     return tuple(
-        (n, m) for n in range(p) for m in _quad(1, 1 - n, n * n + 1, p, table)
+        (n, m)
+        for n in range(p)
+        if (r := table[(-3 * n * n - 2 * n - 3) % p]) >= 0
+        for m in sorted({(n - 1 + r) * half % p, (n - 1 - r) * half % p})
     )
 
 
@@ -364,43 +389,43 @@ def _satisfies_system(t: tuple[int, int, int, int], p: int) -> bool:
 
 
 def _a4_scan(
-    p: int, magic: tuple[tuple[int, int], ...], table: list[int]
+    p: int, magic: tuple[tuple[int, int], ...], table: list[int], inv: list[int]
 ) -> tuple[tuple[int, int, int, int], ...]:
     """All (n, m, k, l) solving the three congruences, by enumeration.
 
     For each magic pair the coupling line k cm + l cl + 1 = 0 is solved
     for l (for k when cl = 0) and put into the conic k^2 - kl + l^2 + 1
     = 0, which leaves one quadratic with at most two roots.  magic is
-    magic_pairs(p) and table is _sqrt_table(p).
+    magic_pairs(p), table is _sqrt_table(p) and inv is _inverses(p).
     """
     out = []
     for n, m in magic:
         cm, cl = (m - 2 * n) % p, (n - 2 * m - 1) % p
         if cl:
             # cl^2 times the conic at l = -(1 + k cm) / cl
-            inv = pow(cl, -1, p)
+            over = inv[cl]
             a, b, c = cl * cl + cl * cm + cm * cm, cl + 2 * cm, 1 + cl * cl
-            for k in _quad(a, b, c, p, table):
-                out.append((n, m, k, -(1 + k * cm) * inv % p))
+            for k in _quad(a, b, c, p, table, inv):
+                out.append((n, m, k, -(1 + k * cm) * over % p))
         elif cm:  # with cm = cl = 0 the line reads 1 = 0
-            k = -pow(cm, -1, p) % p
-            for l in _quad(1, -k, k * k + 1, p, table):
+            k = -inv[cm] % p
+            for l in _quad(1, -k, k * k + 1, p, table, inv):
                 out.append((n, m, k, l))
     return tuple(sorted(out))
 
 
 def _a4_closed_form(
-    p: int, magic: tuple[tuple[int, int], ...], table: list[int]
+    p: int, magic: tuple[tuple[int, int], ...], table: list[int], inv: list[int]
 ) -> tuple[tuple[int, int, int, int], ...]:
     """The same solutions through the square-root case formulas.
 
     Candidates are generated for the three parameter cases (m = 2n,
     n = 2m + 1, and the generic one) over every sign choice, then
     filtered through the congruences, so an ambiguous sign coupling in
-    a formula cannot add spurious tuples.  magic is magic_pairs(p) and
-    table is _sqrt_table(p).
+    a formula cannot add spurious tuples.  magic is magic_pairs(p),
+    table is _sqrt_table(p) and inv is _inverses(p).
     """
-    inv2, inv3, inv4 = (pow(x, -1, p) for x in (2, 3, 4))
+    inv2, inv3, inv4 = inv[2], inv[3], inv[4]
     # both roots of -2 and of 5, one root 0 for 5 at p = 5
     roots_m2, roots_5 = (
         {r, -r % p} if (r := table[a % p]) >= 0 else set() for a in (-2, 5)
@@ -409,7 +434,7 @@ def _a4_closed_form(
 
     # -2 is a unit modulo the odd prime p, so no root is 0
     for r2 in roots_m2:
-        ir2 = pow(r2, -1, p)
+        ir2 = inv[r2]
         # m = 2n
         for n in ((-1 + r2) * inv3 % p, (-1 - r2) * inv3 % p):
             m = 2 * n % p
@@ -436,7 +461,7 @@ def _a4_closed_form(
         for r5 in roots_5:
             l = (-inv2 - 3 * m * inv4 + r5 * dm * inv4) % p
             k = (
-                (dn * (3 * m + 2) - 4) * pow(4 * dm % p, -1, p)
+                (dn * (3 * m + 2) - 4) * inv[4 * dm % p]
                 - r5 * dn * inv4
             ) % p
             cands.add((n, m, k, l))
@@ -483,11 +508,13 @@ class A4Solution(NamedTuple):
 
 
 def a4_solve_zp2(p: int) -> A4Solution:
-    """Both routes, sharing one square-root table and magic_pairs(p)."""
+    """Both routes, sharing one square-root table, one inverse table and
+    magic_pairs(p)."""
     table = _sqrt_table(p)
+    inv = _inverses(p)
     magic = magic_pairs(p, table)
-    scan = _a4_scan(p, magic, table)
-    closed = _a4_closed_form(p, magic, table)
+    scan = _a4_scan(p, magic, table, inv)
+    closed = _a4_closed_form(p, magic, table, inv)
     return A4Solution(p, scan, closed, scan == closed)
 
 

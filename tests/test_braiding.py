@@ -1063,10 +1063,6 @@ class TestOracle:
         assert tested == []
 
     def test_bounded_invariant_factors_skip_the_refusal_pass(self, monkeypatch):
-        # the odd A3 ring of 3 has invariant factors +-1 and 2, so no
-        # order has more than 2 diagonals: only the ascending scan asks
-        # for orders, where a refusal pass would first ask for every one
-        # of them from n_max down
         asked = []
         has_root = FieldSpec.has_primitive_root
 
@@ -1075,7 +1071,16 @@ class TestOracle:
             return has_root(field, n)
 
         monkeypatch.setattr(FieldSpec, "has_primitive_root", counted)
+        # the odd A3 ring of 3 has invariant factors +-1 and 2 and no free
+        # column, so each entry's order divides 2 at every n: the answer
+        # comes before the scan, and no order is asked for
         assert not brute_force_exists(circle("A3", 3), n_max=200_000).found
+        assert asked == []
+        # invariant factors 1, 1, 1, 1, 4: an entry of order 4 is not ruled
+        # out, so the orders are scanned, each asked for once, ascending,
+        # where a refusal pass would first ask for every one from n_max down
+        d = component_diag(["A1", "B2", "B2"], [(0, 2), (1, 4)])
+        assert not brute_force_exists(d, n_max=200_000).found
         assert asked == list(range(5, 200_001))
 
     def test_scale_refusal_names_the_first_order_over_the_limit(self, monkeypatch):
@@ -1780,6 +1785,85 @@ def oracle_outcome(search, d, n_max, field=CYCLOTOMIC):
     except Exception as exc:
         return type(exc), str(exc)
     return res.found, res.root_order, res.matrix and res.matrix.to_text()
+
+
+def scanned_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
+    """The oracle's result from the ascending scan alone.
+
+    The diagonalized search as it was before the answer "none" could
+    come ahead of the scan: every order from 5 to n_max is asked for,
+    and skipped by its caps or answered.
+    """
+    if n_max < 5:
+        raise ValueError(f"order bound {n_max} is below 5, the least order scanned")
+    mode = diagram.mode
+    if mode == "selflink":
+        raise UnsupportedMode("the brute-force search requires standard linking mode")
+    if not diagram.is_link_connected():
+        raise NotLinkConnected("the brute-force search needs a link-connected diagram")
+    braiding._recognized_components(diagram)
+    has_g2, s = diagram.has_g2, diagram.size
+    order = diagram.link_walks[0][0]
+    diag, cols = braiding._diagonalize(braiding._diagonal_forms(diagram), s)
+    for n in range(5, n_max + 1):
+        if not field.has_primitive_root(n) or mode == "affine" and not is_prime(n):
+            continue
+        gens = [
+            (m, [c * (n // m) for c in col])
+            for x, col in zip(diag, cols)
+            if (m := gcd(x, n)) > 1
+        ]
+        caps = (n // gcd(n, *(g[p] for _, g in gens)) for p in range(s))
+        if any(braiding._no_admissible_order(cap, mode, has_g2) for cap in caps):
+            continue
+        if (count := prod(m for m, _ in gens)) > braiding._Z_LIMIT:
+            raise ScaleExceeded(
+                f"{count} diagonal assignments at {s} vertices; "
+                f"shrink the diagram or the order bound"
+            )
+        diagonals = (
+            tuple(sum(k * g[p] for k, (_, g) in zip(ks, gens)) % n for p in range(s))
+            for ks in product(*(range(m) for m, _ in gens))
+        )
+        fits = [
+            e for e in diagonals
+            if all(braiding._order_ok(x, n, mode, has_g2) for x in e)
+        ]
+        least = min(fits, key=lambda e: [e[v] for v in order])
+        return braiding.OracleResult(True, n, braiding._completed(diagram, n, least), n_max)
+    return braiding.OracleResult(False, None, None, n_max)
+
+
+class TestNoneBeforeTheScan:
+    """A vertex whose entry has no admissible order at any n answers at once."""
+
+    def agree(self, d, asked):
+        for n_max in (30, 60):
+            want = oracle_outcome(scanned_brute_force_exists, d, n_max)
+            del asked[:]
+            got = oracle_outcome(brute_force_exists, d, n_max)
+            assert got == want, (d, n_max)
+        return got[0], asked == []
+
+    def test_small_family_and_rings_match_the_scan(self, monkeypatch):
+        asked = []
+        has_root = FieldSpec.has_primitive_root
+
+        def counted(field, n):
+            asked.append(n)
+            return has_root(field, n)
+
+        monkeypatch.setattr(FieldSpec, "has_primitive_root", counted)
+        seen = set()
+        for labels, pairs in small_family():
+            for mode in ("finite", "affine"):
+                d = component_diag(list(labels), list(pairs), mode=mode)
+                seen.add(self.agree(d, asked))
+        for label in ("A3", "B3"):
+            for n in range(2, 17):
+                seen.add(self.agree(circle(label, n), asked))
+        # found, none with no order asked, and none after a scan all occur
+        assert {(True, False), (False, True), (False, False)} <= seen
 
 
 class TestOracleAgainstReference:

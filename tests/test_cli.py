@@ -784,9 +784,9 @@ class TestPresentGolden:
             digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
         assert tuple(digests) == PRESENT_SHA256[(label, n)]
 
-    def test_streamed_chunks_equal_the_joined_documents(self, write, capsys):
-        # the A160 chain presents in 51,365 lines, so the writer's chunks
-        # meet at many line boundaries
+    def test_streamed_chunks_equal_the_joined_documents(self, write, monkeypatch):
+        # the A160 chain presents in 51,365 lines; present writes them a
+        # row of relations at a time, each row whole lines
         text = "vertices 160\n" + "".join(
             f"edge {i} {i + 1} -1 -1\n" for i in range(1, 160)
         )
@@ -797,8 +797,58 @@ class TestPresentGolden:
             ((), pres.to_text()),
             (("--machine",), pres.to_machine()),
         ):
-            assert joined.count("\n") > 10 * linkdyn.cli._PRESENT_CHUNK
-            assert run(capsys, "present", path, *extra) == (0, joined)
+            out = WriteRecorder()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert main(["present", path, *extra]) == 0
+            monkeypatch.undo()
+            assert "".join(out.writes) == joined
+            keys = [{row_key(line) for line in w.splitlines()} - {None} for w in out.writes]
+            assert all(w.endswith("\n") for w in out.writes)
+            assert all(len(k) == 1 for k in keys), extra
+            # the header, the commutators of h_1 .. h_159, the mixed
+            # relations of h_1 .. h_160, the Serre relations of a_1 .. a_159
+            # and the coproduct: one write each
+            assert len(out.writes) == 1 + 159 + 160 + 159 + 1
+            assert len({frozenset(k) for k in keys}) == len(keys)
+
+
+class WriteRecorder:
+    """A stdout that keeps each write as it comes."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def row_key(line):
+    """The row of the presentation a line belongs to, None for a heading.
+
+    A row is the header, the powers of the factors, the commutators or
+    the mixed relations of one h_t, the Serre relations of one a_i with
+    the later vertices, or the coproduct.
+    """
+    words = line.split()
+    head = words[0].rstrip(":")
+    if line.endswith(" relations:"):
+        return None
+    if head == "generators":
+        return (head,)
+    if head == "coproduct" or head.startswith("delta("):
+        return ("coproduct",)
+    if head in ("group", "mixed", "serre"):  # the machine form: kind, numbers
+        if words[1] == "power":
+            return ("power",)
+        return (head, words[2] if words[1] == "comm" else words[1])
+    if words[1] == "=":  # h_t^f = 1
+        return ("power",)
+    kind = "serre" if head.startswith("a_") else "group" if words[1].startswith("h_") else "mixed"
+    return (kind, head.split("^")[0])
 
 
 # sha256 of `construct --machine`, `realize` and `realize --p <root

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import linkdyn.presentation
-from conftest import circle, component_diag, relations_of, small_family
+from conftest import COMPONENT_ROWS, circle, component_diag, relations_of, small_family
 from linkdyn import (
     CartanMatrix,
     QValue,
@@ -25,7 +25,8 @@ from linkdyn import (
     realize_mod_p,
     serre_coefficients,
 )
-from linkdyn.errors import IndexOutOfRange
+from linkdyn.errors import IndexOutOfRange, LinkdynError
+from linkdyn.presentation import _serre_left, _serre_slots
 
 
 def poly_of(value):
@@ -740,3 +741,201 @@ class TestEmitPresentation:
         datum = replace(base, diagram=None)
         with pytest.raises(ValueError):
             emit_presentation(datum)
+
+
+# --------------------------------------- the per-line renderer, as reference
+
+
+def reference_group_word(exps, factors):
+    parts = []
+    for t, e in enumerate(exps):
+        if factors[t]:
+            e %= factors[t]
+        if e:
+            parts.append(f"h_{t + 1}" if e == 1 else f"h_{t + 1}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
+def reference_group(datum, machine):
+    factors = datum.factors
+    for t, f in enumerate(factors):
+        if f:
+            yield f"group power {t + 1} {f}" if machine else f"h_{t + 1}^{f} = 1"
+    for t in range(len(factors)):
+        for u in range(t + 1, len(factors)):
+            yield (
+                f"group comm {t + 1} {u + 1}"
+                if machine
+                else f"h_{t + 1} h_{u + 1} = h_{u + 1} h_{t + 1}"
+            )
+
+
+def reference_mixed(datum, machine):
+    chis = datum.character_exps
+    for t in range(len(datum.factors)):
+        for j, chi in enumerate(chis):
+            c = f"q^{chi[t]}" if chi[t] else "1"
+            if machine:
+                yield f"mixed {t + 1} {j + 1} | coeff: {c}"
+            elif chi[t]:
+                yield f"h_{t + 1} a_{j + 1} = {c} a_{j + 1} h_{t + 1}"
+            else:
+                yield f"h_{t + 1} a_{j + 1} = a_{j + 1} h_{t + 1}"
+
+
+def reference_serre(datum, machine):
+    d, grid, factors = datum.order, datum.braiding_exps, datum.factors
+    cartan, elements = datum.diagram.cartan, datum.elements
+    lefts = {}
+    for i, row in enumerate(grid):
+        e_ii = row[i]
+        for j in range(i + 1, len(grid)):
+            a = cartan.a(i, j)
+            top = 1 - a
+            key = (a, e_ii, row[j])
+            template = lefts.get(key)
+            if template is None:
+                slots = _serre_slots(top, e_ii, row[j], d)
+                template = lefts[key] = _serre_left(slots, machine)
+            left = template.format(i=i + 1, j=j + 1)
+            gw = None
+            if (i, j) in datum.linked:
+                g_i, g_j = elements[i], elements[j]
+                gw = reference_group_word(
+                    tuple(top * g_i[t] + g_j[t] for t in range(len(factors))),
+                    factors,
+                )
+            if machine:
+                rhs = f"lambda=1 g={gw}" if gw else "lambda=0"
+                yield f"serre {i + 1} {j + 1} | coeffs: {left} | rhs: {rhs}"
+            else:
+                rhs = "0" if gw in (None, "1") else f"1 - {gw}"
+                yield f"{left} = {rhs}"
+
+
+def reference_coproduct(datum, machine):
+    factors = datum.factors
+    for t in range(len(factors)):
+        h = t + 1
+        yield f"coproduct h {h}" if machine else f"delta(h_{h}) = h_{h} (x) h_{h}"
+    for i, vec in enumerate(datum.elements):
+        gw = reference_group_word(vec, factors)
+        a = i + 1
+        yield (
+            f"coproduct a {a} | g={gw}"
+            if machine
+            else f"delta(a_{a}) = a_{a} (x) 1 + {gw} (x) a_{a}"
+        )
+
+
+def reference_lines(datum, machine=False):
+    """The lines of one format, each built on its own.
+
+    The renderer that HopfPresentation.rows replaced, kept as the
+    reference: three nested generators per block, every number and
+    power of q formatted per line, the linked pairs tested against the
+    set for every pair and each Serre template formatted per relation.
+    """
+    s, n = len(datum.factors), len(datum.elements)
+    if machine:
+        yield f"generators {s} {n}"
+    else:
+        h = [f"h_{t + 1}" for t in range(s)]
+        yield "generators: " + " ".join(h + [f"a_{i + 1}" for i in range(n)])
+    indent = "" if machine else "  "
+    blocks = (
+        ("group", reference_group(datum, machine)),
+        ("mixed", reference_mixed(datum, machine)),
+        ("serre", reference_serre(datum, machine)),
+    )
+    for kind, block in blocks:
+        for t, line in enumerate(block):
+            if not (t or machine):
+                yield f"{kind} relations:"  # an empty block has no heading
+            yield indent + line
+    if not machine:
+        yield "coproduct:"
+    for line in reference_coproduct(datum, machine):
+        yield indent + line
+
+
+def is_yes(d):
+    try:
+        return d.is_link_connected() and check(d).decision == "yes"
+    except LinkdynError:  # a component of no recognized type
+        return False
+
+
+def yes_data(d):
+    """The datum present prints for a yes diagram, one over (Z/d)^s, and
+    each with its g_i scaled by d + 2 or -1 (group words then reduce)."""
+    if is_yes(d):
+        matrix = construct(d)
+        for datum in (realize_free(matrix, d), realize_mod_p(matrix, d, matrix.order)):
+            yield datum
+            scale = [matrix.order + 2 if i % 2 else -1 for i in range(d.size)]
+            yield replace(
+                datum,
+                elements=tuple(tuple(k * e for e in g) for k, g in zip(scale, datum.elements)),
+            )
+
+
+class TestRowsAgainstReference:
+    """Each format, row by row, byte for byte against the per-line renderer."""
+
+    def agree(self, datum):
+        pres = emit_presentation(datum)
+        for machine, joined in ((False, pres.to_text()), (True, pres.to_machine())):
+            want = "\n".join(reference_lines(datum, machine)) + "\n"
+            rows = list(pres.rows(machine))
+            assert joined == "".join(rows) == want, (datum, machine)
+            assert all(row.endswith("\n") for row in rows)
+        return pres
+
+    def test_small_family_both_modes(self):
+        count = 0
+        for labels, pairs in small_family():
+            for mode in ("finite", "affine"):
+                for datum in yes_data(component_diag(list(labels), list(pairs), mode=mode)):
+                    self.agree(datum)
+                    count += 1
+        # 247 yes diagrams over both modes, four data each
+        assert count == 4 * 247
+
+    def test_rings(self):
+        for label in ("A3", "B3"):
+            for n in range(2, 17):
+                for datum in yes_data(circle(label, n)):
+                    self.agree(datum)
+        # root order 2^20 - 1: only the exponents that occur are tabled
+        datum = next(yes_data(circle("B3", 20)))
+        assert datum.order == 2**20 - 1
+        self.agree(datum)
+
+    def test_random_link_and_linkable_diagrams(self):
+        rng = random.Random(34)
+        labels_pool = ("A1", "A2", "A3", "B2", "B2r", "B3", "G2", "G2r", "A1(1)", "A2(2)")
+        seen, kinds = 0, set()
+        while seen < 300:
+            labels = [rng.choice(labels_pool) for _ in range(rng.randint(2, 5))]
+            comp_of = [t for t, name in enumerate(labels) for _ in COMPONENT_ROWS[name]]
+            pairs, used = [], set()
+            for _ in range(3 * len(labels)):
+                i, j = rng.randrange(len(comp_of)), rng.randrange(len(comp_of))
+                if comp_of[i] != comp_of[j] and not {i, j} & used:
+                    pairs.append((i, j))
+                    used.update((i, j))
+            linked = [p for p in pairs if rng.random() < 0.6]
+            mode = rng.choice(("finite", "affine"))
+            d = component_diag(labels, pairs, linked, mode=mode)
+            for datum in yes_data(d):
+                self.agree(datum)
+                kinds.add((bool(d.linked), len(d.linked) < len(d.linkable)))
+            seen += is_yes(d)
+        # all linked, all merely linkable, and both kinds in one diagram
+        assert kinds == {(True, False), (False, True), (True, True)}
+
+    @pytest.mark.parametrize("rows", [((2,),), ((2, -1), (-1, 2)), ((2, -2), (-1, 2))])
+    def test_doubles(self, rows):
+        # g_i = g_(N+i): the linked right sides carry powers of one h_t
+        self.agree(double_datum(CartanMatrix(rows)))

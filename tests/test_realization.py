@@ -54,6 +54,7 @@ from linkdyn.errors import (
 from linkdyn.realization import (
     A4Solution,
     _a4_closed_form,
+    _inverses,
     _quad,
     _sqrt_table,
 )
@@ -638,7 +639,7 @@ def reference_a4_scan(p, magic):
 def reference_a4_solve(p):
     magic = reference_magic_pairs(p)
     scan = reference_a4_scan(p, magic)
-    closed = _a4_closed_form(p, magic, _sqrt_table(p))
+    closed = _a4_closed_form(p, magic, _sqrt_table(p), _inverses(p))
     return A4Solution(p, scan, closed, scan == closed)
 
 
@@ -649,14 +650,20 @@ class TestA4AgainstReference:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_quad_matches_exhaustive_search(self, p):
         # every (a, b, c), so a = 0, b = 0 and the zero polynomial occur
-        table = _sqrt_table(p)
+        table, inv = _sqrt_table(p), _inverses(p)
         for a in range(p):
             for b in range(p):
                 for c in range(-p, p):
                     expected = tuple(
                         x for x in range(p) if (a * x * x + b * x + c) % p == 0
                     )
-                    assert _quad(a, b, c, p, table) == expected, (a, b, c)
+                    assert _quad(a, b, c, p, table, inv) == expected, (a, b, c)
+
+    def test_inverse_table_below_2000(self):
+        for p in (p for p in range(5, 2000) if is_prime(p)):
+            inv = _inverses(p)
+            assert len(inv) == p and inv[0] == 0, p
+            assert all(inv[x] * x % p == 1 for x in range(1, p)), p
 
     def test_sqrt_table_holds_one_root_per_square(self):
         for p in (5, 7, 13, 101):
