@@ -89,40 +89,9 @@ def _positive(order: int) -> None:
         raise ValueError("order must be positive")
 
 
-_TOKEN = re.compile(r"^q\^(-?\d+)((?:\*z\d+\^-?\d+)*)$")
+# q's exponent, the first z-factor's index and power, any further factors
+_ENTRY = re.compile(r"q\^(-?\d+)(?:\*z(\d+)\^(-?\d+))?((?:\*z\d+\^-?\d+)*)")
 _ZPART = re.compile(r"\*z(\d+)\^(-?\d+)")
-# the two shapes construct writes, q^e and q^e*z_t^+-1: a subset of _TOKEN
-_CODED = re.compile(r"q\^(-?\d+)(?:\*z(\d+)\^(-?)1)?")
-
-
-def _parse_entry(text: str, order: int) -> tuple[int, list[tuple[int, int]]]:
-    """q's exponent and the z-exponents, as written, of a well-formed token."""
-    m = _TOKEN.match(text)
-    if not m:
-        raise ValueError(f"bad root expression {text!r}")
-    _positive(order)
-    zpow = [(int(t), int(k)) for t, k in _ZPART.findall(m.group(2))]
-    return int(m.group(1)), zpow
-
-
-def _read_cell(
-    text: str, order: int, cell: tuple[int, int], overflow: list
-) -> tuple[int, int]:
-    """q's exponent, as written, and the code of a token; see _code.
-
-    The shapes construct writes are read off _CODED; every other token
-    goes through _parse_entry, which refuses exactly what _TOKEN does.
-    Either way a token is refused before an order below 1 is.
-    """
-    if m := _CODED.fullmatch(text):
-        _positive(order)
-        e, t, minus = m.groups()
-        if not t:
-            return int(e), 0
-        if c := int(t):
-            return int(e), -c if minus else c
-    e, zpow = _parse_entry(text, order)
-    return e, _code(_terms((zpow, 1)), cell, overflow)
 
 
 # the package builds none; kept only for bench/tracer.py's __post_init__ hook
@@ -256,8 +225,10 @@ class BraidingMatrix:
     def from_text(cls, text: str) -> "BraidingMatrix":
         """The matrix of to_text's form, each row split and read once.
 
-        Every token is read before the shape is judged, so a bad token
-        in any row is reported before a row of the wrong length.
+        Each token is read by _ENTRY: a lone factor z_t^+-1 with t >= 1
+        is its code at once, any other z-part goes through _code.  A bad
+        token in any row is reported before a row of the wrong length,
+        and the first token before an order below 1.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = lines[0].split() if lines else []
@@ -269,11 +240,23 @@ class BraidingMatrix:
             for i, line in enumerate(lines[1:]):
                 row = line.split()
                 square = square and len(row) == n
-                cells = [
-                    _read_cell(t, order, (i, j), overflow) for j, t in enumerate(row)
-                ]
-                exps.append(tuple(e % order for e, _ in cells))
-                zcodes.append(tuple(c for _, c in cells))
+                erow, crow = [], []
+                for j, token in enumerate(row):
+                    if not (m := _ENTRY.fullmatch(token)):
+                        raise ValueError(f"bad root expression {token!r}")
+                    if order < 1:
+                        raise ValueError("order must be positive")
+                    e, t, k, more = m.groups()
+                    erow.append(int(e) % order)
+                    if t is None:
+                        crow.append(0)
+                    elif (c := int(t)) and not more and k in ("1", "-1"):
+                        crow.append(-c if k == "-1" else c)
+                    else:
+                        zpow = [(int(u), int(v)) for u, v in _ZPART.findall(token)]
+                        crow.append(_code(_terms((zpow, 1)), (i, j), overflow))
+                exps.append(tuple(erow))
+                zcodes.append(tuple(crow))
             if not square:
                 raise ValueError("matrix is not square")
             return cls(order, tuple(exps), tuple(zcodes), tuple(overflow))
@@ -655,9 +638,14 @@ def _order_ok(e: int, n: int, mode: str, has_g2: bool) -> bool:
 
 
 def _no_admissible_order(big_n: int, mode: str, has_g2: bool) -> bool:
-    """Whether no divisor of big_n is an admissible diagonal entry order."""
-    while has_g2 and big_n % 3 == 0:  # has_g2 only in finite mode
-        big_n //= 3
+    """Whether no divisor of big_n is an admissible diagonal entry order.
+
+    Finite mode admits every order above 2, prime to 3 with a G2
+    component present; affine mode admits the primes above 3.
+    """
+    for p in (2, 3) if mode == "affine" else (3,) if has_g2 else ():
+        while big_n % p == 0:
+            big_n //= p
     return big_n <= (2 if mode == "finite" else 1)
 
 
@@ -747,7 +735,10 @@ def brute_force_exists(
     proves that no braiding matrix has its diagonal at a scanned order.
     The answer is "none" before the scan when some vertex's exponent
     lies in the span of the columns of finite order d_i and no divisor
-    of their lcm is an admissible order.  An order is skipped when some
+    of their lcm is an admissible order.  The scan stops past the
+    field's largest root order, and in a cyclotomic field with every
+    invariant factor d_i nonzero, past 4 + lcm(d_i), where every order's
+    outcome has been seen.  An order is skipped when some
     vertex's entry can only have an order that is not admissible;
     otherwise the diagonals satisfying the forms are read off the
     diagonal form.  Some of them have entries of
@@ -781,7 +772,12 @@ def brute_force_exists(
             big_l = lcm(*(x for x, col in torsion if col[p]))
             if _no_admissible_order(big_l, mode, has_g2):
                 return OracleResult(False, None, None, n_max)
-    for n in range(5, n_max + 1):
+    # no order past the field's largest root has one; with every d_i
+    # nonzero the diagonals, as roots of unity, depend on n only through
+    # gcd(n, D) for D the lcm of the d_i, and 5..4 + D meets every residue
+    # class mod D, so a larger order answers only where a smaller one did
+    last = field.largest_root_order() or (4 + lcm(*diag) if all(diag) else n_max)
+    for n in range(5, min(n_max, last) + 1):
         if not field.has_primitive_root(n) or mode == "affine" and not is_prime(n):
             continue
         # each column of V scaled to n / m and taken 0..m-1 times; a column

@@ -109,6 +109,10 @@ class FieldSpec:
             return None
         return sorted(set().union(*map(divisors, self._moduli())))
 
+    def largest_root_order(self) -> Optional[int]:
+        """The largest d with a primitive d-th root here; None if unbounded."""
+        return None if self.kind == "cyclotomic" else max(self._moduli())
+
     def satisfies_baseline(self) -> bool:
         """True if some prime p > 3 has a primitive p-th root here."""
         # a prime above 3 divides m exactly when m does not divide 6^k for

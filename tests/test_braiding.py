@@ -114,15 +114,19 @@ class TestRootExpr:
             v = Root.parse(text, 7)
             again = Root.parse(str(v), 7)
             assert v == again
-            # the library's token parser, which from_text uses
-            assert RootExpr(7, *braiding._parse_entry(text, 7)) == v
+            # the library reads the token as the one cell of a 1x1 matrix
+            m = BraidingMatrix.from_text(f"root_order 7\n{text}\n")
+            assert entry_of(m, 0, 0) == v
 
     def test_parse_rejects_garbage(self):
         for text in ("z3^2", "", "q", "q^2 * z1^1", "q^2*w1^1"):
             with pytest.raises(ValueError):
                 Root.parse(text, 7)
-            with pytest.raises(ValueError):
-                braiding._parse_entry(text, 7)
+            # from_text splits rows on whitespace: "" is a blank line, no
+            # cell, and "q^2 * z1^1" is refused at its token "*"
+            if text:
+                with pytest.raises(MalformedMatrix, match="bad root expression"):
+                    BraidingMatrix.from_text(f"root_order 7\n{text}\n")
 
     @given(st.integers(-20, 20), st.integers(-20, 20))
     def test_exponents_add(self, a, b):
@@ -625,6 +629,18 @@ class TestMatrixTextAgainstReference:
             "q^2*z1^1*z1^-1",
             "q^2*z2^1*z1^1",
             "q^٣*z١^1",
+            # leading zeros in t and k, z0 and z00, a power -0, and a
+            # first factor of power +-1 followed by more factors
+            "q^1*z007^01",
+            "q^4*z00^-1",
+            "q^2*z0^0",
+            "q^-6*z3^-0*z3^1",
+            "q^1*z2^-0",
+            "q^1*z01^-1*z1^1",
+            "q^1*z1^1*z2^1",
+            "q^1*z2^-1*z1^-1*z2^1",
+            "q^1*z1^-1*z1^-1",
+            "q^1*z1^1*z0^1",
         ],
     )
     def test_edge_tokens_match_reference(self, token):
@@ -1078,10 +1094,12 @@ class TestOracle:
         assert asked == []
         # invariant factors 1, 1, 1, 1, 4: an entry of order 4 is not ruled
         # out, so the orders are scanned, each asked for once, ascending,
-        # where a refusal pass would first ask for every one from n_max down
+        # where a refusal pass would first ask for every one from n_max
+        # down; with no free column the outcome at n follows gcd(n, 4), so
+        # the scan ends at 4 + 4
         d = component_diag(["A1", "B2", "B2"], [(0, 2), (1, 4)])
         assert not brute_force_exists(d, n_max=200_000).found
-        assert asked == list(range(5, 200_001))
+        assert asked == [5, 6, 7, 8]
 
     def test_scale_refusal_names_the_first_order_over_the_limit(self, monkeypatch):
         # invariant factors 0 and 2: n * gcd(2, n) diagonals at order n.
@@ -1864,6 +1882,52 @@ class TestNoneBeforeTheScan:
                 seen.add(self.agree(circle(label, n), asked))
         # found, none with no order asked, and none after a scan all occur
         assert {(True, False), (False, True), (False, False)} <= seen
+
+
+class TestScanEnds:
+    """The oracle answers at any bound where its outcome is settled."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        # an order scan that does not stop fails here instead of running on
+        asked = []
+        has_root = FieldSpec.has_primitive_root
+
+        def counted(field, n):
+            asked.append(n)
+            assert len(asked) <= 10_000, "the scan did not stop"
+            return has_root(field, n)
+
+        monkeypatch.setattr(FieldSpec, "has_primitive_root", counted)
+        return asked
+
+    def test_small_family_answers_at_any_bound(self, asked):
+        nones = 0
+        for labels, pairs in small_family():
+            for mode in ("finite", "affine"):
+                d = component_diag(list(labels), list(pairs), mode=mode)
+                want = oracle_outcome(brute_force_exists, d, 60)
+                del asked[:]
+                assert oracle_outcome(brute_force_exists, d, 10**30) == want, d
+                nones += want[0] is False
+        assert nones == 364
+
+    def test_finite_field_stops_at_its_largest_root(self, asked):
+        d = component_diag(["A1", "B2", "B2"], [(0, 2), (1, 4)])
+        res = brute_force_exists(d, n_max=10**12, field=FieldSpec("gf", q=11))
+        assert not res.found and res.n_max == 10**12
+        assert asked == [5, 6, 7, 8, 9, 10]
+
+    @pytest.mark.parametrize("top", [9, 21])
+    def test_listed_roots_are_reached_past_four_plus_the_factors(self, top, asked):
+        # the B3 ring of 2 has no free column and invariant factors with
+        # lcm 3; a cyclotomic field would stop at 7, but the orders a
+        # field lists need not meet every residue class mod 3
+        res = brute_force_exists(
+            circle("B3", 2), n_max=10**30, field=FieldSpec("roots", orders=(top,))
+        )
+        assert res.found and res.root_order == top
+        assert asked[-1] == top
 
 
 class TestOracleAgainstReference:
