@@ -7,9 +7,9 @@ modulo the order plus a grid of signed ints for the z-parts (+-t for
 z_t^+-1), so the defining identities are congruences on exponents and
 cancelling codes, and every message renders its entries from those
 integers.  The module builds braiding matrices for linkable Dynkin
-diagrams, verifies the defining identities, searches for matrices by
-brute force and combines matrices of link-connected parts into direct
-sums.
+diagrams and for the shapes the existence criteria exclude, verifies
+the defining identities, searches for matrices by brute force and
+combines matrices of link-connected parts into direct sums.
 """
 
 from __future__ import annotations
@@ -17,26 +17,30 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, product
 from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .cycles import genus_gcd
-from .diagram import ComponentType, LinkableDynkinDiagram, dotted_edges_that_meet
+from .diagram import CartanMatrix, LinkableDynkinDiagram, dotted_edges_that_meet
 from .errors import (
-    InadmissibleD,
     IndexOutOfRange,
     LinkConstraintUnsatisfiable,
     MalformedMatrix,
-    NoAdmissibleOrder,
     NotLinkConnected,
     OrderMismatch,
     ScaleExceeded,
-    UnsupportedComponentType,
+    ShapeParameterMismatch,
     UnsupportedMode,
 )
-from .fields import CYCLOTOMIC, FieldSpec, divisors, is_prime
+from .existence import (
+    _admissible_orders,
+    _recognized_components,
+    _validate_order,
+    check,
+)
+from .fields import CYCLOTOMIC, FieldSpec, is_prime
 
 _Z_LIMIT = 2_000_000  # diagonals the oracle will list at the order it answers at
 
@@ -400,23 +404,6 @@ def _finite_order_flaw(o: int, has_g2: bool) -> Optional[str]:
     return None
 
 
-def _recognized_components(diagram: LinkableDynkinDiagram) -> Sequence[ComponentType]:
-    """The components of a finite or affine diagram, all of a known type.
-
-    A finite diagram uses the finite catalog, an affine one both
-    catalogs; UnsupportedComponentType names the first unrecognized
-    component.
-    """
-    for c in diagram.components:
-        if c.label == "other":
-            verts = ", ".join(str(v + 1) for v in c.vertices)
-            raise UnsupportedComponentType(
-                f"component with vertices {verts} is not of a recognized "
-                f"{'finite' if diagram.mode == 'finite' else 'finite or affine'} type"
-            )
-    return diagram.components
-
-
 def admissible_orders(
     diagram: LinkableDynkinDiagram,
     field: FieldSpec = CYCLOTOMIC,
@@ -433,82 +420,6 @@ def admissible_orders(
         raise UnsupportedMode("root orders require standard linking mode")
     big_g = genus_gcd(diagram)
     return _admissible_orders(diagram, field, big_g, bound)
-
-
-def _order_fault(
-    diagram: LinkableDynkinDiagram, d: int, field: FieldSpec, big_g: int
-) -> Optional[str]:
-    """The first reason d is not an admissible root order, None if it is.
-
-    A finite diagram wants d odd, above 2 and prime to 3 if a G2
-    component is present, an affine one a prime above 3; both want d to
-    divide a nonzero genus gcd big_g and the field to hold a primitive
-    d-th root.
-    """
-    if diagram.mode == "finite":
-        if d <= 2:
-            return f"root order {d} must exceed 2"
-        if d % 2 == 0:
-            return f"root order {d} must be odd"
-        if d % 3 == 0 and diagram.has_g2:
-            return f"root order {d} is divisible by 3 with a G2 component present"
-    elif d <= 3 or not is_prime(d):
-        return f"root order {d} must be a prime above 3"
-    if big_g > 0 and big_g % d != 0:
-        return f"root order {d} does not divide the genus gcd {big_g}"
-    if not field.has_primitive_root(d):
-        return f"the field has no primitive root of order {d}"
-    return None
-
-
-def _admissible_orders(
-    diagram: LinkableDynkinDiagram,
-    field: FieldSpec,
-    big_g: int,
-    bound: int = 100,
-    limit: Optional[int] = None,
-) -> tuple[int, ...]:
-    """admissible_orders for a diagram whose genus gcd big_g is known.
-
-    The candidates are the divisors of a nonzero big_g, else the field's
-    root orders; bound only cuts off a cyclotomic field, where every
-    prime qualifies, and the default suits listing and choosing one.
-    Only the first limit orders are tested and returned, all for None.
-    """
-    candidates = divisors(big_g) if big_g else field.root_orders()
-    any_order = diagram.mode == "finite" and big_g > 0
-    # the cheap test first: most candidates fail it and need no message
-    orders = (
-        d
-        for d in candidates or range(3, bound + 1)
-        if (any_order or is_prime(d))
-        and _order_fault(diagram, d, field, big_g) is None
-    )
-    return tuple(islice(orders, limit))
-
-
-def _validate_order(
-    diagram: LinkableDynkinDiagram, d: Optional[int], field: FieldSpec, big_g: int
-) -> int:
-    if d is None:
-        if diagram.mode == "finite" and big_g > 0:
-            choices = _admissible_orders(diagram, field, big_g)
-            if not choices:
-                raise NoAdmissibleOrder(
-                    f"no admissible root order divides the genus gcd {big_g}"
-                )
-            return choices[-1]
-        # no cycle constraint: smallest prime from 5 up that the field
-        # offers; 3 is the only admissible order below 5, so two suffice
-        orders = _admissible_orders(diagram, field, big_g, limit=2)
-        choices = [c for c in orders if c >= 5]
-        if not choices:
-            raise NoAdmissibleOrder("the field provides no admissible root order")
-        return choices[0]
-    fault = _order_fault(diagram, d, field, big_g)
-    if fault:
-        raise InadmissibleD(fault)
-    return d
 
 
 # ------------------------------------------------------------ construction
@@ -604,8 +515,6 @@ def construct(
         raise UnsupportedMode("construction requires standard linking mode")
     if not diagram.is_link_connected():
         raise NotLinkConnected("construct needs a link-connected diagram")
-    from .existence import check  # deferred: existence imports this module
-
     report = check(diagram)
     if report.decision != "yes":
         raise LinkConstraintUnsatisfiable(
@@ -615,6 +524,47 @@ def construct(
     d = _validate_order(diagram, d, field, report.genus_gcd)
     exps = [num * pow(den, -1, d) % d for num, den in diagram.potentials]
     return _completed(diagram, d, exps)
+
+
+# ------------------------------------------------------------ excluded case
+
+_SHAPES = {(3, 3): "finite", (1, 2): "affine", (4, 4): "affine"}
+
+
+def excluded_case_matrix(
+    n: int, m: int, d: int = 5
+) -> tuple[LinkableDynkinDiagram, BraidingMatrix]:
+    """Diagram and braiding matrix for the shapes the theorems skip.
+
+    (n, m) = (3, 3) gives G2 x G2, (1, 2) the rank-two affine double
+    with symmetric entries, (4, 4) the one with a quadruple arrow.  The
+    two components are joined crosswise by two dotted edges and the
+    matrix verifies symbolically in its free parameter.
+    """
+    if (n, m) not in _SHAPES:
+        raise ShapeParameterMismatch(
+            f"(n, m) must be one of {sorted(_SHAPES)}, got ({n}, {m})"
+        )
+    mode = _SHAPES[(n, m)]
+    aij, aji = -m, -(m // n)
+    rows = [[2, aij, 0, 0], [aji, 2, 0, 0], [0, 0, 2, aij], [0, 0, aji, 2]]
+    diagram = LinkableDynkinDiagram(
+        CartanMatrix(tuple(tuple(r) for r in rows)),
+        linkable=((0, 2), (1, 3)),
+        linked=frozenset({(0, 2), (1, 3)}),
+        mode=mode,
+    )
+    _validate_order(diagram, d, CYCLOTOMIC, 0)
+
+    # each cell is q's exponent and the z-exponents, z = z_1
+    z, zi = ((1, 1),), ((1, -1),)
+    cells = (
+        ((1, ()), (-m, zi), (-1, ()), (m, z)),
+        ((0, z), (n, ()), (0, zi), (-n, ())),
+        ((1, ()), (0, z), (-1, ()), (0, zi)),
+        ((-m, zi), (n, ()), (m, z), (-n, ())),
+    )
+    return diagram, BraidingMatrix.from_cells(d, cells)
 
 
 # ------------------------------------------------------------- brute force

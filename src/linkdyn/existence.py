@@ -5,22 +5,18 @@ pairwise consistency of the dotted edges, and a usable common divisor
 of the cycle genera.  The affine check is the analog for homogeneous
 matrices with prime diagonal order above 3.  Two-component shapes that
 the main theorems skip (G2 x G2 and the rank-two affine doubles) are
-reported as 'excluded' and handled by an explicit matrix family.
+reported as 'excluded'; braiding.excluded_case_matrix builds their
+matrices.  The root-order rules, listing and default choice live here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from itertools import islice
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .braiding import (
-    BraidingMatrix,
-    _admissible_orders,
-    _order_fault,
-    _recognized_components,
-)
 from .cycles import genus_gcd
 from .diagram import (
-    CartanMatrix,
+    ComponentType,
     LinkableDynkinDiagram,
     edge_kind,
     pairwise_linking_consistency,
@@ -28,13 +24,14 @@ from .diagram import (
 from .errors import (
     InadmissibleD,
     Neighbouring,
+    NoAdmissibleOrder,
     NotLinkConnected,
     NotNeighbouring,
-    ShapeParameterMismatch,
     UnclassifiedPath,
+    UnsupportedComponentType,
     UnsupportedMode,
 )
-from .fields import CYCLOTOMIC, FieldSpec
+from .fields import CYCLOTOMIC, FieldSpec, divisors, is_prime
 
 # per mode: the rank-two labels whose crosswise double is excluded and
 # whose fully linked copies fail, and the reason given when no root
@@ -134,47 +131,100 @@ def check(
     return ExistenceReport("yes", mode, (), big_g, admissible)
 
 
-# ------------------------------------------------------------ excluded case
-
-_SHAPES = {(3, 3): "finite", (1, 2): "affine", (4, 4): "affine"}
+# -------------------------------------------------------------- root orders
 
 
-def excluded_case_matrix(
-    n: int, m: int, d: int = 5
-) -> tuple[LinkableDynkinDiagram, BraidingMatrix]:
-    """Diagram and braiding matrix for the shapes the theorems skip.
+def _recognized_components(diagram: LinkableDynkinDiagram) -> Sequence[ComponentType]:
+    """The components of a finite or affine diagram, all of a known type.
 
-    (n, m) = (3, 3) gives G2 x G2, (1, 2) the rank-two affine double
-    with symmetric entries, (4, 4) the one with a quadruple arrow.  The
-    two components are joined crosswise by two dotted edges and the
-    matrix verifies symbolically in its free parameter.
+    A finite diagram uses the finite catalog, an affine one both
+    catalogs; UnsupportedComponentType names the first unrecognized
+    component.
     """
-    if (n, m) not in _SHAPES:
-        raise ShapeParameterMismatch(
-            f"(n, m) must be one of {sorted(_SHAPES)}, got ({n}, {m})"
-        )
-    mode = _SHAPES[(n, m)]
-    aij, aji = -m, -(m // n)
-    rows = [[2, aij, 0, 0], [aji, 2, 0, 0], [0, 0, 2, aij], [0, 0, aji, 2]]
-    diagram = LinkableDynkinDiagram(
-        CartanMatrix(tuple(tuple(r) for r in rows)),
-        linkable=((0, 2), (1, 3)),
-        linked=frozenset({(0, 2), (1, 3)}),
-        mode=mode,
+    for c in diagram.components:
+        if c.label == "other":
+            verts = ", ".join(str(v + 1) for v in c.vertices)
+            raise UnsupportedComponentType(
+                f"component with vertices {verts} is not of a recognized "
+                f"{'finite' if diagram.mode == 'finite' else 'finite or affine'} type"
+            )
+    return diagram.components
+
+
+def _order_fault(
+    diagram: LinkableDynkinDiagram, d: int, field: FieldSpec, big_g: int
+) -> Optional[str]:
+    """The first reason d is not an admissible root order, None if it is.
+
+    A finite diagram wants d odd, above 2 and prime to 3 if a G2
+    component is present, an affine one a prime above 3; both want d to
+    divide a nonzero genus gcd big_g and the field to hold a primitive
+    d-th root.
+    """
+    if diagram.mode == "finite":
+        if d <= 2:
+            return f"root order {d} must exceed 2"
+        if d % 2 == 0:
+            return f"root order {d} must be odd"
+        if d % 3 == 0 and diagram.has_g2:
+            return f"root order {d} is divisible by 3 with a G2 component present"
+    elif d <= 3 or not is_prime(d):
+        return f"root order {d} must be a prime above 3"
+    if big_g > 0 and big_g % d != 0:
+        return f"root order {d} does not divide the genus gcd {big_g}"
+    if not field.has_primitive_root(d):
+        return f"the field has no primitive root of order {d}"
+    return None
+
+
+def _admissible_orders(
+    diagram: LinkableDynkinDiagram,
+    field: FieldSpec,
+    big_g: int,
+    bound: int = 100,
+    limit: Optional[int] = None,
+) -> tuple[int, ...]:
+    """admissible_orders for a diagram whose genus gcd big_g is known.
+
+    The candidates are the divisors of a nonzero big_g, else the field's
+    root orders; bound only cuts off a cyclotomic field, where every
+    prime qualifies, and the default suits listing and choosing one.
+    Only the first limit orders are tested and returned, all for None.
+    """
+    candidates = divisors(big_g) if big_g else field.root_orders()
+    any_order = diagram.mode == "finite" and big_g > 0
+    # the cheap test first: most candidates fail it and need no message
+    orders = (
+        d
+        for d in candidates or range(3, bound + 1)
+        if (any_order or is_prime(d))
+        and _order_fault(diagram, d, field, big_g) is None
     )
-    fault = _order_fault(diagram, d, CYCLOTOMIC, 0)
+    return tuple(islice(orders, limit))
+
+
+def _validate_order(
+    diagram: LinkableDynkinDiagram, d: Optional[int], field: FieldSpec, big_g: int
+) -> int:
+    if d is None:
+        if diagram.mode == "finite" and big_g > 0:
+            choices = _admissible_orders(diagram, field, big_g)
+            if not choices:
+                raise NoAdmissibleOrder(
+                    f"no admissible root order divides the genus gcd {big_g}"
+                )
+            return choices[-1]
+        # no cycle constraint: smallest prime from 5 up that the field
+        # offers; 3 is the only admissible order below 5, so two suffice
+        orders = _admissible_orders(diagram, field, big_g, limit=2)
+        choices = [c for c in orders if c >= 5]
+        if not choices:
+            raise NoAdmissibleOrder("the field provides no admissible root order")
+        return choices[0]
+    fault = _order_fault(diagram, d, field, big_g)
     if fault:
         raise InadmissibleD(fault)
-
-    # each cell is q's exponent and the z-exponents, z = z_1
-    z, zi = ((1, 1),), ((1, -1),)
-    cells = (
-        ((1, ()), (-m, zi), (-1, ()), (m, z)),
-        ((0, z), (n, ()), (0, zi), (-n, ())),
-        ((1, ()), (0, z), (-1, ()), (0, zi)),
-        ((-m, zi), (n, ()), (m, z), (-n, ())),
-    )
-    return diagram, BraidingMatrix.from_cells(d, cells)
+    return d
 
 
 # ------------------------------------------------------------- self-linking
@@ -273,7 +323,6 @@ def selflink_order_constraint(a_ij: int, a_ji: int) -> int:
 __all__ = [
     "ExistenceReport",
     "check",
-    "excluded_case_matrix",
     "selflink_genus",
     "selflink_order_constraint",
 ]

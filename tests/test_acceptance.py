@@ -40,6 +40,7 @@ from linkdyn import (
     level0_vertices,
     ord_diagonal,
     pairwise_linking_consistency,
+    qbinomial,
     serre_coefficients,
     a4_solve_zp2,
     a4_realizable_zp2,
@@ -280,7 +281,8 @@ def adjoint_expansion(top, q_i, b_ij):
 
 def test_criterion_10_q_identities(capsys):
     with criterion(capsys, 10, "bracket identities to rank 8, three root "
-                   "orders; crossed-power coefficients vs free expansion"):
+                   "orders; q-Lucas zeros of [d choose k] modulo Phi_d; "
+                   "crossed-power coefficients vs free expansion"):
         for root_order in (0, 5, 7, 11):
             q = QValue.q(root_order)
             for n in range(1, 9):
@@ -288,6 +290,16 @@ def test_criterion_10_q_identities(capsys):
                     assert check_identity(1, n, i, q), (root_order, n, i)
                 assert check_identity(2, n, 0, q), (root_order, n)
                 assert check_identity(3, n, 0, q), (root_order, n)
+        # the identities above cancel term by term modulo x^d - 1; these
+        # brackets vanish only modulo Phi_d, the rule present reads off
+        # its integer rows: [d choose k] is zero exactly for 0 < k < d,
+        # and no [d - 1 choose k] is
+        for d in (5, 7, 11):
+            q = QValue.q(d)
+            for k in range(d + 1):
+                assert qbinomial(d, k, q).is_zero == (0 < k < d), (d, k)
+            for k in range(d):
+                assert not qbinomial(d - 1, k, q).is_zero, (d, k)
         q_i = QValue.symbol("Q")
         b_ij = QValue.symbol("B")
         for a_ij in (0, -1, -2, -3):
