@@ -13,6 +13,7 @@ import linkdyn.braiding as braiding
 import linkdyn.cycles
 import linkdyn.diagram
 import linkdyn.fields as fields
+import linkdyn.oracle as oracle
 from linkdyn import (
     BraidingMatrix,
     FieldSpec,
@@ -990,7 +991,7 @@ class TestOracle:
         # a "no" with one diagonal per order: its entries, not every
         # exponent below each order, are checked
         d = component_diag(["A2", "A3"], [(0, 2), (1, 4)])
-        calls = count_calls(braiding, "_order_ok")
+        calls = count_calls(oracle, "_order_ok")
         assert not brute_force_exists(d, n_max=2000).found
         assert len(calls) <= 4000
 
@@ -1016,7 +1017,7 @@ class TestOracle:
         d = diag(UNRECOGNIZED_ROWS, [(0, 2)], mode=mode)
         with pytest.raises(UnsupportedComponentType) as expected:
             check(d)
-        tried = count_calls(braiding, "_order_ok")
+        tried = count_calls(oracle, "_order_ok")
         with pytest.raises(UnsupportedComponentType) as info:
             brute_force_exists(d)
         assert str(info.value) == str(expected.value)
@@ -1040,7 +1041,7 @@ class TestOracle:
         assert (len(built), len(verified)) == (1, 1)
         # a "no" whose diagonals pass the edge constraints: the forms are
         # read off the diagram once and no matrix is built
-        compiled = count_calls(braiding, "_diagonal_forms")
+        compiled = count_calls(oracle, "_diagonal_forms")
         del built[:], verified[:]
         d = component_diag(["A2", "A3"], [(0, 2), (1, 4)])
         assert not brute_force_exists(d, n_max=12).found
@@ -1058,7 +1059,7 @@ class TestOracle:
     def test_orders_no_vertex_can_meet_are_skipped(self, d, count_calls):
         # every diagonal of these has an entry of order 1 or 2, which the
         # generators show before any diagonal is listed
-        tried = count_calls(braiding, "_order_ok")
+        tried = count_calls(oracle, "_order_ok")
         assert not brute_force_exists(d, n_max=2000).found
         assert tried == []
 
@@ -1068,8 +1069,8 @@ class TestOracle:
         # diagonal is listed, whatever the bound
         d = component_diag(["A1", "A1"], [(0, 1)])
         assert brute_force_exists(d, n_max=2_000_010).root_order == 5
-        monkeypatch.setattr(braiding, "_Z_LIMIT", 4)
-        tested = count_calls(braiding, "_order_ok")
+        monkeypatch.setattr(oracle, "_Z_LIMIT", 4)
+        tested = count_calls(oracle, "_order_ok")
         with pytest.raises(ScaleExceeded) as info:
             brute_force_exists(d, n_max=2_000_010)
         assert str(info.value) == (
@@ -1111,14 +1112,14 @@ class TestOracle:
         gf13 = FieldSpec("gf", q=13)
         assert brute_force_exists(d, n_max=2_000_001, field=gf13).root_order == 6
         for limit, field, count in ((4, CYCLOTOMIC, 5), (11, gf13, 12)):
-            monkeypatch.setattr(braiding, "_Z_LIMIT", limit)
+            monkeypatch.setattr(oracle, "_Z_LIMIT", limit)
             with pytest.raises(ScaleExceeded) as info:
                 brute_force_exists(d, n_max=2_000_001, field=field)
             assert str(info.value) == (
                 f"{count} diagonal assignments at 4 vertices; "
                 "shrink the diagram or the order bound"
             )
-            monkeypatch.setattr(braiding, "_Z_LIMIT", count)
+            monkeypatch.setattr(oracle, "_Z_LIMIT", count)
             assert brute_force_exists(d, n_max=2_000_001, field=field).found
 
     def test_every_order_past_the_caps_has_a_fitting_diagonal(self):
@@ -1132,7 +1133,7 @@ class TestOracle:
             except UnsupportedComponentType:
                 return 0
             s, mode, has_g2 = d.size, d.mode, d.has_g2
-            diag_, cols = braiding._diagonalize(braiding._diagonal_forms(d), s)
+            diag_, cols = oracle._diagonalize(oracle._diagonal_forms(d), s)
             tried = 0
             for n in range(5, n_max + 1):
                 if mode == "affine" and not is_prime(n):
@@ -1143,12 +1144,12 @@ class TestOracle:
                     if (m := gcd(x, n)) > 1
                 ]
                 caps = [n // gcd(n, *(g[p] for _, g in gens)) for p in range(s)]
-                if any(braiding._no_admissible_order(c, mode, has_g2) for c in caps):
+                if any(oracle._no_admissible_order(c, mode, has_g2) for c in caps):
                     continue
                 tried += 1
                 assert any(
                     all(
-                        braiding._order_ok(
+                        oracle._order_ok(
                             sum(k * g[p] for k, (_, g) in zip(ks, gens)) % n,
                             n,
                             mode,
@@ -1237,7 +1238,7 @@ def differing_order(forms, other, s, orders):
     when they agree at every order.
     """
     sides = [
-        (braiding._diagonalize(f, s), g) for f, g in ((forms, other), (other, forms))
+        (oracle._diagonalize(f, s), g) for f, g in ((forms, other), (other, forms))
     ]
     for n in orders:
         sizes = set()
@@ -1494,7 +1495,7 @@ class TestIdentityForms:
     @staticmethod
     def solutions(forms, s, n):
         """The diagonals e = V y, d_i y_i == 0 (mod n), of the diagonal form."""
-        diag, cols = braiding._diagonalize(forms, s)
+        diag, cols = oracle._diagonalize(forms, s)
         ys = product(*(range(0, n, n // gcd(x, n)) for x in diag))
         return {
             tuple(sum(y * col[v] for y, col in zip(y, cols)) % n for v in range(s))
@@ -1508,7 +1509,7 @@ class TestIdentityForms:
             d = component_diag(list(labels), list(pairs))
             if not d.is_link_connected():
                 continue
-            forms = braiding._diagonal_forms(d)
+            forms = oracle._diagonal_forms(d)
             # seeded random diagonals, and some that satisfy every form
             for _ in range(4):
                 n = rng.randrange(5, 31)
@@ -1561,7 +1562,7 @@ class TestIdentityForms:
         diagrams += [prism(k) for k in (4, 8, 16)]
         met = pairs = 0
         for d in diagrams:
-            assert braiding._diagonal_forms(d) == all_pairs_forms(d), d
+            assert oracle._diagonal_forms(d) == all_pairs_forms(d), d
             meeting = [
                 (p, q)
                 for p, q in combinations(d.linkable, 2)
@@ -1580,10 +1581,38 @@ class TestIdentityForms:
             forms, invariants = eliminated_forms(d)
             wild += sum(abs(x) != 1 for x in invariants)
             got = differing_order(
-                braiding._diagonal_forms(d), forms, d.size, range(5, 31)
+                oracle._diagonal_forms(d), forms, d.size, range(5, 31)
             )
             assert got is None, (d, got)
         assert wild == 0
+
+    def test_witness_diagonals_admit_a_completion(self):
+        # the search decides "found" on its own forms; each witness it
+        # returns must solve the whole eliminated system, whose x-part
+        # has unit invariant factors, so some off-diagonal exponents
+        # complete it without the constructor's completion
+        diagrams = [
+            component_diag(list(labels), list(pairs), mode=mode)
+            for labels, pairs in small_family()
+            for mode in ("finite", "affine")
+        ]
+        diagrams += [circle(label, n) for label in ("A3", "B3") for n in range(2, 7)]
+        witnesses = 0
+        for d in diagrams:
+            if not d.is_link_connected():
+                continue
+            try:
+                braiding._recognized_components(d)
+            except UnsupportedComponentType:
+                continue
+            if (found := oracle.least_diagonal(d, 30, CYCLOTOMIC)) is None:
+                continue
+            n, least = found
+            forms, invariants = eliminated_forms(d)
+            assert all(abs(x) == 1 for x in invariants), d
+            assert forms_hold(forms, n, least), (d, n, least)
+            witnesses += 1
+        assert witnesses == 258
 
     def test_leftover_parameter_rejects_every_diagonal(
         self, monkeypatch, tmp_path, capsys
@@ -1737,7 +1766,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
         if field.has_primitive_root(n) and (mode == "finite" or is_prime(n))
     ]
     worst = max((search_space(order, n) for n in candidates_n), default=0)
-    if worst > braiding._Z_LIMIT:
+    if worst > oracle._Z_LIMIT:
         raise ScaleExceeded(
             f"about {worst} diagonal assignments at {s} vertices; "
             f"shrink the diagram or the order bound"
@@ -1767,7 +1796,7 @@ def reference_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
             for c in constraints[1:]:
                 options &= set(c)
             for e in sorted(options):
-                if not braiding._order_ok(e, n, mode, has_g2):
+                if not oracle._order_ok(e, n, mode, has_g2):
                     continue
                 exps[v] = e
                 yield from extend(idx + 1)
@@ -1822,7 +1851,7 @@ def scanned_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
     braiding._recognized_components(diagram)
     has_g2, s = diagram.has_g2, diagram.size
     order = diagram.link_walks[0][0]
-    diag, cols = braiding._diagonalize(braiding._diagonal_forms(diagram), s)
+    diag, cols = oracle._diagonalize(oracle._diagonal_forms(diagram), s)
     for n in range(5, n_max + 1):
         if not field.has_primitive_root(n) or mode == "affine" and not is_prime(n):
             continue
@@ -1832,9 +1861,9 @@ def scanned_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
             if (m := gcd(x, n)) > 1
         ]
         caps = (n // gcd(n, *(g[p] for _, g in gens)) for p in range(s))
-        if any(braiding._no_admissible_order(cap, mode, has_g2) for cap in caps):
+        if any(oracle._no_admissible_order(cap, mode, has_g2) for cap in caps):
             continue
-        if (count := prod(m for m, _ in gens)) > braiding._Z_LIMIT:
+        if (count := prod(m for m, _ in gens)) > oracle._Z_LIMIT:
             raise ScaleExceeded(
                 f"{count} diagonal assignments at {s} vertices; "
                 f"shrink the diagram or the order bound"
@@ -1845,7 +1874,7 @@ def scanned_brute_force_exists(diagram, n_max=30, field=CYCLOTOMIC):
         )
         fits = [
             e for e in diagonals
-            if all(braiding._order_ok(x, n, mode, has_g2) for x in e)
+            if all(oracle._order_ok(x, n, mode, has_g2) for x in e)
         ]
         least = min(fits, key=lambda e: [e[v] for v in order])
         return braiding.OracleResult(True, n, braiding._completed(diagram, n, least), n_max)
@@ -1941,7 +1970,7 @@ class TestOracleAgainstReference:
         # accept the same diagonals at every order up to the bound
         old = reference_identity_forms(d)
         assert old is not None, d
-        new = braiding._diagonal_forms(d)
+        new = oracle._diagonal_forms(d)
         assert differing_order(new, old, d.size, range(5, n_max + 1)) is None, d
         return got
 

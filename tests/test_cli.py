@@ -14,6 +14,7 @@ import linkdyn.braiding
 import linkdyn.cli
 import linkdyn.cycles
 import linkdyn.errors
+import linkdyn.oracle
 import linkdyn.realization
 from conftest import LINKDYN_SRC, circle, prism, run_cli
 from linkdyn import (
@@ -499,7 +500,7 @@ class TestOracleCommand:
 
     def test_scale_exceeded_is_input_error(self, write, capsys, monkeypatch):
         # order 5 answers with 5 diagonals, so a limit of 4 refuses there
-        monkeypatch.setattr(linkdyn.braiding, "_Z_LIMIT", 4)
+        monkeypatch.setattr(linkdyn.oracle, "_Z_LIMIT", 4)
         code, out = run(capsys, "oracle", write(A1A1), "--nmax", "2000010")
         assert code == 3
         assert out == (

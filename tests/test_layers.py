@@ -1,4 +1,4 @@
-"""The package imports one way, and the oracle names none of the constructor's rules.
+"""The package imports one way, and the oracle reads nothing of the constructor.
 
 Each module of src/linkdyn is read with ast, not imported, so these
 tests see the source as written.  The entry files __init__ and __main__
@@ -11,15 +11,8 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "linkdyn"
 
-# the oracle's own functions, and the names of the constructor's rules
-# and data that an independent cross-check must not read
-ORACLE = (
-    "brute_force_exists",
-    "_diagonal_forms",
-    "_diagonalize",
-    "_order_ok",
-    "_no_admissible_order",
-)
+# the names of the constructor's rules and data, and the completion
+# that renders the oracle's witness: an independent search reads none
 CONSTRUCTOR = {
     "potentials",
     "genus_gcd",
@@ -28,7 +21,10 @@ CONSTRUCTOR = {
     "_validate_order",
     "_admissible_orders",
     "_order_fault",
+    "_completed",
 }
+# the only package modules the oracle's search may import
+ORACLE_IMPORTS = {"diagram", "errors", "fields"}
 
 
 def modules():
@@ -95,19 +91,18 @@ def test_module_graph_is_acyclic():
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
 
 
+def test_oracle_imports_only_the_diagram_errors_and_field():
+    imported = {target for target, _, _ in package_imports(modules()["oracle"])}
+    assert imported <= ORACLE_IMPORTS, sorted(imported - ORACLE_IMPORTS)
+
+
 def test_oracle_names_none_of_the_constructors_rules():
-    functions = {
-        node.name: node
-        for node in modules()["braiding"].body
-        if isinstance(node, ast.FunctionDef)
-    }
-    for name in ORACLE:
-        named = set()
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                named.add(node.value)  # getattr(diagram, "potentials")
-        assert not named & CONSTRUCTOR, (name, sorted(named & CONSTRUCTOR))
+    named = set()
+    for node in ast.walk(modules()["oracle"]):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)  # getattr(diagram, "potentials")
+    assert not named & CONSTRUCTOR, sorted(named & CONSTRUCTOR)
